@@ -1,8 +1,7 @@
 package wiban
 
-// Benchmark harness: one benchmark per figure/table of the paper (see
-// DESIGN.md's per-experiment index), plus microbenchmarks of the
-// substrates those figures exercise. Run:
+// Benchmark harness: one benchmark per figure/table of the paper, plus
+// microbenchmarks of the substrates those figures exercise. Run:
 //
 //	go test -bench=. -benchmem
 //

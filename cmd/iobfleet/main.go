@@ -73,37 +73,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 
-	"wiban/internal/fleet"
 	"wiban/internal/spectrum"
-	"wiban/internal/telemetry"
-	"wiban/internal/units"
+	"wiban/internal/sweep"
 )
-
-// errInterrupted is the sentinel the signal handler injects into the
-// sink: the engine aborts at the next record boundary and main exits 0
-// with the store checkpointed, ready for -resume.
-var errInterrupted = errors.New("iobfleet: interrupted by signal")
-
-// cellsForDensity derives the cell count hitting a target wearers-per-
-// cell: ceil(wearers/density), never below 1. Fractional densities are
-// meaningful — -density 0.5 asks for twice as many cells as wearers.
-func cellsForDensity(wearers int, density float64) int {
-	cells := int(math.Ceil(float64(wearers) / density))
-	if cells < 1 {
-		return 1
-	}
-	return cells
-}
 
 func main() {
 	var (
@@ -142,149 +124,73 @@ func main() {
 		os.Exit(code)
 	}
 
-	gen := &fleet.Generator{
-		Base:          fleet.DefaultBase(),
+	spec := sweep.Spec{
+		Wearers:       *wearers,
+		Seed:          *seed,
+		DurSeconds:    *durSec,
+		Workers:       max(*workers, 0), // any non-positive count means NumCPU
 		PERSpread:     *perSpread,
 		BatterySpread: *battSpread,
 		HarvesterProb: *harvProb,
 		DropNodeProb:  *dropProb,
 		BLEFraction:   *bleFrac,
-		DrainBattery:  *drain,
+		Drain:         *drain,
+		Cells:         *cells,
+		Density:       *density,
+		Feedback:      *feedback,
+		SeriesSeconds: *seriesSec,
 	}
-	if err := gen.Validate(); err != nil {
-		fail(2, "%v", err)
-	}
-	f := &fleet.Fleet{
-		Wearers:  *wearers,
-		Seed:     *seed,
-		Scenario: gen.Scenario(),
-		// The coupled engine's phase 1 uses the generator's allocation-free
-		// load pass instead of regenerating every scenario (no-op uncoupled).
-		Loads:   gen.LoadScenario(),
-		Span:    units.Duration(*durSec),
-		Workers: *workers,
-	}
-	scenarioTag := gen.Tag()
-	if *density != 0 {
-		if !(*density > 0) { // also catches NaN
-			fail(2, "non-positive density %v", *density)
-		}
-		if *cells != 0 {
-			fail(2, "-cells and -density are two spellings of the same knob; pass one")
-		}
-		*cells = cellsForDensity(*wearers, *density)
-	}
+	// The solver knobs exist only with -feedback, and unlike a spec's 0
+	// (= the default) an explicit 0 on the command line is a usage error.
 	if *feedback {
-		if *cells <= 0 {
-			fail(2, "usage: -feedback needs a spectrum topology; pass -cells or -density")
-		}
 		if *maxIters <= 0 {
 			fail(2, "usage: -max-iters must be a positive iteration cap, got %d", *maxIters)
 		}
 		if *tolPPM <= 0 {
 			fail(2, "usage: -tol must be a positive PPM tolerance, got %d", *tolPPM)
 		}
+		spec.MaxIters, spec.TolPPM = *maxIters, *tolPPM
 	}
-	if *cells > 0 {
-		f.Coupling = &fleet.Coupling{Cells: *cells, Model: spectrum.Default()}
-		if *feedback {
-			f.Coupling.Feedback = true
-			f.Coupling.MaxIters = *maxIters
-			f.Coupling.TolPPM = *tolPPM
-		}
-		scenarioTag += ";" + f.Coupling.Tag()
-	} else if *cells < 0 {
-		fail(2, "negative cell count %d", *cells)
-	}
-	if *seriesSec < 0 || math.IsNaN(*seriesSec) {
-		fail(2, "negative series cadence %v", *seriesSec)
-	}
-	f.Series = units.Duration(*seriesSec)
-	if *resume && *outPath == "" {
+	if *outPath != "" {
+		spec.BlockSize = *blockSize // a store knob: without -out it is ignored
+	} else if *resume {
 		fail(2, "-resume requires -out")
 	}
-
-	agg := fleet.NewStreamAggregator(f.Span)
-	sink := fleet.Sink(agg)
-	var store *telemetry.Writer
-	if *outPath != "" {
-		meta := telemetry.Meta{
-			FleetSeed:   f.Seed,
-			Wearers:     f.Wearers,
-			SpanSeconds: float64(f.Span),
-			Scenario:    scenarioTag,
-			BlockSize:   *blockSize,
-			Version:     telemetry.CreateVersion(*seriesSec > 0),
-			Cells:       *cells,
-			Feedback:    *feedback && *cells > 0,
-
-			SeriesCadenceSeconds: *seriesSec,
+	if err := spec.Normalize(); err != nil {
+		fail(2, "usage: %v", err)
+	}
+	f, meta, err := spec.Build(nil)
+	if err != nil {
+		fail(2, "%v", err)
+	}
+	// A forgotten -resume must not vaporize a checkpointed sweep: Create
+	// truncates, so refuse to clobber an existing store.
+	if *outPath != "" && !*resume && !*force {
+		if st, serr := os.Stat(*outPath); serr == nil && st.Size() > 0 {
+			fail(2, "%s already exists; continue it with -resume, or overwrite it with -force", *outPath)
 		}
-		var err error
-		if *resume {
-			if store, err = telemetry.Resume(*outPath); err != nil {
-				fail(1, "%v", err)
-			}
-			got := store.Meta()
-			meta.BlockSize = got.BlockSize // block size is the store's to keep
-			meta.Version = telemetry.AdoptVersion(got.Version, *cells, meta.Feedback, *seriesSec > 0)
-			if got != meta {
-				store.Abort()
-				fail(2, "resume flags describe a different sweep than %s:\n  store: %+v\n  flags: %+v", *outPath, got, meta)
-			}
-			// Rebuild the aggregate from the committed records, then
-			// simulate only the remainder.
-			r, err := telemetry.Open(*outPath)
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			replayed, err := fleet.Replay(r, agg)
-			r.Close()
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			if replayed != store.NextWearer() {
-				fail(1, "store %s replayed %d records but checkpoint says %d", *outPath, replayed, store.NextWearer())
-			}
-			f.Start = store.NextWearer()
-			fmt.Printf("resuming %s at wearer %d/%d (%d committed blocks)\n",
-				*outPath, f.Start, f.Wearers, store.Blocks())
-		} else {
-			// A forgotten -resume must not vaporize a checkpointed sweep:
-			// Create truncates, so refuse to clobber an existing store.
-			if st, serr := os.Stat(*outPath); serr == nil && st.Size() > 0 && !*force {
-				fail(2, "%s already exists; continue it with -resume, or overwrite it with -force", *outPath)
-			}
-			if store, err = telemetry.Create(*outPath, meta); err != nil {
-				fail(1, "%v", err)
-			}
-		}
-		// Store first, then aggregate: the committed prefix on disk never
-		// runs ahead of what the report has folded in.
-		sink = fleet.Tee(store, agg)
+	}
+	sw, err := sweep.Open(f, meta, *outPath, *resume)
+	if errors.Is(err, sweep.ErrMismatch) {
+		fail(2, "%v", err)
+	} else if err != nil {
+		fail(1, "%v", err)
+	}
+	if *resume {
+		fmt.Printf("resuming %s at wearer %d/%d (%d committed blocks)\n",
+			*outPath, f.Start, f.Wearers, sw.Store.Blocks())
+	}
 
-		// With a store attached, SIGINT/SIGTERM become a graceful stop
-		// instead of a kill: the sink returns errInterrupted at the next
-		// record boundary, the engine aborts, and everything committed so
-		// far stays a valid checkpointed prefix. Without -out there is
-		// nothing to save, so the default die-on-signal behavior stands.
-		stop := make(chan struct{})
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			s := <-sig
-			fmt.Fprintf(os.Stderr, "iobfleet: %v: checkpointing and stopping\n", s)
-			close(stop)
-		}()
-		inner := sink
-		sink = fleet.SinkFunc(func(rec telemetry.Record) error {
-			select {
-			case <-stop:
-				return errInterrupted
-			default:
-			}
-			return inner.Consume(rec)
-		})
+	// With a store attached, SIGINT/SIGTERM become a graceful stop instead
+	// of a kill: the sweep ends at the next record boundary and everything
+	// committed so far stays a valid checkpointed prefix. Without -out
+	// there is nothing to save, so the default die-on-signal behavior
+	// stands.
+	ctx := context.Background()
+	if sw.Store != nil {
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
 	}
 
 	// Profiling brackets exactly the sweep (flag parsing, store setup and
@@ -306,23 +212,20 @@ func main() {
 	// uncommitted block it would then discard.
 	var memFile *os.File
 	if *memProfile != "" {
-		var err error
 		if memFile, err = os.Create(*memProfile); err != nil {
 			fail(1, "%v", err)
 		}
 	}
-	perf, err := f.Stream(sink)
+	perf, err := sw.Run(ctx)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
 	if err != nil {
-		if store != nil {
-			store.Abort() // keep the checkpoint where the sweep died
-		}
-		if errors.Is(err, errInterrupted) {
-			// A graceful stop is a success: the sweep is parked, not dead.
+		// Run returns the context's cause exactly when a signal stopped it.
+		// A graceful stop is a success: the sweep is parked, not dead.
+		if errors.Is(err, context.Cause(ctx)) {
 			fmt.Printf("interrupted: %s checkpointed at wearer %d/%d (%d blocks)\n",
-				*outPath, store.NextWearer(), f.Wearers, store.Blocks())
+				*outPath, sw.Store.NextWearer(), f.Wearers, sw.Store.Blocks())
 			fmt.Printf("continue with: iobfleet -resume -out %s <same flags>\n", *outPath)
 			return
 		}
@@ -337,16 +240,11 @@ func main() {
 			fail(1, "heap profile: %v", perr)
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			fail(1, "%v", err)
-		}
-	}
-	rep := agg.Report()
+	rep := sw.Agg.Report()
 	fmt.Println(rep)
 	fmt.Printf("  engine:    %v\n", perf)
-	if store != nil {
-		fmt.Printf("  telemetry: %s (%d blocks)\n", *outPath, store.Blocks())
+	if sw.Store != nil {
+		fmt.Printf("  telemetry: %s (%d blocks)\n", *outPath, sw.Store.Blocks())
 	}
 	fmt.Printf("  fingerprint %s (seed %d)\n", rep.Fingerprint()[:16], *seed)
 }

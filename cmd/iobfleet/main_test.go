@@ -2,8 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 	"time"
 
 	"wiban/internal/fleet"
-	"wiban/internal/spectrum"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -120,367 +121,6 @@ func TestDefaultFlagsProduceRunnableFleet(t *testing.T) {
 	}
 }
 
-// TestOutResumeFlow mirrors main's -out / -resume composition: stream to
-// a store, die mid-sweep, resume with matching flags (replay + Start),
-// and check the fingerprint equals an uninterrupted run's. It also
-// checks the meta guard that rejects resume flags describing a different
-// population.
-func TestOutResumeFlow(t *testing.T) {
-	gen := &fleet.Generator{Base: fleet.DefaultBase(), PERSpread: 0.5, BatterySpread: 0.3}
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mkFleet := func() *fleet.Fleet {
-		return &fleet.Fleet{Wearers: 40, Seed: 9, Scenario: gen.Scenario(), Span: 5 * units.Second, Workers: 2}
-	}
-	meta := telemetry.Meta{
-		FleetSeed: 9, Wearers: 40, SpanSeconds: 5, Scenario: gen.Tag(), BlockSize: 8,
-	}
-
-	want, _, err := mkFleet().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Leg 1: stream to the store, kill after 19 records (mid-block).
-	path := filepath.Join(t.TempDir(), "sweep.wtl")
-	store, err := telemetry.Create(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	killer := fleet.SinkFunc(func(rec telemetry.Record) error {
-		if seen == 19 {
-			return fmt.Errorf("simulated kill")
-		}
-		seen++
-		return store.Consume(rec)
-	})
-	if _, err := mkFleet().Stream(killer); err == nil {
-		t.Fatal("kill-sink did not abort")
-	}
-	if err := store.Abort(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Leg 2: the resume path main takes.
-	resumed, err := telemetry.Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resumed.Meta()
-	if got != meta {
-		t.Fatalf("store meta %+v, flags %+v — the guard in main would refuse its own store", got, meta)
-	}
-	if wrong := (telemetry.Meta{FleetSeed: 10, Wearers: 40, SpanSeconds: 5, Scenario: gen.Tag(), BlockSize: 8}); got == wrong {
-		t.Fatal("meta guard cannot tell different seeds apart")
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := fleet.NewStreamAggregator(5 * units.Second)
-	replayed, err := fleet.Replay(r, agg)
-	r.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != resumed.NextWearer() {
-		t.Fatalf("replayed %d, checkpoint %d", replayed, resumed.NextWearer())
-	}
-	f := mkFleet()
-	f.Start = resumed.NextWearer()
-	if _, err := f.Stream(fleet.Tee(resumed, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if agg.Report().Fingerprint() != want.Fingerprint() {
-		t.Fatal("resumed CLI flow diverged from uninterrupted run")
-	}
-}
-
-// TestCoupledOutResumeFlow mirrors main's -cells composition: a
-// spectrum-coupled sweep streamed to a v1 store, killed mid-block,
-// resumed with matching flags — the fingerprint must equal an
-// uninterrupted coupled run's, which requires the store to replay the
-// cell and foreign-load columns and the engine to recompute phase 1 over
-// the full population.
-func TestCoupledOutResumeFlow(t *testing.T) {
-	gen := &fleet.Generator{Base: fleet.DefaultBase(), PERSpread: 0.5, BLEFraction: 0.5}
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mkFleet := func() *fleet.Fleet {
-		return &fleet.Fleet{
-			Wearers: 40, Seed: 11, Scenario: gen.Scenario(),
-			Span: 5 * units.Second, Workers: 2,
-			Coupling: &fleet.Coupling{Cells: 4, Model: spectrum.Default()},
-		}
-	}
-	meta := telemetry.Meta{
-		FleetSeed: 11, Wearers: 40, SpanSeconds: 5,
-		Scenario:  gen.Tag() + ";" + mkFleet().Coupling.Tag(),
-		BlockSize: 8, Version: telemetry.CurrentFormat, Cells: 4,
-	}
-
-	want, _, err := mkFleet().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Cells) != 4 {
-		t.Fatalf("coupled reference run has %d cell stats", len(want.Cells))
-	}
-
-	path := filepath.Join(t.TempDir(), "coupled.wtl")
-	store, err := telemetry.Create(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	killer := fleet.SinkFunc(func(rec telemetry.Record) error {
-		if seen == 21 {
-			return fmt.Errorf("simulated kill")
-		}
-		seen++
-		return store.Consume(rec)
-	})
-	if _, err := mkFleet().Stream(killer); err == nil {
-		t.Fatal("kill-sink did not abort")
-	}
-	if err := store.Abort(); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, err := telemetry.Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Meta(); got != meta {
-		t.Fatalf("store meta %+v, flags %+v — the guard in main would refuse its own store", got, meta)
-	}
-	// The meta guard must distinguish a different spectrum topology.
-	other := meta
-	other.Cells = 8
-	if resumed.Meta() == other {
-		t.Fatal("meta guard cannot tell different cell counts apart")
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := fleet.NewStreamAggregator(5 * units.Second)
-	replayed, err := fleet.Replay(r, agg)
-	r.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != resumed.NextWearer() {
-		t.Fatalf("replayed %d, checkpoint %d", replayed, resumed.NextWearer())
-	}
-	f := mkFleet()
-	f.Start = resumed.NextWearer()
-	if _, err := f.Stream(fleet.Tee(resumed, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if agg.Report().Fingerprint() != want.Fingerprint() {
-		t.Fatal("resumed coupled CLI flow diverged from uninterrupted run")
-	}
-}
-
-// TestFeedbackOutResumeFlow mirrors main's -feedback composition: an
-// equilibrium-coupled sweep streamed to a v2 store, killed mid-block,
-// resumed with matching flags — the fingerprint must equal an
-// uninterrupted feedback run's, which requires the store to replay the
-// equilibrium columns and the engine to re-solve the fixed point over
-// the full population.
-func TestFeedbackOutResumeFlow(t *testing.T) {
-	gen := &fleet.Generator{Base: fleet.DefaultBase(), PERSpread: 0.5, BLEFraction: 0.5}
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mkFleet := func() *fleet.Fleet {
-		return &fleet.Fleet{
-			Wearers: 40, Seed: 11, Scenario: gen.Scenario(),
-			Span: 5 * units.Second, Workers: 2,
-			Coupling: &fleet.Coupling{Cells: 4, Model: spectrum.Default(), Feedback: true},
-		}
-	}
-	meta := telemetry.Meta{
-		FleetSeed: 11, Wearers: 40, SpanSeconds: 5,
-		Scenario:  gen.Tag() + ";" + mkFleet().Coupling.Tag(),
-		BlockSize: 8, Version: telemetry.CurrentFormat, Cells: 4, Feedback: true,
-	}
-
-	want, _, err := mkFleet().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "feedback.wtl")
-	store, err := telemetry.Create(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	killer := fleet.SinkFunc(func(rec telemetry.Record) error {
-		if seen == 21 {
-			return fmt.Errorf("simulated kill")
-		}
-		seen++
-		return store.Consume(rec)
-	})
-	if _, err := mkFleet().Stream(killer); err == nil {
-		t.Fatal("kill-sink did not abort")
-	}
-	if err := store.Abort(); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, err := telemetry.Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Meta(); got != meta {
-		t.Fatalf("store meta %+v, flags %+v — the guard in main would refuse its own store", got, meta)
-	}
-	// The meta guard must tell a first-order sweep from a feedback one.
-	other := meta
-	other.Feedback = false
-	if resumed.Meta() == other {
-		t.Fatal("meta guard cannot tell feedback from first-order sweeps")
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := fleet.NewStreamAggregator(5 * units.Second)
-	replayed, err := fleet.Replay(r, agg)
-	r.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != resumed.NextWearer() {
-		t.Fatalf("replayed %d, checkpoint %d", replayed, resumed.NextWearer())
-	}
-	f := mkFleet()
-	f.Start = resumed.NextWearer()
-	if _, err := f.Stream(fleet.Tee(resumed, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if agg.Report().Fingerprint() != want.Fingerprint() {
-		t.Fatal("resumed feedback CLI flow diverged from uninterrupted run")
-	}
-}
-
-// TestResumeAdoptsOlderStoreVersion pins the version-adoption rule main
-// applies on -resume (telemetry.AdoptVersion, shared with the iobfleetd
-// daemon's restart recovery): a store written in an older format is
-// continued in that format when it can still represent the sweep (a v1
-// store for a first-order coupled resume), and the current format is
-// demanded when it cannot (a feedback resume needs the v2 columns).
-func TestResumeAdoptsOlderStoreVersion(t *testing.T) {
-	for _, c := range []struct {
-		store, cells int
-		feedback     bool
-		series       bool
-		want         int
-	}{
-		{telemetry.FormatV0, 0, false, false, telemetry.FormatV0},
-		{telemetry.FormatV1, 0, false, false, telemetry.FormatV1},
-		{telemetry.FormatV1, 4, false, false, telemetry.FormatV1},
-		{telemetry.FormatV1, 4, true, false, telemetry.CurrentFormat}, // mismatch → guard will refuse
-		{telemetry.FormatV2, 4, true, false, telemetry.FormatV2},
-		{telemetry.FormatV0, 4, false, false, telemetry.CurrentFormat}, // v0 cannot hold cells
-		{telemetry.FormatV2, 0, false, true, telemetry.CurrentFormat},  // v2 cannot hold series
-		{telemetry.FormatV3, 0, false, true, telemetry.FormatV3},
-		{telemetry.FormatV3, 4, true, true, telemetry.FormatV3},
-	} {
-		if got := telemetry.AdoptVersion(c.store, c.cells, c.feedback, c.series); got != c.want {
-			t.Errorf("store v%d cells=%d feedback=%t series=%t: adopted v%d, want v%d",
-				c.store, c.cells, c.feedback, c.series, got, c.want)
-		}
-	}
-
-	// End to end: a first-order coupled sweep killed into a v1 store
-	// (what a PR 3 binary wrote) resumes under the current binary and
-	// reproduces the uninterrupted fingerprint.
-	gen := &fleet.Generator{Base: fleet.DefaultBase(), BLEFraction: 1}
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mkFleet := func() *fleet.Fleet {
-		return &fleet.Fleet{
-			Wearers: 30, Seed: 3, Scenario: gen.Scenario(),
-			Span: 5 * units.Second, Workers: 2,
-			Coupling: &fleet.Coupling{Cells: 3, Model: spectrum.Default()},
-		}
-	}
-	want, _, err := mkFleet().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metaV1 := telemetry.Meta{
-		FleetSeed: 3, Wearers: 30, SpanSeconds: 5,
-		Scenario:  gen.Tag() + ";" + mkFleet().Coupling.Tag(),
-		BlockSize: 8, Version: telemetry.FormatV1, Cells: 3,
-	}
-	path := filepath.Join(t.TempDir(), "v1.wtl")
-	store, err := telemetry.Create(path, metaV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	killer := fleet.SinkFunc(func(rec telemetry.Record) error {
-		if seen == 17 {
-			return fmt.Errorf("simulated kill")
-		}
-		seen++
-		return store.Consume(rec)
-	})
-	if _, err := mkFleet().Stream(killer); err == nil {
-		t.Fatal("kill-sink did not abort")
-	}
-	if err := store.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := telemetry.Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Meta(); got.Version != telemetry.FormatV1 {
-		t.Fatalf("resumed v1 store reports version %d", got.Version)
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := fleet.NewStreamAggregator(5 * units.Second)
-	replayed, err := fleet.Replay(r, agg)
-	r.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := mkFleet()
-	f.Start = replayed
-	if _, err := f.Stream(fleet.Tee(resumed, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if agg.Report().Fingerprint() != want.Fingerprint() {
-		t.Fatal("v1 store resumed under the current binary diverged")
-	}
-}
-
 // TestSignalCheckpointAndResume pins the graceful-stop contract at the
 // process level: a streaming sweep SIGTERMed mid-run exits 0 (not
 // signal death) with a resume hint, and rerunning with -resume finishes
@@ -573,25 +213,88 @@ func TestSignalCheckpointAndResume(t *testing.T) {
 	}
 }
 
-// TestDensityFlagDerivation pins the -density → -cells arithmetic main
-// uses: ceil(wearers/density), with density 1 giving every wearer its
-// own cell and fractional densities asking for more cells than wearers.
-func TestDensityFlagDerivation(t *testing.T) {
-	for _, c := range []struct {
-		wearers int
-		density float64
-		want    int
+// TestCLIStoreMatchesSweepRun is the differential pin between the two
+// front ends: the iobfleet process streaming to -out must write the
+// byte-identical store sweep.Open/Run writes for the equivalent JSON
+// spec — the spec iobfleetd persists and runs. JSON zero is literal, so
+// every generator knob the JSON omits is passed to the CLI as an
+// explicit 0 (the first case instead spells out the CLI defaults in the
+// JSON). The feedback case pins the solver-default spellings to each
+// other: the CLI's -max-iters default against a JSON spec that omits
+// max_iters.
+func TestCLIStoreMatchesSweepRun(t *testing.T) {
+	zeros := []string{"-per-spread", "0", "-batt-spread", "0", "-harvest-prob", "0", "-drop-prob", "0", "-ble-frac", "0"}
+	cases := []struct {
+		name string
+		args []string
+		spec string
 	}{
-		{1000, 40, 25},
-		{1000, 1, 1000},
-		{1000, 3, 334},
-		{1000, 2.5, 400},
-		{1000, 0.5, 2000},
-		{7, 100, 1},
-	} {
-		if cells := cellsForDensity(c.wearers, c.density); cells != c.want {
-			t.Errorf("wearers=%d density=%g: cells=%d, want %d", c.wearers, c.density, cells, c.want)
-		}
+		{
+			"uncoupled",
+			[]string{"-wearers", "40", "-seed", "3", "-dur", "5", "-block-size", "8"},
+			`{"wearers":40,"seed":3,"dur_seconds":5,"per_spread":0.5,"batt_spread":0.3,"harvest_prob":0.3,"drop_prob":0.25,"ble_frac":0.25,"block_size":8}`,
+		},
+		{
+			"density",
+			append([]string{"-wearers", "60", "-seed", "5", "-dur", "5", "-density", "7.5", "-block-size", "8"}, zeros...),
+			`{"wearers":60,"seed":5,"dur_seconds":5,"density":7.5,"block_size":8}`,
+		},
+		{
+			"feedback",
+			append([]string{"-wearers", "60", "-seed", "7", "-dur", "5", "-cells", "4", "-feedback", "-block-size", "8"}, zeros...),
+			`{"wearers":60,"seed":7,"dur_seconds":5,"cells":4,"feedback":true,"block_size":8}`,
+		},
+		{
+			"series",
+			append([]string{"-wearers", "40", "-seed", "9", "-dur", "5", "-cells", "4", "-series", "1", "-block-size", "8"}, zeros...),
+			`{"wearers":40,"seed":9,"dur_seconds":5,"cells":4,"series_seconds":1,"block_size":8}`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cli := filepath.Join(dir, "cli.wtl")
+			code, out := runMain(t, append(tc.args, "-workers", "2", "-out", cli)...)
+			if code != 0 {
+				t.Fatalf("iobfleet exited %d", code)
+			}
+
+			var spec sweep.Spec
+			dec := json.NewDecoder(strings.NewReader(tc.spec))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			f, meta, err := spec.Build(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := filepath.Join(dir, "spec.wtl")
+			s, err := sweep.Open(f, meta, ref, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if fp := s.Agg.Report().Fingerprint()[:16]; !strings.Contains(out, "fingerprint "+fp) {
+				t.Errorf("CLI output lacks the spec's fingerprint %s", fp)
+			}
+			a, err := os.ReadFile(cli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("CLI store (%d bytes) differs from the sweep.Run store (%d bytes)", len(a), len(b))
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 )
 
 // deleteSweep issues DELETE /api/sweeps/{id} against a test server and
@@ -113,7 +114,7 @@ func TestCancelRunning(t *testing.T) {
 	m.start(srv.URL)
 	defer m.beginDrain()
 
-	st, err := m.submit(sweepSpec{Wearers: 200000, Seed: 9, DurSeconds: 30, Workers: 2, BlockSize: 16})
+	st, err := m.submit(sweepSpec{Spec: sweep.Spec{Wearers: 200000, Seed: 9, DurSeconds: 30, Workers: 2, BlockSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +230,15 @@ func TestCancelLabelRevival(t *testing.T) {
 	if revived.Status != statusQueued || revived.CancelRequested {
 		t.Errorf("revived state %+v, want queued with the cancel flags cleared", revived)
 	}
-	sw, _ := m.get(st.ID)
-	select {
-	case <-sw.cancelChan():
-		t.Error("revived sweep's cancel latch is already tripped — the channel was not swapped")
-	default:
-	}
 	text := scrape(t, reg)
 	if q := metricValue(t, text, "iobfleetd_sweeps_queued"); q != 1 {
 		t.Errorf("queued gauge %v after revival, want 1", q)
+	}
+	// The revived run must not inherit the cancellation: it runs to done.
+	m.start("")
+	defer m.beginDrain()
+	if done := awaitSweep(t, m, st.ID, statusDone, 30*time.Second); done.Fingerprint == "" {
+		t.Errorf("revived sweep finished without a fingerprint: %+v", done)
 	}
 }
 

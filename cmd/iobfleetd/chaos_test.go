@@ -67,7 +67,7 @@ func TestChaosKillResume(t *testing.T) {
 		done := d2.awaitStatus(id, statusDone, 180*time.Second)
 		var spec sweepSpec
 		mustUnmarshalSpec(t, specs[i], &spec)
-		f, _, err := spec.build(nil)
+		f, _, err := spec.Build(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

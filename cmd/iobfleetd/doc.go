@@ -11,11 +11,15 @@
 //
 // # Endpoints
 //
-// Submissions are the iobfleet flag surface as JSON (wearers, seed,
-// dur_seconds, workers, per_spread, batt_spread, harvest_prob,
-// drop_prob, ble_frac, drain, cells, density, feedback, max_iters,
-// tol_ppm, series_seconds, block_size, shards — all literal, no
-// server-side defaults beyond zero values):
+// Submissions are a sweep.Spec (wiban/internal/sweep — the one sweep
+// definition iobfleet's flags map to as well) plus the daemon's shards
+// knob, flat in one JSON object: wearers, seed, dur_seconds, workers,
+// per_spread, batt_spread, harvest_prob, drop_prob, ble_frac, drain,
+// cells, density, feedback, max_iters, tol_ppm, series_seconds,
+// block_size, shards. Every field is literal, no server-side defaults
+// beyond zero values (max_iters/tol_ppm 0 select the solver defaults).
+// Each sweep runs through sweep.Open/Run, iobfleet -out's path, so the
+// daemon and the CLI write byte-identical stores for the same spec:
 //
 //	POST   /api/sweeps                  submit → 202 + sweep state
 //	GET    /api/sweeps                  all sweeps, submission order

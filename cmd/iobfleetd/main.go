@@ -79,7 +79,7 @@ func main() {
 		hb.Add(1)
 		go func(c string) {
 			defer hb.Done()
-			heartbeat(m.client, c, m.selfBase, *hbEvery, m.drain)
+			heartbeat(m.client, c, m.selfBase, *hbEvery, m.drainCtx.Done())
 		}(c)
 	}
 

@@ -448,7 +448,7 @@ func TestDaemonDrainAndResume(t *testing.T) {
 	if err := js.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := js.build(nil)
+	f, _, err := js.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,19 +17,19 @@ import (
 
 	"wiban/internal/fleet"
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 )
 
-// errDrained is the sentinel a draining daemon injects into every
-// running sweep's sink: the engine aborts at the next record boundary,
-// the store keeps its last committed checkpoint, and the sweep parks as
-// "interrupted" for the next process to resume.
-var errDrained = errors.New("iobfleetd: draining")
-
-// errCancelled is the same mechanism for DELETE /api/sweeps/{id}: the
-// running engine aborts at the next record boundary, but the sweep
-// parks terminally as "cancelled" instead of re-queueing on restart.
-var errCancelled = errors.New("iobfleetd: sweep cancelled")
+// The causes a running sweep's context ends with. Either way the engine
+// stops at the next record boundary with the store's last committed
+// checkpoint intact; a drain parks the sweep "interrupted" for the next
+// process to resume, a DELETE /api/sweeps/{id} parks it terminally as
+// "cancelled".
+var (
+	errDrained   = errors.New("iobfleetd: draining")
+	errCancelled = errors.New("iobfleetd: sweep cancelled")
+)
 
 // cancel() result sentinels, mapped to HTTP codes by the DELETE handler.
 var (
@@ -83,47 +84,26 @@ type progressEvent struct {
 	Final        bool `json:"final"`
 }
 
-// sweep is the in-memory half of a sweepState: the mutable state plus
-// its progress subscribers and the cancellation latch. All fields are
-// guarded by mu. Lock order is always manager.mu → sweep.mu; no path
-// takes them the other way round, which is what makes the runner's
-// queued→running claim and cancel()'s queued→cancelled transition
-// mutually exclusive instead of racy.
-type sweep struct {
-	mu        sync.Mutex
-	st        sweepState
-	subs      map[chan progressEvent]struct{}
-	cancel    chan struct{} // closed when cancellation is requested
-	cancelled bool          // whether cancel has been closed (close-once latch)
+// job is the in-memory half of a sweepState: the mutable state plus
+// its progress subscribers and, while it runs, the cancel function of
+// its context. All fields are guarded by mu. Lock order is always
+// manager.mu → job.mu; no path takes them the other way round, which
+// is what makes the runner's queued→running claim and cancel()'s
+// queued→cancelled transition mutually exclusive instead of racy.
+type job struct {
+	mu   sync.Mutex
+	st   sweepState
+	subs map[chan progressEvent]struct{}
+	stop context.CancelCauseFunc // ends the current run's context; set by the claim
 }
 
-func newSweep(st sweepState) *sweep {
-	return &sweep{st: st, cancel: make(chan struct{})}
-}
-
-// markCancelled trips the cancellation latch exactly once. Caller holds mu.
-func (sw *sweep) markCancelled() {
-	if !sw.cancelled {
-		sw.cancelled = true
-		close(sw.cancel)
-	}
-}
-
-func (sw *sweep) cancelRequested() bool {
+func (sw *job) cancelRequested() bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.cancelled
+	return sw.st.CancelRequested
 }
 
-// cancelChan returns the current cancellation latch. Revival swaps the
-// channel, so callers snapshot it once at the start of a run.
-func (sw *sweep) cancelChan() <-chan struct{} {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.cancel
-}
-
-func (sw *sweep) snapshot() sweepState {
+func (sw *job) snapshot() sweepState {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.st
@@ -133,7 +113,7 @@ func (sw *sweep) snapshot() sweepState {
 // immediately as the first event, so a subscriber never waits for the
 // next commit tick to learn where the sweep stands; if the sweep is
 // already terminal that first event is also the last.
-func (sw *sweep) subscribe() chan progressEvent {
+func (sw *job) subscribe() chan progressEvent {
 	ch := make(chan progressEvent, 16)
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -145,14 +125,14 @@ func (sw *sweep) subscribe() chan progressEvent {
 	return ch
 }
 
-func (sw *sweep) unsubscribe(ch chan progressEvent) {
+func (sw *job) unsubscribe(ch chan progressEvent) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	delete(sw.subs, ch)
 }
 
 // event builds the progress event for the current state. Caller holds mu.
-func (sw *sweep) event(final bool) progressEvent {
+func (sw *job) event(final bool) progressEvent {
 	return progressEvent{sweepState: sw.st, WearersTotal: sw.st.Spec.Wearers, Final: final}
 }
 
@@ -161,7 +141,7 @@ func (sw *sweep) event(final bool) progressEvent {
 // is dropped to make room — but never for the event itself: after the
 // drop there is always room, so the final event always lands. Caller
 // holds mu (the publisher is single-threaded per sweep: its runner).
-func (sw *sweep) publish(final bool) {
+func (sw *job) publish(final bool) {
 	ev := sw.event(final)
 	for ch := range sw.subs {
 		select {
@@ -199,8 +179,11 @@ type manager struct {
 	// already running again).
 	instance string
 
-	drain chan struct{} // closed when draining; never reopened
-	wg    sync.WaitGroup
+	// drainCtx ends (cause errDrained) when the daemon starts draining;
+	// every running sweep's context derives from it.
+	drainCtx  context.Context
+	stopDrain context.CancelCauseFunc
+	wg        sync.WaitGroup
 
 	backends []string    // static -backends entries (seed the membership; kept for the configured gauge)
 	members  *membership // live fleet table shard dispatch selects from
@@ -217,10 +200,10 @@ type manager struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // wakes runners when pending gains work or drain begins
-	pending  []*sweep   // FIFO of sweeps awaiting a runner (unbounded; queueCap gates submissions only)
+	pending  []*job     // FIFO of sweeps awaiting a runner (unbounded; queueCap gates submissions only)
 	draining bool
 	queueCap int
-	sweeps   map[string]*sweep
+	sweeps   map[string]*job
 	order    []string          // submission order (ID order)
 	byLabel  map[string]string // shard label → sweep ID (idempotent re-dispatch)
 	nextID   int
@@ -257,12 +240,11 @@ func newManager(dir string, slots int, reg *obs.Registry, backends []string) (*m
 		dir:      dir,
 		stats:    &fleet.Stats{},
 		instance: fmt.Sprintf("%d-%016x", os.Getpid(), rand.Uint64()),
-		drain:    make(chan struct{}),
 		backends: backends,
 		client:   &http.Client{Timeout: 30 * time.Second},
 		slots:    slots,
 		queueCap: defaultQueueCap,
-		sweeps:   make(map[string]*sweep),
+		sweeps:   make(map[string]*job),
 		byLabel:  make(map[string]string),
 	}
 	members, err := newMembership(filepath.Join(dir, "backends.json"), backends)
@@ -271,6 +253,7 @@ func newManager(dir string, slots int, reg *obs.Registry, backends []string) (*m
 	}
 	m.members = members
 	m.cond = sync.NewCond(&m.mu)
+	m.drainCtx, m.stopDrain = context.WithCancelCause(context.Background())
 	m.registerMetrics(reg)
 	if err := m.recover(); err != nil {
 		return nil, err
@@ -316,7 +299,7 @@ func (m *manager) recover() error {
 		if n >= m.nextID {
 			m.nextID = n + 1
 		}
-		sw := newSweep(st)
+		sw := &job{st: st}
 		m.sweeps[st.ID] = sw
 		m.order = append(m.order, st.ID)
 		if st.Spec.Label != "" {
@@ -329,7 +312,6 @@ func (m *manager) recover() error {
 				// re-queueing work nobody wants. The checkpointed store stays
 				// for retention to collect.
 				sw.st.Status = statusCancelled
-				sw.markCancelled()
 				if err := m.persist(sw); err != nil {
 					return err
 				}
@@ -388,8 +370,6 @@ func (m *manager) submit(spec sweepSpec) (sweepState, error) {
 				sw.st.Status = statusQueued
 				sw.st.CancelRequested = false
 				sw.st.Error = ""
-				sw.cancelled = false
-				sw.cancel = make(chan struct{})
 				if err := m.persist(sw); err != nil {
 					sw.mu.Unlock()
 					m.mu.Unlock()
@@ -418,7 +398,7 @@ func (m *manager) submit(spec sweepSpec) (sweepState, error) {
 	}
 	id := fmt.Sprintf("s%06d", m.nextID)
 	m.nextID++
-	sw := newSweep(sweepState{ID: id, Spec: spec, Status: statusQueued})
+	sw := &job{st: sweepState{ID: id, Spec: spec, Status: statusQueued}}
 	if err := m.persist(sw); err != nil {
 		m.mu.Unlock()
 		return sweepState{}, err
@@ -437,7 +417,7 @@ func (m *manager) submit(spec sweepSpec) (sweepState, error) {
 }
 
 // get returns one sweep by ID.
-func (m *manager) get(id string) (*sweep, bool) {
+func (m *manager) get(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sw, ok := m.sweeps[id]
@@ -448,7 +428,7 @@ func (m *manager) get(id string) (*sweep, bool) {
 func (m *manager) list() []sweepState {
 	m.mu.Lock()
 	order := append([]string(nil), m.order...)
-	sweeps := make([]*sweep, len(order))
+	sweeps := make([]*job, len(order))
 	for i, id := range order {
 		sweeps[i] = m.sweeps[id]
 	}
@@ -463,7 +443,7 @@ func (m *manager) list() []sweepState {
 // persist writes the sweep's sidecar atomically (temp + rename), the
 // same durability discipline as the telemetry checkpoint: a crash
 // leaves either the old state or the new, never a torn file.
-func (m *manager) persist(sw *sweep) error {
+func (m *manager) persist(sw *job) error {
 	raw, err := json.MarshalIndent(&sw.st, "", "  ")
 	if err != nil {
 		return err
@@ -507,7 +487,7 @@ func (m *manager) beginDrain() {
 	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
-		close(m.drain)
+		m.stopDrain(errDrained)
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
@@ -523,14 +503,14 @@ func (m *manager) isDraining() bool {
 }
 
 // run executes one sweep to a terminal or interrupted state.
-func (m *manager) run(sw *sweep) {
+func (m *manager) run(sw *job) {
 	m.mu.Lock()
 	if m.draining {
 		// Hand the sweep back to the front of the queue instead of
 		// dropping it on the floor: it stays "queued" in memory, on disk
 		// AND in the queued gauge — a coordinator watching backend gauges
 		// during drain sees real load, not phantom drift.
-		m.pending = append([]*sweep{sw}, m.pending...)
+		m.pending = append([]*job{sw}, m.pending...)
 		m.mu.Unlock()
 		return
 	}
@@ -552,52 +532,52 @@ func (m *manager) run(sw *sweep) {
 		fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
 	}
 	sw.publish(false)
-	cancel := sw.cancel
+	// The run's context ends at a drain (errDrained) or a DELETE
+	// (errCancelled); the running sweep stops at its next record boundary.
+	ctx, stop := context.WithCancelCause(m.drainCtx)
+	defer stop(nil)
+	sw.stop = stop
 	sw.mu.Unlock()
 	m.mu.Unlock()
 	m.metrics.started.Inc()
 
-	storePath := filepath.Join(m.dir, sw.st.ID+".wtl")
+	storePath := m.storePath(sw.st.ID)
 	spec := sw.snapshot().Spec
 	if spec.Shards > 0 {
-		m.runSharded(sw, spec, storePath)
+		m.runSharded(ctx, sw, spec, storePath)
 		return
 	}
-	f, meta, err := spec.build(m.stats)
+	f, meta, err := spec.Build(m.stats)
 	if err != nil {
 		m.finish(sw, statusFailed, err.Error())
 		return
 	}
-	agg := fleet.NewStreamAggregator(f.Span)
 
-	// Create or resume the telemetry store. A checkpointed store means a
-	// previous process died (or drained) mid-sweep: adopt its format,
-	// verify it describes this spec, replay the committed prefix into the
-	// aggregator and start the engine at the checkpoint. A shard sub-sweep
-	// with no local store first tries the coordinator's seed-store URL —
-	// the blocks already replicated off a lost backend — and falls back to
-	// a scratch store (bit-identical, just slower) if the pull fails.
-	var store *telemetry.Writer
-	if st, serr := os.Stat(storePath); serr == nil && st.Size() > 0 {
-		store, err = m.resumeStore(sw, storePath, meta, agg, f)
-	} else {
-		if spec.SeedStoreURL != "" && m.fetchSeedStore(spec.SeedStoreURL, storePath) {
-			store, err = m.resumeStore(sw, storePath, meta, agg, f)
-		} else {
-			store, err = telemetry.Create(storePath, meta)
-		}
+	// A checkpointed store means a previous process died (or drained)
+	// mid-sweep: resume it. A shard sub-sweep with no local store first
+	// tries the coordinator's seed-store URL — the blocks already
+	// replicated off a lost backend — and falls back to a scratch store
+	// (bit-identical, just slower) if the pull fails.
+	st, serr := os.Stat(storePath)
+	resume := serr == nil && st.Size() > 0
+	if !resume && spec.SeedStoreURL != "" {
+		resume = m.fetchSeedStore(spec.SeedStoreURL, storePath)
 	}
+	s, err := sweep.Open(f, meta, storePath, resume)
 	if err != nil {
 		m.finish(sw, statusFailed, err.Error())
 		return
+	}
+	if resume {
+		m.metrics.resumed.Inc()
 	}
 
 	// Progress and the telemetry byte/block counters ride the store's
 	// commit tick: each callback fires after a block and its checkpoint
 	// are durable, so everything the stream reports is crash-safe truth.
-	baseBlocks, baseBytes := store.Blocks(), store.Offset()
+	baseBlocks, baseBytes := s.Store.Blocks(), s.Store.Offset()
 	firstWearer, _ := meta.Range()
-	store.OnCommit = func(blocks, records int, bytes int64) {
+	s.Store.OnCommit = func(blocks, records int, bytes int64) {
 		m.metrics.blocksWritten.Add(float64(blocks - baseBlocks))
 		m.metrics.bytesWritten.Add(float64(bytes - baseBytes))
 		baseBlocks, baseBytes = blocks, bytes
@@ -609,28 +589,20 @@ func (m *manager) run(sw *sweep) {
 		sw.mu.Unlock()
 	}
 
-	sink := drainSink{inner: fleet.Tee(store, agg), drain: m.drain, cancel: cancel}
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	perf, err := f.Stream(sink)
+	perf, err := s.Run(ctx)
 	runtime.ReadMemStats(&ms1)
 
 	switch {
 	case errors.Is(err, errCancelled):
-		store.Abort() // the checkpoint stays; retention collects it later
-		m.finish(sw, statusCancelled, "")
+		m.finish(sw, statusCancelled, "") // the checkpoint stays; retention collects it later
 	case errors.Is(err, errDrained):
-		store.Abort() // keep the checkpoint where the sweep paused
 		m.finish(sw, statusInterrupted, "")
 	case err != nil:
-		store.Abort()
 		m.finish(sw, statusFailed, err.Error())
 	default:
-		if cerr := store.Close(); cerr != nil {
-			m.finish(sw, statusFailed, cerr.Error())
-			return
-		}
 		m.metrics.sweepSeconds.Observe(time.Since(start).Seconds())
 		m.metrics.phase1Seconds.Observe(perf.Phase1.Seconds())
 		// TotalAlloc is process-wide, so with concurrent sweeps this
@@ -638,54 +610,17 @@ func (m *manager) run(sw *sweep) {
 		// the useful direction for an allocation-budget signal.
 		m.metrics.allocBytes.Observe(float64(ms1.TotalAlloc - ms0.TotalAlloc))
 		sw.mu.Lock()
-		sw.st.Fingerprint = agg.Report().Fingerprint()
-		sw.st.Records = agg.Wearers()
+		sw.st.Fingerprint = s.Agg.Report().Fingerprint()
+		sw.st.Records = s.Agg.Wearers()
 		sw.mu.Unlock()
 		m.finish(sw, statusDone, "")
 	}
 }
 
-// resumeStore reopens a checkpointed store for sw, guards that it
-// describes the same sweep, replays its committed prefix into agg and
-// positions f at the checkpoint.
-func (m *manager) resumeStore(sw *sweep, path string, meta telemetry.Meta, agg *fleet.StreamAggregator, f *fleet.Fleet) (*telemetry.Writer, error) {
-	store, err := telemetry.Resume(path)
-	if err != nil {
-		return nil, err
-	}
-	got := store.Meta()
-	meta.BlockSize = got.BlockSize // block size is the store's to keep
-	meta.Version = telemetry.AdoptVersion(got.Version, meta.Cells, meta.Feedback, meta.Series())
-	if got != meta {
-		store.Abort()
-		return nil, fmt.Errorf("store %s describes a different sweep:\n  store: %+v\n  spec:  %+v", path, got, meta)
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		store.Abort()
-		return nil, err
-	}
-	replayed, err := fleet.Replay(r, agg)
-	r.Close()
-	if err != nil {
-		store.Abort()
-		return nil, err
-	}
-	first, _ := got.Range()
-	if first+replayed != store.NextWearer() {
-		store.Abort()
-		return nil, fmt.Errorf("store %s replayed %d records from wearer %d but checkpoint says next is %d",
-			path, replayed, first, store.NextWearer())
-	}
-	f.Start = store.NextWearer()
-	m.metrics.resumed.Inc()
-	return store, nil
-}
-
 // setStatus moves a running sweep to its resting state and persists +
 // publishes the change. (The queued→running claim lives inline in run(),
 // under both locks, so it can race-check against cancellation.)
-func (m *manager) setStatus(sw *sweep, status, errMsg string) {
+func (m *manager) setStatus(sw *job, status, errMsg string) {
 	m.mu.Lock()
 	switch status {
 	case statusDone, statusFailed, statusInterrupted, statusCancelled:
@@ -710,7 +645,7 @@ func (m *manager) setStatus(sw *sweep, status, errMsg string) {
 // drain that lands on a sweep whose cancellation was already requested
 // parks it "cancelled", not "interrupted" — a restart must not revive
 // work the DELETE already disowned.
-func (m *manager) finish(sw *sweep, status, errMsg string) string {
+func (m *manager) finish(sw *job, status, errMsg string) string {
 	if status == statusInterrupted && sw.cancelRequested() {
 		status = statusCancelled
 	}
@@ -732,7 +667,7 @@ func (m *manager) finish(sw *sweep, status, errMsg string) string {
 }
 
 // cancel implements DELETE /api/sweeps/{id}. A queued sweep unqueues on
-// the spot; a running sweep has its latch tripped and the runner
+// the spot; a running sweep has its context cancelled and the runner
 // checkpoints-and-parks it cancelled at the next record boundary; an
 // interrupted sweep is finalized so a restart won't resurrect it. done
 // and failed are already settled (errTerminal); cancelling a cancelled
@@ -766,7 +701,6 @@ func (m *manager) cancel(id string) (sweepState, error) {
 		m.queued--
 		sw.st.Status = statusCancelled
 		sw.st.CancelRequested = true
-		sw.markCancelled()
 		if err := m.persist(sw); err != nil {
 			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
 		}
@@ -776,7 +710,6 @@ func (m *manager) cancel(id string) (sweepState, error) {
 	case statusInterrupted:
 		sw.st.Status = statusCancelled
 		sw.st.CancelRequested = true
-		sw.markCancelled()
 		if err := m.persist(sw); err != nil {
 			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
 		}
@@ -784,11 +717,11 @@ func (m *manager) cancel(id string) (sweepState, error) {
 		m.metrics.cancelled.Inc()
 		prune = true
 	case statusRunning:
-		// Trip the latch and persist the request; the runner owns the
-		// running gauge and completes the transition at the next record
+		// End the run's context and persist the request; the runner owns
+		// the running gauge and completes the transition at the next record
 		// boundary (or the shard supervisors cancel their sub-sweeps).
 		sw.st.CancelRequested = true
-		sw.markCancelled()
+		sw.stop(errCancelled)
 		if err := m.persist(sw); err != nil {
 			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
 		}
@@ -814,7 +747,7 @@ func (m *manager) pruneRetained() {
 	}
 	m.mu.Lock()
 	kept := 0
-	var victims []*sweep
+	var victims []*job
 	for i := len(m.order) - 1; i >= 0; i-- {
 		sw := m.sweeps[m.order[i]]
 		sw.mu.Lock()
@@ -856,34 +789,6 @@ func (m *manager) pruneRetained() {
 		}
 		m.metrics.retired.Inc()
 	}
-}
-
-// drainSink wraps a sweep's sink with the drain and cancel checks: once
-// either trips, the next record returns the matching sentinel and the
-// engine aborts with every previously consumed record already a valid
-// committed prefix. Cancel is checked first — a sweep cancelled during
-// a drain parks terminally, not resumably.
-type drainSink struct {
-	inner  fleet.Sink
-	drain  <-chan struct{}
-	cancel <-chan struct{}
-}
-
-func (d drainSink) Consume(rec telemetry.Record) error {
-	// Two separate non-blocking checks, not one select: with both
-	// channels tripped a single select would pick at random, and the
-	// cancel-first priority is what the parked status depends on.
-	select {
-	case <-d.cancel:
-		return errCancelled
-	default:
-	}
-	select {
-	case <-d.drain:
-		return errDrained
-	default:
-	}
-	return d.inner.Consume(rec)
 }
 
 // registerMetrics wires the full catalog: daemon lifecycle counters,

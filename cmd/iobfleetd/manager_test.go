@@ -1,24 +1,27 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 )
 
 // minimalSpec is a spec that passes normalize but — with no runners
 // started — never executes, so queue mechanics can be tested in
 // isolation from the engine.
 func minimalSpec(seed int64) sweepSpec {
-	return sweepSpec{Wearers: 8, Seed: seed, DurSeconds: 1}
+	return sweepSpec{Spec: sweep.Spec{Wearers: 8, Seed: seed, DurSeconds: 1}}
 }
 
 // scrape renders the registry's exposition text without a live server.
@@ -154,7 +157,7 @@ func TestDrainQueuedGauge(t *testing.T) {
 
 	m.mu.Lock()
 	queued, pending := m.queued, len(m.pending)
-	var front *sweep
+	var front *job
 	if pending > 0 {
 		front = m.pending[0]
 	}
@@ -320,7 +323,133 @@ func TestShardSubCanonical(t *testing.T) {
 	if err := seriesSub.normalize(); err != nil {
 		t.Errorf("series sub-spec fails normalize: %v", err)
 	}
-	if _, meta, err := seriesSub.build(nil); err != nil || !meta.Series() {
+	if _, meta, err := seriesSub.Build(nil); err != nil || !meta.Series() {
 		t.Errorf("series sub-spec builds a series-off store (meta %+v, err %v)", meta, err)
+	}
+}
+
+// parentSidecars are sidecars as an earlier daemon wrote them, before the
+// spec moved into sweep.Spec — key order included: a coordinator caught
+// queued (shards) and a shard sub-sweep caught running (label,
+// first_wearer, seed_store_url, presolved with the solved equilibrium).
+// The seed-store URL points at a closed port, so recovery also takes the
+// scratch-store fallback.
+var parentSidecars = map[string]string{
+	"s000000": `{
+  "id": "s000000",
+  "spec": {
+    "wearers": 8,
+    "seed": 3,
+    "dur_seconds": 2,
+    "ble_frac": 0.5,
+    "cells": 2,
+    "feedback": true,
+    "block_size": 4,
+    "shards": 2
+  },
+  "status": "queued",
+  "records": 0,
+  "blocks": 0,
+  "bytes": 0
+}`,
+	"s000001": `{
+  "id": "s000001",
+  "spec": {
+    "wearers": 8,
+    "seed": 3,
+    "dur_seconds": 2,
+    "ble_frac": 0.5,
+    "cells": 2,
+    "feedback": true,
+    "block_size": 4,
+    "first_wearer": 4,
+    "label": "s000009/shard1",
+    "seed_store_url": "http://127.0.0.1:1/api/sweeps/s000009/shards/1/store",
+    "presolved": {
+      "loads": [
+        {
+          "cell": 0,
+          "ppm": 0
+        },
+        {
+          "cell": 1,
+          "ppm": 720375
+        }
+      ],
+      "eq": {
+        "table": [
+          {
+            "cell": 1,
+            "ppm": 3350937
+          }
+        ],
+        "iters": [
+          {
+            "cell": 1,
+            "iters": 21
+          }
+        ],
+        "own": [
+          0,
+          0,
+          0,
+          1116979
+        ]
+      }
+    }
+  },
+  "status": "running",
+  "records": 0,
+  "blocks": 0,
+  "bytes": 0
+}`,
+}
+
+// TestParentSidecarsRecover pins sidecar compatibility: the sidecars
+// above recover, run to done with the fingerprints the earlier daemon
+// computed for them (the shard's store byte-identical to a sweep.Run of
+// its spec), keep their specs verbatim, and the recovered label still
+// makes re-dispatch idempotent.
+func TestParentSidecarsRecover(t *testing.T) {
+	dir := t.TempDir()
+	specs := make(map[string]sweepSpec)
+	for id, raw := range parentSidecars {
+		var st sweepState
+		if err := json.Unmarshal([]byte(raw), &st); err != nil {
+			t.Fatal(err)
+		}
+		specs[id] = st.Spec
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	m, err := newManager(dir, 3, reg, nil) // the coordinator and its two loopback shards
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(m, reg))
+	defer srv.Close()
+	m.start(srv.URL)
+	defer m.beginDrain()
+
+	for id, fp := range map[string]string{
+		"s000000": "c96d1ce1eabade4142aa3959e18773073536ef6929c12c61c80d7ef27cba372f",
+		"s000001": "f2a7d92ec5335969960782c6286c0cb092ae4b779f4a1a1079a6b3421dd8591e",
+	} {
+		st := awaitSweep(t, m, id, statusDone, 60*time.Second)
+		if st.Fingerprint != fp {
+			t.Errorf("%s: fingerprint %s, want %s", id, st.Fingerprint, fp)
+		}
+		if !reflect.DeepEqual(st.Spec, specs[id]) {
+			t.Errorf("%s: spec %+v after recovery, sidecar held %+v", id, st.Spec, specs[id])
+		}
+	}
+	truth, _ := groundTruthStore(t, specs["s000001"])
+	if !bytes.Equal(storeBytes(t, dir, "s000001"), truth) {
+		t.Error("recovered shard store differs from a sweep.Run of its spec")
+	}
+	if st, err := m.submit(specs["s000001"]); err != nil || st.ID != "s000001" {
+		t.Errorf("re-dispatch of the recovered label: %s, %v; want s000001 back", st.ID, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 )
 
@@ -80,7 +81,7 @@ func TestRetainGC(t *testing.T) {
 
 	// Park a long sweep mid-run via drain: interrupted, with a resumable
 	// checkpoint on disk.
-	longSpec := sweepSpec{Wearers: 6000, Seed: 9, DurSeconds: 10, Workers: 2, BlockSize: 16}
+	longSpec := sweepSpec{Spec: sweep.Spec{Wearers: 6000, Seed: 9, DurSeconds: 10, Workers: 2, BlockSize: 16}}
 	long, err := m.submit(longSpec)
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, "loads gather on an uncoupled spec")
 			return
 		}
-		f, _, err := spec.build(m.stats)
+		f, _, err := spec.Build(m.stats)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -254,7 +254,7 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 // Intermediate ticks are lossy under a slow reader (each line is a full
 // snapshot, so the newest supersedes anything shed); the final line is
 // guaranteed.
-func streamProgress(w http.ResponseWriter, r *http.Request, sw *sweep) {
+func streamProgress(w http.ResponseWriter, r *http.Request, sw *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)

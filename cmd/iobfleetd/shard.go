@@ -36,6 +36,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,6 +52,7 @@ import (
 
 	"wiban/internal/fleet"
 	"wiban/internal/spectrum"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -136,24 +138,11 @@ func (m *manager) healthy(base string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// drained reports whether the daemon began draining; pause sleeps without
-// outliving a drain.
-func (m *manager) drained() bool {
+// pause sleeps for d without outliving the sweep's context — a pending
+// backoff timer must never delay a drain or a cancellation.
+func pause(ctx context.Context, d time.Duration) {
 	select {
-	case <-m.drain:
-		return true
-	default:
-		return false
-	}
-}
-
-// pause sleeps for d without outliving a drain or the sweep's
-// cancellation — a pending backoff timer must never delay either. A nil
-// cancel channel (contexts without a sweep) simply never fires.
-func (m *manager) pause(d time.Duration, cancel <-chan struct{}) {
-	select {
-	case <-m.drain:
-	case <-cancel:
+	case <-ctx.Done():
 	case <-time.After(d):
 	}
 }
@@ -242,10 +231,9 @@ func (m *manager) getJSON(url string, out any) (string, error) {
 // block boundaries — through the same Writer. A failed merge removes
 // its partial output (Writer.Discard), so the shard partials on disk
 // stay the only recovery state.
-func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
+func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, storePath string) {
 	start := time.Now()
 	ranges := shardRanges(spec.Wearers, spec.Shards)
-	cancel := sw.cancelChan()
 
 	var (
 		loads []spectrum.CellLoad
@@ -253,7 +241,7 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 	)
 	if spec.Cells > 0 {
 		var err error
-		if loads, res, err = m.gatherShards(spec, ranges, cancel); err != nil {
+		if loads, res, err = m.gatherShards(ctx, spec, ranges); err != nil {
 			switch {
 			case errors.Is(err, errCancelled):
 				m.finish(sw, statusCancelled, "")
@@ -296,9 +284,9 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 		sub.Label = sw.st.ID + "/shard" + strconv.Itoa(k)
 		sub.SeedStoreURL = fmt.Sprintf("%s/api/sweeps/%s/shards/%d/store", m.selfBase, sw.st.ID, k)
 		if spec.Cells > 0 {
-			pre := &presolvedSpec{Loads: loads}
+			pre := &sweep.Presolved{Loads: loads}
 			if res != nil {
-				pre.Eq = &eqSpec{
+				pre.Eq = &sweep.Equilibrium{
 					Table: res.Table().Export(),
 					Iters: res.ExportIters(),
 					Own:   res.ExportOwn(ranges[k][0], ranges[k][1]),
@@ -309,7 +297,7 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 		wg.Add(1)
 		go func(k int, sub sweepSpec) {
 			defer wg.Done()
-			errs[k] = m.superviseShard(sub, k, paths[k], cancel, progress)
+			errs[k] = m.superviseShard(ctx, sub, k, paths[k], progress)
 		}(k, sub)
 	}
 	wg.Wait()
@@ -383,7 +371,7 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 // index and runs the one deterministic equilibrium solve. The merged
 // table and solution are bit-identical to an in-process phase 1 because
 // the table sums are commutative integers and Solve is a pure function.
-func (m *manager) gatherShards(spec sweepSpec, ranges [][2]int, cancel <-chan struct{}) ([]spectrum.CellLoad, *spectrum.Result, error) {
+func (m *manager) gatherShards(ctx context.Context, spec sweepSpec, ranges [][2]int) ([]spectrum.CellLoad, *spectrum.Result, error) {
 	type gather struct {
 		resp loadsResponse
 		err  error
@@ -394,7 +382,7 @@ func (m *manager) gatherShards(spec sweepSpec, ranges [][2]int, cancel <-chan st
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k].resp, results[k].err = m.gatherShard(k, shardSub(spec, ranges[k]), cancel)
+			results[k].resp, results[k].err = m.gatherShard(ctx, k, shardSub(spec, ranges[k]))
 		}(k)
 	}
 	wg.Wait()
@@ -451,16 +439,11 @@ func (m *manager) gatherShards(spec sweepSpec, ranges [][2]int, cancel <-chan st
 // gatherShard asks one backend for a shard's partial loads, rotating
 // backends until one answers; a 400 is a deterministic spec rejection and
 // fails the sweep, everything else retries.
-func (m *manager) gatherShard(k int, sub sweepSpec, cancel <-chan struct{}) (loadsResponse, error) {
+func (m *manager) gatherShard(ctx context.Context, k int, sub sweepSpec) (loadsResponse, error) {
 	var out loadsResponse
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-cancel:
-			return out, errCancelled
-		default:
-		}
-		if m.drained() {
-			return out, errDrained
+		if err := context.Cause(ctx); err != nil {
+			return out, err
 		}
 		if b := m.backendFor(k, attempt); b != "" && m.healthy(b) {
 			err := m.postJSON(b+"/api/loads", sub, &out)
@@ -472,7 +455,7 @@ func (m *manager) gatherShard(k int, sub sweepSpec, cancel <-chan struct{}) (loa
 			}
 		}
 		m.metrics.shardRetries.Inc()
-		m.pause(backoffDelay(attempt), cancel)
+		pause(ctx, backoffDelay(attempt))
 	}
 }
 
@@ -505,12 +488,9 @@ type shardHost struct {
 // end wins; every other copy is cancelled. The host list is sticky —
 // membership expiry only gates NEW dispatch, so a heartbeat hiccup
 // never drops a host that is still answering.
-func (m *manager) superviseShard(sub sweepSpec, k int, path string, cancel <-chan struct{}, progress func(k, records int)) error {
+func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path string, progress func(k, records int)) error {
 	local := prepPartial(path)
-	end := sub.EndWearer
-	if end == 0 {
-		end = sub.Wearers
-	}
+	_, end := sub.Range()
 	var hosts []shardHost
 	drop := func(i int) {
 		hosts = append(hosts[:i], hosts[i+1:]...)
@@ -520,25 +500,22 @@ func (m *manager) superviseShard(sub sweepSpec, k int, path string, cancel <-cha
 	records := 0
 	lastAdvance := time.Now()
 	for {
-		select {
-		case <-cancel:
-			// The parent sweep was cancelled: disown every copy so no
-			// backend keeps simulating for a coordinator that left.
-			for _, h := range hosts {
-				m.cancelRemote(h.base, h.id)
+		if err := context.Cause(ctx); err != nil {
+			if errors.Is(err, errCancelled) {
+				// The parent sweep was cancelled: disown every copy so no
+				// backend keeps simulating for a coordinator that left.
+				for _, h := range hosts {
+					m.cancelRemote(h.base, h.id)
+				}
 			}
-			return errCancelled
-		default:
-		}
-		if m.drained() {
-			return errDrained
+			return err
 		}
 		if len(hosts) == 0 {
 			b := m.backendFor(k, attempt)
 			attempt++
 			if b == "" || !m.healthy(b) {
 				m.metrics.shardRetries.Inc()
-				m.pause(backoffDelay(attempt), cancel)
+				pause(ctx, backoffDelay(attempt))
 				continue
 			}
 			var st sweepState
@@ -547,7 +524,7 @@ func (m *manager) superviseShard(sub sweepSpec, k int, path string, cancel <-cha
 					return fmt.Errorf("shard %d rejected by %s: %w", k, b, err)
 				}
 				m.metrics.shardRetries.Inc()
-				m.pause(backoffDelay(attempt), cancel)
+				pause(ctx, backoffDelay(attempt))
 				continue
 			}
 			hosts = append(hosts, shardHost{base: b, id: st.ID})
@@ -643,7 +620,7 @@ func (m *manager) superviseShard(sub sweepSpec, k int, path string, cancel <-cha
 		if advanced {
 			lastAdvance = time.Now()
 		}
-		m.pause(shardPollInterval, cancel)
+		pause(ctx, shardPollInterval)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"wiban/internal/fleet"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 )
 
@@ -43,27 +44,23 @@ func storeBytes(t *testing.T, dir, id string) []byte {
 // sharded (or chaos-ridden) daemon run must reproduce bit for bit.
 func groundTruthStore(t *testing.T, spec sweepSpec) ([]byte, string) {
 	t.Helper()
-	f, meta, err := spec.build(nil)
+	f, meta, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "truth.wtl")
-	w, err := telemetry.Create(path, meta)
+	s, err := sweep.Open(f, meta, path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := fleet.NewStreamAggregator(f.Span)
-	if _, err := f.Stream(fleet.Tee(w, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, agg.Report().Fingerprint()
+	return raw, s.Agg.Report().Fingerprint()
 }
 
 // sameQueryStats compares two stores' QueryStore aggregates — the same
@@ -129,7 +126,7 @@ func TestShardedFingerprint(t *testing.T) {
 			// Ground truth 1: an uninterrupted in-process run.
 			var spec sweepSpec
 			mustUnmarshalSpec(t, tc.sharded, &spec)
-			f, _, err := spec.build(nil)
+			f, _, err := spec.Build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +257,7 @@ func TestShardedLoopback(t *testing.T) {
 
 	var spec sweepSpec
 	mustUnmarshalSpec(t, raw, &spec)
-	f, _, err := spec.build(nil)
+	f, _, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

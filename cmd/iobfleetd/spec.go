@@ -2,127 +2,40 @@ package main
 
 import (
 	"fmt"
-	"math"
 
-	"wiban/internal/fleet"
-	"wiban/internal/spectrum"
-	"wiban/internal/telemetry"
-	"wiban/internal/units"
+	"wiban/internal/sweep"
 )
 
-// sweepSpec is one sweep submission: the iobfleet flag surface as JSON.
-// Every field is literal — an omitted numeric field is zero, not a
-// server-side default — so the sidecar-persisted spec alone re-derives
-// the sweep bit-for-bit after a restart. Field names mirror the CLI
-// flags (dur → dur_seconds, series → series_seconds, tol → tol_ppm).
+// sweepSpec is one sweep submission: a sweep.Spec plus the daemon's own
+// dispatch fields. The embedded Spec keeps the JSON flat, so submissions
+// and persisted sidecars spell every field at the top level.
 type sweepSpec struct {
-	Wearers    int     `json:"wearers"`
-	Seed       int64   `json:"seed"`
-	DurSeconds float64 `json:"dur_seconds"`
-	Workers    int     `json:"workers,omitempty"`
-
-	PERSpread     float64 `json:"per_spread,omitempty"`
-	BatterySpread float64 `json:"batt_spread,omitempty"`
-	HarvesterProb float64 `json:"harvest_prob,omitempty"`
-	DropNodeProb  float64 `json:"drop_prob,omitempty"`
-	BLEFraction   float64 `json:"ble_frac,omitempty"`
-	Drain         bool    `json:"drain,omitempty"`
-
-	Cells   int     `json:"cells,omitempty"`
-	Density float64 `json:"density,omitempty"`
-
-	Feedback bool  `json:"feedback,omitempty"`
-	MaxIters int   `json:"max_iters,omitempty"`
-	TolPPM   int64 `json:"tol_ppm,omitempty"`
-
-	SeriesSeconds float64 `json:"series_seconds,omitempty"`
-	BlockSize     int     `json:"block_size,omitempty"`
+	sweep.Spec
 
 	// Shards, when positive, makes the receiving daemon a coordinator: it
 	// splits [0, Wearers) into this many contiguous ranges, dispatches
 	// each as a shard sub-sweep to a backend (-backends, or itself), and
 	// merges the returned stores into one bit-identical to a 1-process
-	// run. A coordinator spec carries none of the shard-side fields below.
+	// run. A coordinator spec carries none of the shard-side fields.
 	Shards int `json:"shards,omitempty"`
 
-	// The remaining fields are the shard side of the protocol — set by a
-	// coordinator on the sub-specs it dispatches, not by clients.
-	// FirstWearer/EndWearer bound the shard's wearer range (end 0 =
-	// Wearers); Label makes re-dispatch idempotent (a resubmitted label
-	// returns the existing sweep instead of a duplicate); SeedStoreURL
-	// points at the coordinator's partial copy of the shard store, so a
-	// replacement backend resumes from the blocks already replicated
-	// instead of re-simulating the shard from scratch; Presolved ships
-	// the coordinator's merged phase-1 results (see fleet.Presolved).
-	FirstWearer  int            `json:"first_wearer,omitempty"`
-	EndWearer    int            `json:"end_wearer,omitempty"`
-	Label        string         `json:"label,omitempty"`
-	SeedStoreURL string         `json:"seed_store_url,omitempty"`
-	Presolved    *presolvedSpec `json:"presolved,omitempty"`
+	// Label and SeedStoreURL are the shard side of the protocol — set by
+	// a coordinator on the sub-specs it dispatches (beside the Spec's
+	// first_wearer/end_wearer/presolved), not by clients. Label makes
+	// re-dispatch idempotent (a resubmitted label returns the existing
+	// sweep instead of a duplicate); SeedStoreURL points at the
+	// coordinator's partial copy of the shard store, so a replacement
+	// backend resumes from the blocks already replicated instead of
+	// re-simulating the shard from scratch.
+	Label        string `json:"label,omitempty"`
+	SeedStoreURL string `json:"seed_store_url,omitempty"`
 }
 
-// presolvedSpec is the wire form of fleet.Presolved: the coordinator's
-// merged full-population load table plus, in feedback mode, the solved
-// equilibrium windowed to the shard's wearer range.
-type presolvedSpec struct {
-	Loads []spectrum.CellLoad `json:"loads"`
-	Eq    *eqSpec             `json:"eq,omitempty"`
-}
-
-// eqSpec is the exported spectrum.Result: the equilibrium per-cell table
-// and iteration counts of the full solve plus the per-wearer own loads of
-// the shard's range [first_wearer, end_wearer).
-type eqSpec struct {
-	Table []spectrum.CellLoad  `json:"table"`
-	Iters []spectrum.CellIters `json:"iters,omitempty"`
-	Own   []int64              `json:"own"`
-}
-
-// normalize validates the spec and resolves density into cells (the two
-// are one knob, exactly as in the CLI), so the persisted spec is
-// canonical: a restart re-derives the identical sweep without repeating
-// the derivation.
+// normalize is sweep.Spec.Normalize plus the check that a spec is
+// either a coordinator or a shard, never both.
 func (s *sweepSpec) normalize() error {
-	if s.Wearers <= 0 {
-		return fmt.Errorf("non-positive population %d", s.Wearers)
-	}
-	if !(s.DurSeconds > 0) { // also catches NaN
-		return fmt.Errorf("non-positive span %v", s.DurSeconds)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("negative worker count %d", s.Workers)
-	}
-	if s.Density != 0 {
-		if !(s.Density > 0) {
-			return fmt.Errorf("non-positive density %v", s.Density)
-		}
-		if s.Cells != 0 {
-			return fmt.Errorf("cells and density are two spellings of the same knob; pass one")
-		}
-		s.Cells = cellsForDensity(s.Wearers, s.Density)
-		s.Density = 0
-	}
-	if s.Cells < 0 {
-		return fmt.Errorf("negative cell count %d", s.Cells)
-	}
-	if s.Feedback {
-		if s.Cells <= 0 {
-			return fmt.Errorf("feedback needs a spectrum topology; pass cells or density")
-		}
-		if s.MaxIters < 0 {
-			return fmt.Errorf("negative feedback iteration cap %d", s.MaxIters)
-		}
-		if s.TolPPM < 0 {
-			return fmt.Errorf("negative feedback tolerance %d", s.TolPPM)
-		}
-	} else if s.MaxIters != 0 || s.TolPPM != 0 {
-		return fmt.Errorf("max_iters/tol_ppm are feedback knobs; set feedback too")
-	}
-	if s.SeriesSeconds < 0 || math.IsNaN(s.SeriesSeconds) {
-		return fmt.Errorf("negative series cadence %v", s.SeriesSeconds)
-	}
-	if s.BlockSize < 0 {
-		return fmt.Errorf("negative block size %d", s.BlockSize)
+	if err := s.Spec.Normalize(); err != nil {
+		return err
 	}
 	if s.Shards < 0 || s.Shards > s.Wearers {
 		return fmt.Errorf("shard count %d outside [0, %d]", s.Shards, s.Wearers)
@@ -130,147 +43,5 @@ func (s *sweepSpec) normalize() error {
 	if s.Shards > 0 && (s.FirstWearer != 0 || s.EndWearer != 0 || s.Label != "" || s.SeedStoreURL != "" || s.Presolved != nil) {
 		return fmt.Errorf("shards is a coordinator knob; first_wearer/end_wearer/label/seed_store_url/presolved describe one shard — a spec carries one side only")
 	}
-	if s.FirstWearer < 0 || s.EndWearer < 0 {
-		return fmt.Errorf("negative wearer range [%d,%d)", s.FirstWearer, s.EndWearer)
-	}
-	if s.EndWearer == s.Wearers {
-		s.EndWearer = 0 // canonical full-range spelling, like telemetry.Meta's
-	}
-	first, end := s.wearerRange()
-	if first >= end || end > s.Wearers {
-		return fmt.Errorf("wearer range [%d,%d) outside population %d", first, end, s.Wearers)
-	}
-	if s.Presolved != nil {
-		if s.Cells <= 0 {
-			return fmt.Errorf("presolved loads need a spectrum topology; pass cells or density")
-		}
-		if (s.Presolved.Eq != nil) != s.Feedback {
-			return fmt.Errorf("presolved equilibrium present=%v but feedback=%v", s.Presolved.Eq != nil, s.Feedback)
-		}
-		if _, err := s.presolved(); err != nil {
-			return err
-		}
-	}
-	gen := s.generator()
-	if err := gen.Validate(); err != nil {
-		return err
-	}
 	return nil
-}
-
-// wearerRange is the spec's wearer interval [first, end); end 0 reads as
-// the whole population, mirroring telemetry.Meta.Range.
-func (s *sweepSpec) wearerRange() (int, int) {
-	end := s.EndWearer
-	if end == 0 {
-		end = s.Wearers
-	}
-	return s.FirstWearer, end
-}
-
-// presolved reconstructs the fleet.Presolved the wire form describes (nil
-// when the spec carries none). Called from normalize so a malformed table
-// or equilibrium is a 400 at submit time, not a failed sweep later.
-func (s *sweepSpec) presolved() (*fleet.Presolved, error) {
-	if s.Presolved == nil {
-		return nil, nil
-	}
-	loads, err := spectrum.ImportTable(s.Cells, s.Presolved.Loads)
-	if err != nil {
-		return nil, fmt.Errorf("presolved loads: %w", err)
-	}
-	p := &fleet.Presolved{Loads: loads}
-	if e := s.Presolved.Eq; e != nil {
-		first, end := s.wearerRange()
-		if len(e.Own) != end-first {
-			return nil, fmt.Errorf("presolved equilibrium covers %d wearers, shard range [%d,%d) holds %d",
-				len(e.Own), first, end, end-first)
-		}
-		res, err := spectrum.NewResult(s.Cells, e.Table, e.Iters, first, e.Own)
-		if err != nil {
-			return nil, fmt.Errorf("presolved equilibrium: %w", err)
-		}
-		p.Eq = res
-	}
-	return p, nil
-}
-
-// cellsForDensity derives the cell count hitting a target wearers-per-
-// cell: ceil(wearers/density), never below 1 — the same arithmetic as
-// the iobfleet -density flag.
-func cellsForDensity(wearers int, density float64) int {
-	cells := int(math.Ceil(float64(wearers) / density))
-	if cells < 1 {
-		return 1
-	}
-	return cells
-}
-
-// generator builds the population generator the spec describes.
-func (s *sweepSpec) generator() *fleet.Generator {
-	return &fleet.Generator{
-		Base:          fleet.DefaultBase(),
-		PERSpread:     s.PERSpread,
-		BatterySpread: s.BatterySpread,
-		HarvesterProb: s.HarvesterProb,
-		DropNodeProb:  s.DropNodeProb,
-		BLEFraction:   s.BLEFraction,
-		DrainBattery:  s.Drain,
-	}
-}
-
-// build assembles the runnable fleet and the telemetry metadata of a
-// normalized spec — exactly the composition cmd/iobfleet performs from
-// its flags, with the engine's Stats hook attached for live metrics. A
-// shard spec yields a range-bounded fleet (Start/End) with the shipped
-// phase-1 results attached, and a meta whose FirstWearer/EndWearer mark
-// the store as a shard store.
-func (s *sweepSpec) build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
-	gen := s.generator()
-	first, end := s.wearerRange()
-	f := &fleet.Fleet{
-		Wearers:  s.Wearers,
-		Seed:     s.Seed,
-		Scenario: gen.Scenario(),
-		Loads:    gen.LoadScenario(),
-		Span:     units.Duration(s.DurSeconds),
-		Workers:  s.Workers,
-		Start:    first,
-		Series:   units.Duration(s.SeriesSeconds),
-		Stats:    stats,
-	}
-	if end != s.Wearers {
-		f.End = end
-	}
-	tag := gen.Tag()
-	if s.Cells > 0 {
-		f.Coupling = &fleet.Coupling{Cells: s.Cells, Model: spectrum.Default()}
-		if s.Feedback {
-			f.Coupling.Feedback = true
-			f.Coupling.MaxIters = s.MaxIters
-			f.Coupling.TolPPM = s.TolPPM
-		}
-		p, err := s.presolved()
-		if err != nil {
-			return nil, telemetry.Meta{}, err
-		}
-		f.Coupling.Presolved = p
-		tag += ";" + f.Coupling.Tag()
-	}
-	meta := telemetry.Meta{
-		FleetSeed:   s.Seed,
-		Wearers:     s.Wearers,
-		SpanSeconds: s.DurSeconds,
-		Scenario:    tag,
-		BlockSize:   s.BlockSize,
-		Version:     telemetry.CreateVersion(s.SeriesSeconds > 0),
-		Cells:       s.Cells,
-		Feedback:    s.Feedback && s.Cells > 0,
-
-		SeriesCadenceSeconds: s.SeriesSeconds,
-
-		FirstWearer: s.FirstWearer,
-		EndWearer:   s.EndWearer,
-	}
-	return f, meta, nil
 }

@@ -63,6 +63,12 @@
 //     cancel end-to-end (DELETE /api/sweeps/{id}, sub-sweeps and
 //     partials included) and -retain bounds the terminal-store
 //     backlog without ever touching resumable state;
+//   - internal/sweep — the one definition of a sweep (Spec: the
+//     iobfleet flags as JSON, normalized and built into a fleet plus
+//     its store metadata) and its one run path (Open creates or
+//     resumes the store, Run streams into it and stops at a record
+//     boundary when its context ends), shared by iobfleet and
+//     iobfleetd so both write byte-identical stores;
 //   - internal/spectrum — cross-wearer co-channel interference: wearers
 //     hash into spatial cells, each cell sums its members' offered RF
 //     airtime in exact integer PPM, and a CSMA/ALOHA collision curve
@@ -89,10 +95,6 @@
 //     metric over a time/cell/node range;
 //   - internal/figures — generators for every figure and table in the
 //     paper (also exposed through cmd/iobfig and the root benchmarks).
-//
-// See README.md for a tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results.
 package wiban
 
 import (

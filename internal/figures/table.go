@@ -1,8 +1,7 @@
 // Package figures regenerates every figure and quantitative table of the
 // paper as structured rows with text/CSV rendering. Each generator is
 // deterministic and is wrapped one-to-one by a benchmark in the repository
-// root and a subcommand of cmd/iobfig (see DESIGN.md's per-experiment
-// index).
+// root and a subcommand of cmd/iobfig.
 package figures
 
 import (
@@ -12,7 +11,7 @@ import (
 
 // Table is a rendered experiment result.
 type Table struct {
-	ID     string // experiment id from DESIGN.md (FIG1, TAB-A, ...)
+	ID     string // experiment id (FIG1, TAB-A, ...)
 	Title  string
 	Header []string
 	Rows   [][]string

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"wiban/internal/bannet"
 	"wiban/internal/units"
 )
 
@@ -126,58 +125,6 @@ type CellStat struct {
 	// a value equal to the coupling's MaxIters may mean the cap cut the
 	// iteration short). Zero and omitted on first-order sweeps.
 	FeedbackIters int `json:",omitempty"`
-}
-
-// Aggregate merges per-wearer reports (indexed by wearer) into the fleet
-// report. It iterates in slice order, which callers must keep equal to
-// wearer-index order for reproducibility.
-func Aggregate(span units.Duration, reports []*bannet.Report) *Report {
-	rep := &Report{Wearers: len(reports), Span: span}
-	var (
-		delivery  []float64
-		lifeHours []float64
-		latP50    []float64
-		latP99    []float64
-		hubUtil   []float64
-		perpetual int
-		died      int
-	)
-	for _, r := range reports {
-		rep.Events += r.Events
-		rep.HubRxBits += r.HubRxBits
-		hubUtil = append(hubUtil, r.HubUtilization)
-		for i := range r.Nodes {
-			n := &r.Nodes[i]
-			rep.Nodes++
-			rep.PacketsGenerated += n.PacketsGenerated
-			rep.PacketsDelivered += n.PacketsDelivered
-			rep.PacketsDropped += n.PacketsDropped
-			rep.Transmissions += n.Transmissions
-			rep.BitsDelivered += n.BitsDelivered
-			delivery = append(delivery, n.DeliveryRate())
-			lifeHours = append(lifeHours, float64(n.ProjectedLife)/float64(units.Hour))
-			if n.PacketsDelivered > 0 {
-				latP50 = append(latP50, float64(n.LatencyP50)*1e3)
-				latP99 = append(latP99, float64(n.LatencyP99)*1e3)
-			}
-			if n.Perpetual {
-				perpetual++
-			}
-			if n.Died {
-				died++
-			}
-		}
-	}
-	rep.DeliveryRate = NewDist(delivery)
-	rep.BatteryLifeHours = NewDist(lifeHours)
-	rep.LatencyP50ms = NewDist(latP50)
-	rep.LatencyP99ms = NewDist(latP99)
-	rep.HubUtilization = NewDist(hubUtil)
-	if rep.Nodes > 0 {
-		rep.PerpetualFraction = float64(perpetual) / float64(rep.Nodes)
-		rep.DiedFraction = float64(died) / float64(rep.Nodes)
-	}
-	return rep
 }
 
 // Fingerprint returns a stable hex digest of the whole report. Two fleet

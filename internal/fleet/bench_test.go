@@ -16,11 +16,10 @@ import (
 // benchmark reports allocs (the zero-allocation kernel contract is a
 // headline number here) and phase1-ms (0 when uncoupled) so the
 // BENCH_fleet.json schema is uniform across engines.
-func benchFleet(b *testing.B, workers int, fresh bool) {
+func benchFleet(b *testing.B, workers int) {
 	b.Helper()
 	f := testFleet(200, workers, 42)
 	f.Span = 60 * units.Second
-	f.freshKernels = fresh
 	b.ReportAllocs()
 	var last Perf
 	for i := 0; i < b.N; i++ {
@@ -35,21 +34,12 @@ func benchFleet(b *testing.B, workers int, fresh bool) {
 	b.ReportMetric(last.Phase1.Seconds()*1e3, "phase1-ms")
 }
 
-func BenchmarkFleetWorkers1(b *testing.B) { benchFleet(b, 1, false) }
-func BenchmarkFleetWorkers4(b *testing.B) { benchFleet(b, 4, false) }
+func BenchmarkFleetWorkers1(b *testing.B) { benchFleet(b, 1) }
+func BenchmarkFleetWorkers4(b *testing.B) { benchFleet(b, 4) }
 func BenchmarkFleetWorkersNumCPU(b *testing.B) {
 	b.Logf("NumCPU = %d", runtime.NumCPU())
-	benchFleet(b, runtime.NumCPU(), false)
+	benchFleet(b, runtime.NumCPU())
 }
-
-// BenchmarkFleetReuse / BenchmarkFleetFresh record the kernel-arena win
-// as a first-class pair: identical workload and worker count, with Fresh
-// forcing the pre-arena lifecycle (a new Sim, RNG and report per wearer)
-// and Reuse running the recycled per-worker arenas. Results are
-// bit-identical (TestFreshKernelsMatchesReuse); only allocation lifetime
-// — and therefore allocs/op, B/op and GC pressure — differs.
-func BenchmarkFleetReuse(b *testing.B) { benchFleet(b, 4, false) }
-func BenchmarkFleetFresh(b *testing.B) { benchFleet(b, 4, true) }
 
 // BenchmarkFleetInstrumented is the daemon-path benchmark: the identical
 // workload to BenchmarkFleetWorkers4 with a Stats hook attached, the way

@@ -51,9 +51,8 @@
 // window (a small multiple of the worker count) of per-wearer reports:
 // each report is flattened to a telemetry.Record, folded into the
 // StreamAggregator and/or appended to a telemetry store, then dropped —
-// a million-wearer sweep aggregates in O(workers) memory. The batch
-// path that materializes every report for exact percentiles is the
-// opt-in RunReports. Setting Start resumes an interrupted sweep: wearers
+// a million-wearer sweep aggregates in O(workers) memory. Setting Start
+// resumes an interrupted sweep: wearers
 // below Start are skipped (their records replay from the telemetry
 // store via Replay), and because per-wearer seeds derive from absolute
 // wearer indices the resumed sweep is bit-identical to an uninterrupted
@@ -76,8 +75,8 @@
 // setup; allocation budgets are recorded in BENCH_fleet.json and
 // enforced by CI's allocation-budget gate. None of this moves a byte of
 // output: seeding and emit order are unchanged, and
-// TestFreshKernelsMatchesReuse pins the recycled engine to the
-// rebuild-everything formulation.
+// TestFreshKernelsMatchesReuse pins the recycled engine to one-wearer
+// fleets that each start from fresh kernels.
 package fleet
 
 import (
@@ -170,13 +169,6 @@ type Fleet struct {
 	// depth (see Stats). Nil costs nothing; non-nil costs a few atomic
 	// adds per wearer and changes no simulated outcome.
 	Stats *Stats
-
-	// freshKernels disables the per-worker kernel arena, rebuilding a
-	// Sim (and a scenario RNG) for every wearer the way the engine did
-	// before kernels became reusable. It exists solely so the
-	// BenchmarkFleetFresh/BenchmarkFleetReuse pair can record the arena
-	// win as a first-class number; results are bit-identical either way.
-	freshKernels bool
 }
 
 // Perf captures wall-clock throughput of a fleet run. It is reported
@@ -214,8 +206,7 @@ func (p Perf) String() string {
 // deterministic aggregate report plus wall-clock performance counters.
 // If any wearer's scenario or simulation fails, Run reports the failure
 // at the lowest wearer index (independent of worker scheduling) and no
-// report. For exact (non-histogram) percentiles over every per-wearer
-// report, use the opt-in RunReports.
+// report.
 func (f *Fleet) Run() (*Report, Perf, error) {
 	agg := NewStreamAggregator(f.Span)
 	perf, err := f.Stream(agg)
@@ -223,35 +214,6 @@ func (f *Fleet) Run() (*Report, Perf, error) {
 		return nil, Perf{}, err
 	}
 	return agg.Report(), perf, nil
-}
-
-// RunReports is the opt-in full-report path: it materializes every
-// per-wearer report (O(fleet) memory) and aggregates them with the exact
-// sorted-sample percentiles of Aggregate. The materialized reports carry
-// no Schedule — the schedule is per-kernel arena state (see
-// bannet.Sim.Schedule). Resume (Start > 0) is not supported here —
-// partial sweeps only make sense streamed.
-func (f *Fleet) RunReports() ([]*bannet.Report, *Report, Perf, error) {
-	if f.Start != 0 || f.End != 0 {
-		return nil, nil, Perf{}, fmt.Errorf("fleet: RunReports does not support a sub-range [%d,%d); stream it instead", f.Start, f.End)
-	}
-	if f.Wearers <= 0 {
-		return nil, nil, Perf{}, fmt.Errorf("fleet: non-positive population %d", f.Wearers)
-	}
-	reports := make([]*bannet.Report, 0, f.Wearers)
-	perf, err := f.stream(func(w int, out *wearerOut) error {
-		// The emit callback borrows out until it returns (the buffer goes
-		// back to the window pool), so materializing means copying.
-		rep := out.rep
-		rep.Nodes = append([]bannet.NodeStats(nil), out.rep.Nodes...)
-		rep.Schedule = nil
-		reports = append(reports, &rep)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, Perf{}, err
-	}
-	return reports, Aggregate(f.Span, reports), perf, nil
 }
 
 // Stream executes wearers [Start, End) and feeds each one's
@@ -508,13 +470,8 @@ func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 // arena is Reset instead of rebuilt. Seeding is unchanged from the
 // fresh-everything formulation, so fingerprints are bit-identical.
 func (f *Fleet) runWearer(w int, loads *phase1, sc *workerScratch, out *wearerOut) error {
-	rng := sc.rng
-	if f.freshKernels {
-		rng = rand.New(rand.NewSource(desim.DeriveSeed(f.Seed, 2*uint64(w))))
-	} else {
-		rng.Seed(desim.DeriveSeed(f.Seed, 2*uint64(w)))
-	}
-	cfg, err := f.Scenario(w, rng)
+	sc.rng.Seed(desim.DeriveSeed(f.Seed, 2*uint64(w)))
+	cfg, err := f.Scenario(w, sc.rng)
 	if err != nil {
 		return err
 	}
@@ -525,22 +482,6 @@ func (f *Fleet) runWearer(w int, loads *phase1, sc *workerScratch, out *wearerOu
 	cfg.Seed = desim.DeriveSeed(f.Seed, 2*uint64(w)+1)
 	out.series = out.series[:0]
 	sc.out = out
-	if f.freshKernels {
-		sim, err := bannet.NewSim(cfg)
-		if err != nil {
-			return err
-		}
-		if f.Series > 0 {
-			sim.SetSeries(f.Series, sc.sink)
-		}
-		rep, err := sim.Run(f.Span)
-		if err != nil {
-			return err
-		}
-		out.rep = *rep
-		out.rep.Schedule = nil // pool buffers must not pin kernel arenas
-		return nil
-	}
 	if sc.sim == nil {
 		if sc.sim, err = bannet.NewSim(cfg); err != nil {
 			return err

@@ -93,9 +93,7 @@ func recordInto(rec *telemetry.Record, wearer int, r *bannet.Report) {
 // StreamAggregator folds a stream of wearer records into a fleet Report
 // in constant memory: totals and fractions are exact, the five population
 // distributions keep exact count/min/max/mean and histogram-estimated
-// percentiles (see StreamDist). It is the engine's default sink; the
-// exact-percentile batch path remains available via RunReports and
-// Aggregate.
+// percentiles (see StreamDist). It is the engine's default sink.
 type StreamAggregator struct {
 	span    units.Duration
 	wearers int

@@ -8,7 +8,7 @@
 //     rate, cited from Datta et al. (BioCAS 2023), which we reconstruct
 //     from public AFE classes and fit with a log-log power law.
 //
-// Substitution note (DESIGN.md §2): the original surveys aggregate
+// Substitution note: the original surveys aggregate
 // proprietary teardown and datasheet numbers. The catalog here is rebuilt
 // from the battery-life bands the paper itself states, with capacities and
 // platform powers chosen from public specs so that capacity/power lands in

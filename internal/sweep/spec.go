@@ -1,0 +1,255 @@
+package sweep
+
+import (
+	"fmt"
+	"math"
+
+	"wiban/internal/fleet"
+	"wiban/internal/spectrum"
+	"wiban/internal/telemetry"
+	"wiban/internal/units"
+)
+
+// Spec is one sweep: the iobfleet flag surface as JSON. Every field is
+// literal — an omitted numeric field is zero, not a front-end default —
+// so a persisted spec alone re-derives the sweep bit-for-bit. The one
+// zero with a meaning is the feedback solver's: max_iters and tol_ppm 0
+// select spectrum.DefaultMaxIters and spectrum.DefaultTolPPM, which is
+// exactly what the coupling's tag (and so the store) records either way.
+// Field names mirror the CLI flags (dur → dur_seconds, series →
+// series_seconds, tol → tol_ppm).
+type Spec struct {
+	Wearers    int     `json:"wearers"`
+	Seed       int64   `json:"seed"`
+	DurSeconds float64 `json:"dur_seconds"`
+	Workers    int     `json:"workers,omitempty"`
+
+	PERSpread     float64 `json:"per_spread,omitempty"`
+	BatterySpread float64 `json:"batt_spread,omitempty"`
+	HarvesterProb float64 `json:"harvest_prob,omitempty"`
+	DropNodeProb  float64 `json:"drop_prob,omitempty"`
+	BLEFraction   float64 `json:"ble_frac,omitempty"`
+	Drain         bool    `json:"drain,omitempty"`
+
+	Cells   int     `json:"cells,omitempty"`
+	Density float64 `json:"density,omitempty"`
+
+	Feedback bool  `json:"feedback,omitempty"`
+	MaxIters int   `json:"max_iters,omitempty"`
+	TolPPM   int64 `json:"tol_ppm,omitempty"`
+
+	SeriesSeconds float64 `json:"series_seconds,omitempty"`
+	BlockSize     int     `json:"block_size,omitempty"`
+
+	// FirstWearer/EndWearer bound a shard's wearer range (end 0 =
+	// Wearers); Presolved ships a coordinator's merged phase-1 results
+	// (see fleet.Presolved). Both are set by iobfleetd's shard protocol,
+	// not by clients.
+	FirstWearer int        `json:"first_wearer,omitempty"`
+	EndWearer   int        `json:"end_wearer,omitempty"`
+	Presolved   *Presolved `json:"presolved,omitempty"`
+}
+
+// Presolved is the wire form of fleet.Presolved: the coordinator's
+// merged full-population load table plus, in feedback mode, the solved
+// equilibrium windowed to the shard's wearer range.
+type Presolved struct {
+	Loads []spectrum.CellLoad `json:"loads"`
+	Eq    *Equilibrium        `json:"eq,omitempty"`
+}
+
+// Equilibrium is the exported spectrum.Result: the equilibrium per-cell
+// table and iteration counts of the full solve plus the per-wearer own
+// loads of the shard's range [first_wearer, end_wearer).
+type Equilibrium struct {
+	Table []spectrum.CellLoad  `json:"table"`
+	Iters []spectrum.CellIters `json:"iters,omitempty"`
+	Own   []int64              `json:"own"`
+}
+
+// Normalize validates the spec and resolves density into cells (the two
+// are one knob), so a persisted spec is canonical: a restart re-derives
+// the identical sweep without repeating the derivation.
+func (s *Spec) Normalize() error {
+	if s.Wearers <= 0 {
+		return fmt.Errorf("non-positive population %d", s.Wearers)
+	}
+	if !(s.DurSeconds > 0) { // also catches NaN
+		return fmt.Errorf("non-positive span %v", s.DurSeconds)
+	}
+	if s.Workers < 0 {
+		return fmt.Errorf("negative worker count %d", s.Workers)
+	}
+	if s.Density != 0 {
+		if !(s.Density > 0) {
+			return fmt.Errorf("non-positive density %v", s.Density)
+		}
+		if s.Cells != 0 {
+			return fmt.Errorf("cells and density are two spellings of the same knob; pass one")
+		}
+		s.Cells = cellsForDensity(s.Wearers, s.Density)
+		s.Density = 0
+	}
+	if s.Cells < 0 {
+		return fmt.Errorf("negative cell count %d", s.Cells)
+	}
+	if s.Feedback {
+		if s.Cells <= 0 {
+			return fmt.Errorf("feedback needs a spectrum topology; pass cells or density")
+		}
+		if s.MaxIters < 0 {
+			return fmt.Errorf("negative feedback iteration cap %d", s.MaxIters)
+		}
+		if s.TolPPM < 0 {
+			return fmt.Errorf("negative feedback tolerance %d", s.TolPPM)
+		}
+	} else if s.MaxIters != 0 || s.TolPPM != 0 {
+		return fmt.Errorf("max_iters/tol_ppm are feedback knobs; set feedback too")
+	}
+	if s.SeriesSeconds < 0 || math.IsNaN(s.SeriesSeconds) {
+		return fmt.Errorf("negative series cadence %v", s.SeriesSeconds)
+	}
+	if s.BlockSize < 0 {
+		return fmt.Errorf("negative block size %d", s.BlockSize)
+	}
+	if s.FirstWearer < 0 || s.EndWearer < 0 {
+		return fmt.Errorf("negative wearer range [%d,%d)", s.FirstWearer, s.EndWearer)
+	}
+	if s.EndWearer == s.Wearers {
+		s.EndWearer = 0 // canonical full-range spelling, like telemetry.Meta's
+	}
+	first, end := s.Range()
+	if first >= end || end > s.Wearers {
+		return fmt.Errorf("wearer range [%d,%d) outside population %d", first, end, s.Wearers)
+	}
+	if s.Presolved != nil {
+		if s.Cells <= 0 {
+			return fmt.Errorf("presolved loads need a spectrum topology; pass cells or density")
+		}
+		if (s.Presolved.Eq != nil) != s.Feedback {
+			return fmt.Errorf("presolved equilibrium present=%v but feedback=%v", s.Presolved.Eq != nil, s.Feedback)
+		}
+		if _, err := s.presolved(); err != nil {
+			return err
+		}
+	}
+	return s.generator().Validate()
+}
+
+// Range is the spec's wearer interval [first, end); end 0 reads as the
+// whole population, mirroring telemetry.Meta.Range.
+func (s *Spec) Range() (int, int) {
+	end := s.EndWearer
+	if end == 0 {
+		end = s.Wearers
+	}
+	return s.FirstWearer, end
+}
+
+// presolved reconstructs the fleet.Presolved the wire form describes (nil
+// when the spec carries none). Called from Normalize so a malformed table
+// or equilibrium is rejected at submit time, not as a failed sweep later.
+func (s *Spec) presolved() (*fleet.Presolved, error) {
+	if s.Presolved == nil {
+		return nil, nil
+	}
+	loads, err := spectrum.ImportTable(s.Cells, s.Presolved.Loads)
+	if err != nil {
+		return nil, fmt.Errorf("presolved loads: %w", err)
+	}
+	p := &fleet.Presolved{Loads: loads}
+	if e := s.Presolved.Eq; e != nil {
+		first, end := s.Range()
+		if len(e.Own) != end-first {
+			return nil, fmt.Errorf("presolved equilibrium covers %d wearers, shard range [%d,%d) holds %d",
+				len(e.Own), first, end, end-first)
+		}
+		res, err := spectrum.NewResult(s.Cells, e.Table, e.Iters, first, e.Own)
+		if err != nil {
+			return nil, fmt.Errorf("presolved equilibrium: %w", err)
+		}
+		p.Eq = res
+	}
+	return p, nil
+}
+
+// cellsForDensity derives the cell count hitting a target wearers-per-
+// cell: ceil(wearers/density), never below 1. Fractional densities are
+// meaningful — density 0.5 asks for twice as many cells as wearers.
+func cellsForDensity(wearers int, density float64) int {
+	cells := int(math.Ceil(float64(wearers) / density))
+	if cells < 1 {
+		return 1
+	}
+	return cells
+}
+
+// generator builds the population generator the spec describes.
+func (s *Spec) generator() *fleet.Generator {
+	return &fleet.Generator{
+		Base:          fleet.DefaultBase(),
+		PERSpread:     s.PERSpread,
+		BatterySpread: s.BatterySpread,
+		HarvesterProb: s.HarvesterProb,
+		DropNodeProb:  s.DropNodeProb,
+		BLEFraction:   s.BLEFraction,
+		DrainBattery:  s.Drain,
+	}
+}
+
+// Build assembles the runnable fleet and the telemetry metadata of a
+// normalized spec, with the engine's Stats hook attached (nil for none).
+// A shard spec yields a range-bounded fleet (Start/End) with the shipped
+// phase-1 results attached, and a meta whose FirstWearer/EndWearer mark
+// the store as a shard store.
+func (s *Spec) Build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
+	gen := s.generator()
+	first, end := s.Range()
+	f := &fleet.Fleet{
+		Wearers:  s.Wearers,
+		Seed:     s.Seed,
+		Scenario: gen.Scenario(),
+		// The coupled engine's phase 1 uses the generator's allocation-free
+		// load pass instead of regenerating every scenario (no-op uncoupled).
+		Loads:   gen.LoadScenario(),
+		Span:    units.Duration(s.DurSeconds),
+		Workers: s.Workers,
+		Start:   first,
+		Series:  units.Duration(s.SeriesSeconds),
+		Stats:   stats,
+	}
+	if end != s.Wearers {
+		f.End = end
+	}
+	tag := gen.Tag()
+	if s.Cells > 0 {
+		f.Coupling = &fleet.Coupling{Cells: s.Cells, Model: spectrum.Default()}
+		if s.Feedback {
+			f.Coupling.Feedback = true
+			f.Coupling.MaxIters = s.MaxIters
+			f.Coupling.TolPPM = s.TolPPM
+		}
+		p, err := s.presolved()
+		if err != nil {
+			return nil, telemetry.Meta{}, err
+		}
+		f.Coupling.Presolved = p
+		tag += ";" + f.Coupling.Tag()
+	}
+	meta := telemetry.Meta{
+		FleetSeed:   s.Seed,
+		Wearers:     s.Wearers,
+		SpanSeconds: s.DurSeconds,
+		Scenario:    tag,
+		BlockSize:   s.BlockSize,
+		Version:     telemetry.CreateVersion(s.SeriesSeconds > 0),
+		Cells:       s.Cells,
+		Feedback:    s.Feedback && s.Cells > 0,
+
+		SeriesCadenceSeconds: s.SeriesSeconds,
+
+		FirstWearer: s.FirstWearer,
+		EndWearer:   s.EndWearer,
+	}
+	return f, meta, nil
+}
