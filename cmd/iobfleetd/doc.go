@@ -88,9 +88,6 @@
 //	iobfleetd_telemetry_bytes_written_total
 //	iobfleetd_sweep_duration_seconds    (histogram)
 //	iobfleetd_phase1_duration_seconds   (histogram)
-//	iobfleetd_sweep_allocated_bytes     (histogram; process-wide
-//	                                    TotalAlloc delta per sweep — an
-//	                                    upper bound under concurrency)
 //
 // Shard dispatch and fleet membership (coordinator side):
 //
@@ -135,12 +132,12 @@
 // the merged block boundaries — iobtrace query reads identical numbers
 // off the merged store and a single-backend run's.
 //
-// Feedback coupling adds a round: the coordinator first POSTs each
-// range to /api/loads on its backends, merges the partial load tables
-// and member windows, runs the one deterministic equilibrium solve
-// itself, and ships each shard its windowed slice of the solution in
-// the sub-spec, so phase 2 everywhere sees the exact equilibrium a
-// single process would have computed.
+// Every coupled sweep (cells > 0) adds a loads round: the coordinator
+// POSTs each range to /api/loads and merges the partial load tables.
+// First-order sweeps ship each shard only the merged table; feedback
+// sweeps also run the one equilibrium solve on the concatenated members
+// and ship each shard its window of the solution (sweep.Spec's Split,
+// Gather and Presolve), so phase 2 sees a single process's phase 1.
 //
 // The fault model is label-idempotent re-dispatch. Sub-sweeps carry a
 // deterministic label; re-submitting one is a no-op on a backend that

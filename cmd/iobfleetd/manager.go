@@ -221,7 +221,7 @@ type daemonMetrics struct {
 	blocksWritten, bytesWritten                                 *obs.Counter
 	shardsDispatched, shardRetries, shardFetchBytes             *obs.Counter
 	shardsStolen                                                *obs.Counter
-	sweepSeconds, phase1Seconds, allocBytes                     *obs.Histogram
+	sweepSeconds, phase1Seconds                                 *obs.Histogram
 }
 
 // newManager loads any sweeps a previous process left in dir, re-queues
@@ -589,32 +589,19 @@ func (m *manager) run(sw *job) {
 		sw.mu.Unlock()
 	}
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	perf, err := s.Run(ctx)
-	runtime.ReadMemStats(&ms1)
-
-	switch {
-	case errors.Is(err, errCancelled):
-		m.finish(sw, statusCancelled, "") // the checkpoint stays; retention collects it later
-	case errors.Is(err, errDrained):
-		m.finish(sw, statusInterrupted, "")
-	case err != nil:
-		m.finish(sw, statusFailed, err.Error())
-	default:
-		m.metrics.sweepSeconds.Observe(time.Since(start).Seconds())
-		m.metrics.phase1Seconds.Observe(perf.Phase1.Seconds())
-		// TotalAlloc is process-wide, so with concurrent sweeps this
-		// attributes neighbors' allocations too — an upper bound, which is
-		// the useful direction for an allocation-budget signal.
-		m.metrics.allocBytes.Observe(float64(ms1.TotalAlloc - ms0.TotalAlloc))
-		sw.mu.Lock()
-		sw.st.Fingerprint = s.Agg.Report().Fingerprint()
-		sw.st.Records = s.Agg.Wearers()
-		sw.mu.Unlock()
-		m.finish(sw, statusDone, "")
+	if err != nil {
+		m.finishErr(sw, err) // a cancelled sweep's checkpoint stays; retention collects it later
+		return
 	}
+	m.metrics.sweepSeconds.Observe(time.Since(start).Seconds())
+	m.metrics.phase1Seconds.Observe(perf.Phase1.Seconds())
+	sw.mu.Lock()
+	sw.st.Fingerprint = s.Agg.Report().Fingerprint()
+	sw.st.Records = s.Agg.Wearers()
+	sw.mu.Unlock()
+	m.finish(sw, statusDone, "")
 }
 
 // setStatus moves a running sweep to its resting state and persists +
@@ -664,6 +651,29 @@ func (m *manager) finish(sw *job, status, errMsg string) string {
 		m.pruneRetained()
 	}
 	return status
+}
+
+// outcome is the daemon's one mapping from the error a run ended with to
+// the sweep's resting status: a DELETE (errCancelled) parks it
+// cancelled, a drain (errDrained) interrupted, anything else fails it.
+func outcome(err error) string {
+	switch {
+	case errors.Is(err, errCancelled):
+		return statusCancelled
+	case errors.Is(err, errDrained):
+		return statusInterrupted
+	}
+	return statusFailed
+}
+
+// finishErr finishes a sweep whose run ended with err at outcome(err),
+// returning the status that stuck (see finish).
+func (m *manager) finishErr(sw *job, err error) string {
+	status, msg := outcome(err), ""
+	if status == statusFailed {
+		msg = err.Error()
+	}
+	return m.finish(sw, status, msg)
 }
 
 // cancel implements DELETE /api/sweeps/{id}. A queued sweep unqueues on
@@ -793,7 +803,7 @@ func (m *manager) pruneRetained() {
 
 // registerMetrics wires the full catalog: daemon lifecycle counters,
 // engine-sourced func metrics over the shared fleet.Stats, telemetry
-// write counters, per-sweep latency/allocation histograms and Go
+// write counters, per-sweep latency histograms and Go
 // runtime gauges.
 func (m *manager) registerMetrics(reg *obs.Registry) {
 	m.metrics = &daemonMetrics{
@@ -824,9 +834,6 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 		phase1Seconds: reg.NewHistogram("iobfleetd_phase1_duration_seconds",
 			"Phase-1 (offered-load gather + equilibrium solve) wall-clock time of completed sweeps.", nil,
 			[]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}),
-		allocBytes: reg.NewHistogram("iobfleetd_sweep_allocated_bytes",
-			"Heap bytes allocated process-wide during each completed sweep (upper bound under concurrency).", nil,
-			[]float64{1e5, 1e6, 1e7, 1e8, 1e9, 1e10}),
 	}
 
 	// Engine counters: func metrics over the shared fleet.Stats the hot

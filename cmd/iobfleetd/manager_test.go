@@ -259,75 +259,6 @@ func TestSubmitLabelIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardRanges pins the deterministic tiling: contiguous, covering,
-// sizes differing by at most one with the remainder up front.
-func TestShardRanges(t *testing.T) {
-	cases := []struct {
-		wearers, shards int
-		want            [][2]int
-	}{
-		{10, 3, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
-		{6, 3, [][2]int{{0, 2}, {2, 4}, {4, 6}}},
-		{5, 1, [][2]int{{0, 5}}},
-		{3, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-	}
-	for _, c := range cases {
-		got := shardRanges(c.wearers, c.shards)
-		if len(got) != len(c.want) {
-			t.Fatalf("shardRanges(%d,%d) = %v", c.wearers, c.shards, got)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("shardRanges(%d,%d)[%d] = %v, want %v", c.wearers, c.shards, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-// TestShardSubCanonical pins the sub-spec derivation: the coordinator
-// knob is stripped, the range lands in first/end, and a final shard
-// ending at the population uses the canonical end 0 spelling so it
-// round-trips normalize unchanged.
-func TestShardSubCanonical(t *testing.T) {
-	spec := minimalSpec(7)
-	spec.Shards = 2
-	sub := shardSub(spec, [2]int{4, 8})
-	if sub.Shards != 0 {
-		t.Errorf("sub-spec kept shards=%d", sub.Shards)
-	}
-	if sub.FirstWearer != 4 || sub.EndWearer != 0 {
-		t.Errorf("final shard range (%d,%d), want (4,0 canonical)", sub.FirstWearer, sub.EndWearer)
-	}
-	if err := sub.normalize(); err != nil {
-		t.Errorf("canonical sub-spec fails normalize: %v", err)
-	}
-	mid := shardSub(spec, [2]int{0, 4})
-	if mid.FirstWearer != 0 || mid.EndWearer != 4 {
-		t.Errorf("mid shard range (%d,%d), want (0,4)", mid.FirstWearer, mid.EndWearer)
-	}
-
-	// Series frames ride the merge's record re-encode (the shard Reader
-	// re-pairs them, the merged Writer re-cuts the pairs at its own block
-	// boundaries), so a sharded sweep accepts series_seconds and the
-	// sub-specs carry the cadence through to every backend.
-	withSeries := minimalSpec(7)
-	withSeries.Shards = 2
-	withSeries.SeriesSeconds = 0.5
-	if err := withSeries.normalize(); err != nil {
-		t.Errorf("sharded spec with series_seconds refused: %v", err)
-	}
-	seriesSub := shardSub(withSeries, [2]int{0, 4})
-	if seriesSub.SeriesSeconds != 0.5 {
-		t.Errorf("sub-spec dropped series cadence: %v", seriesSub.SeriesSeconds)
-	}
-	if err := seriesSub.normalize(); err != nil {
-		t.Errorf("series sub-spec fails normalize: %v", err)
-	}
-	if _, meta, err := seriesSub.Build(nil); err != nil || !meta.Series() {
-		t.Errorf("series sub-spec builds a series-off store (meta %+v, err %v)", meta, err)
-	}
-}
-
 // parentSidecars are sidecars as an earlier daemon wrote them, before the
 // spec moved into sweep.Spec — key order included: a coordinator caught
 // queued (shards) and a shard sub-sweep caught running (label,

@@ -157,21 +157,12 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if spec.Cells <= 0 {
-			httpError(w, http.StatusBadRequest, "loads gather on an uncoupled spec")
-			return
-		}
-		f, _, err := spec.Build(m.stats)
+		loads, err := spec.Gather(m.stats)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		loads, members, err := f.GatherLoads()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, loadsResponse{Loads: loads.Export(), Members: members})
+		writeJSON(w, http.StatusOK, loads)
 	})
 	mux.HandleFunc("GET /api/sweeps/{id}/store", func(w http.ResponseWriter, r *http.Request) {
 		// The shard protocol's replication feed: the store's committed bytes

@@ -1,21 +1,21 @@
 package main
 
 // The coordinator half of the shard protocol. A sweep submitted with a
-// shards field splits into contiguous wearer-range sub-sweeps dispatched
-// to backend daemons (-backends, or this daemon itself) over the ordinary
-// HTTP API. Coupled sweeps run two rounds: every shard first gathers its
-// range's offered loads (POST /api/loads), the coordinator merges the
-// partial tables — integer sums, so any partition merges bit-exactly —
-// and, in feedback mode, runs the one deterministic equilibrium solve;
-// the dispatch round then ships each shard its window of the solved
-// results. Shard stores replicate back block by block as they commit and
-// merge into one store bit-identical to a single-process run. Series
-// sampling (series_seconds) rides the same protocol unchanged: each
-// backend commits record+series frame pairs in one write, so the
-// committed-prefix replication boundary (X-Committed-Offset) always
-// sits after a complete pair, and telemetry.MergeShards re-pairs and
-// re-encodes the samples at the merged block boundaries — the merged
-// series store, trailing query index included, is byte-identical too.
+// shards field splits (sweep.Spec.Split) into contiguous wearer-range
+// sub-sweeps dispatched to backend daemons (-backends, or this daemon
+// itself) over the ordinary HTTP API. Coupled sweeps run two rounds:
+// every shard first gathers its range's offered loads (POST /api/loads,
+// sweep.Spec.Gather), sweep.Spec.Presolve merges and solves them, and
+// the dispatch round ships each shard its phase-1 results. This file is
+// the transport. Shard stores replicate back block by block as they
+// commit and merge into one store bit-identical to a single-process
+// run. Series sampling (series_seconds) rides the same protocol
+// unchanged: each backend commits record+series frame pairs in one
+// write, so the committed-prefix replication boundary
+// (X-Committed-Offset) always sits after a complete pair, and
+// telemetry.MergeShards re-pairs and re-encodes the samples at the
+// merged block boundaries — the merged series store, trailing query
+// index included, is byte-identical too.
 //
 // Fault model: a backend lost mid-shard is re-dispatched — to itself
 // after a restart (the label finds the recovered sweep, which resumes
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"wiban/internal/fleet"
-	"wiban/internal/spectrum"
 	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
@@ -60,47 +59,6 @@ import (
 // shardPollInterval paces the supervisor's status/fetch loop against a
 // healthy backend; retries after a backend error back off separately.
 const shardPollInterval = 50 * time.Millisecond
-
-// loadsResponse is the shard side's answer to POST /api/loads: the
-// range's partial per-cell load table and, in feedback mode, its members
-// in range order.
-type loadsResponse struct {
-	Loads   []spectrum.CellLoad `json:"loads"`
-	Members []spectrum.Member   `json:"members,omitempty"`
-}
-
-// shardRanges splits [0, wearers) into shards contiguous ranges, sizes
-// differing by at most one (the first wearers%shards ranges get the extra
-// wearer). Deterministic, so a restarted coordinator re-derives the same
-// tiling.
-func shardRanges(wearers, shards int) [][2]int {
-	base, extra := wearers/shards, wearers%shards
-	out := make([][2]int, shards)
-	next := 0
-	for k := range out {
-		n := base
-		if k < extra {
-			n++
-		}
-		out[k] = [2]int{next, next + n}
-		next += n
-	}
-	return out
-}
-
-// shardSub derives shard k's sub-spec: the same sweep identity with the
-// shard's wearer range and no coordinator knob. The loads round sends it
-// bare; the dispatch round adds Label, SeedStoreURL and Presolved.
-func shardSub(spec sweepSpec, rng [2]int) sweepSpec {
-	sub := spec
-	sub.Shards = 0
-	sub.FirstWearer = rng[0]
-	sub.EndWearer = rng[1]
-	if sub.EndWearer == sub.Wearers {
-		sub.EndWearer = 0 // the canonical full-range spelling normalize() uses
-	}
-	return sub
-}
 
 func (m *manager) storePath(id string) string { return filepath.Join(m.dir, id+".wtl") }
 
@@ -219,45 +177,33 @@ func (m *manager) getJSON(url string, out any) (string, error) {
 	return inst, json.Unmarshal(body, out)
 }
 
-// runSharded executes a coordinator sweep: the loads round across the
-// shard backends (coupled sweeps only), the shard sub-sweeps themselves
-// with their stores replicated back as they commit, then the merge into
-// one full-population store. The merged store, its fingerprint and its
-// trailing index are bit-identical to a single-process run of the same
-// spec: phase 1 merges commutative integer tables, the solve is a pure
-// function of the concatenated members, phase-2 records are pure
-// functions of (seed, wearer, tables), and the merge re-encodes the
-// identical record sequence — series samples re-paired at the merged
-// block boundaries — through the same Writer. A failed merge removes
-// its partial output (Writer.Discard), so the shard partials on disk
-// stay the only recovery state.
+// runSharded executes a coordinator sweep: Split, then for coupled
+// sweeps the loads round across the shard backends and Presolve, then
+// the shard sub-sweeps themselves with their stores replicated back as
+// they commit, then the merge into one full-population store. The merged
+// store, its fingerprint and its trailing index are bit-identical to a
+// single-process run of the same spec: phase 1 merges commutative
+// integer tables, the solve is a pure function of the concatenated
+// members, phase-2 records are pure functions of (seed, wearer, tables),
+// and the merge re-encodes the identical record sequence — series
+// samples re-paired at the merged block boundaries — through the same
+// Writer. A failed merge removes its partial output (Writer.Discard), so
+// the shard partials on disk stay the only recovery state.
 func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, storePath string) {
 	start := time.Now()
-	ranges := shardRanges(spec.Wearers, spec.Shards)
-
-	var (
-		loads []spectrum.CellLoad
-		res   *spectrum.Result
-	)
-	if spec.Cells > 0 {
-		var err error
-		if loads, res, err = m.gatherShards(ctx, spec, ranges); err != nil {
-			switch {
-			case errors.Is(err, errCancelled):
-				m.finish(sw, statusCancelled, "")
-			case errors.Is(err, errDrained):
-				m.finish(sw, statusInterrupted, "")
-			default:
-				m.finish(sw, statusFailed, err.Error())
-			}
-			return
-		}
+	subs, err := spec.Split(spec.Shards)
+	if err == nil && spec.Cells > 0 {
+		err = m.gatherShards(ctx, &spec.Spec, subs)
+	}
+	if err != nil {
+		m.finishErr(sw, err)
+		return
 	}
 
 	// Parent progress is the sum of the shards' committed record counts,
 	// re-published whenever any supervisor learns a new figure. Blocks and
 	// bytes stay 0 until the merge — they describe the merged store.
-	counts := make([]int, len(ranges))
+	counts := make([]int, len(subs))
 	var cmu sync.Mutex
 	progress := func(k, records int) {
 		cmu.Lock()
@@ -275,24 +221,15 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 		sw.mu.Unlock()
 	}
 
-	paths := make([]string, len(ranges))
-	errs := make([]error, len(ranges))
+	paths := make([]string, len(subs))
+	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
-	for k := range ranges {
+	for k := range subs {
 		paths[k] = m.shardPath(sw.st.ID, k)
-		sub := shardSub(spec, ranges[k])
-		sub.Label = sw.st.ID + "/shard" + strconv.Itoa(k)
-		sub.SeedStoreURL = fmt.Sprintf("%s/api/sweeps/%s/shards/%d/store", m.selfBase, sw.st.ID, k)
-		if spec.Cells > 0 {
-			pre := &sweep.Presolved{Loads: loads}
-			if res != nil {
-				pre.Eq = &sweep.Equilibrium{
-					Table: res.Table().Export(),
-					Iters: res.ExportIters(),
-					Own:   res.ExportOwn(ranges[k][0], ranges[k][1]),
-				}
-			}
-			sub.Presolved = pre
+		sub := sweepSpec{
+			Spec:         subs[k],
+			Label:        sw.st.ID + "/shard" + strconv.Itoa(k),
+			SeedStoreURL: fmt.Sprintf("%s/api/sweeps/%s/shards/%d/store", m.selfBase, sw.st.ID, k),
 		}
 		wg.Add(1)
 		go func(k int, sub sweepSpec) {
@@ -308,36 +245,13 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 			os.Remove(telemetry.CheckpointPath(p))
 		}
 	}
-	var failErr error
-	drained, cancelled := false, false
-	for _, err := range errs {
-		switch {
-		case errors.Is(err, errCancelled):
-			cancelled = true
-		case errors.Is(err, errDrained):
-			drained = true
-		case err != nil && failErr == nil:
-			failErr = err
-		}
-	}
-	if failErr != nil {
-		// Failed is terminal and never resumed: the shard partials are
-		// garbage, not recovery state.
-		m.finish(sw, statusFailed, failErr.Error())
-		removePartials()
-		return
-	}
-	if cancelled {
-		m.finish(sw, statusCancelled, "")
-		removePartials()
-		return
-	}
-	if drained {
-		// Partials stay on disk: the restarted coordinator re-dispatches by
-		// label and resumes replication exactly where it stopped — unless a
-		// DELETE arrived during the drain, in which case the sweep parked
-		// cancelled and the partials are garbage after all.
-		if m.finish(sw, statusInterrupted, "") == statusCancelled {
+	if err := worst(errs); err != nil {
+		// Failed and cancelled are terminal and never resumed: the shard
+		// partials are garbage. Interrupted keeps them on disk: the
+		// restarted coordinator re-dispatches by label and resumes
+		// replication exactly where it stopped — unless a DELETE arrived
+		// during the drain and the sweep parked cancelled after all.
+		if m.finishErr(sw, err) != statusInterrupted {
 			removePartials()
 		}
 		return
@@ -359,88 +273,50 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 	sw.st.Bytes = size
 	sw.mu.Unlock()
 	m.finish(sw, statusDone, "")
-	for _, p := range paths {
-		os.Remove(p)
-		os.Remove(telemetry.CheckpointPath(p))
-	}
+	removePartials()
 }
 
-// gatherShards is the coupled protocol's loads round: every shard reports
-// its range's partial table concurrently, the coordinator merges them
-// and — in feedback mode — concatenates the member windows by absolute
-// index and runs the one deterministic equilibrium solve. The merged
-// table and solution are bit-identical to an in-process phase 1 because
-// the table sums are commutative integers and Solve is a pure function.
-func (m *manager) gatherShards(ctx context.Context, spec sweepSpec, ranges [][2]int) ([]spectrum.CellLoad, *spectrum.Result, error) {
-	type gather struct {
-		resp loadsResponse
-		err  error
-	}
-	results := make([]gather, len(ranges))
+// gatherShards is the coupled protocol's loads round: every shard
+// gathers its range's partial loads on a backend concurrently, then
+// Presolve merges them, solves the equilibrium in feedback mode and
+// attaches each shard's phase-1 results to its sub-spec.
+func (m *manager) gatherShards(ctx context.Context, spec *sweep.Spec, subs []sweep.Spec) error {
+	parts := make([]sweep.Loads, len(subs))
+	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
-	for k := range ranges {
+	for k := range subs {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k].resp, results[k].err = m.gatherShard(ctx, k, shardSub(spec, ranges[k]))
+			parts[k], errs[k] = m.gatherShard(ctx, k, subs[k])
 		}(k)
 	}
 	wg.Wait()
+	if err := worst(errs); err != nil {
+		return err
+	}
+	return spec.Presolve(subs, parts, m.stats)
+}
 
-	total, err := spectrum.NewLoadTable(spec.Cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	var members []spectrum.Member
-	if spec.Feedback {
-		members = make([]spectrum.Member, spec.Wearers)
-	}
-	for k := range results {
-		r := &results[k]
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		part, err := spectrum.ImportTable(spec.Cells, r.resp.Loads)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d loads: %w", k, err)
-		}
-		if err := total.Merge(part); err != nil {
-			return nil, nil, err
-		}
-		if members != nil {
-			first, end := ranges[k][0], ranges[k][1]
-			if len(r.resp.Members) != end-first {
-				return nil, nil, fmt.Errorf("shard %d returned %d members for range [%d,%d)",
-					k, len(r.resp.Members), first, end)
-			}
-			copy(members[first:end], r.resp.Members)
+// worst folds the errors of a sweep's concurrent shard operations into
+// the one the sweep ends with: a failure outranks a cancellation, which
+// outranks a drain; nil when every operation succeeded.
+func worst(errs []error) error {
+	severity := map[string]int{statusInterrupted: 1, statusCancelled: 2, statusFailed: 3}
+	var w error
+	for _, err := range errs {
+		if err != nil && (w == nil || severity[outcome(err)] > severity[outcome(w)]) {
+			w = err
 		}
 	}
-	loads := total.Export()
-	if members == nil {
-		return loads, nil, nil
-	}
-	solveStart := time.Now()
-	eq := spectrum.Equilibrium{MaxIters: spec.MaxIters, TolPPM: spec.TolPPM}
-	res, err := eq.Solve(spec.Cells, members)
-	if err != nil {
-		return nil, nil, fmt.Errorf("equilibrium phase: %w", err)
-	}
-	m.stats.Phase1SolveNS.Add(time.Since(solveStart).Nanoseconds())
-	var iters int64
-	for _, ci := range res.ExportIters() {
-		iters += int64(ci.Iters)
-	}
-	m.stats.EquilibriumIters.Add(iters)
-	m.stats.EquilibriumCells.Add(int64(spec.Cells))
-	return loads, res, nil
+	return w
 }
 
 // gatherShard asks one backend for a shard's partial loads, rotating
 // backends until one answers; a 400 is a deterministic spec rejection and
 // fails the sweep, everything else retries.
-func (m *manager) gatherShard(ctx context.Context, k int, sub sweepSpec) (loadsResponse, error) {
-	var out loadsResponse
+func (m *manager) gatherShard(ctx context.Context, k int, sub sweep.Spec) (sweep.Loads, error) {
+	var out sweep.Loads
 	for attempt := 0; ; attempt++ {
 		if err := context.Cause(ctx); err != nil {
 			return out, err

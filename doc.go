@@ -68,7 +68,10 @@
 //     its store metadata) and its one run path (Open creates or
 //     resumes the store, Run streams into it and stops at a record
 //     boundary when its context ends), shared by iobfleet and
-//     iobfleetd so both write byte-identical stores;
+//     iobfleetd so both write byte-identical stores, plus the shard
+//     protocol's data plane iobfleetd carries over HTTP (Split tiles
+//     the population, Gather runs a shard's phase-1 load gather,
+//     Presolve merges the gathers and solves the equilibrium once);
 //   - internal/spectrum — cross-wearer co-channel interference: wearers
 //     hash into spatial cells, each cell sums its members' offered RF
 //     airtime in exact integer PPM, and a CSMA/ALOHA collision curve

@@ -56,16 +56,11 @@ type Coupling struct {
 	// (0 = spectrum.DefaultTolPPM). Only meaningful with Feedback.
 	TolPPM int64
 	// Presolved, when non-nil, supplies phase 1's results instead of
-	// gathering and solving them in-process — the shard half of the
-	// distributed two-round protocol: each shard gathers only its own
-	// wearer range (GatherLoads), the coordinator merges the partial
-	// tables (and, in feedback mode, runs the one deterministic solve
-	// over the concatenated members), and the shards simulate phase 2
-	// against the shipped full-population results. Because the shipped
-	// quantities are exactly what the in-process phase 1 would have
-	// computed — integer tables merge commutatively and the solve is a
-	// pure function — a presolved shard run is bit-identical to its slice
-	// of a single-process sweep.
+	// gathering and solving them in-process: the shard half of the
+	// distributed protocol (GatherLoads per shard, then one merge and
+	// Solve; see sweep.Spec.Presolve). The shipped quantities are exactly
+	// what the in-process phase 1 computes, so a presolved shard run is
+	// bit-identical to its slice of a single-process sweep.
 	Presolved *Presolved
 }
 
@@ -237,82 +232,64 @@ func (f *Fleet) wearerLoads(w int, sc *workerScratch, dst []spectrum.NodeLoad) (
 
 // offeredLoads is phase 1: the deterministic per-cell load reduction over
 // the full population [0, Wearers) — including wearers below Start, so a
-// resumed sweep sees the loads the interrupted one did. Workers
-// accumulate into private tables over contiguous chunks and the integer
-// merges commute, so the result is bit-identical for any worker count.
-// In feedback mode the workers additionally record each wearer's
-// per-node loads into a wearer-indexed slice (disjoint writes, so no
-// ordering can matter) and a single-threaded fixed-point solve follows —
-// equally worker-count invariant. A failing scenario surfaces as the
-// lowest failing wearer index, matching the phase-2 error contract.
-//
-// The pass is allocation-free per wearer: each worker owns a scratch
-// (pooled RNG plus a reusable load buffer) and, in feedback mode,
-// appends node loads into a per-worker arena whose sub-slices the
-// members keep — a grown arena strands its old backing array, but the
-// values stored there are final, so stored members stay valid.
+// resumed sweep sees the loads the interrupted one did — followed in
+// feedback mode by the one single-threaded Solve. Both halves are
+// worker-count invariant (see gatherLoads).
 func (f *Fleet) offeredLoads(workers int) (*phase1, error) {
 	if p := f.Coupling.Presolved; p != nil {
 		// The distributed two-round protocol already ran phase 1; a shard
 		// simulates phase 2 straight against the shipped results.
 		return &phase1{loads: p.Loads, model: f.Coupling.model(), eq: p.Eq}, nil
 	}
-	cells := f.Coupling.Cells
 	total, members, err := f.gatherLoads(0, f.Wearers, workers)
 	if err != nil {
 		return nil, err
 	}
 	p1 := &phase1{loads: total, model: f.Coupling.model()}
 	if members != nil {
-		solveStart := time.Now()
-		eq := f.Coupling.equilibrium()
-		res, err := eq.Solve(cells, members)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: equilibrium phase: %w", err)
-		}
-		p1.eq = res
-		if f.Stats != nil {
-			f.Stats.Phase1SolveNS.Add(time.Since(solveStart).Nanoseconds())
-			var iters int64
-			for c := 0; c < cells; c++ {
-				iters += int64(res.Iters(c))
-			}
-			f.Stats.EquilibriumIters.Add(iters)
-			f.Stats.EquilibriumCells.Add(int64(cells))
+		if p1.eq, err = f.Coupling.Solve(members, f.Stats); err != nil {
+			return nil, err
 		}
 	}
 	return p1, nil
 }
 
+// Solve is phase 1's one equilibrium solve over the full population's
+// members in wearer order, gathered in-process or concatenated from the
+// shards' GatherLoads; it adds its time, rounds and cells to stats.
+func (c *Coupling) Solve(members []spectrum.Member, stats *Stats) (*spectrum.Result, error) {
+	start := time.Now()
+	eq := c.equilibrium()
+	res, err := eq.Solve(c.Cells, members)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: equilibrium phase: %w", err)
+	}
+	if stats != nil {
+		stats.Phase1SolveNS.Add(time.Since(start).Nanoseconds())
+		var iters int64
+		for cell := 0; cell < c.Cells; cell++ {
+			iters += int64(res.Iters(cell))
+		}
+		stats.EquilibriumIters.Add(iters)
+		stats.EquilibriumCells.Add(int64(c.Cells))
+	}
+	return res, nil
+}
+
 // GatherLoads runs only the phase-1 gather, and only over the fleet's own
-// wearer range [Start, End): the shard half of the distributed two-round
-// protocol. It returns the range's partial per-cell load table and, in
-// feedback mode, its members indexed w − Start (nil otherwise). Because
-// the per-wearer loads are pure functions of absolute wearer indices and
-// the table sums are commutative integers, merging every shard's partial
-// table — and concatenating the member windows in range order —
-// reproduces the full-population gather bit-exactly.
+// wearer range [Start, End): the shard half of the distributed protocol.
+// It returns the range's partial per-cell load table and, in feedback
+// mode, its members indexed w − Start (nil otherwise). Per-wearer loads
+// are pure functions of absolute wearer indices, so the shards' merged
+// tables and concatenated members equal the full-population gather.
 func (f *Fleet) GatherLoads() (*spectrum.LoadTable, []spectrum.Member, error) {
 	if f.Coupling == nil {
 		return nil, nil, fmt.Errorf("fleet: GatherLoads on an uncoupled fleet")
 	}
-	if err := f.Coupling.validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return nil, nil, err
 	}
-	if f.Wearers <= 0 {
-		return nil, nil, fmt.Errorf("fleet: non-positive population %d", f.Wearers)
-	}
-	if f.Scenario == nil && f.Loads == nil {
-		return nil, nil, fmt.Errorf("fleet: nil scenario")
-	}
-	if f.End < 0 || f.End > f.Wearers {
-		return nil, nil, fmt.Errorf("fleet: end index %d outside population [0, %d]", f.End, f.Wearers)
-	}
-	end := f.end()
-	if f.Start < 0 || f.Start > end {
-		return nil, nil, fmt.Errorf("fleet: start index %d outside range [0, %d]", f.Start, end)
-	}
-	return f.gatherLoads(f.Start, end, f.effectiveWorkers())
+	return f.gatherLoads(f.Start, f.end(), f.effectiveWorkers())
 }
 
 // gatherLoads is the parallel offered-load gather over wearers [lo, hi):
@@ -320,7 +297,11 @@ func (f *Fleet) GatherLoads() (*spectrum.LoadTable, []spectrum.Member, error) {
 // indexed w − lo. Workers accumulate into private tables over contiguous
 // chunks and the integer merges commute, so the result is bit-identical
 // for any worker count; a failing scenario surfaces as the lowest failing
-// wearer index, matching the phase-2 error contract.
+// wearer index, matching the phase-2 error contract. The pass is
+// allocation-free per wearer: each worker owns a scratch (pooled RNG plus
+// a reusable load buffer) and, in feedback mode, appends node loads into
+// a per-worker arena whose sub-slices the members keep — a grown arena
+// strands its old backing array, but the values there are final.
 func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectrum.Member, error) {
 	gatherStart := time.Now()
 	cells := f.Coupling.Cells

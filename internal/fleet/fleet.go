@@ -247,6 +247,30 @@ func (f *Fleet) end() int {
 	return f.Wearers
 }
 
+// validate rejects a fleet no run or gather can start from, before any
+// work is dispatched.
+func (f *Fleet) validate() error {
+	if f.Wearers <= 0 {
+		return fmt.Errorf("fleet: non-positive population %d", f.Wearers)
+	}
+	if f.Scenario == nil {
+		return fmt.Errorf("fleet: nil scenario")
+	}
+	if f.Span <= 0 {
+		return fmt.Errorf("fleet: non-positive span")
+	}
+	if f.End < 0 || f.End > f.Wearers {
+		return fmt.Errorf("fleet: end index %d outside population [0, %d]", f.End, f.Wearers)
+	}
+	if end := f.end(); f.Start < 0 || f.Start > end {
+		return fmt.Errorf("fleet: start index %d outside range [0, %d]", f.Start, end)
+	}
+	if f.Coupling != nil {
+		return f.Coupling.validate()
+	}
+	return nil
+}
+
 // wearerOut is one completed wearer simulation plus its spectrum
 // placement (cell −1 / load 0 on uncoupled sweeps; the equilibrium
 // fields stay 0 unless the coupling closes the feedback loop). The
@@ -313,27 +337,10 @@ func newWorkerScratch() *workerScratch {
 // the same `window` buffers carry every report of the sweep. The emit
 // callback borrows its wearerOut until it returns.
 func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
-	if f.Wearers <= 0 {
-		return Perf{}, fmt.Errorf("fleet: non-positive population %d", f.Wearers)
-	}
-	if f.Scenario == nil {
-		return Perf{}, fmt.Errorf("fleet: nil scenario")
-	}
-	if f.Span <= 0 {
-		return Perf{}, fmt.Errorf("fleet: non-positive span")
-	}
-	if f.End < 0 || f.End > f.Wearers {
-		return Perf{}, fmt.Errorf("fleet: end index %d outside population [0, %d]", f.End, f.Wearers)
+	if err := f.validate(); err != nil {
+		return Perf{}, err
 	}
 	end := f.end()
-	if f.Start < 0 || f.Start > end {
-		return Perf{}, fmt.Errorf("fleet: start index %d outside range [0, %d]", f.Start, end)
-	}
-	if f.Coupling != nil {
-		if err := f.Coupling.validate(); err != nil {
-			return Perf{}, err
-		}
-	}
 	count := end - f.Start
 	if count == 0 {
 		// Nothing to simulate (a resume of a complete sweep): skip the

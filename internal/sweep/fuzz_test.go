@@ -10,7 +10,9 @@ import (
 // FuzzSpecNormalize holds Normalize to its contract on any JSON-decoded
 // spec, the daemon's external input: it never panics, it is idempotent
 // (a second call changes nothing, so a persisted spec re-normalizes to
-// itself after a restart), and every spec it accepts builds. The corpus
+// itself after a restart), every spec it accepts builds, and Split(n)
+// for n up to min(Wearers, 4) tiles [0, Wearers) with shards that
+// re-normalize unchanged. The corpus
 // is seeded with the submission literals of the daemon tests (their
 // front-end-only keys such as shards are ignored here) plus shard specs
 // carrying presolved phase-1 results.
@@ -58,6 +60,16 @@ func FuzzSpecNormalize(f *testing.F) {
 		}
 		if _, _, err := s.Build(nil); err != nil {
 			t.Fatalf("normalized spec %s does not build: %v", once, err)
+		}
+		for n := 1; n <= min(s.Wearers, 4); n++ {
+			shards, err := s.Split(n)
+			if err != nil {
+				t.Fatalf("normalized spec %s refused Split(%d): %v", once, n, err)
+			}
+			if len(shards) != n {
+				t.Fatalf("Split(%d) of %s made %d shards", n, once, len(shards))
+			}
+			checkTiling(t, s.Wearers, shards)
 		}
 	})
 }

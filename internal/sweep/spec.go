@@ -43,8 +43,8 @@ type Spec struct {
 
 	// FirstWearer/EndWearer bound a shard's wearer range (end 0 =
 	// Wearers); Presolved ships a coordinator's merged phase-1 results
-	// (see fleet.Presolved). Both are set by iobfleetd's shard protocol,
-	// not by clients.
+	// (see fleet.Presolved). Split and Presolve set them for the shard
+	// protocol, not clients.
 	FirstWearer int        `json:"first_wearer,omitempty"`
 	EndWearer   int        `json:"end_wearer,omitempty"`
 	Presolved   *Presolved `json:"presolved,omitempty"`
@@ -197,6 +197,16 @@ func (s *Spec) generator() *fleet.Generator {
 	}
 }
 
+// coupling builds the spectrum coupling of a coupled spec, without
+// presolved phase-1 results.
+func (s *Spec) coupling() *fleet.Coupling {
+	c := &fleet.Coupling{Cells: s.Cells, Model: spectrum.Default()}
+	if s.Feedback {
+		c.Feedback, c.MaxIters, c.TolPPM = true, s.MaxIters, s.TolPPM
+	}
+	return c
+}
+
 // Build assembles the runnable fleet and the telemetry metadata of a
 // normalized spec, with the engine's Stats hook attached (nil for none).
 // A shard spec yields a range-bounded fleet (Start/End) with the shipped
@@ -223,12 +233,7 @@ func (s *Spec) Build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
 	}
 	tag := gen.Tag()
 	if s.Cells > 0 {
-		f.Coupling = &fleet.Coupling{Cells: s.Cells, Model: spectrum.Default()}
-		if s.Feedback {
-			f.Coupling.Feedback = true
-			f.Coupling.MaxIters = s.MaxIters
-			f.Coupling.TolPPM = s.TolPPM
-		}
+		f.Coupling = s.coupling()
 		p, err := s.presolved()
 		if err != nil {
 			return nil, telemetry.Meta{}, err

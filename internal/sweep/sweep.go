@@ -9,6 +9,12 @@
 // coupling, shard range, presolved phase-1 results) and the
 // telemetry.Meta that identifies its store.
 //
+// Split, Gather and Presolve are the shard protocol: Split tiles the
+// population into shard specs, Gather runs a shard's phase-1 load
+// gather, and Presolve merges the gathers, solves the equilibrium once
+// and attaches each shard's phase-1 results. iobfleetd only carries
+// their values between processes.
+//
 // Open and Run are the path. Open creates the telemetry store, or
 // resumes a checkpointed one: the store's meta must describe the same
 // sweep (adopting an older format version when it can still represent
