@@ -225,7 +225,7 @@ func main() {
 		// A graceful stop is a success: the sweep is parked, not dead.
 		if errors.Is(err, context.Cause(ctx)) {
 			fmt.Printf("interrupted: %s checkpointed at wearer %d/%d (%d blocks)\n",
-				*outPath, sw.Store.NextWearer(), f.Wearers, sw.Store.Blocks())
+				*outPath, sw.Store.Checkpointed(), f.Wearers, sw.Store.Blocks())
 			fmt.Printf("continue with: iobfleet -resume -out %s <same flags>\n", *outPath)
 			return
 		}

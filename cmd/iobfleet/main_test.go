@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -134,8 +135,11 @@ func TestSignalCheckpointAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "sig.wtl")
+	// Blocks long against a commit make the stop land mid-block, with
+	// records buffered past the checkpoint — the case the interrupt line
+	// must not count.
 	args := []string{"-wearers", "6000", "-dur", "30", "-workers", "2",
-		"-seed", "21", "-block-size", "64", "-out", out}
+		"-seed", "21", "-block-size", "500", "-out", out}
 	cmd := exec.Command(bin, args...)
 	cmd.Env = append(os.Environ(), "IOBFLEET_RUN_MAIN=1")
 	var buf strings.Builder
@@ -191,6 +195,18 @@ func TestSignalCheckpointAndResume(t *testing.T) {
 	parked.Abort()
 	if next <= 0 || next >= 6000 {
 		t.Fatalf("checkpoint at wearer %d, want a proper prefix of 6000", next)
+	}
+	// The wearer the interrupt line reports is the one the resume starts
+	// from, not the writer's in-memory count, which runs ahead by the
+	// records buffered toward the next block.
+	var printed int
+	if i := strings.Index(buf.String(), "checkpointed at wearer "); i < 0 {
+		t.Fatalf("no checkpoint line in output:\n%s", buf.String())
+	} else if _, err := fmt.Sscanf(buf.String()[i:], "checkpointed at wearer %d/", &printed); err != nil {
+		t.Fatalf("unparsable checkpoint line: %v\n%s", err, buf.String())
+	}
+	if printed != next {
+		t.Errorf("interrupt line reports wearer %d, resume starts from %d", printed, next)
 	}
 
 	code, resumeOut := runMain(t, append(append([]string{}, args...), "-resume")...)

@@ -34,6 +34,18 @@ func awaitSweep(t *testing.T, m *manager, id, status string, timeout time.Durati
 	}
 }
 
+// awaitRetired waits until reg counts n retired sweeps. A sweep's done
+// status is visible before its finish path runs the retention GC, so a
+// test that saw the status wait for the GC's own signal before checking
+// what it removed. On timeout it returns and the caller's checks report.
+func awaitRetired(t *testing.T, reg *obs.Registry, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for metricValue(t, scrape(t, reg), "iobfleetd_sweeps_retired_total") < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRetainGC pins -retain's contract from both sides: beyond the
 // newest N terminal sweeps the oldest lose their sidecar, store and
 // checkpoint — but resumable state (an interrupted sweep a drain
@@ -62,6 +74,7 @@ func TestRetainGC(t *testing.T) {
 	for _, id := range ids {
 		awaitSweep(t, m, id, statusDone, 60*time.Second)
 	}
+	awaitRetired(t, reg, 1)
 	if _, ok := m.get(ids[0]); ok {
 		t.Errorf("sweep %s still registered beyond -retain 2", ids[0])
 	}
@@ -110,7 +123,8 @@ func TestRetainGC(t *testing.T) {
 
 	// Restart with the same -retain: the boot-time prune must spare the
 	// re-queued interrupted sweep and everything resumable about it.
-	m2, err := newManager(dir, 2, obs.NewRegistry(), nil)
+	reg2 := obs.NewRegistry()
+	m2, err := newManager(dir, 2, reg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +148,7 @@ func TestRetainGC(t *testing.T) {
 	if done.Records != longSpec.Wearers {
 		t.Errorf("resumed sweep records %d, want %d", done.Records, longSpec.Wearers)
 	}
+	awaitRetired(t, reg2, 1)
 	// Its completion makes three terminal sweeps again; the oldest done
 	// sweep (ids[1]) rotates out.
 	if _, ok := m2.get(ids[1]); ok {

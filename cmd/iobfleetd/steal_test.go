@@ -102,6 +102,10 @@ func TestStealKilledBackendNeverRestarts(t *testing.T) {
 				t.Error("post-kill merged store differs byte-for-byte from an uninterrupted single-writer run")
 			}
 
+			// The dead backend's entry expires one -expire TTL after its
+			// last heartbeat, and a fast recovery can finish sooner: wait
+			// for the flip (expiry is lazy-on-read, so each poll re-checks).
+			awaitLiveBackends(t, co, 1, 10*time.Second)
 			text := co.metrics()
 			if got := metricValue(t, text, "iobfleetd_shard_retries_total"); got <= 0 {
 				t.Errorf("shard_retries_total %v after losing a backend for good, want > 0", got)

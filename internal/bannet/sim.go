@@ -2,7 +2,6 @@ package bannet
 
 import (
 	"fmt"
-	"slices"
 
 	"wiban/internal/desim"
 	"wiban/internal/energy"
@@ -551,18 +550,14 @@ func (s *Sim) RunInto(span units.Duration, rep *Report) error {
 		harvestPower := stats.Harvested.At(life)
 		stats.Perpetual = stats.ProjectedLife >= energy.PerpetualLife || harvestPower >= stats.AvgPower
 
-		// Latency percentiles. Sorting a multiset of floats yields the
-		// same sequence under any algorithm, so the percentile picks are
-		// unchanged from the previous sort.Slice formulation.
+		// Latency percentiles, by selection: the picks are the elements a
+		// full sort of the multiset would put at n/2 and n*99/100, so
+		// they do not depend on the order the samples arrived in.
 		if len(st.latencies) > 0 {
-			slices.Sort(st.latencies)
-			stats.LatencyP50 = st.latencies[len(st.latencies)/2]
-			stats.LatencyP99 = st.latencies[(len(st.latencies)*99)/100]
+			stats.LatencyP50, stats.LatencyP99 = p50p99(st.latencies)
 		}
 		if len(st.infLat) > 0 {
-			slices.Sort(st.infLat)
-			stats.InferenceP50 = st.infLat[len(st.infLat)/2]
-			stats.InferenceP99 = st.infLat[(len(st.infLat)*99)/100]
+			stats.InferenceP50, stats.InferenceP99 = p50p99(st.infLat)
 		}
 		rep.Nodes = append(rep.Nodes, *stats)
 	}

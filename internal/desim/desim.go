@@ -7,13 +7,13 @@
 // Determinism is a design requirement: the same seed and the same scenario
 // must replay the identical event order, because the benchmark harness
 // compares energy and latency figures across runs. To that end the kernel is
-// single-threaded, ties in the event heap break on a monotone sequence
-// number, and all randomness flows through the seeded RNG the simulator
-// owns.
+// single-threaded, events are queued in a 4-ary min-heap keyed on
+// (time, sequence number) — the monotone sequence number breaks ties in
+// scheduling order — and all randomness flows through the seeded RNG the
+// simulator owns.
 package desim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -45,23 +45,23 @@ func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 func (t Time) String() string { return fmt.Sprintf("%gs", t.Seconds()) }
 
 // Handler is a scheduled callback. It runs when virtual time reaches the
-// event's timestamp.
+// event's timestamp. A handler may schedule (At, After, Periodic, Every),
+// Cancel and Halt; it must not re-enter the kernel through Run, RunUntil
+// or Reset.
 type Handler func()
 
-// event is a pending callback in the priority queue. Events are recycled
-// through the simulator's freelist: after a one-shot event runs (or a
-// canceled event is reaped) its storage goes back to the arena, so a
-// steady-state simulation — millions of events — allocates a bounded
-// handful of event structs. gen counts recycles so a stale EventID held
-// across a recycle can never cancel the event that now occupies the slot.
+// event is a pending callback. Events are recycled through the
+// simulator's freelist: after a one-shot event runs (or a canceled event
+// is reaped) its storage goes back to the arena, so a steady-state
+// simulation — millions of events — allocates a bounded handful of event
+// structs. gen counts recycles so a stale EventID held across a recycle
+// can never cancel the event that now occupies the slot. The event's
+// position in time lives in its queue slot, not here.
 type event struct {
-	at      Time
-	seq     uint64 // tie-breaker: FIFO among same-time events
 	fn      Handler
 	period  Time // > 0: self-rearming periodic event (see Periodic)
 	gen     uint32
 	stopped bool
-	index   int // heap index, -1 once popped
 }
 
 // EventID identifies a scheduled event so it can be canceled. It pins the
@@ -72,34 +72,80 @@ type EventID struct {
 	gen uint32
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*event
+// slot is one queue entry. The ordering key is stored by value beside the
+// event pointer, so a sift compares keys without following a pointer.
+type slot struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a sorts ahead of b. seq is unique per
+// scheduling, so (at, seq) is a total order: every valid heap shape pops
+// the identical sequence, which is what makes dispatch deterministic.
+func (a slot) before(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of slots ordered by (at, seq). Four
+// children per node halve the depth of a binary heap, and the children
+// of one node share a cache line or two.
+type eventQueue []slot
+
+// push inserts x and sifts it up.
+func (q *eventQueue) push(x slot) {
+	*q = append(*q, x)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = x
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
+
+// pop removes and returns the head's event.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0].ev
+	h[0] = h[n]
+	h[n] = slot{}
+	*q = h[:n]
+	if n > 0 {
+		q.down()
+	}
 	return ev
+}
+
+// down restores the heap order after the head's key grew: the head slot
+// sinks below every child that sorts ahead of it.
+func (q eventQueue) down() {
+	n := len(q)
+	x := q[0]
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
 }
 
 // Simulator owns a virtual clock, an event queue and a deterministic RNG.
@@ -130,8 +176,8 @@ func New(seed int64) *Simulator {
 // retaining the event arena and queue capacity for reuse. Any EventID
 // from before the Reset is inert.
 func (s *Simulator) Reset(seed int64) {
-	for _, ev := range s.queue {
-		s.recycle(ev)
+	for _, x := range s.queue {
+		s.recycle(x.ev)
 	}
 	s.queue = s.queue[:0]
 	s.now = 0
@@ -141,9 +187,9 @@ func (s *Simulator) Reset(seed int64) {
 	s.rng.Seed(seed)
 }
 
-// alloc takes an event from the freelist (or the heap allocator on a
-// cold arena) and stamps it with the next sequence number.
-func (s *Simulator) alloc(at Time, fn Handler, period Time) *event {
+// schedule takes an event from the freelist (or the heap allocator on a
+// cold arena), queues it at the next sequence number and returns its ID.
+func (s *Simulator) schedule(at Time, fn Handler, period Time) EventID {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -152,9 +198,10 @@ func (s *Simulator) alloc(at Time, fn Handler, period Time) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.period, ev.stopped = at, s.seq, fn, period, false
+	ev.fn, ev.period, ev.stopped = fn, period, false
+	s.queue.push(slot{at, s.seq, ev})
 	s.seq++
-	return ev
+	return EventID{ev, ev.gen}
 }
 
 // recycle returns an event's storage to the arena. Bumping gen makes
@@ -209,9 +256,7 @@ func (s *Simulator) At(at Time, fn Handler) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("desim: scheduling at %v before now %v", at, s.now))
 	}
-	ev := s.alloc(at, fn, 0)
-	heap.Push(&s.queue, ev)
-	return EventID{ev, ev.gen}
+	return s.schedule(at, fn, 0)
 }
 
 // After schedules fn to run delay after the current time.
@@ -247,9 +292,7 @@ func (s *Simulator) Periodic(first, period Time, fn Handler) EventID {
 	if first < 0 {
 		panic(fmt.Sprintf("desim: negative delay %v", first))
 	}
-	ev := s.alloc(s.now+first, fn, period)
-	heap.Push(&s.queue, ev)
-	return EventID{ev, ev.gen}
+	return s.schedule(s.now+first, fn, period)
 }
 
 // Every schedules fn to run now+first, then every period thereafter, until
@@ -264,29 +307,47 @@ func (s *Simulator) Every(first, period Time, fn Handler) (stop func()) {
 // stay queued (Run/RunUntil can be called again to resume).
 func (s *Simulator) Halt() { s.halted = true }
 
-// step executes the earliest pending event. It reports false if the queue
-// is empty. One-shot events are recycled after running; periodic events
-// re-arm in place, taking the next sequence number at exactly the point a
-// self-rescheduling callback would have (after its handler returned), so
-// the event order is bit-identical to the closure formulation.
-func (s *Simulator) step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+// endOfTime is a bound no event time reaches; Run steps up to it.
+const endOfTime = Time(1<<63 - 1)
+
+// step executes the earliest pending event if its time is ≤ end, reaping
+// canceled events on the way. It reports false once the queue is empty
+// or its head lies after end. A one-shot event leaves the queue before
+// its handler runs and is recycled after. A periodic event stays at the
+// head while its handler runs — a handler can only schedule keys after
+// the running (at, seq), so nothing displaces it — and then re-arms in
+// place: it takes the next sequence number at exactly the point a
+// self-rescheduling callback would have (after its handler returned) and
+// sinks to its new position, so the event order is bit-identical to the
+// closure formulation.
+func (s *Simulator) step(end Time) bool {
+	for len(s.queue) > 0 {
+		head := s.queue[0]
+		ev := head.ev
 		if ev.stopped {
-			s.recycle(ev)
+			s.recycle(s.queue.pop())
 			continue
 		}
-		s.now = ev.at
-		s.events++
-		ev.fn()
-		if ev.period > 0 && !ev.stopped && !s.halted {
-			ev.at += ev.period
-			ev.seq = s.seq
-			s.seq++
-			heap.Push(&s.queue, ev)
-		} else {
-			s.recycle(ev)
+		if head.at > end {
+			return false
 		}
+		s.now = head.at
+		s.events++
+		if ev.period == 0 {
+			s.queue.pop()
+			ev.fn()
+			s.recycle(ev)
+			return true
+		}
+		ev.fn()
+		if ev.stopped || s.halted {
+			s.recycle(s.queue.pop())
+			return true
+		}
+		s.queue[0].at += ev.period
+		s.queue[0].seq = s.seq
+		s.seq++
+		s.queue.down()
 		return true
 	}
 	return false
@@ -296,7 +357,7 @@ func (s *Simulator) step() bool {
 // returns the final virtual time.
 func (s *Simulator) Run() Time {
 	s.halted = false
-	for !s.halted && s.step() {
+	for !s.halted && s.step(endOfTime) {
 	}
 	return s.now
 }
@@ -306,20 +367,7 @@ func (s *Simulator) Run() Time {
 // queued.
 func (s *Simulator) RunUntil(end Time) Time {
 	s.halted = false
-	for !s.halted {
-		if s.queue.Len() == 0 {
-			break
-		}
-		// Peek at the head without popping.
-		next := s.queue[0]
-		if next.stopped {
-			s.recycle(heap.Pop(&s.queue).(*event))
-			continue
-		}
-		if next.at > end {
-			break
-		}
-		s.step()
+	for !s.halted && s.step(end) {
 	}
 	if s.now < end && !s.halted {
 		s.now = end
@@ -328,5 +376,6 @@ func (s *Simulator) RunUntil(end Time) Time {
 }
 
 // Pending reports how many events are queued (including canceled events not
-// yet reaped).
-func (s *Simulator) Pending() int { return s.queue.Len() }
+// yet reaped). Called from a periodic event's handler, the count includes
+// that event: it stays queued while it runs.
+func (s *Simulator) Pending() int { return len(s.queue) }

@@ -56,8 +56,8 @@ func (w *Writer) writeCheckpoint() error {
 	ck := checkpoint{
 		Offset:     w.offset,
 		Blocks:     w.blocks,
-		NextWearer: w.next - len(w.buf), // committed records only
-		SeedCheck:  desim.DeriveSeed(w.meta.FleetSeed, 2*uint64(w.next-len(w.buf))),
+		NextWearer: w.Checkpointed(),
+		SeedCheck:  desim.DeriveSeed(w.meta.FleetSeed, 2*uint64(w.Checkpointed())),
 	}
 	ck.CRC = ck.sum()
 	blob, err := json.Marshal(ck)

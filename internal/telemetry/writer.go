@@ -188,6 +188,11 @@ func (w *Writer) Meta() Meta { return w.meta }
 // the interrupted sweep continues from.
 func (w *Writer) NextWearer() int { return w.next }
 
+// Checkpointed is the wearer index the durable checkpoint resumes from:
+// NextWearer less the records still buffered toward the next block,
+// which a kill or Abort loses.
+func (w *Writer) Checkpointed() int { return w.next - len(w.buf) }
+
 // Blocks reports committed blocks.
 func (w *Writer) Blocks() int { return w.blocks }
 
