@@ -145,7 +145,9 @@
 // dies and comes back on the same address resumes its recovered shard
 // from its own checkpoint; a replacement backend with an empty data
 // dir seed-pulls the coordinator's partial replica (the shards/{k}
-// endpoint) and appends from there. Backend selection consults
+// endpoint) and appends from there. Fetched bytes are kept only once
+// their frames pass the CRC check, so a cut or garbled body never
+// lands in the partial (FuzzFetchShard). Backend selection consults
 // /healthz, which reports readiness — 200 while accepting work, 503
 // once draining — so a draining backend stops receiving shards. Each
 // sweep response carries an X-Iobfleetd-Instance nonce, so a
@@ -227,6 +229,26 @@
 // steady-state prune and the boot-time prune a restart runs before
 // serving. 0 (the default) keeps everything. TestRetainGC pins both
 // sides.
+//
+// # Sweep lifecycle
+//
+// A sweep goes queued → running → done, failed, interrupted or
+// cancelled. Every status change but a new sweep's birth as queued is
+// made by one function, the manager's move, under the manager lock and
+// then the sweep's. move keeps the books that follow from the status:
+// the pending queue holds exactly the queued sweeps (the queued gauge
+// is its length), the running gauge counts claimed runs, the new
+// status's entry counter (started, completed, failed, interrupted,
+// cancelled) is bumped, and the sidecar is rewritten and the state
+// published — as the final event once the sweep rests, terminal or
+// interrupted. Recovery, label revival and DELETE all go through it. A
+// runner checks the drain flag, pops the queue head and claims it
+// (queued → running, plus the run's context) in one hold of the
+// manager lock, so no sweep is ever popped but unclaimed: a drain
+// leaves every unclaimed sweep queued in place, and a DELETE either
+// unqueues a sweep before its claim or cancels the claimed run.
+// TestLifecycleInvariants pins the books under concurrent cancels, a
+// drain, a restart and a revival.
 //
 // # Drain and restart
 //

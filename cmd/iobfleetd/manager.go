@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,6 +37,9 @@ var (
 	errNoSweep  = errors.New("no such sweep")
 	errTerminal = errors.New("sweep already terminal")
 )
+
+// errQueueFull refuses a submission past the queue cap.
+var errQueueFull = errors.New("sweep queue full")
 
 // Sweep statuses. A sweep moves queued → running → {done, failed,
 // interrupted, cancelled}; interrupted and (recovered) running/queued
@@ -75,6 +79,13 @@ func (st *sweepState) terminal() bool {
 	return st.Status == statusDone || st.Status == statusFailed || st.Status == statusCancelled
 }
 
+// resting reports whether no runner will move the sweep on its own: it
+// is terminal or parked interrupted. A resting state's progress event is
+// the final one a subscriber receives.
+func (st *sweepState) resting() bool {
+	return st.terminal() || st.Status == statusInterrupted
+}
+
 // progressEvent is one NDJSON line on a sweep's progress stream: the
 // sweep's state snapshot at a block-commit tick (or status change).
 // Final marks the last event a subscriber will receive.
@@ -87,20 +98,15 @@ type progressEvent struct {
 // job is the in-memory half of a sweepState: the mutable state plus
 // its progress subscribers and, while it runs, the cancel function of
 // its context. All fields are guarded by mu. Lock order is always
-// manager.mu → job.mu; no path takes them the other way round, which
-// is what makes the runner's queued→running claim and cancel()'s
-// queued→cancelled transition mutually exclusive instead of racy.
+// manager.mu → job.mu; no path takes them the other way round, and
+// every status change (move) holds both, which is what makes the
+// runner's queued→running claim and cancel()'s queued→cancelled
+// transition mutually exclusive instead of racy.
 type job struct {
 	mu   sync.Mutex
 	st   sweepState
 	subs map[chan progressEvent]struct{}
-	stop context.CancelCauseFunc // ends the current run's context; set by the claim
-}
-
-func (sw *job) cancelRequested() bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.st.CancelRequested
+	stop context.CancelCauseFunc // ends the claimed run's context; set by the claim, cleared by move
 }
 
 func (sw *job) snapshot() sweepState {
@@ -121,7 +127,7 @@ func (sw *job) subscribe() chan progressEvent {
 		sw.subs = make(map[chan progressEvent]struct{})
 	}
 	sw.subs[ch] = struct{}{}
-	ch <- sw.event(sw.st.terminal() || sw.st.Status == statusInterrupted)
+	ch <- sw.event(sw.st.resting())
 	return ch
 }
 
@@ -200,15 +206,14 @@ type manager struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // wakes runners when pending gains work or drain begins
-	pending  []*job     // FIFO of sweeps awaiting a runner (unbounded; queueCap gates submissions only)
+	pending  []*job     // exactly the queued sweeps, FIFO (unbounded; queueCap gates submissions only)
 	draining bool
 	queueCap int
 	sweeps   map[string]*job
 	order    []string          // submission order (ID order)
 	byLabel  map[string]string // shard label → sweep ID (idempotent re-dispatch)
 	nextID   int
-	queued   int
-	running  int
+	running  int // claimed runs not yet moved out of running
 }
 
 // daemonMetrics is the daemon's own event-driven metric set. The
@@ -216,12 +221,15 @@ type manager struct {
 // iterations, window depth) are registered as func metrics over the
 // shared fleet.Stats and need no fields here.
 type daemonMetrics struct {
-	submitted, started, completed, failed, interrupted, resumed *obs.Counter
-	cancelled, retired                                          *obs.Counter
-	blocksWritten, bytesWritten                                 *obs.Counter
-	shardsDispatched, shardRetries, shardFetchBytes             *obs.Counter
-	shardsStolen                                                *obs.Counter
-	sweepSeconds, phase1Seconds                                 *obs.Histogram
+	// entered counts every move into a status, keyed by that status
+	// (running: started, done: completed, ...); queued has no counter.
+	entered                                         map[string]*obs.Counter
+	submitted, resumed, retired                     *obs.Counter
+	blocksWritten, bytesWritten                     *obs.Counter
+	shardsDispatched, shardRetries, shardFetchBytes *obs.Counter
+	shardsStolen                                    *obs.Counter
+	registrations, expirations                      *obs.Counter
+	sweepSeconds, phase1Seconds                     *obs.Histogram
 }
 
 // newManager loads any sweeps a previous process left in dir, re-queues
@@ -247,14 +255,15 @@ func newManager(dir string, slots int, reg *obs.Registry, backends []string) (*m
 		sweeps:   make(map[string]*job),
 		byLabel:  make(map[string]string),
 	}
-	members, err := newMembership(filepath.Join(dir, "backends.json"), backends)
+	m.cond = sync.NewCond(&m.mu)
+	m.drainCtx, m.stopDrain = context.WithCancelCause(context.Background())
+	m.registerMetrics(reg)
+	members, err := newMembership(filepath.Join(dir, "backends.json"), backends,
+		m.metrics.registrations, m.metrics.expirations)
 	if err != nil {
 		return nil, err
 	}
 	m.members = members
-	m.cond = sync.NewCond(&m.mu)
-	m.drainCtx, m.stopDrain = context.WithCancelCause(context.Background())
-	m.registerMetrics(reg)
 	if err := m.recover(); err != nil {
 		return nil, err
 	}
@@ -274,9 +283,11 @@ func (m *manager) start(selfBase string) {
 
 // recover scans dir for `<id>.json` sidecars and rebuilds the sweep
 // set. Terminal sweeps are kept for the API; anything a dead process
-// left queued, running or interrupted goes back on the queue in ID
+// left queued, running or interrupted moves back onto the queue in ID
 // order — running/interrupted sweeps resume from their telemetry
-// checkpoint when a runner picks them up.
+// checkpoint when a runner picks them up. The queue is unbounded by
+// design: recovery never deadlocks on how many sweeps a dead process
+// left behind.
 func (m *manager) recover() error {
 	names, err := filepath.Glob(filepath.Join(m.dir, "s*.json"))
 	if err != nil {
@@ -305,27 +316,16 @@ func (m *manager) recover() error {
 		if st.Spec.Label != "" {
 			m.byLabel[st.Spec.Label] = st.ID
 		}
-		if !st.terminal() {
-			if st.CancelRequested {
-				// The process died between the DELETE and the runner's
-				// acknowledgement: finalize the cancellation instead of
-				// re-queueing work nobody wants. The checkpointed store stays
-				// for retention to collect.
-				sw.st.Status = statusCancelled
-				if err := m.persist(sw); err != nil {
-					return err
-				}
-				m.metrics.cancelled.Inc()
-				continue
-			}
-			sw.st.Status = statusQueued
-			if err := m.persist(sw); err != nil {
-				return err
-			}
-			m.queued++
-			// The staging list is unbounded by design: recovery must never
-			// deadlock on how many sweeps a dead process left behind.
-			m.pending = append(m.pending, sw)
+		switch {
+		case st.terminal():
+		case st.CancelRequested:
+			// The process died between the DELETE and the runner's
+			// acknowledgement: finalize the cancellation instead of
+			// re-queueing work nobody wants. The checkpointed store stays
+			// for retention to collect.
+			m.move(sw, statusCancelled, "")
+		default:
+			m.move(sw, statusQueued, "")
 		}
 	}
 	return nil
@@ -341,66 +341,45 @@ func (m *manager) submit(spec sweepSpec) (sweepState, error) {
 		return sweepState{}, err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.draining {
-		m.mu.Unlock()
 		return sweepState{}, errDrained
 	}
-	if spec.Label != "" {
-		if id, ok := m.byLabel[spec.Label]; ok {
-			// Idempotent re-dispatch: a coordinator resubmitting a shard
-			// (after its own restart, or a lost response) gets the existing
-			// sweep back instead of a duplicate simulation.
-			sw := m.sweeps[id]
-			sw.mu.Lock()
-			if !reflect.DeepEqual(sw.st.Spec, spec) {
-				sw.mu.Unlock()
-				m.mu.Unlock()
-				return sweepState{}, fmt.Errorf("label %q already names sweep %s with a different spec", spec.Label, id)
-			}
-			if sw.st.Status == statusCancelled {
-				// Revival: the steal protocol cancels a losing shard copy, but
-				// a coordinator re-dispatching the same label later (its winner
-				// died too) must be able to run it again — from the checkpoint
-				// the cancellation parked.
-				if m.queued >= m.queueCap {
-					sw.mu.Unlock()
-					m.mu.Unlock()
-					return sweepState{}, fmt.Errorf("sweep queue full")
-				}
-				sw.st.Status = statusQueued
-				sw.st.CancelRequested = false
-				sw.st.Error = ""
-				if err := m.persist(sw); err != nil {
-					sw.mu.Unlock()
-					m.mu.Unlock()
-					return sweepState{}, err
-				}
-				sw.publish(false)
-				m.queued++
-				m.pending = append(m.pending, sw)
-				m.cond.Signal()
-				st := sw.st
-				sw.mu.Unlock()
-				m.mu.Unlock()
-				m.metrics.submitted.Inc()
-				return st, nil
-			}
-			st := sw.st
-			sw.mu.Unlock()
-			m.mu.Unlock()
-			return st, nil
+	if id, ok := m.byLabel[spec.Label]; ok {
+		// Idempotent re-dispatch: a coordinator resubmitting a shard
+		// (after its own restart, or a lost response) gets the existing
+		// sweep back instead of a duplicate simulation.
+		sw := m.sweeps[id]
+		sw.mu.Lock()
+		defer sw.mu.Unlock()
+		switch {
+		case !reflect.DeepEqual(sw.st.Spec, spec):
+			return sweepState{}, fmt.Errorf("label %q already names sweep %s with a different spec", spec.Label, id)
+		case sw.st.Status != statusCancelled:
+		case len(m.pending) >= m.queueCap:
+			return sweepState{}, errQueueFull
+		default:
+			// Revival: the steal protocol cancels a losing shard copy, but
+			// a coordinator re-dispatching the same label later (its winner
+			// died too) must be able to run it again — from the checkpoint
+			// the cancellation parked.
+			sw.st.CancelRequested = false
+			m.move(sw, statusQueued, "")
+			m.metrics.submitted.Inc()
 		}
+		return sw.st, nil
 	}
-	if m.queued >= m.queueCap {
+	if len(m.pending) >= m.queueCap {
 		// Back-pressure the client rather than block the HTTP handler.
-		m.mu.Unlock()
-		return sweepState{}, fmt.Errorf("sweep queue full")
+		return sweepState{}, errQueueFull
 	}
+	// The one status move does not set: a new sweep is born queued, and
+	// its sidecar is durable before anything else learns of it. Until
+	// m.mu is released no runner can claim it, so sw.st is ours to read.
 	id := fmt.Sprintf("s%06d", m.nextID)
 	m.nextID++
 	sw := &job{st: sweepState{ID: id, Spec: spec, Status: statusQueued}}
 	if err := m.persist(sw); err != nil {
-		m.mu.Unlock()
 		return sweepState{}, err
 	}
 	m.sweeps[id] = sw
@@ -408,12 +387,10 @@ func (m *manager) submit(spec sweepSpec) (sweepState, error) {
 	if spec.Label != "" {
 		m.byLabel[spec.Label] = id
 	}
-	m.queued++
 	m.pending = append(m.pending, sw)
 	m.cond.Signal()
-	m.mu.Unlock()
 	m.metrics.submitted.Inc()
-	return sw.snapshot(), nil
+	return sw.st, nil
 }
 
 // get returns one sweep by ID.
@@ -440,6 +417,50 @@ func (m *manager) list() []sweepState {
 	return out
 }
 
+// move is the one status transition; only the literal that mints a new
+// sweep in submit sets a status without it. Caller holds m.mu, then
+// sw.mu. move keeps the books that follow from the status:
+//   - pending holds exactly the queued sweeps, in FIFO order;
+//   - running counts claimed runs (the claim sets sw.stop; a recovered
+//     sidecar's "running" belongs to a dead process and was never claimed);
+//   - the entry counter for the new status is bumped;
+//   - the sidecar is rewritten and the state published, final once the
+//     sweep is resting.
+func (m *manager) move(sw *job, to, errMsg string) {
+	switch {
+	case sw.st.Status == statusQueued:
+		if i := slices.Index(m.pending, sw); i >= 0 {
+			m.pending = slices.Delete(m.pending, i, i+1)
+		}
+	case sw.st.Status == statusRunning && sw.stop != nil:
+		m.running--
+		sw.stop = nil
+	}
+	sw.st.Status, sw.st.Error = to, errMsg
+	switch to {
+	case statusQueued:
+		m.pending = append(m.pending, sw)
+		m.cond.Signal()
+	case statusRunning:
+		m.running++
+	}
+	if c := m.metrics.entered[to]; c != nil {
+		c.Inc()
+	}
+	m.save(sw)
+	sw.publish(sw.st.resting())
+}
+
+// save persists the sidecar after an in-memory change. The change
+// stands even if the write fails: a restart then replays this sweep from
+// its last durable state, which the resume path is built to absorb, so
+// say so rather than die mid-drain.
+func (m *manager) save(sw *job) {
+	if err := m.persist(sw); err != nil {
+		fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
+	}
+}
+
 // persist writes the sweep's sidecar atomically (temp + rename), the
 // same durability discipline as the telemetry checkpoint: a crash
 // leaves either the old state or the new, never a torn file.
@@ -456,25 +477,33 @@ func (m *manager) persist(sw *job) error {
 	return os.Rename(tmp, path)
 }
 
-// runner is one slot of the bounded pool: it pulls queued sweeps until
-// the daemon drains.
+// runner is one slot of the bounded pool: it claims queued sweeps until
+// the daemon drains. The pop and the queued→running claim happen in the
+// same m.mu hold as the drain check, so a sweep is never popped but
+// unclaimed: a drain leaves every unclaimed sweep queued where it is,
+// and a cancel either unqueues a sweep before the claim or finds it
+// running after.
 func (m *manager) runner() {
 	defer m.wg.Done()
 	m.mu.Lock()
-	for {
-		if m.draining {
-			m.mu.Unlock()
-			return
-		}
-		if len(m.pending) > 0 {
-			sw := m.pending[0]
-			m.pending = m.pending[1:]
-			m.mu.Unlock()
-			m.run(sw)
-			m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.draining {
+		if len(m.pending) == 0 {
+			m.cond.Wait()
 			continue
 		}
-		m.cond.Wait()
+		// The run's context ends at a drain (errDrained) or a DELETE
+		// (errCancelled); the running sweep stops at its next record boundary.
+		sw := m.pending[0]
+		ctx, stop := context.WithCancelCause(m.drainCtx)
+		sw.mu.Lock()
+		sw.stop = stop
+		m.move(sw, statusRunning, "")
+		sw.mu.Unlock()
+		m.mu.Unlock()
+		m.run(ctx, sw)
+		stop(nil)
+		m.mu.Lock()
 	}
 }
 
@@ -502,45 +531,8 @@ func (m *manager) isDraining() bool {
 	return m.draining
 }
 
-// run executes one sweep to a terminal or interrupted state.
-func (m *manager) run(sw *job) {
-	m.mu.Lock()
-	if m.draining {
-		// Hand the sweep back to the front of the queue instead of
-		// dropping it on the floor: it stays "queued" in memory, on disk
-		// AND in the queued gauge — a coordinator watching backend gauges
-		// during drain sees real load, not phantom drift.
-		m.pending = append([]*job{sw}, m.pending...)
-		m.mu.Unlock()
-		return
-	}
-	// The queued→running claim happens under both locks, mirroring
-	// cancel()'s queued→cancelled transition: exactly one of the two
-	// wins, and a sweep cancelled between enqueue and claim is simply
-	// skipped — cancel() already settled its state and gauges.
-	sw.mu.Lock()
-	if sw.st.Status != statusQueued {
-		sw.mu.Unlock()
-		m.mu.Unlock()
-		return
-	}
-	m.queued--
-	m.running++
-	sw.st.Status = statusRunning
-	sw.st.Error = ""
-	if err := m.persist(sw); err != nil {
-		fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
-	}
-	sw.publish(false)
-	// The run's context ends at a drain (errDrained) or a DELETE
-	// (errCancelled); the running sweep stops at its next record boundary.
-	ctx, stop := context.WithCancelCause(m.drainCtx)
-	defer stop(nil)
-	sw.stop = stop
-	sw.mu.Unlock()
-	m.mu.Unlock()
-	m.metrics.started.Inc()
-
+// run executes one claimed sweep to a resting state.
+func (m *manager) run(ctx context.Context, sw *job) {
 	storePath := m.storePath(sw.st.ID)
 	spec := sw.snapshot().Spec
 	if spec.Shards > 0 {
@@ -549,7 +541,7 @@ func (m *manager) run(sw *job) {
 	}
 	f, meta, err := spec.Build(m.stats)
 	if err != nil {
-		m.finish(sw, statusFailed, err.Error())
+		m.finish(sw, err)
 		return
 	}
 
@@ -565,7 +557,7 @@ func (m *manager) run(sw *job) {
 	}
 	s, err := sweep.Open(f, meta, storePath, resume)
 	if err != nil {
-		m.finish(sw, statusFailed, err.Error())
+		m.finish(sw, err)
 		return
 	}
 	if resume {
@@ -592,7 +584,7 @@ func (m *manager) run(sw *job) {
 	start := time.Now()
 	perf, err := s.Run(ctx)
 	if err != nil {
-		m.finishErr(sw, err) // a cancelled sweep's checkpoint stays; retention collects it later
+		m.finish(sw, err) // a cancelled sweep's checkpoint stays; retention collects it later
 		return
 	}
 	m.metrics.sweepSeconds.Observe(time.Since(start).Seconds())
@@ -601,63 +593,41 @@ func (m *manager) run(sw *job) {
 	sw.st.Fingerprint = s.Agg.Report().Fingerprint()
 	sw.st.Records = s.Agg.Wearers()
 	sw.mu.Unlock()
-	m.finish(sw, statusDone, "")
+	m.finish(sw, nil)
 }
 
-// setStatus moves a running sweep to its resting state and persists +
-// publishes the change. (The queued→running claim lives inline in run(),
-// under both locks, so it can race-check against cancellation.)
-func (m *manager) setStatus(sw *job, status, errMsg string) {
+// finish moves a claimed sweep whose run ended with err (nil: done) to
+// its resting state and returns the status that stuck: a drain that
+// lands on a sweep whose cancellation was already requested parks it
+// "cancelled", not "interrupted" — a restart must not revive work the
+// DELETE already disowned.
+func (m *manager) finish(sw *job, err error) string {
+	to, msg := outcome(err), ""
+	if to == statusFailed {
+		msg = err.Error()
+	}
 	m.mu.Lock()
-	switch status {
-	case statusDone, statusFailed, statusInterrupted, statusCancelled:
-		m.running--
-	}
-	m.mu.Unlock()
 	sw.mu.Lock()
-	sw.st.Status = status
-	sw.st.Error = errMsg
-	if err := m.persist(sw); err != nil {
-		// The in-memory transition stands; losing a sidecar write means a
-		// restart replays this sweep from its last durable state, which the
-		// resume path is built to absorb. Say so rather than die mid-drain.
-		fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
+	if to == statusInterrupted && sw.st.CancelRequested {
+		to = statusCancelled
 	}
-	sw.publish(status != statusQueued && status != statusRunning)
+	m.move(sw, to, msg)
 	sw.mu.Unlock()
-}
-
-// finish moves a running sweep to a terminal (or interrupted) state,
-// counting the outcome, and returns the status that actually stuck: a
-// drain that lands on a sweep whose cancellation was already requested
-// parks it "cancelled", not "interrupted" — a restart must not revive
-// work the DELETE already disowned.
-func (m *manager) finish(sw *job, status, errMsg string) string {
-	if status == statusInterrupted && sw.cancelRequested() {
-		status = statusCancelled
-	}
-	m.setStatus(sw, status, errMsg)
-	switch status {
-	case statusDone:
-		m.metrics.completed.Inc()
-	case statusFailed:
-		m.metrics.failed.Inc()
-	case statusInterrupted:
-		m.metrics.interrupted.Inc()
-	case statusCancelled:
-		m.metrics.cancelled.Inc()
-	}
-	if status == statusDone || status == statusCancelled {
+	m.mu.Unlock()
+	if to == statusDone || to == statusCancelled {
 		m.pruneRetained()
 	}
-	return status
+	return to
 }
 
 // outcome is the daemon's one mapping from the error a run ended with to
-// the sweep's resting status: a DELETE (errCancelled) parks it
-// cancelled, a drain (errDrained) interrupted, anything else fails it.
+// the sweep's resting status: none is done, a DELETE (errCancelled)
+// parks it cancelled, a drain (errDrained) interrupted, anything else
+// fails it.
 func outcome(err error) string {
 	switch {
+	case err == nil:
+		return statusDone
 	case errors.Is(err, errCancelled):
 		return statusCancelled
 	case errors.Is(err, errDrained):
@@ -666,24 +636,11 @@ func outcome(err error) string {
 	return statusFailed
 }
 
-// finishErr finishes a sweep whose run ended with err at outcome(err),
-// returning the status that stuck (see finish).
-func (m *manager) finishErr(sw *job, err error) string {
-	status, msg := outcome(err), ""
-	if status == statusFailed {
-		msg = err.Error()
-	}
-	return m.finish(sw, status, msg)
-}
-
-// cancel implements DELETE /api/sweeps/{id}. A queued sweep unqueues on
-// the spot; a running sweep has its context cancelled and the runner
-// checkpoints-and-parks it cancelled at the next record boundary; an
-// interrupted sweep is finalized so a restart won't resurrect it. done
-// and failed are already settled (errTerminal); cancelling a cancelled
-// sweep is idempotent. Gauge accounting happens here for the states a
-// runner doesn't own (queued, interrupted) and in the runner's own
-// transition for running — never both.
+// cancel implements DELETE /api/sweeps/{id}. A sweep no runner owns —
+// queued or interrupted — moves to cancelled on the spot; a running
+// sweep has its context cancelled and its runner parks it cancelled at
+// the next record boundary. done and failed are already settled
+// (errTerminal); cancelling a cancelled sweep is idempotent.
 func (m *manager) cancel(id string) (sweepState, error) {
 	m.mu.Lock()
 	sw, ok := m.sweeps[id]
@@ -692,49 +649,22 @@ func (m *manager) cancel(id string) (sweepState, error) {
 		return sweepState{}, errNoSweep
 	}
 	sw.mu.Lock()
+	var err error
 	prune := false
 	switch sw.st.Status {
 	case statusDone, statusFailed:
-		st := sw.st
-		sw.mu.Unlock()
-		m.mu.Unlock()
-		return st, errTerminal
-	case statusCancelled:
-		// idempotent: report the settled state again
-	case statusQueued:
-		for i, p := range m.pending {
-			if p == sw {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				break
-			}
-		}
-		m.queued--
-		sw.st.Status = statusCancelled
+		err = errTerminal
+	case statusQueued, statusInterrupted:
 		sw.st.CancelRequested = true
-		if err := m.persist(sw); err != nil {
-			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
-		}
-		sw.publish(true)
-		m.metrics.cancelled.Inc()
-		prune = true
-	case statusInterrupted:
-		sw.st.Status = statusCancelled
-		sw.st.CancelRequested = true
-		if err := m.persist(sw); err != nil {
-			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
-		}
-		sw.publish(true)
-		m.metrics.cancelled.Inc()
+		m.move(sw, statusCancelled, "")
 		prune = true
 	case statusRunning:
-		// End the run's context and persist the request; the runner owns
-		// the running gauge and completes the transition at the next record
-		// boundary (or the shard supervisors cancel their sub-sweeps).
+		// End the run's context and persist the request; the runner
+		// completes the transition at the next record boundary (or the shard
+		// supervisors cancel their sub-sweeps).
 		sw.st.CancelRequested = true
 		sw.stop(errCancelled)
-		if err := m.persist(sw); err != nil {
-			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
-		}
+		m.save(sw)
 	}
 	st := sw.st
 	sw.mu.Unlock()
@@ -742,7 +672,7 @@ func (m *manager) cancel(id string) (sweepState, error) {
 	if prune {
 		m.pruneRetained()
 	}
-	return st, nil
+	return st, err
 }
 
 // pruneRetained enforces -retain: beyond the newest N terminal-and-done
@@ -807,13 +737,15 @@ func (m *manager) pruneRetained() {
 // runtime gauges.
 func (m *manager) registerMetrics(reg *obs.Registry) {
 	m.metrics = &daemonMetrics{
-		submitted:   reg.NewCounter("iobfleetd_sweeps_submitted_total", "Sweeps accepted by POST /api/sweeps.", nil),
-		started:     reg.NewCounter("iobfleetd_sweeps_started_total", "Sweeps a runner began executing (resumes included).", nil),
-		completed:   reg.NewCounter("iobfleetd_sweeps_completed_total", "Sweeps finished with a fingerprint.", nil),
-		failed:      reg.NewCounter("iobfleetd_sweeps_failed_total", "Sweeps ended by an error.", nil),
-		interrupted: reg.NewCounter("iobfleetd_sweeps_interrupted_total", "Sweeps checkpointed and parked by a drain.", nil),
-		resumed:     reg.NewCounter("iobfleetd_sweeps_resumed_total", "Sweeps continued from a telemetry checkpoint.", nil),
-		cancelled:   reg.NewCounter("iobfleetd_sweeps_cancelled_total", "Sweeps cancelled by DELETE (or finalized as cancelled on recovery).", nil),
+		submitted: reg.NewCounter("iobfleetd_sweeps_submitted_total", "Sweeps accepted by POST /api/sweeps.", nil),
+		entered: map[string]*obs.Counter{
+			statusRunning:     reg.NewCounter("iobfleetd_sweeps_started_total", "Sweeps a runner began executing (resumes included).", nil),
+			statusDone:        reg.NewCounter("iobfleetd_sweeps_completed_total", "Sweeps finished with a fingerprint.", nil),
+			statusFailed:      reg.NewCounter("iobfleetd_sweeps_failed_total", "Sweeps ended by an error.", nil),
+			statusInterrupted: reg.NewCounter("iobfleetd_sweeps_interrupted_total", "Sweeps checkpointed and parked by a drain.", nil),
+			statusCancelled:   reg.NewCounter("iobfleetd_sweeps_cancelled_total", "Sweeps cancelled by DELETE (or finalized as cancelled on recovery).", nil),
+		},
+		resumed: reg.NewCounter("iobfleetd_sweeps_resumed_total", "Sweeps continued from a telemetry checkpoint.", nil),
 		retired: reg.NewCounter("iobfleetd_sweeps_retired_total",
 			"Terminal sweeps garbage-collected by -retain (store, checkpoint and sidecar unlinked).", nil),
 		blocksWritten: reg.NewCounter("iobfleetd_telemetry_blocks_written_total",
@@ -828,6 +760,10 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 			"Shard store bytes replicated between daemons (coordinator pulls and seed-store pulls).", nil),
 		shardsStolen: reg.NewCounter("iobfleetd_shards_stolen_total",
 			"Speculative shard copies dispatched after a straggler stalled past -steal-after.", nil),
+		registrations: reg.NewCounter("iobfleetd_backend_registrations_total",
+			"Backends added to the membership table (first registration or revival after expiry).", nil),
+		expirations: reg.NewCounter("iobfleetd_backends_expired_total",
+			"Dynamic backends whose heartbeats fell silent past -expire.", nil),
 		sweepSeconds: reg.NewHistogram("iobfleetd_sweep_duration_seconds",
 			"Wall-clock duration of completed sweeps.", nil,
 			[]float64{0.01, 0.1, 1, 10, 60, 600, 3600}),
@@ -864,7 +800,7 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 	reg.NewGaugeFunc("iobfleetd_sweeps_queued", "Sweeps waiting for a runner.", nil, func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return float64(m.queued)
+		return float64(len(m.pending))
 	})
 	reg.NewGaugeFunc("iobfleetd_sweeps_running", "Sweeps currently executing.", nil, func() float64 {
 		m.mu.Lock()
@@ -875,19 +811,14 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 		"Shard backends configured via -backends (0 = loopback self-dispatch).", nil,
 		func() float64 { return float64(len(m.backends)) })
 
-	// Membership: registration/expiry counters are wired into the table
-	// (which predates this call in newManager); liveness is derived per
-	// scrape, so the gauges are funcs over one locked pass.
-	m.members.registrations = reg.NewCounter("iobfleetd_backend_registrations_total",
-		"Backends added to the membership table (first registration or revival after expiry).", nil)
-	m.members.expirations = reg.NewCounter("iobfleetd_backends_expired_total",
-		"Dynamic backends whose heartbeats fell silent past -expire.", nil)
+	// Membership liveness is derived per scrape, so the gauges are funcs
+	// over one locked pass (the table is built right after this call).
 	reg.NewGaugeFunc("iobfleetd_backends_registered",
 		"Membership table entries (static and dynamic, live or expired).", nil,
-		func() float64 { t, _, _ := m.members.counts(); return float64(t) })
+		func() float64 { t, _ := m.members.counts(); return float64(t) })
 	reg.NewGaugeFunc("iobfleetd_backends_live",
 		"Membership entries currently selectable for shard dispatch.", nil,
-		func() float64 { _, l, _ := m.members.counts(); return float64(l) })
+		func() float64 { _, l := m.members.counts(); return float64(l) })
 
 	reg.NewGaugeFunc("iobfleetd_goroutines", "Goroutines in the daemon process.", nil,
 		func() float64 { return float64(runtime.NumGoroutine()) })

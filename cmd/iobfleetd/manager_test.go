@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,7 +124,7 @@ func TestRecoverBeyondQueueCap(t *testing.T) {
 			t.Fatal(r.err)
 		}
 		r.m.mu.Lock()
-		queued, pending := r.m.queued, len(r.m.pending)
+		queued, pending := len(r.m.pending), len(r.m.pending)
 		r.m.mu.Unlock()
 		if queued != n || pending != n {
 			t.Errorf("recovered queued=%d pending=%d, want %d each", queued, pending, n)
@@ -130,50 +134,230 @@ func TestRecoverBeyondQueueCap(t *testing.T) {
 	}
 }
 
-// TestDrainQueuedGauge pins the drain hand-back: a sweep popped by a
-// runner that loses the race with beginDrain goes back to the front of
-// the queue, still queued on disk, in memory and in the gauge. (The
-// original bug returned early without re-queuing, leaking the gauge and
+// TestDrainQueuedGauge pins what a drain leaves behind: a sweep still
+// queued when the drain lands stays at the front of the queue, queued
+// in memory, on disk and in the gauge — even for a runner that starts
+// only after the drain, which checks the drain flag in the same hold it
+// would pop and claim under. (The original bug popped first and
+// returned early on the drain without re-queuing, leaking the gauge and
 // orphaning the sweep until restart.)
 func TestDrainQueuedGauge(t *testing.T) {
+	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	m, err := newManager(t.TempDir(), 1, reg, nil)
+	m, err := newManager(dir, 1, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.submit(minimalSpec(1)); err != nil {
+	st, err := m.submit(minimalSpec(1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	sw, _ := m.get(st.ID)
 
-	// Replay the losing race by hand: pop like a runner, then drain
-	// before run() begins. No runners were started, so beginDrain
-	// returns as soon as the flag is set.
-	m.mu.Lock()
-	sw := m.pending[0]
-	m.pending = m.pending[1:]
-	m.mu.Unlock()
+	// Drain first, then start the runner pool: the runner loses the race
+	// with the drain by construction, and beginDrain waits for it to exit.
 	m.beginDrain()
-	m.run(sw)
+	m.start("")
+	m.beginDrain()
 
 	m.mu.Lock()
-	queued, pending := m.queued, len(m.pending)
-	var front *job
-	if pending > 0 {
-		front = m.pending[0]
-	}
+	pending := slices.Clone(m.pending)
 	m.mu.Unlock()
-	if queued != 1 {
-		t.Errorf("queued count %d after drain hand-back, want 1", queued)
-	}
-	if front != sw {
-		t.Errorf("drained sweep not back at the queue front (pending %d)", pending)
+	if len(pending) != 1 || pending[0] != sw {
+		t.Errorf("drained sweep not alone at the queue front (pending %d)", len(pending))
 	}
 	if got := sw.snapshot().Status; got != statusQueued {
 		t.Errorf("drained sweep status %q, want %q", got, statusQueued)
 	}
-	if got := metricValue(t, scrape(t, reg), "iobfleetd_sweeps_queued"); got != 1 {
-		t.Errorf("queued gauge %v after drain hand-back, want 1", got)
+	var disk sweepState
+	if raw, err := os.ReadFile(filepath.Join(dir, st.ID+".json")); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(raw, &disk); err != nil {
+		t.Fatal(err)
 	}
+	if disk.Status != statusQueued {
+		t.Errorf("drained sweep sidecar status %q, want %q", disk.Status, statusQueued)
+	}
+	if got := metricValue(t, scrape(t, reg), "iobfleetd_sweeps_queued"); got != 1 {
+		t.Errorf("queued gauge %v after drain, want 1", got)
+	}
+}
+
+// checkBooks asserts the books move keeps against the statuses it set:
+// every sweep is in pending exactly once if it is queued and never
+// otherwise, and the running count matches the running statuses. Once
+// settled (no runner left), every sidecar must also decode to its
+// sweep's in-memory state and the queued and running gauges must match
+// the status counts, running being 0.
+func checkBooks(t *testing.T, m *manager, reg *obs.Registry, settled bool) {
+	t.Helper()
+	m.mu.Lock()
+	queued, running := 0, 0
+	for id, sw := range m.sweeps {
+		sw.mu.Lock()
+		st := sw.st
+		sw.mu.Unlock()
+		in := 0
+		for _, p := range m.pending {
+			if p == sw {
+				in++
+			}
+		}
+		if want := st.Status == statusQueued; in > 1 || (in == 1) != want {
+			t.Errorf("%s is %s but sits in pending %d times", id, st.Status, in)
+		}
+		switch st.Status {
+		case statusQueued:
+			queued++
+		case statusRunning:
+			running++
+		}
+		if !settled {
+			continue
+		}
+		var disk sweepState
+		if raw, err := os.ReadFile(filepath.Join(m.dir, id+".json")); err != nil {
+			t.Error(err)
+		} else if err := json.Unmarshal(raw, &disk); err != nil {
+			t.Error(err)
+		} else if !reflect.DeepEqual(disk, st) {
+			t.Errorf("%s sidecar %+v, in memory %+v", id, disk, st)
+		}
+	}
+	if len(m.pending) != queued || m.running != running {
+		t.Errorf("books: pending %d running %d, statuses: queued %d running %d",
+			len(m.pending), m.running, queued, running)
+	}
+	m.mu.Unlock()
+	if !settled {
+		return
+	}
+	text := scrape(t, reg)
+	if got := metricValue(t, text, "iobfleetd_sweeps_queued"); got != float64(queued) {
+		t.Errorf("queued gauge %v, %d sweeps queued", got, queued)
+	}
+	if got := metricValue(t, text, "iobfleetd_sweeps_running"); got != 0 || running != 0 {
+		t.Errorf("running gauge %v with %d sweeps running after the runners left, want 0", got, running)
+	}
+}
+
+// TestLifecycleInvariants drives every move of the sweep state machine —
+// submit, claim, done, cancel from queued, running and interrupted, the
+// drain's interrupted park, recovery and label revival — with two
+// runners and a seeded subset of sweeps cancelled concurrently, and
+// checks the books (checkBooks) mid-flight, after the drain, after a
+// restart's recovery and once the restarted daemon has run everything
+// to rest. The invariants hold whatever the interleaving, so the test
+// asserts nothing about timing.
+func TestLifecycleInvariants(t *testing.T) {
+	const n = 12
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	m, err := newManager(dir, 2, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.start("")
+	specs := make([]sweepSpec, n)
+	ids := make([]string, n)
+	for i := range specs {
+		specs[i] = sweepSpec{
+			Spec:  sweep.Spec{Wearers: 300, Seed: int64(i), DurSeconds: 10, Workers: 1, BlockSize: 16},
+			Label: fmt.Sprintf("lifecycle/%d", i),
+		}
+		st, err := m.submit(specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+
+	rng := rand.New(rand.NewPCG(15, 1))
+	var cancelled []int
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		if rng.IntN(3) != 0 {
+			continue
+		}
+		cancelled = append(cancelled, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := m.cancel(id); err != nil && !errors.Is(err, errTerminal) {
+				t.Errorf("cancel %s: %v", id, err)
+			}
+		}()
+	}
+	checkBooks(t, m, reg, false)
+	wg.Wait()
+	checkBooks(t, m, reg, false)
+	m.beginDrain()
+	checkBooks(t, m, reg, true)
+	// A sweep the drain parked interrupted is still cancellable.
+	for i, id := range ids {
+		if sw, _ := m.get(id); sw.snapshot().Status == statusInterrupted {
+			if _, err := m.cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			cancelled = append(cancelled, i)
+			checkBooks(t, m, reg, true)
+			break
+		}
+	}
+
+	// A SIGKILL leaves a running sweep's sidecar saying "running"; mimic
+	// one on a sweep the drain left unfinished. Its status belongs to the
+	// dead process: recovery must requeue it without touching the books.
+	for _, st := range m.list() {
+		if st.Status == statusQueued || st.Status == statusInterrupted {
+			st.Status = statusRunning
+			raw, err := json.Marshal(&st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, st.ID+".json"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+
+	// A restart moves every unfinished sweep back onto the queue, and a
+	// resubmitted label revives a cancelled sweep.
+	reg2 := obs.NewRegistry()
+	m2, err := newManager(dir, 2, reg2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBooks(t, m2, reg2, true)
+	if len(cancelled) == 0 {
+		t.Fatal("seed cancels no sweep; pick another")
+	}
+	revived := cancelled[0]
+	if _, err := m2.submit(specs[revived]); err != nil {
+		t.Fatal(err)
+	}
+	checkBooks(t, m2, reg2, true)
+	m2.start("")
+	for i, id := range ids {
+		sw, _ := m2.get(id)
+		ch := sw.subscribe()
+		for ev := range ch {
+			if ev.Final {
+				break
+			}
+		}
+		sw.unsubscribe(ch)
+		want := statusDone
+		if i != revived && slices.Contains(cancelled, i) {
+			want = statusCancelled
+		}
+		if got := sw.snapshot().Status; got != want && !(got == statusDone && want == statusCancelled) {
+			t.Errorf("%s ended %s, want %s", id, got, want)
+		}
+	}
+	m2.beginDrain()
+	checkBooks(t, m2, reg2, true)
 }
 
 // TestHealthzDrainAware pins readiness semantics: /healthz answers 200

@@ -58,14 +58,12 @@ type memberState struct {
 // there is no sweeper goroutine to leak or race.
 type membership struct {
 	mu   sync.Mutex
-	path string // persisted table ("" = memory only); never matches the s*.json sidecar glob
+	path string // persisted table; never matches the s*.json sidecar glob
 	ttl  time.Duration
 	now  func() time.Time
 
 	entries map[string]*member
 
-	// Wired by registerMetrics after construction; nil until then, so
-	// every bump goes through the inc helper.
 	registrations *obs.Counter
 	expirations   *obs.Counter
 }
@@ -76,12 +74,16 @@ const defaultExpiry = 10 * time.Second
 // when path names an existing file, the dynamic members a previous
 // process persisted (their staleness is re-judged against the TTL on
 // first read, so a long-dead backend does not resurrect as live).
-func newMembership(path string, static []string) (*membership, error) {
+// registrations and expirations count the table's entry and expiry
+// events.
+func newMembership(path string, static []string, registrations, expirations *obs.Counter) (*membership, error) {
 	ms := &membership{
-		path:    path,
-		ttl:     defaultExpiry,
-		now:     time.Now,
-		entries: make(map[string]*member),
+		path:          path,
+		ttl:           defaultExpiry,
+		now:           time.Now,
+		entries:       make(map[string]*member),
+		registrations: registrations,
+		expirations:   expirations,
 	}
 	if err := ms.load(); err != nil {
 		return nil, err
@@ -97,9 +99,6 @@ func newMembership(path string, static []string) (*membership, error) {
 // silently dropping it would strand a fleet that registered before the
 // coordinator crashed.
 func (ms *membership) load() error {
-	if ms.path == "" {
-		return nil
-	}
 	raw, err := os.ReadFile(ms.path)
 	if os.IsNotExist(err) {
 		return nil
@@ -128,9 +127,6 @@ func (ms *membership) load() error {
 // entries are re-derived from the -backends flag each start, so they
 // are deliberately not persisted. Caller holds mu.
 func (ms *membership) persistLocked() error {
-	if ms.path == "" {
-		return nil
-	}
 	var doc struct {
 		Backends []*member `json:"backends"`
 	}
@@ -149,12 +145,6 @@ func (ms *membership) persistLocked() error {
 		return err
 	}
 	return os.Rename(tmp, ms.path)
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // normalizeBackendURL validates and canonicalizes a registration URL:
@@ -187,10 +177,10 @@ func (ms *membership) register(raw string) (memberState, error) {
 	if !ok {
 		m = &member{URL: u}
 		ms.entries[u] = m
-		inc(ms.registrations)
+		ms.registrations.Inc()
 	} else if ms.expireLocked(m, now) {
 		m.expired = false
-		inc(ms.registrations)
+		ms.registrations.Inc()
 	}
 	m.LastSeen = now
 	if err := ms.persistLocked(); err != nil {
@@ -225,7 +215,7 @@ func (ms *membership) expireLocked(m *member, now time.Time) bool {
 	}
 	if !m.expired {
 		m.expired = true
-		inc(ms.expirations)
+		ms.expirations.Inc()
 	}
 	return true
 }
@@ -264,22 +254,19 @@ func (ms *membership) list() []memberState {
 	return out
 }
 
-// counts returns (total entries, live entries, static entries) for the
-// membership gauges in one lock acquisition.
-func (ms *membership) counts() (total, live, static int) {
+// counts returns (total entries, live entries) for the membership
+// gauges in one lock acquisition.
+func (ms *membership) counts() (total, live int) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := ms.now()
 	for _, m := range ms.entries {
 		total++
-		if m.Static {
-			static++
-		}
 		if !ms.expireLocked(m, now) {
 			live++
 		}
 	}
-	return total, live, static
+	return total, live
 }
 
 // heartbeat keeps this daemon registered with one coordinator: an

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wiban/internal/obs"
 )
 
 // TestMembershipTable drives the membership layer in-process with a
@@ -16,7 +18,7 @@ import (
 // (simulated) coordinator restart.
 func TestMembershipTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "backends.json")
-	ms, err := newMembership(path, []string{"http://static:1"})
+	ms, err := newMembership(path, []string{"http://static:1"}, new(obs.Counter), new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMembershipTable(t *testing.T) {
 
 	// Persistence: a new table on the same path reloads the dynamic
 	// entry (static entries come from flags, not the file).
-	ms2, err := newMembership(path, nil)
+	ms2, err := newMembership(path, nil, new(obs.Counter), new(obs.Counter))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 		err = m.gatherShards(ctx, &spec.Spec, subs)
 	}
 	if err != nil {
-		m.finishErr(sw, err)
+		m.finish(sw, err)
 		return
 	}
 
@@ -251,7 +251,7 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 		// restarted coordinator re-dispatches by label and resumes
 		// replication exactly where it stopped — unless a DELETE arrived
 		// during the drain and the sweep parked cancelled after all.
-		if m.finishErr(sw, err) != statusInterrupted {
+		if m.finish(sw, err) != statusInterrupted {
 			removePartials()
 		}
 		return
@@ -260,7 +260,7 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 	agg := fleet.NewStreamAggregator(units.Duration(spec.DurSeconds))
 	blocks, size, err := telemetry.MergeShards(storePath, paths, agg.Consume)
 	if err != nil {
-		m.finish(sw, statusFailed, err.Error())
+		m.finish(sw, err)
 		return
 	}
 	m.metrics.blocksWritten.Add(float64(blocks))
@@ -272,7 +272,7 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 	sw.st.Blocks = blocks
 	sw.st.Bytes = size
 	sw.mu.Unlock()
-	m.finish(sw, statusDone, "")
+	m.finish(sw, nil)
 	removePartials()
 }
 
@@ -288,7 +288,8 @@ func (m *manager) gatherShards(ctx context.Context, spec *sweep.Spec, subs []swe
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			parts[k], errs[k] = m.gatherShard(ctx, k, subs[k])
+			attempt := 0
+			_, errs[k] = m.place(ctx, k, &attempt, "/api/loads", subs[k], &parts[k])
 		}(k)
 	}
 	wg.Wait()
@@ -312,26 +313,32 @@ func worst(errs []error) error {
 	return w
 }
 
-// gatherShard asks one backend for a shard's partial loads, rotating
-// backends until one answers; a 400 is a deterministic spec rejection and
-// fails the sweep, everything else retries.
-func (m *manager) gatherShard(ctx context.Context, k int, sub sweep.Spec) (sweep.Loads, error) {
-	var out sweep.Loads
-	for attempt := 0; ; attempt++ {
+// place is the one loop that puts shard k's work on a backend: it
+// rotates through backendFor(k, *attempt), probes the candidate's
+// health, and POSTs body to path on it, decoding the answer into out.
+// It returns the backend that accepted. A 400 is a deterministic spec
+// rejection and fails the shard; every other miss counts a retry and
+// backs off (jittered) before the next candidate. attempt advances on
+// every try, success included, so a shard placed again after losing its
+// host starts from the next backend.
+func (m *manager) place(ctx context.Context, k int, attempt *int, path string, body, out any) (string, error) {
+	for {
 		if err := context.Cause(ctx); err != nil {
-			return out, err
+			return "", err
 		}
-		if b := m.backendFor(k, attempt); b != "" && m.healthy(b) {
-			err := m.postJSON(b+"/api/loads", sub, &out)
+		b := m.backendFor(k, *attempt)
+		*attempt++
+		if b != "" && m.healthy(b) {
+			err := m.postJSON(b+path, body, out)
 			if err == nil {
-				return out, nil
+				return b, nil
 			}
 			if permanent(err) {
-				return out, fmt.Errorf("shard %d loads rejected by %s: %w", k, b, err)
+				return "", fmt.Errorf("shard %d rejected by %s%s: %w", k, b, path, err)
 			}
 		}
 		m.metrics.shardRetries.Inc()
-		pause(ctx, backoffDelay(attempt))
+		pause(ctx, backoffDelay(*attempt))
 	}
 }
 
@@ -368,9 +375,15 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 	local := prepPartial(path)
 	_, end := sub.Range()
 	var hosts []shardHost
-	drop := func(i int) {
-		hosts = append(hosts[:i], hosts[i+1:]...)
-		m.metrics.shardRetries.Inc()
+	// disown cancels every copy but the one on keep ("" for all),
+	// best-effort: a missed DELETE only wastes backend cycles, never
+	// correctness. Copies sit on distinct backends, so the base names one.
+	disown := func(keep string) {
+		for _, h := range hosts {
+			if h.base != keep {
+				m.cancelRemote(h.base, h.id)
+			}
+		}
 	}
 	attempt := 0
 	records := 0
@@ -380,28 +393,15 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 			if errors.Is(err, errCancelled) {
 				// The parent sweep was cancelled: disown every copy so no
 				// backend keeps simulating for a coordinator that left.
-				for _, h := range hosts {
-					m.cancelRemote(h.base, h.id)
-				}
+				disown("")
 			}
 			return err
 		}
 		if len(hosts) == 0 {
-			b := m.backendFor(k, attempt)
-			attempt++
-			if b == "" || !m.healthy(b) {
-				m.metrics.shardRetries.Inc()
-				pause(ctx, backoffDelay(attempt))
-				continue
-			}
 			var st sweepState
-			if err := m.postJSON(b+"/api/sweeps", sub, &st); err != nil {
-				if permanent(err) {
-					return fmt.Errorf("shard %d rejected by %s: %w", k, b, err)
-				}
-				m.metrics.shardRetries.Inc()
-				pause(ctx, backoffDelay(attempt))
-				continue
+			b, err := m.place(ctx, k, &attempt, "/api/sweeps", sub, &st)
+			if err != nil {
+				return err
 			}
 			hosts = append(hosts, shardHost{base: b, id: st.ID})
 			m.metrics.shardsDispatched.Inc()
@@ -420,41 +420,30 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 			// speculative copy per stall, not one per poll tick.
 			lastAdvance = time.Now()
 		}
+		// Poll every copy; the ones still worth following are kept and every
+		// dropped one counts as a retry.
 		advanced := false
-		for i := 0; i < len(hosts); i++ {
-			h := hosts[i]
+		var kept []shardHost
+		for _, h := range hosts {
 			var st sweepState
 			inst, err := m.getJSON(h.base+"/api/sweeps/"+h.id, &st)
-			if err != nil {
-				drop(i)
-				i--
+			if err != nil || (h.instance != "" && inst != h.instance) {
+				// Unreachable, or same address but a different process: the
+				// backend died and came back inside a poll interval. Re-dispatch
+				// by label — the recovered sweep answers the resubmission
+				// idempotently, so this costs one POST, never a duplicate
+				// simulation.
 				continue
 			}
-			if h.instance == "" {
-				hosts[i].instance = inst
-			} else if inst != h.instance {
-				// Same address, different process: the backend died and came
-				// back inside a poll interval. Re-dispatch by label — the
-				// recovered sweep answers the resubmission idempotently, so
-				// this costs one POST, never a duplicate simulation.
-				drop(i)
-				i--
-				continue
-			}
+			h.instance = inst
 			if st.Status == statusFailed {
 				// Deterministic execution: a failure on one host would fail
 				// identically everywhere, so give up rather than re-dispatch.
-				for _, o := range hosts {
-					if o != h {
-						m.cancelRemote(o.base, o.id)
-					}
-				}
+				disown(h.base)
 				return fmt.Errorf("shard %d failed on %s: %s", k, h.base, st.Error)
 			}
 			n, next, err := m.fetchShard(h.base, h.id, path, local)
 			if err != nil {
-				drop(i)
-				i--
 				continue
 			}
 			if n > 0 {
@@ -470,29 +459,24 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 			case statusDone:
 				if next >= end {
 					// Committed-complete and fully replicated: this copy wins.
-					// Cancel the rest best-effort — a missed DELETE only wastes
-					// backend cycles, never correctness.
-					for _, o := range hosts {
-						if o != h {
-							m.cancelRemote(o.base, o.id)
-						}
-					}
+					disown(h.base)
 					return nil
 				}
 				// A done status whose replicated store stops short of the
 				// range end means the backend lost or pruned the store between
 				// commit and fetch (retention, disk loss): drop the host and
 				// re-dispatch rather than merge an incomplete partial.
-				drop(i)
-				i--
+				continue
 			case statusInterrupted, statusCancelled:
 				// The backend parked the copy (its own drain, or an operator
 				// DELETE): drop it — same label on a restart resumes it,
 				// another backend seed-pulls the partial.
-				drop(i)
-				i--
+				continue
 			}
+			kept = append(kept, h)
 		}
+		m.metrics.shardRetries.Add(float64(len(hosts) - len(kept)))
+		hosts = kept
 		if advanced {
 			lastAdvance = time.Now()
 		}
@@ -566,9 +550,11 @@ func prepPartial(path string) int64 {
 // hosting backend to the local partial. The stream is append-only and
 // deterministic — every backend executing the shard writes the identical
 // byte sequence — so appending from whichever backend currently hosts it
-// can never diverge, even across a backend swap mid-shard. A failed copy
-// truncates back to local so the partial never carries a torn tail into
-// the next attempt.
+// can never diverge, even across a backend swap mid-shard. The appended
+// bytes must run as whole, CRC-valid frames (telemetry.ValidPrefix): a
+// failed copy or a cut or garbled body truncates back to local and
+// errors, so the partial is always a valid frame prefix and later
+// appends never land behind damage.
 //
 // Alongside the byte count it reports the store's committed next-wearer
 // (X-Next-Wearer; -1 when the backend has no committed store yet) — the
@@ -593,7 +579,7 @@ func (m *manager) fetchShard(base, remoteID, path string, local int64) (int64, i
 	if v, err := strconv.Atoi(resp.Header.Get("X-Next-Wearer")); err == nil {
 		next = v
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return 0, next, err
 	}
@@ -602,6 +588,9 @@ func (m *manager) fetchShard(base, remoteID, path string, local int64) (int64, i
 		return 0, next, err
 	}
 	n, err := io.Copy(f, resp.Body)
+	if err == nil && telemetry.ValidPrefix(f, local, local+n) != local+n {
+		err = fmt.Errorf("shard store bytes [%d, %d) from %s fail their frame check", local, local+n, base)
+	}
 	cerr := f.Close()
 	if err == nil {
 		err = cerr

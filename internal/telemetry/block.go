@@ -384,6 +384,33 @@ func readFramePayload(f *os.File, pos, limit int64) ([]byte, int64, error) {
 	return payload, pos + int64(len(hdr)) + plen + 4, nil
 }
 
+// ValidPrefix walks the store bytes of f in [from, to) — the header
+// first when from is 0, then whole frames — and returns where the run
+// of intact pieces ends: every frame before it has its magic, a length
+// that fits, and a matching CRC. Nothing is decoded, so the walk costs
+// one CRC pass. from must be 0 or a frame boundary. A replica appending
+// committed bytes fetched from another daemon checks them with this
+// before trusting them: the result is to exactly when the fetch was
+// clean.
+func ValidPrefix(f *os.File, from, to int64) int64 {
+	pos := from
+	if pos == 0 {
+		_, hdrLen, err := readHeaderFile(f)
+		if err != nil || hdrLen > to {
+			return 0
+		}
+		pos = hdrLen
+	}
+	for pos < to {
+		_, end, err := readFramePayload(f, pos, to)
+		if err != nil {
+			break
+		}
+		pos = end
+	}
+	return pos
+}
+
 // splitKind strips the frame-kind selector from a verified payload. Pre-v3
 // formats have no selector: every frame is a record block.
 func splitKind(payload []byte, version int) (int, []byte, error) {

@@ -36,18 +36,11 @@ import (
 // missing, corrupt or inconsistent checkpoint sidecar is an error;
 // callers retry rather than guess.
 func Committed(path string) (Meta, int64, int, error) {
-	f, err := os.Open(path)
+	f, meta, hdrLen, err := openCommon(path)
 	if err != nil {
-		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)
+		return Meta{}, 0, 0, err
 	}
 	defer f.Close()
-	meta, hdrLen, err := readHeaderFile(f)
-	if err != nil {
-		return Meta{}, 0, 0, err
-	}
-	if err := checkVersion(meta); err != nil {
-		return Meta{}, 0, 0, err
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)

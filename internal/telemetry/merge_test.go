@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -402,6 +403,70 @@ func TestCommitted(t *testing.T) {
 	f.Close()
 	if _, _, _, err := Committed(torn); err == nil {
 		t.Error("Committed on a store shorter than its checkpoint succeeded, want error")
+	}
+}
+
+// TestValidPrefix pins the replication check: over the committed prefix
+// the walk ends exactly at a frame boundary — the far end when every
+// byte is intact, the start of the first damaged or cut frame otherwise
+// — and a walk that starts at 0 vouches for the header too.
+func TestValidPrefix(t *testing.T) {
+	const n, blockSize = 20, 4
+	path := filepath.Join(t.TempDir(), "run.wtl")
+	w, err := Create(path, testMeta(n, blockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{w.Offset()} // header end, then every committed block end
+	w.OnCommit = func(_, _ int, bytes int64) { bounds = append(bounds, bytes) }
+	for i := 0; i < n; i++ {
+		if err := w.Consume(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := bounds[len(bounds)-1]
+	walk := func(data []byte, from, to int64) int64 {
+		t.Helper()
+		p := filepath.Join(t.TempDir(), "copy.wtl")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		return ValidPrefix(f, from, to)
+	}
+
+	if got := walk(raw, 0, committed); got != committed {
+		t.Errorf("clean walk ends at %d, want %d", got, committed)
+	}
+	if got := walk(raw, bounds[2], committed); got != committed {
+		t.Errorf("walk from block 2 ends at %d, want %d", got, committed)
+	}
+	if got := walk(raw[:bounds[3]+5], 0, bounds[3]+5); got != bounds[3] {
+		t.Errorf("walk over a cut frame ends at %d, want %d", got, bounds[3])
+	}
+	garbled := slices.Clone(raw)
+	garbled[bounds[2]+12] ^= 0x40
+	if got := walk(garbled, 0, committed); got != bounds[2] {
+		t.Errorf("walk over a garbled frame ends at %d, want %d", got, bounds[2])
+	}
+	garbled = slices.Clone(raw)
+	garbled[bounds[0]-2] ^= 0x01
+	if got := walk(garbled, 0, committed); got != 0 {
+		t.Errorf("walk over a garbled header ends at %d, want 0", got)
+	}
+	if got := walk(raw[:bounds[0]-1], 0, bounds[0]-1); got != 0 {
+		t.Errorf("walk over a cut header ends at %d, want 0", got)
 	}
 }
 
