@@ -147,7 +147,9 @@
 // dir seed-pulls the coordinator's partial replica (the shards/{k}
 // endpoint) and appends from there. Fetched bytes are kept only once
 // their frames pass the CRC check, so a cut or garbled body never
-// lands in the partial (FuzzFetchShard). Backend selection consults
+// lands in the partial (FuzzFetchShard); a coordinator restarted after a
+// kill mid-append cuts the torn tail back to the same frame check before
+// it fetches again (TestPrepPartial). Backend selection consults
 // /healthz, which reports readiness — 200 while accepting work, 503
 // once draining — so a draining backend stops receiving shards. Each
 // sweep response carries an X-Iobfleetd-Instance nonce, so a

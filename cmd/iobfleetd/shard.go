@@ -22,7 +22,10 @@ package main
 // from its local checkpoint) or to a replacement backend (which pulls the
 // coordinator's partial copy as its seed store). Either way the shard's
 // byte stream continues exactly where replication stopped, because every
-// backend executing a shard writes the identical byte sequence.
+// backend executing a shard writes the identical byte sequence. The
+// coordinator's partial copy is always a header plus whole CRC-valid
+// frames (telemetry.ValidPrefix): fetchShard checks every append, and
+// prepPartial cuts a torn tail off before replication resumes.
 //
 // That same determinism licenses work-stealing: a shard whose committed
 // progress stalls past -steal-after gets a speculative second copy on
@@ -521,29 +524,33 @@ func (m *manager) cancelRemote(base, id string) {
 	resp.Body.Close()
 }
 
-// prepPartial validates the local partial copy of a shard store,
-// truncating any torn tail a kill left mid-append, and reports its
-// trusted byte length (0 after discarding an unusable file). The
-// checkpoint sidecar Resume writes is removed again: the supervisor
-// appends raw fetched bytes past it, so a later restart must re-scan the
-// file rather than trust a stale offset that would discard replicated
-// blocks.
+// prepPartial repairs the local partial copy of a shard store before
+// replication resumes and reports its trusted byte length. The partial
+// keeps the invariant fetchShard checks on every append — header, then
+// whole CRC-valid frames (telemetry.ValidPrefix) — so a kill mid-append
+// leaves at most a torn tail, which is truncated off. A file without a
+// valid header is removed and replication restarts from 0. The partial
+// never has a checkpoint sidecar: the supervisor appends raw fetched
+// bytes, so any sidecar (one an older daemon left) is stale and removed.
 func prepPartial(path string) int64 {
-	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
-		os.Remove(path)
-		os.Remove(telemetry.CheckpointPath(path))
-		return 0
-	}
-	w, err := telemetry.Resume(path)
+	os.Remove(telemetry.CheckpointPath(path))
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		os.Remove(path)
-		os.Remove(telemetry.CheckpointPath(path))
 		return 0
 	}
-	size := w.Offset()
-	w.Abort()
-	os.Remove(telemetry.CheckpointPath(path))
-	return size
+	var n int64
+	if st, err := f.Stat(); err == nil {
+		n = telemetry.ValidPrefix(f, 0, st.Size())
+	}
+	if n > 0 && f.Truncate(n) != nil {
+		n = 0
+	}
+	f.Close()
+	if n == 0 {
+		os.Remove(path)
+	}
+	return n
 }
 
 // fetchShard appends the shard store's bytes [local, committed) from the

@@ -68,6 +68,55 @@ func TestBitIOProperty(t *testing.T) {
 	}
 }
 
+// mask returns a value with the low w bits set, for w in 0–64.
+func mask(w uint) uint64 {
+	if w >= 64 {
+		return math.MaxUint64
+	}
+	return 1<<w - 1
+}
+
+// TestBitIOWideWidths covers the widths 33–64 that writeBits and readBits
+// accept but TestBitIOProperty never draws. Each width is written after
+// a 0–7-bit lead, so it starts at every bit offset within a byte, with
+// three values: all ones, only the top bit, and a random uint64 whose
+// bits above the width writeBits must ignore.
+func TestBitIOWideWidths(t *testing.T) {
+	type pair struct {
+		v uint64
+		n uint
+	}
+	rng := rand.New(rand.NewSource(64))
+	var seq []pair
+	w := &bitWriter{}
+	total := uint(0)
+	for n := uint(33); n <= 64; n++ {
+		for lead := uint(0); lead < 8; lead++ {
+			for _, v := range []uint64{mask(n), 1 << (n - 1), rng.Uint64()} {
+				for _, p := range []pair{{rng.Uint64(), lead}, {v, n}} {
+					w.writeBits(p.v, p.n)
+					seq = append(seq, pair{p.v & mask(p.n), p.n})
+					total += p.n
+				}
+			}
+		}
+	}
+	buf := w.bytes()
+	if want := int(total+7) / 8; len(buf) != want {
+		t.Fatalf("buffer holds %d bytes for %d bits, want %d", len(buf), total, want)
+	}
+	r := &bitReader{buf: buf}
+	for i, p := range seq {
+		got, err := r.readBits(p.n)
+		if err != nil || got != p.v {
+			t.Fatalf("step %d: readBits(%d) = %#x, %v; want %#x", i, p.n, got, err, p.v)
+		}
+	}
+	if _, err := r.readBits(8); err == nil {
+		t.Error("read past the padded end succeeded")
+	}
+}
+
 func TestUnaryRoundTrip(t *testing.T) {
 	w := &bitWriter{}
 	qs := []uint32{0, 1, 7, 31, 32, 33, 100, 1000}

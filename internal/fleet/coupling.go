@@ -336,6 +336,11 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 			var arena []spectrum.NodeLoad // feedback mode: member loads, append-only
 			local, _ := spectrum.NewLoadTable(cells)
 			localFail, localErr := -1, error(nil)
+			fail := func(w int, err error) {
+				if localFail == -1 || w < localFail {
+					localFail, localErr = w, err
+				}
+			}
 			for {
 				c0 := int(next.Add(chunk) - chunk)
 				if c0 >= hi {
@@ -352,9 +357,7 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 						start := len(arena)
 						var err error
 						if arena, err = f.wearerLoads(w, sc, arena); err != nil {
-							if localFail == -1 || w < localFail {
-								localFail, localErr = w, err
-							}
+							fail(w, err)
 							arena = arena[:start]
 							continue
 						}
@@ -366,9 +369,7 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 					} else {
 						var err error
 						if sc.loads, err = f.wearerLoads(w, sc, sc.loads[:0]); err != nil {
-							if localFail == -1 || w < localFail {
-								localFail, localErr = w, err
-							}
+							fail(w, err)
 							continue
 						}
 						for _, nl := range sc.loads {
@@ -376,9 +377,7 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 						}
 					}
 					if err := local.Add(cell, own); err != nil {
-						if localFail == -1 || w < localFail {
-							localFail, localErr = w, err
-						}
+						fail(w, err)
 					}
 				}
 			}

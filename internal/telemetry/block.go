@@ -390,8 +390,9 @@ func readFramePayload(f *os.File, pos, limit int64) ([]byte, int64, error) {
 // that fits, and a matching CRC. Nothing is decoded, so the walk costs
 // one CRC pass. from must be 0 or a frame boundary. A replica appending
 // committed bytes fetched from another daemon checks them with this
-// before trusting them: the result is to exactly when the fetch was
-// clean.
+// before trusting them — the result is to exactly when the fetch was
+// clean — and cuts its partial copy back to ValidPrefix(f, 0, size)
+// after a restart.
 func ValidPrefix(f *os.File, from, to int64) int64 {
 	pos := from
 	if pos == 0 {

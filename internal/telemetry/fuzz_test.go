@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -396,4 +398,145 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		}
 		w2.Abort()
 	})
+}
+
+// TestResumeCloseRoundTrip pins the index entries Resume collects while
+// it walks the committed frames to the ones the writer produced: on an
+// intact, complete v3 store, Resume then Close must reproduce the file
+// byte for byte, trailing index frame included — whether the walk
+// trusts the checkpoint sidecar or, with the sidecar removed, scans up
+// to the index frame and stops there.
+func TestResumeCloseRoundTrip(t *testing.T) {
+	const n, blockSize = 37, 8 // a short final block rides along
+	shard := seriesMeta(n+20, blockSize)
+	shard.FirstWearer = 20
+	for _, tc := range []struct {
+		name string
+		meta Meta
+		rec  func(int) Record
+	}{
+		{"series off", testMeta(n, blockSize), testRecord},
+		{"series on", seriesMeta(n, blockSize), seriesRecord},
+		{"series shard", shard, seriesRecord},
+	} {
+		for _, scan := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/scan=%t", tc.name, scan), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "run.wtl")
+				w, err := Create(path, tc.meta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, end := tc.meta.Range()
+				for i := first; i < end; i++ {
+					if err := w.Consume(tc.rec(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scan {
+					if err := os.Remove(CheckpointPath(path)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rw, err := Resume(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rw.NextWearer() != end || rw.Blocks() != w.Blocks() || rw.Offset() != w.Offset() {
+					t.Fatalf("resumed at wearer %d, %d blocks, offset %d; want %d, %d, %d",
+						rw.NextWearer(), rw.Blocks(), rw.Offset(), end, w.Blocks(), w.Offset())
+				}
+				if err := rw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("Resume+Close rewrote the store (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+// TestResumeRefusesDamageUnderCheckpoint flips the CRC of a committed
+// frame that a valid checkpoint sidecar covers. The checkpoint promised
+// those bytes, so Resume must fail with ErrCorrupt — and fail before it
+// touches anything: no truncation of the data file, no rewrite of the
+// sidecar.
+func TestResumeRefusesDamageUnderCheckpoint(t *testing.T) {
+	const n, blockSize = 24, 8
+	v2 := testMeta(n, blockSize)
+	v2.Version = FormatV2
+	for _, tc := range []struct {
+		name string
+		meta Meta
+		rec  func(int) Record
+	}{
+		{"v2", v2, testRecord},
+		{"v3 series off", testMeta(n, blockSize), testRecord},
+		{"v3 series", seriesMeta(n, blockSize), seriesRecord},
+	} {
+		path := filepath.Join(t.TempDir(), "run.wtl")
+		w, err := Create(path, tc.meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Consume(tc.rec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Abort() // keep the store checkpoint-complete with no index frame
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, r)
+		r.Close()
+		// The last CRC byte of the middle block's final frame (its series
+		// frame in a series store) and, in a series store, of its record
+		// frame too.
+		crcs := []int64{r.entries[2].recOffset - 1}
+		if tc.meta.Series() {
+			crcs = append(crcs, r.entries[1].serOffset-1)
+		}
+		clean, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sidecar, err := os.ReadFile(CheckpointPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range crcs {
+			t.Run(fmt.Sprintf("%s/crc@%d", tc.name, at), func(t *testing.T) {
+				data := bytes.Clone(clean)
+				data[at] ^= 0x01
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(CheckpointPath(path), sidecar, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Resume(path); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Resume over a damaged checkpointed frame: %v, want ErrCorrupt", err)
+				}
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("data file changed by a failed Resume (%d vs %d bytes, err %v)", len(got), len(data), err)
+				}
+				if got, err := os.ReadFile(CheckpointPath(path)); err != nil || !bytes.Equal(got, sidecar) {
+					t.Errorf("sidecar changed by a failed Resume: %s (err %v)", got, err)
+				}
+			})
+		}
+	}
 }

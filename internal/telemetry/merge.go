@@ -36,23 +36,15 @@ import (
 // missing, corrupt or inconsistent checkpoint sidecar is an error;
 // callers retry rather than guess.
 func Committed(path string) (Meta, int64, int, error) {
-	f, meta, hdrLen, err := openCommon(path)
+	r, err := Open(path)
 	if err != nil {
 		return Meta{}, 0, 0, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)
+	defer r.Close()
+	if r.ck == nil {
+		return Meta{}, 0, 0, fmt.Errorf("%w: no valid checkpoint sidecar describes %s", ErrCorrupt, path)
 	}
-	ck, err := readCheckpoint(path, meta)
-	if err != nil {
-		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)
-	}
-	if !ck.consistentWith(hdrLen, st.Size()) {
-		return Meta{}, 0, 0, fmt.Errorf("%w: checkpoint does not describe %s", ErrCorrupt, path)
-	}
-	return meta, ck.Offset, ck.NextWearer, nil
+	return r.meta, r.ck.Offset, r.ck.NextWearer, nil
 }
 
 // rangeless strips the shard-range fields, leaving the sweep identity a

@@ -154,11 +154,12 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, meta, hdrLen, err := openCommon(path)
+	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer r.Close()
+	f, meta, hdrLen := r.f, r.meta, r.pos // nothing read yet: pos is the header end
 	if !meta.Series() {
 		return nil, fmt.Errorf("telemetry: store %s (format v%d) holds no series samples; re-run the sweep with a series cadence",
 			path, meta.Version)
@@ -184,11 +185,6 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 		return stats, nil
 	}
 	// No usable index: walk every committed block.
-	r, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
 	for {
 		rec, err := r.Next()
 		if err != nil {

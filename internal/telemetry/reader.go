@@ -12,12 +12,22 @@ import (
 // reader trusts it and stops at its offset (bytes past it are an
 // uncommitted tail); otherwise it verifies frame by frame and stops at
 // the first damaged one, reporting the cut via Truncated.
+//
+// Its block loop is the only walk over a store's committed record+series
+// pairs: Writer.Resume drains a Reader on its own file and adopts where
+// the walk ended, the counts and the index entries it collected.
 type Reader struct {
-	f       *os.File
-	meta    Meta
-	pos     int64
-	limit   int64 // exclusive end of trusted bytes; file size without a checkpoint
-	ckValid bool
+	f    *os.File
+	meta Meta
+	pos  int64 // start of the next frame to read
+	// limit is the exclusive end of the walk: the checkpoint offset or
+	// the file size at open, pulled back to pos once the walk ends at a
+	// damaged frame (a truncation) or at the trailing index frame. After
+	// draining, pos is exactly where a resumed writer appends.
+	limit int64
+	// ck is the trusted checkpoint sidecar, nil when it is missing,
+	// inconsistent with the file, or ignored (strict).
+	ck *checkpoint
 	// strict (OpenStrict) ignores the checkpoint and turns every damaged
 	// or out-of-place frame into a hard error instead of a silent
 	// truncation — the integrity-audit mode iobtrace verify runs in.
@@ -33,54 +43,53 @@ type Reader struct {
 	size      int64
 	truncated bool
 	// entries accumulates per-block index entries as blocks are read, so
-	// strict mode can cross-check the trailing index frame field by field.
-	entries   []indexEntry
-	indexSeen bool
-}
-
-// openCommon is the shared open prologue: open the file and verify its
-// header and format version. On error the file is closed. Statting is
-// left to the caller — Open must read the checkpoint sidecar before
-// observing the size.
-func openCommon(path string) (f *os.File, meta Meta, hdrLen int64, err error) {
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, Meta{}, 0, fmt.Errorf("telemetry: open: %w", err)
-	}
-	meta, hdrLen, err = readHeaderFile(f)
-	if err == nil {
-		err = checkVersion(meta)
-	}
-	if err != nil {
-		f.Close()
-		return nil, Meta{}, 0, err
-	}
-	return f, meta, hdrLen, nil
+	// strict mode can cross-check the trailing index frame field by field
+	// and a resumed writer can rewrite it.
+	entries []indexEntry
 }
 
 // Open opens the store at path for reading. It may be called on a store a
 // live Writer is still appending to: the checkpoint pins the readable
 // prefix.
 func Open(path string) (*Reader, error) {
-	f, meta, hdrLen, err := openCommon(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: open: %w", err)
+	}
+	r, err := newReader(f, path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// newReader is the open prologue every store access shares — Open (and
+// through it OpenStrict, Committed and QueryStore) and Resume. It checks
+// the header and refuses a newer format before any of its frames can be
+// misread as damage, then trusts the checkpoint sidecar only when it is
+// consistentWith the file. It reads the checkpoint before statting: a
+// live writer commits the block first and renames the checkpoint
+// second, so in this order a valid checkpoint's offset is always within
+// the observed size — the reverse order could see a fresh checkpoint
+// past a stale size and wrongly degrade to truncated-scan mode.
+func newReader(f *os.File, path string) (*Reader, error) {
+	meta, hdrLen, err := readHeaderFile(f)
+	if err == nil {
+		err = checkVersion(meta)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Read the checkpoint before statting: a live writer commits the
-	// block first and renames the checkpoint second, so in this order a
-	// valid checkpoint's offset is always within the observed size — the
-	// reverse order could see a fresh checkpoint past a stale size and
-	// wrongly degrade to truncated-scan mode.
 	ck, ckErr := readCheckpoint(path, meta)
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("telemetry: open: %w", err)
 	}
 	r := &Reader{f: f, meta: meta, pos: hdrLen, limit: st.Size(), size: st.Size()}
 	if ckErr == nil && ck.consistentWith(hdrLen, st.Size()) {
+		r.ck = &ck
 		r.limit = ck.Offset
-		r.ckValid = true
 	}
 	return r, nil
 }
@@ -93,16 +102,12 @@ func Open(path string) (*Reader, error) {
 // verify runs in this mode so its exit code reflects the whole file, not
 // just the checkpoint-trusted prefix.
 func OpenStrict(path string) (*Reader, error) {
-	f, meta, hdrLen, err := openCommon(path)
+	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("telemetry: open: %w", err)
-	}
-	return &Reader{f: f, meta: meta, pos: hdrLen, limit: st.Size(), size: st.Size(), strict: true}, nil
+	r.ck, r.limit, r.strict = nil, r.size, true
+	return r, nil
 }
 
 // Meta returns the store's header metadata.
@@ -112,21 +117,20 @@ func (r *Reader) Meta() Meta { return r.meta }
 // Without a checkpoint, a damaged frame ends iteration early (Truncated
 // reports that) rather than erroring: it is indistinguishable from a
 // killed run's uncommitted tail. Inside a checkpointed prefix damage is
-// an error — the checkpoint promised those bytes.
+// an error — the checkpoint promised those bytes. Either way the walk
+// ends with pos at the first frame it did not trust (the damaged frame,
+// or the trailing index frame), and limit pulled back to it.
 func (r *Reader) Next() (Record, error) {
 	for r.bi >= len(r.block) {
 		if r.pos >= r.limit {
 			return Record{}, io.EOF
 		}
 		if err := r.nextBlock(); err != nil {
-			if err == io.EOF {
-				continue // index frame consumed; the loop re-checks pos
-			}
-			if r.ckValid || r.strict {
+			if err != io.EOF && (r.ck != nil || r.strict) {
 				return Record{}, err
 			}
-			r.truncated = true
-			r.pos = r.limit
+			r.truncated = err != io.EOF
+			r.limit = r.pos
 			return Record{}, io.EOF
 		}
 	}
@@ -136,9 +140,10 @@ func (r *Reader) Next() (Record, error) {
 }
 
 // nextBlock loads the next record block (with its series frame attached
-// in a series-enabled store) into r.block. It returns io.EOF after
-// consuming a valid trailing index frame, and ErrCorrupt-wrapped errors
-// for damage — the caller maps those to truncation or hard failure.
+// in a series-enabled store) into r.block and advances pos past the
+// pair. It returns io.EOF at a valid trailing index frame, and
+// ErrCorrupt-wrapped errors for damage — the caller maps those to
+// truncation or hard failure. Neither advances pos.
 func (r *Reader) nextBlock() error {
 	payload, end, err := readFramePayload(r.f, r.pos, r.limit)
 	if err != nil {
@@ -202,8 +207,6 @@ func (r *Reader) nextBlock() error {
 				}
 			}
 		}
-		r.indexSeen = true
-		r.pos = end
 		return io.EOF
 	}
 }
@@ -225,12 +228,14 @@ func (r *Reader) RawBytes() int64 { return r.rawBytes }
 func (r *Reader) StoredBytes() int64 { return r.size }
 
 // Truncated reports whether iteration ended at a damaged frame instead of
-// clean end-of-data (only possible without a checkpoint sidecar).
+// clean end-of-data (only possible without a checkpoint sidecar). The
+// damaged frame's offset is then the reader's limit: everything before
+// it verified.
 func (r *Reader) Truncated() bool { return r.truncated }
 
 // Checkpointed reports whether a valid checkpoint sidecar bounded the
 // read.
-func (r *Reader) Checkpointed() bool { return r.ckValid }
+func (r *Reader) Checkpointed() bool { return r.ck != nil }
 
 // Close releases the underlying file.
 func (r *Reader) Close() error {

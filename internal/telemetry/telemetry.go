@@ -82,6 +82,10 @@
 // A killed process loses at most the tail records buffered for the
 // not-yet-committed block: Resume truncates the data file back to the
 // checkpointed offset and the fleet engine re-simulates from NextWearer.
+// Resume finds that offset by walking the committed frames with the
+// Reader, the one walk over record+series pairs, so it also verifies
+// them: damage inside a checkpointed prefix fails Resume with ErrCorrupt
+// and leaves the files as they were.
 // Because every per-wearer simulation is a pure function of
 // (fleetSeed, wearer), the resumed sweep reproduces the interrupted one
 // bit-for-bit, and the re-aggregated report carries the identical

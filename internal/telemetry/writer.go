@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"wiban/internal/compress"
@@ -19,7 +20,6 @@ type Writer struct {
 	f      *os.File
 	path   string
 	meta   Meta
-	hdrLen int64
 	next   int   // next expected wearer index
 	blocks int   // committed RECORD blocks (series/index frames never count)
 	offset int64 // committed (checkpointed) data-file length
@@ -27,11 +27,9 @@ type Writer struct {
 	nodes  []NodeRecord  // backing arena so buffered records share one allocation
 	points []SeriesPoint // same arena trick for buffered series samples
 	// entries is the per-block query index accumulated across commits and
-	// written as the trailing index frame at Close. A checkpoint-resumed
-	// writer has not seen its earlier blocks, so it sets reindex and
-	// rebuilds the entries from the file before writing the frame.
+	// written as the trailing index frame at Close. Resume seeds it with
+	// the entries of the blocks it verified, so Close never re-reads.
 	entries []indexEntry
-	reindex bool
 	closed  bool
 
 	// OnCommit, when non-nil, is invoked after every committed block once
@@ -93,19 +91,25 @@ func Create(path string, meta Meta) (*Writer, error) {
 	if _, err := f.Write(hdr); err != nil {
 		return fail(fmt.Errorf("telemetry: write header: %w", err))
 	}
-	w := &Writer{f: f, path: path, meta: meta, hdrLen: int64(len(hdr)),
-		next: meta.FirstWearer, offset: int64(len(hdr))}
+	w := &Writer{f: f, path: path, meta: meta, next: meta.FirstWearer, offset: int64(len(hdr))}
 	if err := w.writeCheckpoint(); err != nil {
 		return fail(err)
 	}
 	return w, nil
 }
 
-// Resume reopens an interrupted store for appending: it restores the last
-// checkpoint, discards any uncheckpointed tail bytes, and positions the
-// writer at NextWearer. When the checkpoint sidecar is missing or does
-// not match the store, it falls back to scanning the data file block by
-// block, trusting exactly the prefix whose CRCs verify.
+// Resume reopens an interrupted store for appending: it discards any
+// uncheckpointed tail bytes and positions the writer at NextWearer. It
+// walks the committed frames with the store's own Reader, so every
+// committed frame is verified and its query-index entry rebuilt here.
+// With a valid checkpoint sidecar the walk trusts exactly its prefix,
+// and damage inside that prefix is an ErrCorrupt error that leaves the
+// files untouched. When the sidecar is missing or does not match the
+// store, the walk trusts the longest verifiable prefix instead. A v3
+// record block and its series frame commit as one write, so a record
+// frame whose series frame is missing or damaged is a torn tail and
+// both are discarded; a trailing index frame is discarded too and
+// rewritten, identically, by Close.
 func Resume(path string) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -120,57 +124,19 @@ func Resume(path string) (*Writer, error) {
 }
 
 func resume(f *os.File, path string) (*Writer, error) {
-	meta, hdrLen, err := readHeaderFile(f)
+	r, err := newReader(f, path)
 	if err != nil {
 		return nil, err
 	}
-	// Refuse a newer format before the scan fallback can misdecode its
-	// blocks as tail damage and truncate them away.
-	if err := checkVersion(meta); err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: resume: %w", err)
-	}
-	size := st.Size()
-	w := &Writer{f: f, path: path, meta: meta, hdrLen: hdrLen, next: meta.FirstWearer}
-	ck, ckErr := readCheckpoint(path, meta)
-	switch {
-	case ckErr == nil && ck.consistentWith(hdrLen, size):
-		w.offset, w.blocks, w.next = ck.Offset, ck.Blocks, ck.NextWearer
-		// The checkpoint path never reads the committed frames, so the
-		// query-index entries are unknown; Close rebuilds them.
-		w.reindex = meta.Version >= FormatV3 && w.blocks > 0
-	default:
-		// No (or implausible) checkpoint: rebuild one from the longest
-		// verifiable block prefix, one block in memory at a time. A v3
-		// record block and its series frame commit as one write, so the
-		// pair is trusted atomically: a record frame whose series frame is
-		// missing or damaged is a torn tail, and both are discarded. A
-		// trailing index frame is likewise discarded (readFrameAt refuses
-		// non-record kinds) and deterministically rewritten at Close.
-		w.offset = hdrLen
-		for w.offset < size {
-			recs, end, ferr := readFrameAt(f, w.offset, size, meta.Version)
-			if ferr != nil || len(recs) == 0 || recs[0].Wearer != w.next {
-				break // damaged or non-contiguous: uncommitted tail
-			}
-			serOff := int64(0)
-			if meta.Series() {
-				serOff = end
-				if end, ferr = readSeriesFrameAt(f, end, size, recs); ferr != nil {
-					break // torn pair: discard the record frame too
-				}
-			}
-			if meta.Version >= FormatV3 {
-				w.entries = append(w.entries, entryFor(w.offset, serOff, recs))
-			}
-			w.next += len(recs)
-			w.blocks++
-			w.offset = end
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("telemetry: resume: %w", err)
 		}
 	}
+	w := &Writer{f: f, path: path, meta: r.meta, next: r.meta.FirstWearer + r.records,
+		blocks: r.blocks, offset: r.pos, entries: r.entries}
 	if err := w.f.Truncate(w.offset); err != nil {
 		return nil, fmt.Errorf("telemetry: truncate to checkpoint: %w", err)
 	}
@@ -303,12 +269,6 @@ func (w *Writer) Close() error {
 		return err
 	}
 	if w.meta.Version >= FormatV3 && w.blocks > 0 {
-		if w.reindex {
-			if err := w.rebuildEntries(); err != nil {
-				w.f.Close()
-				return err
-			}
-		}
 		if _, err := w.f.Write(encodeIndexFrame(w.entries)); err != nil {
 			w.f.Close()
 			return fmt.Errorf("telemetry: write index: %w", err)
@@ -316,35 +276,6 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	return w.f.Close()
-}
-
-// rebuildEntries reconstructs the query index of a checkpoint-resumed
-// writer by walking the committed frames it never saw. The checkpoint
-// promised these bytes, so any damage here is a hard error.
-func (w *Writer) rebuildEntries() error {
-	w.entries = w.entries[:0]
-	pos := w.hdrLen
-	next := w.meta.FirstWearer
-	for pos < w.offset {
-		recs, end, err := readFrameAt(w.f, pos, w.offset, w.meta.Version)
-		if err != nil {
-			return fmt.Errorf("telemetry: reindex: %w", err)
-		}
-		if len(recs) == 0 || recs[0].Wearer != next {
-			return fmt.Errorf("%w: reindex: non-contiguous wearer indices", ErrCorrupt)
-		}
-		serOff := int64(0)
-		if w.meta.Series() {
-			serOff = end
-			if end, err = readSeriesFrameAt(w.f, end, w.offset, recs); err != nil {
-				return fmt.Errorf("telemetry: reindex: %w", err)
-			}
-		}
-		w.entries = append(w.entries, entryFor(pos, serOff, recs))
-		next += len(recs)
-		pos = end
-	}
-	return nil
 }
 
 // Abort closes the file without flushing buffered records or advancing
