@@ -137,39 +137,58 @@ func TestSeriesStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeriesOffStoreByteGolden pins a series-off (v2) store to the exact
-// bytes the previous release wrote — recorded before any v3 code
-// existed. The v3 frame kinds and trailing index must cost series-off
-// stores nothing: any byte of drift here breaks resume compatibility
-// with every store in the wild.
+// TestSeriesOffStoreByteGolden pins a small store of every format to the
+// exact bytes its writer produced before the column codecs were shared.
+// The v2 row was recorded before any v3 code existed: the v3 frame kinds
+// and trailing index must cost series-off stores nothing, and any byte of
+// drift there breaks resume compatibility with every store in the wild.
+// The v0, v1 and v3-series rows pin the older record layouts and the
+// series and index frames, which the kill/resume and merge tests only
+// compare against themselves.
 func TestSeriesOffStoreByteGolden(t *testing.T) {
-	const (
-		goldenSHA = "841eda97926dfd09b6486a6db155c776de7fc11b8cc1e278b274546e3edddaa5"
-		goldenLen = 1141
-	)
-	path := filepath.Join(t.TempDir(), "golden.wtl")
-	meta := Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8,
-		Version: FormatV2, Cells: 5, Feedback: true}
-	w, err := Create(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := w.Consume(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	if len(data) != goldenLen || hex.EncodeToString(sum[:]) != goldenSHA {
-		t.Fatalf("v2 store drifted: %d bytes, sha256 %s (want %d, %s)",
-			len(data), hex.EncodeToString(sum[:]), goldenLen, goldenSHA)
+	for _, tc := range []struct {
+		name   string
+		meta   Meta
+		record func(int) Record
+		len    int
+		sha    string
+	}{
+		{"v0", Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8}, legacyRecord, 947,
+			"2a01d273d3829c7aafb38b2c8fe961f459535675ab151f113fcb1916a592afc2"},
+		{"v1", Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8,
+			Version: FormatV1, Cells: 5}, v1Record, 1047,
+			"b6661dd0e56634224d569f8e41adf9ffb71def2362eabaddb0c2ba8030b6ecbd"},
+		{"v2", Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8,
+			Version: FormatV2, Cells: 5, Feedback: true}, testRecord, 1141,
+			"841eda97926dfd09b6486a6db155c776de7fc11b8cc1e278b274546e3edddaa5"},
+		{"v3-series", Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8,
+			Version: FormatV3, Cells: 5, Feedback: true, SeriesCadenceSeconds: 0.5}, seriesRecord, 5349,
+			"b24c2e2fb87825c358df32e86aac98255f08e5de9cfbd559f76bd345978e45ff"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "golden.wtl")
+			w, err := Create(path, tc.meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				if err := w.Consume(tc.record(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if len(data) != tc.len || hex.EncodeToString(sum[:]) != tc.sha {
+				t.Fatalf("%s store drifted: %d bytes, sha256 %s (want %d, %s)",
+					tc.name, len(data), hex.EncodeToString(sum[:]), tc.len, tc.sha)
+			}
+		})
 	}
 }
 
