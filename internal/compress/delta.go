@@ -1,34 +1,14 @@
 package compress
 
-// Exported column codecs for the telemetry store (internal/telemetry):
-// zigzag-delta varint for integer columns, XOR-prev varint for float
-// columns, and a bit-packed boolean column, plus thin exported wrappers
-// around the MSB-first bit packer the in-package codecs already use. The
-// encoders are self-delimiting only in combination with a caller-kept
-// element count: telemetry blocks store the count once per block rather
-// than once per column.
+// Exported column codecs for the telemetry store: zigzag-delta and
+// delta-of-delta varint for integer columns, XOR-prev varint for float
+// columns, and a bit-packed boolean column. internal/telemetry picks one
+// of them per column in its column tables (codec.go there). The encoders
+// are self-delimiting only in combination with a caller-kept element
+// count: telemetry frames store the count once per frame rather than
+// once per column.
 
 import "math"
-
-// BitWriter packs bits MSB-first into a growing byte buffer. It is the
-// exported face of the packer Golomb-Rice and Huffman use internally.
-type BitWriter struct{ w bitWriter }
-
-// WriteBits appends the low n bits of v, MSB of those n first. n must be
-// ≤ 64.
-func (w *BitWriter) WriteBits(v uint64, n uint) { w.w.writeBits(v, n) }
-
-// Bytes flushes any partial byte (zero-padded) and returns the buffer.
-func (w *BitWriter) Bytes() []byte { return w.w.bytes() }
-
-// BitReader reads bits MSB-first from a byte slice.
-type BitReader struct{ r bitReader }
-
-// NewBitReader reads from buf; the caller keeps ownership of buf.
-func NewBitReader(buf []byte) *BitReader { return &BitReader{bitReader{buf: buf}} }
-
-// ReadBits reads n ≤ 64 bits; it returns ErrCorrupt past end-of-stream.
-func (r *BitReader) ReadBits(n uint) (uint64, error) { return r.r.readBits(n) }
 
 // AppendUvarint appends v in LEB128 (7 bits per byte, low group first).
 func AppendUvarint(dst []byte, v uint64) []byte { return appendUvarint(dst, v) }
@@ -36,13 +16,6 @@ func AppendUvarint(dst []byte, v uint64) []byte { return appendUvarint(dst, v) }
 // DecodeUvarint decodes one LEB128 value, returning the value and the
 // bytes consumed; consumed is 0 on a truncated or overlong encoding.
 func DecodeUvarint(src []byte) (uint64, int) { return uvarint(src) }
-
-// Zigzag maps signed to unsigned so small-magnitude values of either sign
-// get short varints: 0,-1,1,-2,2 → 0,1,2,3,4.
-func Zigzag(v int64) uint64 { return zigzag(v) }
-
-// Unzigzag inverts Zigzag.
-func Unzigzag(u uint64) int64 { return unzigzag(u) }
 
 // AppendDeltaInts appends vals as zigzag varints of consecutive
 // differences (first value differenced against zero). Sorted or

@@ -8,32 +8,32 @@ import (
 
 // TestBitWriterReaderBoundaries round-trips bit runs chosen to land on
 // every alignment: single bits, exact byte multiples, 7/9-bit straddles
-// and full 64-bit words, through the exported BitWriter/BitReader.
+// and full 64-bit words, through the package's bitWriter/bitReader.
 func TestBitWriterReaderBoundaries(t *testing.T) {
 	widths := []uint{1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64}
-	var w BitWriter
+	w := &bitWriter{}
 	var want []uint64
 	for i, n := range widths {
 		// A value pattern exercising both all-ones and sparse bits at
 		// each width.
 		v := (uint64(0xdeadbeefcafef00d) >> uint(i)) & (math.MaxUint64 >> (64 - n))
-		w.WriteBits(v, n)
+		w.writeBits(v, n)
 		want = append(want, v)
 	}
-	buf := w.Bytes()
-	r := NewBitReader(buf)
+	buf := w.bytes()
+	r := &bitReader{buf: buf}
 	for i, n := range widths {
-		got, err := r.ReadBits(n)
+		got, err := r.readBits(n)
 		if err != nil {
-			t.Fatalf("ReadBits(%d) at %d: %v", n, i, err)
+			t.Fatalf("readBits(%d) at %d: %v", n, i, err)
 		}
 		if got != want[i] {
 			t.Fatalf("width %d: got %#x want %#x", n, got, want[i])
 		}
 	}
 	// Reading past the zero-padded tail must fail rather than invent bits.
-	if _, err := r.ReadBits(8); err == nil {
-		t.Error("ReadBits past end-of-stream succeeded")
+	if _, err := r.readBits(8); err == nil {
+		t.Error("readBits past end-of-stream succeeded")
 	}
 }
 
@@ -42,27 +42,27 @@ func TestBitWriterReaderBoundaries(t *testing.T) {
 // padded final byte — both must round-trip.
 func TestBitRoundTripAtBlockEdges(t *testing.T) {
 	for _, extra := range []uint{0, 1} {
-		var w BitWriter
+		w := &bitWriter{}
 		for i := 0; i < 16; i++ {
-			w.WriteBits(uint64(i), 8)
+			w.writeBits(uint64(i), 8)
 		}
 		if extra > 0 {
-			w.WriteBits(1, extra)
+			w.writeBits(1, extra)
 		}
-		buf := w.Bytes()
+		buf := w.bytes()
 		wantLen := 16 + int(extra+7)/8
 		if len(buf) != wantLen {
 			t.Fatalf("extra=%d: len=%d want %d", extra, len(buf), wantLen)
 		}
-		r := NewBitReader(buf)
+		r := &bitReader{buf: buf}
 		for i := 0; i < 16; i++ {
-			v, err := r.ReadBits(8)
+			v, err := r.readBits(8)
 			if err != nil || v != uint64(i) {
 				t.Fatalf("extra=%d byte %d: %d, %v", extra, i, v, err)
 			}
 		}
 		if extra > 0 {
-			if v, err := r.ReadBits(1); err != nil || v != 1 {
+			if v, err := r.readBits(1); err != nil || v != 1 {
 				t.Fatalf("extra bit: %d, %v", v, err)
 			}
 		}

@@ -8,8 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"wiban/internal/compress"
 	"wiban/internal/desim"
 )
 
@@ -299,6 +301,152 @@ func FuzzSeriesBlock(f *testing.F) {
 			}
 			if 6*total > len(data) {
 				t.Fatalf("decoded %d points from %d bytes — over-read", total, len(data))
+			}
+		}
+	})
+}
+
+// sameBits is reflect.DeepEqual with floats compared by their IEEE-754
+// bits, so NaN payloads and signed zeros must survive a round trip too.
+// Nil and empty slices compare equal.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}
+
+// fuzzRecords interprets data as the column values of a small record
+// block holding only the fields format version can store: raw 64-bit
+// words, so every float bit pattern (NaN payloads, infinities, signed
+// zeros, subnormals) and every integer extreme reaches the codec.
+func fuzzRecords(data []byte, version int) []Record {
+	pos := 0
+	word := func() uint64 {
+		var v uint64
+		for k := 0; k < 8 && len(data) > 0; k++ {
+			v = v<<8 | uint64(data[pos%len(data)])
+			pos++
+		}
+		return v
+	}
+	recs := make([]Record, 1+len(data)%4)
+	for i := range recs {
+		recs[i] = Record{Wearer: 3 + i, Events: word(), HubRxBits: int64(word()),
+			HubUtilization: math.Float64frombits(word()), Cell: -1}
+		if version >= FormatV1 {
+			recs[i].Cell, recs[i].ForeignLoadPPM = int(word()), int64(word())
+		}
+		if version >= FormatV2 {
+			recs[i].EqForeignLoadPPM, recs[i].FeedbackIters = int64(word()), int(word())
+		}
+		for j := word() % 5; j > 0; j-- {
+			recs[i].Nodes = append(recs[i].Nodes, NodeRecord{
+				PacketsGenerated: int64(word()),
+				PacketsDelivered: int64(word()),
+				PacketsDropped:   int64(word()),
+				Transmissions:    int64(word()),
+				BitsDelivered:    int64(word()),
+				ProjectedLife:    math.Float64frombits(word()),
+				LatencyP50:       math.Float64frombits(word()),
+				LatencyP99:       math.Float64frombits(word()),
+				Perpetual:        word()%2 == 1,
+				Died:             word()%3 == 1,
+			})
+		}
+	}
+	return recs
+}
+
+// blockBody encodes recs as a record block and strips the framing and
+// kind selector, leaving the body decodeBlock reads.
+func blockBody(tb testing.TB, recs []Record, version int) []byte {
+	frame := encodeBlock(recs, version)
+	_, body, err := splitKind(frame[8:len(frame)-4], version)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// FuzzRecordBlock drives the record-block codec both ways at every format
+// version: bytes are first interpreted as column values for an
+// encode→decode round trip (every field must come back bit-identical,
+// float bits included), then thrown raw at the decoder as an adversarial
+// block body — which must reject or terminate cleanly without panicking
+// or allocating from a forged header.
+func FuzzRecordBlock(f *testing.F) {
+	for v := FormatV0; v <= FormatV3; v++ {
+		f.Add(blockBody(f, fuzzRecords([]byte{byte(v), 0x80, 0x7f, 0xff}, v), v))
+	}
+	recs := make([]Record, 8)
+	for i := range recs {
+		recs[i] = testRecord(i)
+	}
+	valid := blockBody(f, recs, FormatV2)
+	f.Add(valid)
+	f.Add(valid[:20])
+	corrupt := append([]byte(nil), valid...)
+	corrupt[len(corrupt)/2] ^= 0x10
+	f.Add(corrupt)
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// Node counts whose sum wraps around int64 to the header's total,
+	// followed by all-zero columns: each count must be bounded on its
+	// own, not only through the sum.
+	wrap := compress.AppendUvarint(nil, 0)
+	wrap = compress.AppendUvarint(wrap, 3)
+	wrap = compress.AppendUvarint(wrap, 2)
+	wrap = compress.AppendDeltaInts(wrap, []int64{math.MaxInt64, math.MaxInt64, 4})
+	f.Add(append(wrap, make([]byte, 3*7+2*8+2)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		for v := FormatV0; v <= FormatV3; v++ {
+			// Direction 1: data parameterizes a small block; the round
+			// trip must be exact.
+			recs := fuzzRecords(data, v)
+			back, err := decodeBlock(blockBody(t, recs, v), v)
+			if err != nil {
+				t.Fatalf("v%d: round trip rejected: %v", v, err)
+			}
+			if !sameBits(reflect.ValueOf(back), reflect.ValueOf(recs)) {
+				t.Fatalf("v%d: round trip mutated records:\n got %+v\nwant %+v", v, back, recs)
+			}
+
+			// Direction 2: data is a raw adversarial body. Any outcome
+			// but a panic or an over-read is acceptable; on success every
+			// record and node must have cost at least one byte per
+			// varint column.
+			if got, err := decodeBlock(data, v); err == nil {
+				nodes := 0
+				for i := range got {
+					nodes += len(got[i].Nodes)
+				}
+				if 4*len(got)+8*nodes > len(data) {
+					t.Fatalf("v%d: decoded %d records, %d nodes from %d bytes — over-read",
+						v, len(got), nodes, len(data))
+				}
 			}
 		}
 	})

@@ -11,179 +11,59 @@ import (
 //
 // A series frame carries the in-run samples of the record block it is
 // paired with — the writer appends the pair in a single write, so a torn
-// tail can never leave a committed record block without its series. Body
-// layout after the kind selector:
+// tail can never leave a committed record block without its series. Its
+// body after the kind selector is a nestedBody (codec.go) with no
+// per-record columns: the per-record point counts, then the seriesFrame
+// point columns flattened in (record, time, node) order. The timestamp
+// column is delta-of-delta coded, so fixed-cadence stamps cost ~1 byte.
 //
-//	uvarint firstWearer | uvarint records | uvarint totalPoints
-//	per-record column: points per record (zigzag-delta varint)
-//	point columns, flattened in (record, time, node) order:
-//	    node, queueDepth (zigzag-delta varint)
-//	    timeMS (delta-of-delta varint — fixed-cadence stamps cost ~1 byte)
-//	    charge, linkPER, collisionRate (XOR-prev varint)
-//
-// The index frame is the last frame of a completely written store: one
-// entry per record block with file offsets and the block's time/cell/node
-// ranges, so a query can seek straight to the blocks overlapping its
-// predicate. It is deliberately written *after* the final checkpoint and
-// never covered by one — resume discards and deterministically rewrites
-// it, keeping kill/resume stores byte-identical.
+// The index frame is the last frame of a completely written store: an
+// entry count, then the indexColumns table over one entry per record
+// block — file offsets and the block's time/cell/node ranges — so a
+// query can seek straight to the blocks overlapping its predicate. It
+// is deliberately written *after* the final checkpoint and never covered
+// by one — resume discards and deterministically rewrites it, keeping
+// kill/resume stores byte-identical.
+
+// seriesFrame is the series-frame body: no per-record columns, then the
+// per-point columns.
+var seriesFrame = nestedBody[SeriesPoint]{
+	children: []column[SeriesPoint]{
+		{codec: deltaCodec,
+			get: func(p *SeriesPoint) int64 { return int64(p.Node) },
+			set: func(p *SeriesPoint, v int64) { p.Node = int(v) }},
+		{codec: deltaCodec,
+			get: func(p *SeriesPoint) int64 { return int64(p.QueueDepth) },
+			set: func(p *SeriesPoint, v int64) { p.QueueDepth = int(v) }},
+		{codec: delta2Codec,
+			get: func(p *SeriesPoint) int64 { return p.TimeMS },
+			set: func(p *SeriesPoint, v int64) { p.TimeMS = v }},
+		{codec: xorCodec,
+			get: func(p *SeriesPoint) int64 { return floatBits(p.Charge) },
+			set: func(p *SeriesPoint, v int64) { p.Charge = bitsFloat(v) }},
+		{codec: xorCodec,
+			get: func(p *SeriesPoint) int64 { return floatBits(p.LinkPER) },
+			set: func(p *SeriesPoint, v int64) { p.LinkPER = bitsFloat(v) }},
+		{codec: xorCodec,
+			get: func(p *SeriesPoint) int64 { return floatBits(p.CollisionRate) },
+			set: func(p *SeriesPoint, v int64) { p.CollisionRate = bitsFloat(v) }},
+	},
+	childrenOf: func(r *Record) *[]SeriesPoint { return &r.Series },
+}
 
 // encodeSeriesFrame renders the samples attached to recs (one committed
 // block) as a framed series payload appended to dst.
 func encodeSeriesFrame(dst []byte, recs []Record) []byte {
-	total := 0
-	for i := range recs {
-		total += len(recs[i].Series)
-	}
 	payload := compress.AppendUvarint(nil, kindSeries)
-	payload = compress.AppendUvarint(payload, uint64(recs[0].Wearer))
-	payload = compress.AppendUvarint(payload, uint64(len(recs)))
-	payload = compress.AppendUvarint(payload, uint64(total))
-
-	ints := make([]int64, 0, total)
-	floats := make([]float64, 0, total)
-
-	ints = ints[:0]
-	for i := range recs {
-		ints = append(ints, int64(len(recs[i].Series)))
-	}
-	payload = compress.AppendDeltaInts(payload, ints)
-
-	for _, get := range []func(p *SeriesPoint) int64{
-		func(p *SeriesPoint) int64 { return int64(p.Node) },
-		func(p *SeriesPoint) int64 { return int64(p.QueueDepth) },
-	} {
-		ints = ints[:0]
-		for i := range recs {
-			for j := range recs[i].Series {
-				ints = append(ints, get(&recs[i].Series[j]))
-			}
-		}
-		payload = compress.AppendDeltaInts(payload, ints)
-	}
-	ints = ints[:0]
-	for i := range recs {
-		for j := range recs[i].Series {
-			ints = append(ints, recs[i].Series[j].TimeMS)
-		}
-	}
-	payload = compress.AppendDelta2Ints(payload, ints)
-	for _, get := range []func(p *SeriesPoint) float64{
-		func(p *SeriesPoint) float64 { return p.Charge },
-		func(p *SeriesPoint) float64 { return p.LinkPER },
-		func(p *SeriesPoint) float64 { return p.CollisionRate },
-	} {
-		floats = floats[:0]
-		for i := range recs {
-			for j := range recs[i].Series {
-				floats = append(floats, get(&recs[i].Series[j]))
-			}
-		}
-		payload = compress.AppendXorFloats(payload, floats)
-	}
-	return appendFrame(dst, payload)
+	return appendFrame(dst, seriesFrame.append(payload, recs, FormatV3))
 }
 
 // decodeSeriesBody inverts encodeSeriesFrame on a verified body (kind
 // already stripped) and attaches the points to recs, which must be the
 // records of the paired block.
 func decodeSeriesBody(body []byte, recs []Record) error {
-	pos := 0
-	header := make([]uint64, 3)
-	for i := range header {
-		v, n := compress.DecodeUvarint(body[pos:])
-		if n == 0 {
-			return fmt.Errorf("%w: series header", ErrCorrupt)
-		}
-		header[i] = v
-		pos += n
-	}
-	first, count, total := int(header[0]), int(header[1]), int(header[2])
-	if count != len(recs) || len(recs) == 0 || first != recs[0].Wearer {
-		return fmt.Errorf("%w: series frame covers wearers [%d,+%d), paired block holds [%d,+%d)",
-			ErrCorrupt, first, count, firstWearerOf(recs), len(recs))
-	}
-	if total < 0 || total > maxBlockPayload {
-		return fmt.Errorf("%w: implausible series point count %d", ErrCorrupt, total)
-	}
-	// Every point costs at least one byte in each of the six columns and
-	// every record one count byte; reject forged headers before allocating.
-	if count+6*total > len(body) {
-		return fmt.Errorf("%w: series header claims %d points in %d payload bytes",
-			ErrCorrupt, total, len(body))
-	}
-
-	intCol := func(n int, dec func([]byte, []int64) (int, error)) ([]int64, error) {
-		col := make([]int64, n)
-		used, err := dec(body[pos:], col)
-		pos += used
-		return col, err
-	}
-	counts, err := intCol(count, compress.DecodeDeltaInts)
-	if err != nil {
-		return err
-	}
-	sum := 0
-	for _, c := range counts {
-		if c < 0 {
-			return fmt.Errorf("%w: negative series count", ErrCorrupt)
-		}
-		sum += int(c)
-	}
-	if sum != total {
-		return fmt.Errorf("%w: series counts sum %d, header says %d", ErrCorrupt, sum, total)
-	}
-	nodes, err := intCol(total, compress.DecodeDeltaInts)
-	if err != nil {
-		return err
-	}
-	queues, err := intCol(total, compress.DecodeDeltaInts)
-	if err != nil {
-		return err
-	}
-	stamps, err := intCol(total, compress.DecodeDelta2Ints)
-	if err != nil {
-		return err
-	}
-	var cols [3][]float64
-	for i := range cols {
-		cols[i] = make([]float64, total)
-		used, err := compress.DecodeXorFloats(body[pos:], cols[i])
-		if err != nil {
-			return err
-		}
-		pos += used
-	}
-	if pos != len(body) {
-		return fmt.Errorf("%w: %d trailing series bytes", ErrCorrupt, len(body)-pos)
-	}
-
-	points := make([]SeriesPoint, total)
-	off := 0
-	for i := range recs {
-		pc := int(counts[i])
-		recs[i].Series = points[off : off+pc : off+pc]
-		for j := 0; j < pc; j++ {
-			points[off+j] = SeriesPoint{
-				Node:          int(nodes[off+j]),
-				TimeMS:        stamps[off+j],
-				Charge:        cols[0][off+j],
-				QueueDepth:    int(queues[off+j]),
-				LinkPER:       cols[1][off+j],
-				CollisionRate: cols[2][off+j],
-			}
-		}
-		off += pc
-	}
-	return nil
-}
-
-// firstWearerOf is a nil-safe accessor for error messages.
-func firstWearerOf(recs []Record) int {
-	if len(recs) == 0 {
-		return -1
-	}
-	return recs[0].Wearer
+	_, err := seriesFrame.decode(body, recs, FormatV3)
+	return err
 }
 
 // indexEntry summarizes one committed record block for query pruning.
@@ -235,71 +115,65 @@ func entryFor(recOffset, serOffset int64, recs []Record) indexEntry {
 	return e
 }
 
+// indexColumns is the index-frame body after the entry count.
+var indexColumns = []column[indexEntry]{
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return e.recOffset },
+		set: func(e *indexEntry, v int64) { e.recOffset = v }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return e.serOffset },
+		set: func(e *indexEntry, v int64) { e.serOffset = v }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.firstWearer) },
+		set: func(e *indexEntry, v int64) { e.firstWearer = int(v) }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.records) },
+		set: func(e *indexEntry, v int64) { e.records = int(v) }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.points) },
+		set: func(e *indexEntry, v int64) { e.points = int(v) }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return e.minTimeMS },
+		set: func(e *indexEntry, v int64) { e.minTimeMS = v }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return e.maxTimeMS },
+		set: func(e *indexEntry, v int64) { e.maxTimeMS = v }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.minCell) },
+		set: func(e *indexEntry, v int64) { e.minCell = int(v) }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.maxCell) },
+		set: func(e *indexEntry, v int64) { e.maxCell = int(v) }},
+	{codec: deltaCodec,
+		get: func(e *indexEntry) int64 { return int64(e.maxNodes) },
+		set: func(e *indexEntry, v int64) { e.maxNodes = int(v) }},
+}
+
 // encodeIndexFrame renders the per-block index as a framed payload.
 func encodeIndexFrame(entries []indexEntry) []byte {
 	payload := compress.AppendUvarint(nil, kindIndex)
 	payload = compress.AppendUvarint(payload, uint64(len(entries)))
-	cols := []func(e *indexEntry) int64{
-		func(e *indexEntry) int64 { return e.recOffset },
-		func(e *indexEntry) int64 { return e.serOffset },
-		func(e *indexEntry) int64 { return int64(e.firstWearer) },
-		func(e *indexEntry) int64 { return int64(e.records) },
-		func(e *indexEntry) int64 { return int64(e.points) },
-		func(e *indexEntry) int64 { return e.minTimeMS },
-		func(e *indexEntry) int64 { return e.maxTimeMS },
-		func(e *indexEntry) int64 { return int64(e.minCell) },
-		func(e *indexEntry) int64 { return int64(e.maxCell) },
-		func(e *indexEntry) int64 { return int64(e.maxNodes) },
-	}
-	ints := make([]int64, len(entries))
-	for _, get := range cols {
-		for i := range entries {
-			ints[i] = get(&entries[i])
-		}
-		payload = compress.AppendDeltaInts(payload, ints)
-	}
-	return appendFrame(nil, payload)
+	return appendFrame(nil, appendColumns(payload, &columnBuf{}, [][]indexEntry{entries}, indexColumns, FormatV3))
 }
 
 // decodeIndexBody inverts encodeIndexFrame on a verified body (kind
 // already stripped).
 func decodeIndexBody(body []byte) ([]indexEntry, error) {
-	n, used := compress.DecodeUvarint(body)
-	if used == 0 {
+	n, pos := compress.DecodeUvarint(body)
+	if pos == 0 {
 		return nil, fmt.Errorf("%w: index header", ErrCorrupt)
 	}
-	pos := used
 	count := int(n)
-	// Ten varint columns of count elements, ≥ 1 byte per element.
-	if count < 0 || count > maxBlockPayload || 10*count > len(body) {
+	if count < 0 || count > maxBlockPayload || minColumnsLen(indexColumns, count, FormatV3) > len(body)-pos {
 		return nil, fmt.Errorf("%w: implausible index entry count %d", ErrCorrupt, count)
 	}
-	var cols [10][]int64
-	for i := range cols {
-		cols[i] = make([]int64, count)
-		used, err := compress.DecodeDeltaInts(body[pos:], cols[i])
-		if err != nil {
-			return nil, err
-		}
-		pos += used
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing index bytes", ErrCorrupt, len(body)-pos)
-	}
 	entries := make([]indexEntry, count)
-	for i := range entries {
-		entries[i] = indexEntry{
-			recOffset:   cols[0][i],
-			serOffset:   cols[1][i],
-			firstWearer: int(cols[2][i]),
-			records:     int(cols[3][i]),
-			points:      int(cols[4][i]),
-			minTimeMS:   cols[5][i],
-			maxTimeMS:   cols[6][i],
-			minCell:     int(cols[7][i]),
-			maxCell:     int(cols[8][i]),
-			maxNodes:    int(cols[9][i]),
-		}
+	used, err := decodeColumns(body[pos:], &columnBuf{}, entries, indexColumns, FormatV3)
+	if err != nil {
+		return nil, err
+	}
+	if pos+used != len(body) {
+		return nil, fmt.Errorf("%w: %d trailing index bytes", ErrCorrupt, len(body)-pos-used)
 	}
 	return entries, nil
 }

@@ -29,8 +29,11 @@
 //	    varint); projectedLife, latencyP50, latencyP99 (XOR-prev varint);
 //	    perpetual, died (bit-packed)
 //
-// Column codecs live in wiban/internal/compress (AppendDeltaInts,
-// AppendXorFloats, PackBools).
+// Each frame kind declares this layout once, as an ordered column table
+// (recordBlock in block.go; seriesFrame and indexColumns in series.go),
+// and one encoder and one decoder in codec.go walk every table. A
+// column's since field names the format version that added it; the wire
+// codecs themselves live in wiban/internal/compress.
 //
 // # Format v3: frame kinds, series frames, query index
 //
