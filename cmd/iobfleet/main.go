@@ -58,10 +58,12 @@
 // With -out, every wearer's record is also appended to a telemetry store
 // (block-compressed, CRC-protected, checkpointed — see
 // wiban/internal/telemetry). If the sweep is killed, rerunning with
-// -resume and the same flags restores the checkpoint, replays the
-// committed records through the aggregator, and simulates only the
-// remaining wearers; the final report and fingerprint are bit-identical
-// to an uninterrupted run. Inspect, verify or re-aggregate a store with
+// -resume and the same flags restores the checkpoint, feeds the
+// committed records to the aggregator in the one pass that verifies
+// them, and simulates only the remaining wearers; the final report and
+// fingerprint are bit-identical to an uninterrupted run. -resume with
+// flags that describe a different sweep exits 2 and leaves the store and
+// its checkpoint untouched. Inspect, verify or re-aggregate a store with
 // the iobtrace command.
 //
 // A streaming sweep also stops gracefully: SIGINT or SIGTERM aborts at
@@ -85,6 +87,7 @@ import (
 
 	"wiban/internal/spectrum"
 	"wiban/internal/sweep"
+	"wiban/internal/telemetry"
 )
 
 func main() {
@@ -171,7 +174,7 @@ func main() {
 		}
 	}
 	sw, err := sweep.Open(f, meta, *outPath, *resume)
-	if errors.Is(err, sweep.ErrMismatch) {
+	if errors.Is(err, telemetry.ErrMismatch) {
 		fail(2, "%v", err)
 	} else if err != nil {
 		fail(1, "%v", err)

@@ -187,14 +187,21 @@ func TestSignalCheckpointAndResume(t *testing.T) {
 
 	// The store must be a genuine partial: checkpointed short of the
 	// population (the poll guarantees at least one committed block).
-	parked, err := telemetry.Resume(out)
+	r, err := telemetry.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := r.Meta()
+	r.Close()
+	fed := 0
+	parked, err := telemetry.Resume(out, meta, func(telemetry.Record) error { fed++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := parked.NextWearer()
 	parked.Abort()
-	if next <= 0 || next >= 6000 {
-		t.Fatalf("checkpoint at wearer %d, want a proper prefix of 6000", next)
+	if next <= 0 || next >= 6000 || fed != next {
+		t.Fatalf("checkpoint at wearer %d after %d resumed records, want a proper prefix of 6000", next, fed)
 	}
 	// The wearer the interrupt line reports is the one the resume starts
 	// from, not the writer's in-memory count, which runs ahead by the

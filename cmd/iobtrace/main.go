@@ -115,24 +115,16 @@ func withStore(cmd string, args []string, defineFlags func(*flag.FlagSet),
 	return fn(r)
 }
 
-// drainCount iterates the whole store (populating the reader's totals)
-// and returns the record count.
-func drainCount(r *telemetry.Reader) (int, error) {
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			return r.Records(), nil
-		} else if err != nil {
-			return r.Records(), err
-		}
-	}
-}
+// skip is the record sink of a drain that only wants the reader's
+// totals (Records, Blocks, SeriesPoints, RawBytes).
+func skip(telemetry.Record) error { return nil }
 
 func info(r *telemetry.Reader) error {
 	m := r.Meta()
-	n, err := drainCount(r)
-	if err != nil {
+	if err := r.Each(skip); err != nil {
 		return err
 	}
+	n := r.Records()
 	first, end := m.Range()
 	fmt.Printf("telemetry store: %d/%d wearers in %d blocks (block size %d)\n",
 		n, end-first, r.Blocks(), m.BlockSize)
@@ -174,10 +166,10 @@ func verify(r *telemetry.Reader) error {
 	// The reader is strict (OpenStrict): any damaged, torn or
 	// out-of-place frame — anywhere in the physical file — surfaces as a
 	// hard error from Next, never as a silent truncation.
-	n, err := drainCount(r)
-	if err != nil {
+	if err := r.Each(skip); err != nil {
 		return fmt.Errorf("block %d: %w", r.Blocks(), err)
 	}
+	n := r.Records()
 	fmt.Printf("ok: %d blocks, %d records, every CRC verified\n", r.Blocks(), n)
 	m := r.Meta()
 	if first, end := m.Range(); n < end-first {

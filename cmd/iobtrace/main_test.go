@@ -134,12 +134,20 @@ func corruptPastStaleCheckpoint(t *testing.T, path string, blockSize int) {
 	if err := os.WriteFile(scratch, data[:first+4+second], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := telemetry.Resume(scratch)
+	r, err := telemetry.Open(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.NextWearer() != blockSize {
-		t.Fatalf("one-block prefix checkpointed at wearer %d, want %d", w.NextWearer(), blockSize)
+	meta := r.Meta()
+	r.Close()
+	fed := 0
+	w, err := telemetry.Resume(scratch, meta, func(telemetry.Record) error { fed++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NextWearer() != blockSize || fed != blockSize {
+		t.Fatalf("one-block prefix checkpointed at wearer %d after %d resumed records, want %d",
+			w.NextWearer(), fed, blockSize)
 	}
 	w.Abort()
 	ck, err := os.ReadFile(telemetry.CheckpointPath(scratch))

@@ -201,10 +201,11 @@ func TestCoupledPhase1AllocBudget(t *testing.T) {
 	}
 }
 
-// TestRecordOfMatchesRecordInto pins the exported one-shot flattening to
-// the engine's buffer-reusing form: same report, same record — including
-// that recordInto fully overwrites a dirty reused buffer (stale nodes,
-// stale spectrum placement) rather than merging into it.
+// TestRecordOfMatchesRecordInto pins the engine's buffer-reusing
+// flattening to a one-shot one: the same report flattened into a fresh
+// record and into a dirty reused buffer (stale nodes, stale spectrum
+// placement) gives the same record — recordInto fully overwrites the
+// buffer rather than merging into it.
 func TestRecordOfMatchesRecordInto(t *testing.T) {
 	cfg := DefaultBase()
 	cfg.Seed = 9
@@ -212,7 +213,8 @@ func TestRecordOfMatchesRecordInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RecordOf(3, rep)
+	var want telemetry.Record
+	recordInto(&want, 3, rep)
 	dirty := telemetry.Record{
 		Wearer: 99, Cell: 7, ForeignLoadPPM: 1, EqForeignLoadPPM: 2, FeedbackIters: 3,
 		Nodes: make([]telemetry.NodeRecord, 8),

@@ -143,10 +143,7 @@ func TestCoupledResumeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed, err := telemetry.Resume(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumed := resumeStore(t, path, meta)
 			if wantNext := (kill.after / blockSize) * blockSize; resumed.NextWearer() != wantNext {
 				t.Fatalf("resume at wearer %d, want %d", resumed.NextWearer(), wantNext)
 			}

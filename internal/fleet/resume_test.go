@@ -28,6 +28,22 @@ func storeMeta(f *Fleet, blockSize int) telemetry.Meta {
 	}
 }
 
+// resumeStore resumes the store at path as meta's sweep through a
+// counting sink and checks that Resume fed it exactly the committed
+// records it resumes after.
+func resumeStore(t *testing.T, path string, meta telemetry.Meta) *telemetry.Writer {
+	t.Helper()
+	fed := 0
+	w, err := telemetry.Resume(path, meta, func(telemetry.Record) error { fed++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _ := meta.Range(); first+fed != w.NextWearer() {
+		t.Fatalf("Resume fed %d records from wearer %d, resumes at %d", fed, first, w.NextWearer())
+	}
+	return w
+}
+
 // reaggregate replays the whole store into a fresh aggregator — the
 // iobtrace `report` path — and returns the report.
 func reaggregate(t *testing.T, path string, span units.Duration) *Report {
@@ -90,10 +106,7 @@ func TestResumeGolden(t *testing.T) {
 			}
 
 			// Second leg: resume from the checkpoint and finish.
-			resumed, err := telemetry.Resume(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumed := resumeStore(t, path, storeMeta(f, blockSize))
 			wantNext := (kill.after / blockSize) * blockSize // committed blocks only
 			if resumed.NextWearer() != wantNext {
 				t.Fatalf("resume at wearer %d, want %d", resumed.NextWearer(), wantNext)

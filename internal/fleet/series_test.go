@@ -128,10 +128,7 @@ func TestFleetSeriesResumeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := telemetry.Resume(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := resumeStore(t, path, seriesStoreMeta(f, blockSize))
 	if wantNext := (killAfter / blockSize) * blockSize; resumed.NextWearer() != wantNext {
 		t.Fatalf("resume at wearer %d, want %d", resumed.NextWearer(), wantNext)
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"wiban/internal/bannet"
@@ -46,22 +45,13 @@ func Tee(sinks ...Sink) Sink {
 	})
 }
 
-// RecordOf flattens one wearer's simulation report into its telemetry
+// recordInto flattens one wearer's simulation report into its telemetry
 // record — exactly the fields fleet aggregation consumes, with durations
 // in seconds. The spectrum placement defaults to the uncoupled sentinel
-// (cell −1); the engine's Stream overwrites it on coupled sweeps. The
-// returned record owns its storage; the engine's hot path uses
-// recordInto to reuse one buffer instead.
-func RecordOf(wearer int, r *bannet.Report) telemetry.Record {
-	var rec telemetry.Record
-	recordInto(&rec, wearer, r)
-	return rec
-}
-
-// recordInto is the allocation-free form of RecordOf: it overwrites
-// every field of rec, reusing rec.Nodes' capacity. The engine calls it
-// with one long-lived record per sweep — the Sink borrow-until-return
-// contract exists exactly so this reuse is sound.
+// (cell −1); the engine's Stream overwrites it on coupled sweeps. It
+// overwrites every field of rec, reusing rec.Nodes' capacity: the engine
+// calls it with one long-lived record per sweep — the Sink
+// borrow-until-return contract exists exactly so this reuse is sound.
 func recordInto(rec *telemetry.Record, wearer int, r *bannet.Report) {
 	rec.Wearer = wearer
 	rec.Events = r.Events
@@ -247,23 +237,16 @@ func (a *StreamAggregator) Report() *Report {
 // a resumed sweep starts at (a shard store's records begin at
 // Meta.FirstWearer, not 0). Memory stays bounded by one telemetry block.
 func Replay(r *telemetry.Reader, sink Sink) (int, error) {
-	meta := r.Meta()
-	first, _ := meta.Range()
 	n := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("fleet: replay: %w", err)
-		}
-		if rec.Wearer != first+n {
-			return n, fmt.Errorf("fleet: replay: wearer %d at position %d", rec.Wearer, first+n)
-		}
+	err := r.Each(func(rec telemetry.Record) error {
 		if err := sink.Consume(rec); err != nil {
-			return n, fmt.Errorf("fleet: replay: wearer %d: %w", n, err)
+			return fmt.Errorf("wearer %d: %w", rec.Wearer, err)
 		}
 		n++
+		return nil
+	})
+	if err != nil {
+		return n, fmt.Errorf("fleet: replay: %w", err)
 	}
+	return n, nil
 }

@@ -16,10 +16,12 @@
 // their values between processes.
 //
 // Open and Run are the path. Open creates the telemetry store, or
-// resumes a checkpointed one: the store's meta must describe the same
-// sweep (adopting an older format version when it can still represent
-// it, ErrMismatch otherwise), its committed records replay into the
-// StreamAggregator, and the fleet starts at the checkpoint. Run streams
+// resumes a checkpointed one in a single pass, telemetry.Resume: the
+// store's meta must describe the same sweep (adopting an older format
+// version when it can still represent it, telemetry.ErrMismatch
+// otherwise, with the store left untouched), the walk that verifies its
+// committed records feeds them to the StreamAggregator, and the fleet
+// starts at the checkpoint. Run streams
 // the remaining wearers into store and aggregator and stops at the next
 // record boundary once its context ends, keeping the checkpoint for the
 // next Open to resume. A resumed sweep's report and store are
@@ -29,15 +31,10 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"wiban/internal/fleet"
 	"wiban/internal/telemetry"
 )
-
-// ErrMismatch reports a store that describes a different sweep than the
-// one being resumed into it.
-var ErrMismatch = errors.New("store describes a different sweep")
 
 // Sweep is an opened sweep: the aggregator holding every record before
 // the fleet's first unsimulated wearer, and the store the records stream
@@ -49,11 +46,12 @@ type Sweep struct {
 }
 
 // Open prepares f to run into the telemetry store at path. With resume
-// false it creates the store from meta; with resume true it reopens the
-// checkpointed store there, guards that it describes meta's sweep (block
-// size and format version are the store's to keep), replays its
-// committed records into the aggregator and moves f.Start to the
-// checkpoint. An empty path runs without a store.
+// false it creates the store from meta; with resume true it resumes the
+// checkpointed store there with telemetry.Resume, which refuses a store
+// that does not describe meta's sweep (block size and format version are
+// the store's to keep) and otherwise feeds its committed records to the
+// aggregator in the same walk, and moves f.Start to the checkpoint. An
+// empty path runs without a store.
 func Open(f *fleet.Fleet, meta telemetry.Meta, path string, resume bool) (*Sweep, error) {
 	s := &Sweep{Agg: fleet.NewStreamAggregator(f.Span), f: f}
 	if path == "" {
@@ -67,32 +65,9 @@ func Open(f *fleet.Fleet, meta telemetry.Meta, path string, resume bool) (*Sweep
 		s.Store = store
 		return s, nil
 	}
-	store, err := telemetry.Resume(path)
+	store, err := telemetry.Resume(path, meta, s.Agg.Consume)
 	if err != nil {
 		return nil, err
-	}
-	got := store.Meta()
-	meta.BlockSize = got.BlockSize
-	meta.Version = telemetry.AdoptVersion(got.Version, meta.Cells, meta.Feedback, meta.Series())
-	if got != meta {
-		store.Abort()
-		return nil, fmt.Errorf("%s: %w:\n  store: %+v\n  spec:  %+v", path, ErrMismatch, got, meta)
-	}
-	r, err := telemetry.Open(path)
-	if err != nil {
-		store.Abort()
-		return nil, err
-	}
-	replayed, err := fleet.Replay(r, s.Agg)
-	r.Close()
-	if err != nil {
-		store.Abort()
-		return nil, err
-	}
-	if first, _ := got.Range(); first+replayed != store.NextWearer() {
-		store.Abort()
-		return nil, fmt.Errorf("store %s replayed %d records from wearer %d but checkpoint says next is %d",
-			path, replayed, first, store.NextWearer())
 	}
 	f.Start = store.NextWearer()
 	s.Store = store

@@ -43,37 +43,12 @@ func readStore(t *testing.T, path string) []byte {
 // TestOpenRun is the store lifecycle every front end rides: a sweep
 // stopped mid-block (its context ended while records sat in the
 // uncommitted tail) keeps its checkpoint, a spec describing a different
-// sweep is refused with ErrMismatch, and Open-resume + Run finishes it
+// sweep is refused with telemetry.ErrMismatch, and Open-resume + Run finishes it
 // to the fingerprint — and, when the format is unchanged, the store
 // bytes — of an uninterrupted run. The cases cover every store format
 // the spec surface can produce, a v1 store a first-order coupled sweep
 // wrote before feedback existed, and density-derived cells.
 func TestOpenRun(t *testing.T) {
-	// The version-adoption rule Open applies: continue an older format
-	// when it can still represent the sweep, demand the current one (and
-	// so refuse the resume) when it cannot.
-	for _, c := range []struct {
-		store, cells int
-		feedback     bool
-		series       bool
-		want         int
-	}{
-		{telemetry.FormatV0, 0, false, false, telemetry.FormatV0},
-		{telemetry.FormatV1, 0, false, false, telemetry.FormatV1},
-		{telemetry.FormatV1, 4, false, false, telemetry.FormatV1},
-		{telemetry.FormatV1, 4, true, false, telemetry.CurrentFormat}, // mismatch → guard will refuse
-		{telemetry.FormatV2, 4, true, false, telemetry.FormatV2},
-		{telemetry.FormatV0, 4, false, false, telemetry.CurrentFormat}, // v0 cannot hold cells
-		{telemetry.FormatV2, 0, false, true, telemetry.CurrentFormat},  // v2 cannot hold series
-		{telemetry.FormatV3, 0, false, true, telemetry.FormatV3},
-		{telemetry.FormatV3, 4, true, true, telemetry.FormatV3},
-	} {
-		if got := telemetry.AdoptVersion(c.store, c.cells, c.feedback, c.series); got != c.want {
-			t.Errorf("store v%d cells=%d feedback=%t series=%t: adopted v%d, want v%d",
-				c.store, c.cells, c.feedback, c.series, got, c.want)
-		}
-	}
-
 	cases := []struct {
 		name    string
 		spec    Spec
@@ -181,7 +156,7 @@ func TestOpenRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Open(f2, meta2, path, true); !errors.Is(err, ErrMismatch) {
+			if _, err := Open(f2, meta2, path, true); !errors.Is(err, telemetry.ErrMismatch) {
 				t.Fatalf("resume with %+v: %v, want ErrMismatch", other, err)
 			}
 
@@ -213,6 +188,35 @@ func TestOpenRun(t *testing.T) {
 	}
 }
 
+// TestRefusedResumeLeavesStoreUntouched: a resume refused because the
+// store describes a different sweep must not touch the store. A complete
+// v3 series store keeps its trailing index frame, and its checkpoint
+// sidecar stays byte for byte what the finished sweep wrote.
+func TestRefusedResumeLeavesStoreUntouched(t *testing.T) {
+	spec := Spec{Wearers: 24, Seed: 5, DurSeconds: 5, BLEFraction: 0.5, SeriesSeconds: 1, BlockSize: 8}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.wtl")
+	run(t, spec, path, false)
+	data, sidecar := readStore(t, path), readStore(t, telemetry.CheckpointPath(path))
+	other := spec
+	other.Seed = 6
+	f, meta, err := other.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(f, meta, path, true); !errors.Is(err, telemetry.ErrMismatch) {
+		t.Fatalf("resume with seed %d: %v, want ErrMismatch", other.Seed, err)
+	}
+	if got := readStore(t, path); !bytes.Equal(got, data) {
+		t.Errorf("refused resume rewrote the store: %d bytes, was %d", len(got), len(data))
+	}
+	if got := readStore(t, telemetry.CheckpointPath(path)); !bytes.Equal(got, sidecar) {
+		t.Errorf("refused resume rewrote the sidecar: %s, was %s", got, sidecar)
+	}
+}
+
 // TestOpenWithoutStore pins the storeless path (iobfleet without -out)
 // and the failure of resuming a store that does not exist, which is an
 // I/O error, not a mismatch.
@@ -236,7 +240,7 @@ func TestOpenWithoutStore(t *testing.T) {
 		t.Errorf("aggregated %d wearers, want 6", s.Agg.Wearers())
 	}
 	_, err = Open(f, meta, filepath.Join(t.TempDir(), "missing.wtl"), true)
-	if err == nil || errors.Is(err, ErrMismatch) {
+	if err == nil || errors.Is(err, telemetry.ErrMismatch) {
 		t.Errorf("resuming a missing store: %v, want an I/O error", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wiban/internal/compress"
@@ -21,14 +22,7 @@ func storeBytes(f *testing.F, version int) []byte {
 	f.Helper()
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.wtl")
-	meta := Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8, Version: version}
-	if version >= FormatV1 {
-		meta.Cells = 5
-	}
-	if version >= FormatV2 {
-		meta.Feedback = true
-	}
-	w, err := Create(path, meta)
+	w, err := Create(path, fuzzMeta(version))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,6 +46,18 @@ func storeBytes(f *testing.F, version int) []byte {
 		f.Fatal(err)
 	}
 	return data
+}
+
+// fuzzMeta is the meta of the storeBytes store at format version.
+func fuzzMeta(version int) Meta {
+	meta := Meta{FleetSeed: 42, Wearers: 24, SpanSeconds: 30, BlockSize: 8, Version: version}
+	if version >= FormatV1 {
+		meta.Cells = 5
+	}
+	if version >= FormatV2 {
+		meta.Feedback = true
+	}
+	return meta
 }
 
 // seriesStoreBytes renders a small valid series-enabled (v3) store in
@@ -169,11 +175,13 @@ func FuzzReader(f *testing.F) {
 		}
 		// No sidecar exists, so Open exercises the truncation-scan path
 		// and OpenStrict the hard-error path.
+		var meta Meta
 		for _, open := range []func(string) (*Reader, error){Open, OpenStrict} {
 			r, err := open(path)
 			if err != nil {
 				continue
 			}
+			meta = r.Meta()
 			records := 0
 			first := r.Meta().FirstWearer // shard stores start past wearer 0
 			for {
@@ -194,16 +202,17 @@ func FuzzReader(f *testing.F) {
 			}
 			r.Close()
 		}
-		// The Resume scan fallback truncates to the verifiable prefix; it
-		// must do so without panicking and leave a store Resume accepts
-		// again (idempotence of repair).
-		w, err := Resume(path)
+		// The Resume scan fallback, continuing the sweep the header
+		// describes, truncates to the verifiable prefix; it must do so
+		// without panicking and leave a store Resume accepts again
+		// (idempotence of repair).
+		w, err := resumeStore(t, path, meta)
 		if err != nil {
 			return
 		}
 		next := w.NextWearer()
 		w.Abort()
-		w2, err := Resume(path)
+		w2, err := resumeStore(t, path, meta)
 		if err != nil {
 			t.Fatalf("second resume after repair failed: %v", err)
 		}
@@ -456,11 +465,13 @@ func FuzzRecordBlock(f *testing.F) {
 // sidecar bytes at Resume while the data file stays intact. The
 // contract: never panic, never wedge the store — an unusable sidecar
 // falls back to the CRC scan (recovering every committed record), and
-// whatever Resume lands on is self-consistent: replaying the repaired
-// store yields exactly NextWearer records and a second Resume is a
-// fixed point.
+// whatever Resume lands on is self-consistent: the records it feeds its
+// sink are exactly wearers [FirstWearer, NextWearer) in order, the same
+// records a fresh Reader yields from the repaired store, and a second
+// Resume is a fixed point.
 func FuzzResumeCheckpoint(f *testing.F) {
 	data := storeBytes(f, CurrentFormat)
+	meta := fuzzMeta(CurrentFormat)
 	// A matching valid sidecar for the corpus: recreate the store in a
 	// known location and read what the writer checkpointed.
 	dir := f.TempDir()
@@ -468,7 +479,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		f.Fatal(err)
 	}
-	w, err := Resume(path)
+	w, err := resumeStore(f, path, meta)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -504,7 +515,12 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		if err := os.WriteFile(CheckpointPath(path), sidecar, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Resume(path)
+		var fed []Record
+		w, err := Resume(path, meta, func(rec Record) error {
+			rec.Nodes, rec.Series = slices.Clone(rec.Nodes), slices.Clone(rec.Series)
+			fed = append(fed, rec)
+			return nil
+		})
 		if err != nil {
 			// The data file is intact, so Resume may only fail if a
 			// trusted sidecar truncated into garbage — which the
@@ -516,28 +532,25 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		if next < 0 || next > 20 {
 			t.Fatalf("resume landed outside the written range: %d", next)
 		}
-		// Self-consistency: the repaired store replays exactly next
-		// records (Resume rewrote a valid checkpoint, so the reader
-		// trusts the same prefix).
+		// Self-consistency: the repaired store replays exactly the records
+		// Resume fed its sink (Resume rewrote a valid checkpoint, so the
+		// reader trusts the same prefix), and drain pins them to wearers
+		// [0, next) in order.
 		r, err := Open(path)
 		if err != nil {
 			t.Fatalf("open after repair: %v", err)
 		}
-		records := 0
-		for {
-			if _, err := r.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("read after repair: %v", err)
-			}
-			records++
-		}
+		replayed := drain(t, r)
 		r.Close()
-		if records != next {
-			t.Fatalf("repaired store replays %d records, checkpoint says %d", records, next)
+		if len(replayed) != next || len(fed) != next {
+			t.Fatalf("Resume fed %d records and the repaired store replays %d, checkpoint says %d",
+				len(fed), len(replayed), next)
+		}
+		if !sameBits(reflect.ValueOf(fed), reflect.ValueOf(replayed)) {
+			t.Fatal("Resume fed its sink different records than the repaired store replays")
 		}
 		// Idempotence: resuming again changes nothing.
-		w2, err := Resume(path)
+		w2, err := resumeStore(t, path, meta)
 		if err != nil {
 			t.Fatalf("second resume failed: %v", err)
 		}
@@ -592,7 +605,7 @@ func TestResumeCloseRoundTrip(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				rw, err := Resume(path)
+				rw, err := resumeStore(t, path, tc.meta)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -675,7 +688,7 @@ func TestResumeRefusesDamageUnderCheckpoint(t *testing.T) {
 				if err := os.WriteFile(CheckpointPath(path), sidecar, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Resume(path); !errors.Is(err, ErrCorrupt) {
+				if _, err := resumeStore(t, path, tc.meta); !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("Resume over a damaged checkpointed frame: %v, want ErrCorrupt", err)
 				}
 				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {

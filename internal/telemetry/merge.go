@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -143,21 +142,10 @@ func MergeShards(dst string, paths []string, sink func(Record) error) (int, int6
 // the shard block they came from even though the merged writer buffers
 // records across shard boundaries.
 func copyShard(r *Reader, w *Writer, sink func(Record) error) error {
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
+	return r.Each(func(rec Record) error {
+		if err := w.Consume(rec); err != nil || sink == nil {
 			return err
 		}
-		if err := w.Consume(rec); err != nil {
-			return err
-		}
-		if sink != nil {
-			if err := sink(rec); err != nil {
-				return err
-			}
-		}
-	}
+		return sink(rec)
+	})
 }

@@ -470,30 +470,29 @@ func TestValidPrefix(t *testing.T) {
 	}
 }
 
-// TestAdoptVersion pins the resume version rule both front ends share:
-// keep the store's own format while it can represent the sweep, step up
-// to the current one — surfacing a meta mismatch — when it cannot.
+// TestAdoptVersion pins the resume version rule Resume applies: keep the
+// store's own format while it can represent the sweep, step up to the
+// current one — surfacing a meta mismatch — when it cannot.
 func TestAdoptVersion(t *testing.T) {
-	cases := []struct {
-		store, cells           int
-		feedback, series, want bool // want: true = keep store version
+	for _, c := range []struct {
+		store, cells     int
+		feedback, series bool
+		want             int
 	}{
-		{FormatV0, 0, false, false, true},  // uncoupled store stays v0
-		{FormatV1, 5, false, false, true},  // coupled store stays v1
-		{FormatV2, 5, true, false, true},   // feedback store stays v2
-		{FormatV0, 5, false, false, false}, // coupled sweep outgrew v0
-		{FormatV1, 5, true, false, false},  // feedback sweep outgrew v1
-		{FormatV2, 5, true, true, false},   // series sweep outgrew v2
-	}
-	for _, c := range cases {
-		got := AdoptVersion(c.store, c.cells, c.feedback, c.series)
-		want := CurrentFormat
-		if c.want {
-			want = c.store
-		}
-		if got != want {
-			t.Errorf("AdoptVersion(v%d, cells=%d, feedback=%v, series=%v) = v%d, want v%d",
-				c.store, c.cells, c.feedback, c.series, got, want)
+		{FormatV0, 0, false, false, FormatV0},      // uncoupled store stays v0
+		{FormatV1, 0, false, false, FormatV1},      // uncoupled store stays v1
+		{FormatV1, 4, false, false, FormatV1},      // coupled store stays v1
+		{FormatV2, 4, true, false, FormatV2},       // feedback store stays v2
+		{FormatV3, 0, false, true, FormatV3},       // series store stays v3
+		{FormatV3, 4, true, true, FormatV3},        // feedback series store stays v3
+		{FormatV0, 4, false, false, CurrentFormat}, // coupled sweep outgrew v0
+		{FormatV1, 4, true, false, CurrentFormat},  // feedback sweep outgrew v1
+		{FormatV2, 0, false, true, CurrentFormat},  // series sweep outgrew v2
+		{FormatV2, 4, true, true, CurrentFormat},   // feedback series sweep outgrew v2
+	} {
+		if got := adoptVersion(c.store, c.cells, c.feedback, c.series); got != c.want {
+			t.Errorf("adoptVersion(v%d, cells=%d, feedback=%v, series=%v) = v%d, want v%d",
+				c.store, c.cells, c.feedback, c.series, got, c.want)
 		}
 	}
 }

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -159,23 +157,22 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 		return nil, err
 	}
 	defer r.Close()
-	f, meta, hdrLen := r.f, r.meta, r.pos // nothing read yet: pos is the header end
-	if !meta.Series() {
+	if !r.meta.Series() {
 		return nil, fmt.Errorf("telemetry: store %s (format v%d) holds no series samples; re-run the sweep with a series cadence",
-			path, meta.Version)
+			path, r.meta.Version)
 	}
 	stats := &SeriesStats{}
-	if entries, limit, ok := loadIndex(f, path, meta, hdrLen); ok {
+	if entries, ok := r.loadIndex(); ok {
 		for i := range entries {
 			e := &entries[i]
 			if !q.admits(e) {
 				continue
 			}
-			recs, _, err := readFrameAt(f, e.recOffset, limit, meta.Version)
+			recs, _, err := readFrameAt(r.f, e.recOffset, r.ck.Offset, r.meta.Version)
 			if err != nil {
 				return nil, fmt.Errorf("telemetry: query: %w", err)
 			}
-			if _, err := readSeriesFrameAt(f, e.serOffset, limit, recs); err != nil {
+			if _, err := readSeriesFrameAt(r.f, e.serOffset, r.ck.Offset, recs); err != nil {
 				return nil, fmt.Errorf("telemetry: query: %w", err)
 			}
 			for j := range recs {
@@ -185,49 +182,37 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 		return stats, nil
 	}
 	// No usable index: walk every committed block.
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("telemetry: query: %w", err)
-		}
+	if err := r.Each(func(rec Record) error {
 		stats.fold(&q, get, &rec)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("telemetry: query: %w", err)
 	}
 	return stats, nil
 }
 
 // loadIndex locates and decodes the trailing query-index frame of a
 // completely written store. The index is written immediately past the
-// final checkpoint offset, so a valid sidecar points straight at it; any
-// inconsistency (missing sidecar, no trailing frame, frame of the wrong
-// kind, trailing bytes past it) reports ok=false and the caller falls
-// back to a sequential scan. limit is the trusted byte bound record
-// frames may be read under.
-func loadIndex(f *os.File, path string, meta Meta, hdrLen int64) (entries []indexEntry, limit int64, ok bool) {
-	if meta.Version < FormatV3 {
-		return nil, 0, false
+// final checkpoint offset, so the checkpoint the reader opened with
+// points straight at it, and record frames are read under that offset;
+// any inconsistency (no trusted checkpoint, no trailing frame, frame of
+// the wrong kind, trailing bytes past it) reports ok=false and the caller
+// falls back to a sequential scan.
+func (r *Reader) loadIndex() (entries []indexEntry, ok bool) {
+	if r.meta.Version < FormatV3 || r.ck == nil || r.ck.Offset >= r.size {
+		return nil, false
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, false
+	payload, end, err := readFramePayload(r.f, r.ck.Offset, r.size)
+	if err != nil || end != r.size {
+		return nil, false
 	}
-	ck, err := readCheckpoint(path, meta)
-	if err != nil || !ck.consistentWith(hdrLen, st.Size()) || ck.Offset >= st.Size() {
-		return nil, 0, false
-	}
-	payload, end, err := readFramePayload(f, ck.Offset, st.Size())
-	if err != nil || end != st.Size() {
-		return nil, 0, false
-	}
-	kind, body, err := splitKind(payload, meta.Version)
+	kind, body, err := splitKind(payload, r.meta.Version)
 	if err != nil || kind != kindIndex {
-		return nil, 0, false
+		return nil, false
 	}
 	entries, err = decodeIndexBody(body)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	return entries, ck.Offset, true
+	return entries, true
 }

@@ -14,8 +14,9 @@ import (
 // the first damaged one, reporting the cut via Truncated.
 //
 // Its block loop is the only walk over a store's committed record+series
-// pairs: Writer.Resume drains a Reader on its own file and adopts where
-// the walk ended, the counts and the index entries it collected.
+// pairs, and Each the one drain of it: Resume drains a Reader on its own
+// file into the caller's sink and adopts where the walk ended, the
+// counts and the index entries it collected.
 type Reader struct {
 	f    *os.File
 	meta Meta
@@ -208,6 +209,25 @@ func (r *Reader) nextBlock() error {
 			}
 		}
 		return io.EOF
+	}
+}
+
+// Each drains the reader: it hands every remaining committed record to
+// fn in wearer order and stops at the first error, from the walk or from
+// fn, returning it. A record borrows the reader's decode buffers until
+// fn returns.
+func (r *Reader) Each(fn func(Record) error) error {
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
 	}
 }
 

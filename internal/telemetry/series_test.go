@@ -238,7 +238,7 @@ func TestSeriesKillResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rw, err := Resume(path)
+		rw, err := resumeStore(t, path, seriesMeta(n, blockSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,16 +271,12 @@ func TestSeriesKillResumeByteIdentical(t *testing.T) {
 func TestSeriesScanResumeDiscardsTornPair(t *testing.T) {
 	const n, blockSize = 16, 8 // exactly two committed blocks
 	path := writeSeriesStore(t, n, blockSize)
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, hdrLen, err := readHeaderFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, _, ok := loadIndex(f, path, meta, hdrLen)
-	f.Close()
+	entries, ok := r.loadIndex()
+	r.Close()
 	if !ok || len(entries) != 2 {
 		t.Fatalf("index load failed (ok=%t, %d entries)", ok, len(entries))
 	}
@@ -292,7 +288,7 @@ func TestSeriesScanResumeDiscardsTornPair(t *testing.T) {
 	if err := os.Remove(CheckpointPath(path)); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Resume(path)
+	w, err := resumeStore(t, path, seriesMeta(n, blockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,21 +305,17 @@ func TestSeriesScanResumeDiscardsTornPair(t *testing.T) {
 // strict audit must flag the divergence.
 func TestStrictVerifyCrossChecksIndex(t *testing.T) {
 	path := writeSeriesStore(t, 16, 8)
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, hdrLen, err := readHeaderFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, limit, ok := loadIndex(f, path, meta, hdrLen)
-	f.Close()
+	entries, ok := r.loadIndex()
+	r.Close()
 	if !ok {
 		t.Fatal("index load failed")
 	}
 	entries[1].points++ // lie about the second block
-	if err := os.Truncate(path, limit); err != nil {
+	if err := os.Truncate(path, r.ck.Offset); err != nil {
 		t.Fatal(err)
 	}
 	fw, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -335,7 +327,7 @@ func TestStrictVerifyCrossChecksIndex(t *testing.T) {
 	}
 	fw.Close()
 
-	r, err := Open(path) // checkpoint-bounded read stops before the index
+	r, err = Open(path) // checkpoint-bounded read stops before the index
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +382,7 @@ func TestHeaderOnlyStore(t *testing.T) {
 		}
 		r.Close()
 	}
-	rw, err := Resume(path)
+	rw, err := resumeStore(t, path, seriesMeta(5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +449,7 @@ func TestCreateRemovesStaleSidecar(t *testing.T) {
 	if err := w2.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	rw, err := Resume(path)
+	rw, err := resumeStore(t, path, seriesMeta(37, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

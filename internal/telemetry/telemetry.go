@@ -85,10 +85,15 @@
 // A killed process loses at most the tail records buffered for the
 // not-yet-committed block: Resume truncates the data file back to the
 // checkpointed offset and the fleet engine re-simulates from NextWearer.
-// Resume finds that offset by walking the committed frames with the
-// Reader, the one walk over record+series pairs, so it also verifies
-// them: damage inside a checkpointed prefix fails Resume with ErrCorrupt
-// and leaves the files as they were.
+// A resume reads the store once. Resume first checks the header against
+// the sweep it is asked to continue and refuses a different one with
+// ErrMismatch. It then finds the offset by walking the committed frames
+// with the Reader, the one walk over record+series pairs, which verifies
+// them and hands every committed record to the caller's sink (the
+// sweep's aggregator). Damage inside a checkpointed prefix fails Resume
+// with ErrCorrupt. A refused or failed Resume leaves the store and its
+// sidecar as they were: the truncation and the checkpoint rewrite come
+// only after the walk and every sink call succeed.
 // Because every per-wearer simulation is a pure function of
 // (fleetSeed, wearer), the resumed sweep reproduces the interrupted one
 // bit-for-bit, and the re-aggregated report carries the identical
@@ -145,6 +150,10 @@ const (
 // ErrCorrupt reports a store whose framing, CRC or column payload does
 // not decode.
 var ErrCorrupt = errors.New("telemetry: corrupt store")
+
+// ErrMismatch reports a store that describes a different sweep than the
+// one Resume was asked to continue in it.
+var ErrMismatch = errors.New("store describes a different sweep")
 
 // Meta identifies the sweep a store belongs to. It is written once in the
 // file header; Resume and the iobtrace CLI use it to re-derive the run.
@@ -266,13 +275,11 @@ func RequiredVersion(cells int, feedback, series bool) int {
 	return FormatV0
 }
 
-// AdoptVersion picks the format a resumed sweep continues in: the store's
+// adoptVersion picks the format a resumed sweep continues in: the store's
 // own (older) format when it can still represent the requested sweep, and
-// the current format otherwise — so the caller's meta equality guard
-// surfaces the mismatch instead of the writer silently dropping columns.
-// Both fleet front ends (cmd/iobfleet -resume and the iobfleetd daemon's
-// restart recovery) apply this same rule, which is why it lives here.
-func AdoptVersion(storeVersion, cells int, feedback, series bool) int {
+// the current format otherwise — so Resume's meta comparison surfaces the
+// mismatch instead of the writer silently dropping columns.
+func adoptVersion(storeVersion, cells int, feedback, series bool) int {
 	if storeVersion >= RequiredVersion(cells, feedback, series) {
 		return storeVersion
 	}

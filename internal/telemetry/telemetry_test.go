@@ -88,6 +88,27 @@ func drain(t *testing.T, r *Reader) []Record {
 	}
 }
 
+// resumeStore resumes the store at path as want's sweep through a
+// counting sink; a successful Resume must have fed it exactly the
+// wearers [FirstWearer, NextWearer), in wearer order.
+func resumeStore(tb testing.TB, path string, want Meta) (*Writer, error) {
+	tb.Helper()
+	first, _ := want.Range()
+	fed := 0
+	w, err := Resume(path, want, func(rec Record) error {
+		if rec.Wearer != first+fed {
+			return fmt.Errorf("sink got wearer %d, want %d", rec.Wearer, first+fed)
+		}
+		fed++
+		return nil
+	})
+	if err == nil && first+fed != w.NextWearer() {
+		w.Abort()
+		tb.Fatalf("Resume fed %d records from wearer %d, resumes at %d", fed, first, w.NextWearer())
+	}
+	return w, err
+}
+
 // TestStoreRoundTrip writes across several block boundaries plus a short
 // final block and reads everything back bit-identically.
 func TestStoreRoundTrip(t *testing.T) {
@@ -147,7 +168,7 @@ func TestResumeAfterKill(t *testing.T) {
 			if err := w.Abort(); err != nil {
 				t.Fatal(err)
 			}
-			w2, err := Resume(path)
+			w2, err := resumeStore(t, path, testMeta(100, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +209,7 @@ func TestResumeWithoutCheckpoint(t *testing.T) {
 		f.Write([]byte("WBLK\xff\xff garbage tail not a real frame"))
 		f.Close()
 	}
-	w, err := Resume(path)
+	w, err := resumeStore(t, path, testMeta(32, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +248,7 @@ func TestCheckpointSeedCheck(t *testing.T) {
 	if _, err := readCheckpoint(path, testMeta(24, 8)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tampered checkpoint accepted: %v", err)
 	}
-	w, err := Resume(path)
+	w, err := resumeStore(t, path, testMeta(24, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +317,7 @@ func TestCheckpointRejectionTable(t *testing.T) {
 				t.Fatalf("parsed-but-invalid sidecar: error %v, want ErrCorrupt", err)
 			}
 			// The fallback scan recovers everything the file holds.
-			w, err := Resume(path)
+			w, err := resumeStore(t, path, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +368,7 @@ func TestCheckpointOffsetBlockMismatch(t *testing.T) {
 			if len(recs) != n {
 				t.Fatalf("scan read %d records, want %d", len(recs), n)
 			}
-			w, err := Resume(path)
+			w, err := resumeStore(t, path, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -612,7 +633,7 @@ func TestFormatVersionGuards(t *testing.T) {
 	}
 	// Resume especially must refuse: its checkpoint-less scan fallback
 	// would misdecode future blocks as damage and truncate them away.
-	if _, err := Resume(fp); err == nil {
+	if _, err := resumeStore(t, fp, Meta{Wearers: 10, SpanSeconds: 1}); err == nil {
 		t.Error("Resume accepted a future format version")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"wiban/internal/compress"
@@ -98,24 +97,29 @@ func Create(path string, meta Meta) (*Writer, error) {
 	return w, nil
 }
 
-// Resume reopens an interrupted store for appending: it discards any
-// uncheckpointed tail bytes and positions the writer at NextWearer. It
-// walks the committed frames with the store's own Reader, so every
-// committed frame is verified and its query-index entry rebuilt here.
-// With a valid checkpoint sidecar the walk trusts exactly its prefix,
-// and damage inside that prefix is an ErrCorrupt error that leaves the
-// files untouched. When the sidecar is missing or does not match the
+// Resume reopens the interrupted store at path to continue the sweep
+// want describes and positions the writer at NextWearer. It is the one
+// resume pass. It reads the header first and refuses a store that
+// describes a different sweep with ErrMismatch: the block size is the
+// store's own, and the format version the store's while it can still
+// represent want (adoptVersion). Then it walks the committed frames with
+// the store's own Reader, which verifies every frame, rebuilds its
+// query-index entry and hands its records to sink in wearer order,
+// borrowed until sink returns. With a valid checkpoint sidecar the walk
+// trusts exactly its prefix, and damage inside that prefix is an
+// ErrCorrupt error. When the sidecar is missing or does not match the
 // store, the walk trusts the longest verifiable prefix instead. A v3
-// record block and its series frame commit as one write, so a record
-// frame whose series frame is missing or damaged is a torn tail and
-// both are discarded; a trailing index frame is discarded too and
-// rewritten, identically, by Close.
-func Resume(path string) (*Writer, error) {
+// record block whose series frame is missing or damaged is a torn tail
+// and is discarded; a trailing index frame is discarded too and
+// rewritten, identically, by Close. The truncation and the checkpoint
+// rewrite come only after the walk and every sink call succeed, so a
+// refused or failed Resume leaves the store and its sidecar as they were.
+func Resume(path string, want Meta, sink func(Record) error) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: resume: %w", err)
 	}
-	w, err := resume(f, path)
+	w, err := resume(f, path, want, sink)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -123,17 +127,18 @@ func Resume(path string) (*Writer, error) {
 	return w, nil
 }
 
-func resume(f *os.File, path string) (*Writer, error) {
+func resume(f *os.File, path string, want Meta, sink func(Record) error) (*Writer, error) {
 	r, err := newReader(f, path)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: resume: %w", err)
-		}
+	want.BlockSize = r.meta.BlockSize
+	want.Version = adoptVersion(r.meta.Version, want.Cells, want.Feedback, want.Series())
+	if r.meta != want {
+		return nil, fmt.Errorf("%s: %w:\n  store: %+v\n  spec:  %+v", path, ErrMismatch, r.meta, want)
+	}
+	if err := r.Each(sink); err != nil {
+		return nil, fmt.Errorf("telemetry: resume: %w", err)
 	}
 	w := &Writer{f: f, path: path, meta: r.meta, next: r.meta.FirstWearer + r.records,
 		blocks: r.blocks, offset: r.pos, entries: r.entries}
