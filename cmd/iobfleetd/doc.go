@@ -125,12 +125,19 @@
 // executing a given shard writes the identical byte sequence, so the
 // merged store — fingerprint, blocks, checkpoint and trailing index —
 // is bit-identical to the same spec run unsharded in a single process.
-// That guarantee covers series sampling: a sharded sweep accepts
-// series_seconds, each backend commits its record+series frame pairs in
-// one write (so the replicated committed prefix always ends after a
-// complete pair), and the merge re-pairs and re-encodes the samples at
-// the merged block boundaries — iobtrace query reads identical numbers
-// off the merged store and a single-backend run's.
+// Every writer cuts its blocks on the absolute wearer grid (a multiple
+// of block_size), so apart from one short block at each end of a shard
+// whose range falls off the grid, a shard's blocks are the very blocks
+// the single process writes: the merge checks each such record+series
+// pair as strictly as any reader and copies its bytes, and re-encodes
+// only the seam blocks. That guarantee covers series sampling: a
+// sharded sweep accepts series_seconds, each backend commits its
+// record+series frame pairs in one write (so the replicated committed
+// prefix always ends after a complete pair), and iobtrace query reads
+// identical numbers off the merged store and a single-backend run's.
+// Backends of one fleet must run one build: the fault model below rests
+// on every backend writing a shard's identical byte sequence, and builds
+// that cut blocks differently do not.
 //
 // Every coupled sweep (cells > 0) adds a loads round: the coordinator
 // POSTs each range to /api/loads and merges the partial load tables.

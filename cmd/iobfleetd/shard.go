@@ -12,10 +12,12 @@ package main
 // run. Series sampling (series_seconds) rides the same protocol
 // unchanged: each backend commits record+series frame pairs in one
 // write, so the committed-prefix replication boundary
-// (X-Committed-Offset) always sits after a complete pair, and
-// telemetry.MergeShards re-pairs and re-encodes the samples at the
-// merged block boundaries — the merged series store, trailing query
-// index included, is byte-identical too.
+// (X-Committed-Offset) always sits after a complete pair, and every
+// writer cuts blocks on the absolute wearer grid, so
+// telemetry.MergeShards copies each verified pair that lies on the
+// merged grid and re-encodes only the blocks at an off-grid seam — the
+// merged series store, trailing query index included, is
+// byte-identical too.
 //
 // Fault model: a backend lost mid-shard is re-dispatched — to itself
 // after a restart (the label finds the recovered sweep, which resumes
@@ -188,10 +190,12 @@ func (m *manager) getJSON(url string, out any) (string, error) {
 // single-process run of the same spec: phase 1 merges commutative
 // integer tables, the solve is a pure function of the concatenated
 // members, phase-2 records are pure functions of (seed, wearer, tables),
-// and the merge re-encodes the identical record sequence — series
-// samples re-paired at the merged block boundaries — through the same
-// Writer. A failed merge removes its partial output (Writer.Discard), so
-// the shard partials on disk stay the only recovery state.
+// and shard writers cut blocks on the same absolute grid as the merged
+// Writer: the merge copies every verified record+series pair on that
+// grid unchanged and re-encodes the seam blocks through the Writer
+// (telemetry.MergeShards). A failed merge removes its partial output
+// (Writer.Discard), so the shard partials on disk stay the only
+// recovery state.
 func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, storePath string) {
 	start := time.Now()
 	subs, err := spec.Split(spec.Shards)

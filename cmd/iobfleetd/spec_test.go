@@ -3,43 +3,7 @@ package main
 import (
 	"reflect"
 	"testing"
-
-	"wiban/internal/sweep"
 )
-
-// TestShardRanges pins the coordinator's tiling of [0, Wearers): the
-// shard ranges runSharded dispatches are contiguous, cover the
-// population, and differ in size by at most one, remainder up front.
-func TestShardRanges(t *testing.T) {
-	cases := []struct {
-		wearers, shards int
-		want            [][2]int
-	}{
-		{10, 3, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
-		{6, 3, [][2]int{{0, 2}, {2, 4}, {4, 6}}},
-		{5, 1, [][2]int{{0, 5}}},
-		{3, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-	}
-	for _, c := range cases {
-		spec := sweepSpec{Spec: sweep.Spec{Wearers: c.wearers, Seed: 7, DurSeconds: 1}, Shards: c.shards}
-		if err := spec.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		subs, err := spec.Split(spec.Shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(subs) != len(c.want) {
-			t.Fatalf("Split(%d) of %d wearers made %d shards", c.shards, c.wearers, len(subs))
-		}
-		for i := range subs {
-			first, end := subs[i].Range()
-			if got := [2]int{first, end}; got != c.want[i] {
-				t.Errorf("Split(%d) of %d wearers: shard %d = %v, want %v", c.shards, c.wearers, i, got, c.want[i])
-			}
-		}
-	}
-}
 
 // TestShardSubCanonical pins the sub-spec derivation: the coordinator
 // knob is stripped, the range lands in first/end, and a final shard

@@ -53,9 +53,10 @@
 //     coordinator merges and solves the equilibrium once, shards
 //     simulate their windows and replicate committed telemetry blocks
 //     back, and because seeds derive from absolute wearer indices the
-//     merged store — per-node time series included: record+series
-//     frame pairs are re-paired and re-encoded at the merged block
-//     boundaries — is byte-identical to a single-process run, even
+//     merged store — per-node time series included: writers cut
+//     blocks on the absolute wearer grid, so the merge copies every
+//     verified record+series pair that lies on it and re-encodes the
+//     seam blocks — is byte-identical to a single-process run, even
 //     after a backend is SIGKILLed and resumed mid-sweep, replaced,
 //     or never comes back at all (straggler shards are speculatively
 //     re-dispatched to live members past -steal-after;

@@ -259,7 +259,8 @@ func TestChooseRiceK(t *testing.T) {
 }
 
 func TestRiceOutlierEscape(t *testing.T) {
-	vals := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 2}
+	// 2048 zigzags to 4096 = 2^12, the marker's own length.
+	vals := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 2, 2048, 2047}
 	enc := RiceEncode(vals, 0) // k=0 forces the escape path
 	dec, err := RiceDecode(enc)
 	if err != nil {

@@ -8,7 +8,11 @@ package compress
 // count: telemetry frames store the count once per frame rather than
 // once per column.
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // AppendUvarint appends v in LEB128 (7 bits per byte, low group first).
 func AppendUvarint(dst []byte, v uint64) []byte { return appendUvarint(dst, v) }
@@ -109,6 +113,45 @@ func DecodeXorFloats(src []byte, dst []float64) (int, error) {
 		pos += n
 		prev ^= u
 		dst[i] = math.Float64frombits(prev)
+	}
+	return pos, nil
+}
+
+// SkipUvarints returns the bytes taken by the n varints at the start of
+// src without decoding them, or ErrCorrupt when they are not all there.
+// It accepts exactly the streams DecodeDeltaInts, DecodeDelta2Ints and
+// DecodeXorFloats accept for n elements — each varint must end within 10
+// bytes — and consumes as many bytes, so a caller can check a column it
+// has no use for at a fraction of the cost of decoding it.
+func SkipUvarints(src []byte, n int) (int, error) {
+	const stops = 0x8080808080808080 // each byte's continuation bit
+	pos, run := 0, 0                 // run: continuation bytes since the last terminator
+	// Eight bytes at a time while they cannot hold the last terminator:
+	// a word holds at most eight.
+	for ; n > 8 && pos+8 <= len(src); pos += 8 {
+		ends := ^binary.LittleEndian.Uint64(src[pos:]) & stops // terminators
+		if ends == 0 {
+			if run += 8; run >= 10 {
+				return 0, ErrCorrupt
+			}
+			continue
+		}
+		if run+bits.TrailingZeros64(ends)/8 >= 10 {
+			return 0, ErrCorrupt
+		}
+		run = bits.LeadingZeros64(ends) / 8
+		n -= bits.OnesCount64(ends)
+	}
+	for ; n > 0; pos++ {
+		if pos == len(src) || run == 9 && src[pos] >= 0x80 {
+			return 0, ErrCorrupt
+		}
+		if src[pos] < 0x80 {
+			n--
+			run = 0
+		} else {
+			run++
+		}
 	}
 	return pos, nil
 }

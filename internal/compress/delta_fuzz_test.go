@@ -8,7 +8,8 @@ import (
 // FuzzDeltaVarint drives the delta/varint codec two ways from one input:
 // the bytes reinterpreted as an int64 column must round-trip exactly, and
 // the bytes treated as an already-encoded stream must decode without
-// panicking (errors are fine — fuzz inputs are mostly corrupt streams).
+// panicking (errors are fine — fuzz inputs are mostly corrupt streams),
+// and SkipUvarints must accept exactly the streams the decoders accept.
 func FuzzDeltaVarint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -65,8 +66,14 @@ func FuzzDeltaVarint(f *testing.F) {
 			t.Fatalf("delta2 decoder claimed %d bytes of a %d-byte stream", n, len(data))
 		}
 		fout := make([]float64, count)
-		if n, err := DecodeXorFloats(data, fout); err == nil && n > len(data) {
-			t.Fatalf("float decoder claimed %d bytes of a %d-byte stream", n, len(data))
+		fn, ferr := DecodeXorFloats(data, fout)
+		if ferr == nil && fn > len(data) {
+			t.Fatalf("float decoder claimed %d bytes of a %d-byte stream", fn, len(data))
+		}
+		// Skipping a column must accept exactly what decoding it accepts,
+		// and consume as many bytes.
+		if skip, serr := SkipUvarints(data, count); (serr == nil) != (ferr == nil) || (ferr == nil && skip != fn) {
+			t.Fatalf("SkipUvarints = (%d, %v), DecodeXorFloats = (%d, %v)", skip, serr, fn, ferr)
 		}
 	})
 }

@@ -236,3 +236,35 @@ func TestDecodeTruncated(t *testing.T) {
 		t.Error("overlong varint accepted")
 	}
 }
+
+// TestSkipUvarintsMatchesDecode pins SkipUvarints to the decoders'
+// acceptance rule at every alignment its word-at-a-time scan can meet: a
+// varint of 1 to 12 bytes (ten continuation bytes are one too many)
+// after 0–16 one-byte varints, then more of them, whole and cut short.
+func TestSkipUvarintsMatchesDecode(t *testing.T) {
+	for lead := 0; lead <= 16; lead++ {
+		for width := 1; width <= 12; width++ {
+			var src []byte
+			for i := 0; i < lead; i++ {
+				src = append(src, byte(i))
+			}
+			for i := 1; i < width; i++ {
+				src = append(src, 0x80|byte(i))
+			}
+			src = append(src, 0x01)
+			for i := 0; i < 10; i++ {
+				src = append(src, 0x7f)
+			}
+			for cut := 0; cut <= len(src); cut++ {
+				for n := 1; n <= lead+11; n++ {
+					want, werr := DecodeXorFloats(src[:cut], make([]float64, n))
+					got, gerr := SkipUvarints(src[:cut], n)
+					if (gerr == nil) != (werr == nil) || got != want {
+						t.Fatalf("lead %d, width %d, cut %d, n %d: SkipUvarints = (%d, %v), decode = (%d, %v)",
+							lead, width, cut, n, got, gerr, want, werr)
+					}
+				}
+			}
+		}
+	}
+}

@@ -79,9 +79,10 @@ func RiceEncode(vals []int32, k uint) []byte {
 	for _, v := range vals {
 		u := zigzag(int64(v))
 		q := u >> k
-		if q > 1<<12 {
+		if q >= 1<<12 {
 			// Escape pathological outliers: unary overflow marker
-			// (2^12 ones) then the raw value in 64 bits.
+			// (2^12 ones) then the raw value in 64 bits. A quotient of
+			// exactly 2^12 must escape too, or it reads as the marker.
 			w.writeUnary(1 << 12)
 			w.writeBits(u, 64)
 			continue

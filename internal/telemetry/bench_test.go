@@ -209,3 +209,51 @@ func BenchmarkWriterConsume(b *testing.B) {
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(1e9/perOp, "records/s")
 }
+
+// BenchmarkMergeShards measures the sharded sweep's serial tail: merging
+// two v3 series shards — 2,500 wearers of benchSeriesBlock records (240
+// samples each), block 64, cut at wearer 1,250, off the grid — into one
+// store, with a sink folding every record. Every pair but the seam's is
+// spliced.
+func BenchmarkMergeShards(b *testing.B) { benchMergeShards(b, false) }
+
+// BenchmarkMergeShardsLegacy is BenchmarkMergeShards with the second
+// shard laid out the way writers cut blocks before the grid rule, at
+// FirstWearer+k·BlockSize: each of its pairs is off the merged grid and
+// re-encodes.
+func BenchmarkMergeShardsLegacy(b *testing.B) { benchMergeShards(b, true) }
+
+func benchMergeShards(b *testing.B, legacy bool) {
+	const n, blockSize = 2500, 64
+	meta := Meta{FleetSeed: 42, Wearers: n, SpanSeconds: 60, BlockSize: blockSize,
+		Version: FormatV3, Cells: 5, Feedback: true, SeriesCadenceSeconds: 1}
+	block := benchSeriesBlock(blockSize)
+	mk := func(i int) Record {
+		rec := block[i%blockSize]
+		rec.Wearer = i
+		return rec
+	}
+	paths := []string{
+		writeShardStore(b, b.TempDir(), meta, 0, n/2, mk, false),
+		writeShardStore(b, b.TempDir(), meta, n/2, n, mk, legacy),
+	}
+	dst := filepath.Join(b.TempDir(), "merged.wtl")
+	nodes := 0
+	sink := func(rec Record) error {
+		nodes += len(rec.Nodes)
+		return nil
+	}
+	var size int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, size, err = MergeShards(dst, paths, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(n/(perOp/1e9), "records/s")
+	b.ReportMetric(float64(size)/(perOp/1e9)/1e6, "MB/s")
+}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"wiban/internal/compress"
 )
@@ -105,7 +106,7 @@ func encodeBlock(recs []Record, version int) []byte {
 // decodeBlock inverts encodeBlock on a verified payload, under the
 // column layout of the given format version.
 func decodeBlock(payload []byte, version int) ([]Record, error) {
-	return recordBlock.decode(payload, nil, version)
+	return recordBlock.decode(payload, nil, version, nil)
 }
 
 // readHeaderFile reads and verifies the header at the start of f —
@@ -141,34 +142,46 @@ func readHeaderFile(f *os.File) (Meta, int64, error) {
 	return meta, start + int64(len(buf)), nil
 }
 
-// readFramePayload reads and CRC-verifies one frame at pos, never past
-// limit, returning the raw payload (kind prefix included in v3 stores)
-// and the offset just past the frame. One frame is the unit of reader
-// memory: nothing larger is ever resident.
-func readFramePayload(f *os.File, pos, limit int64) ([]byte, int64, error) {
+// frameOverhead is the framing around a payload: magic and length ahead
+// of it, its CRC behind.
+const frameOverhead = len(blockMagic) + 4 + 4
+
+// readFrame reads and CRC-verifies one frame at pos, never past limit,
+// and appends the whole frame, framing included, to dst; framePayload
+// recovers its payload, and the next frame starts len(frame) bytes on.
+// One frame is the unit of reader memory: nothing larger is ever
+// resident, and a reader that passes the same dst every time reuses it.
+func readFrame(dst []byte, f *os.File, pos, limit int64) ([]byte, error) {
 	var hdr [8]byte
 	if pos+int64(len(hdr)) > limit {
-		return nil, 0, fmt.Errorf("%w: truncated frame", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
 	}
 	if _, err := f.ReadAt(hdr[:], pos); err != nil {
-		return nil, 0, fmt.Errorf("%w: frame header: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: frame header: %v", ErrCorrupt, err)
 	}
 	if string(hdr[:len(blockMagic)]) != blockMagic {
-		return nil, 0, fmt.Errorf("%w: bad block magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad block magic", ErrCorrupt)
 	}
 	plen := int64(binary.LittleEndian.Uint32(hdr[len(blockMagic):]))
-	if plen > maxBlockPayload || pos+int64(len(hdr))+plen+4 > limit {
-		return nil, 0, fmt.Errorf("%w: truncated block payload", ErrCorrupt)
+	if plen > maxBlockPayload || pos+int64(frameOverhead)+plen > limit {
+		return nil, fmt.Errorf("%w: truncated block payload", ErrCorrupt)
 	}
-	buf := make([]byte, plen+4)
-	if _, err := f.ReadAt(buf, pos+int64(len(hdr))); err != nil {
-		return nil, 0, fmt.Errorf("%w: block payload: %v", ErrCorrupt, err)
+	start := len(dst)
+	dst = append(slices.Grow(dst, frameOverhead+int(plen)), hdr[:]...)
+	frame := dst[start : start+frameOverhead+int(plen)]
+	if _, err := f.ReadAt(frame[len(hdr):], pos+int64(len(hdr))); err != nil {
+		return nil, fmt.Errorf("%w: block payload: %v", ErrCorrupt, err)
 	}
-	payload := buf[:plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[plen:]) {
-		return nil, 0, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
+	if crc32.ChecksumIEEE(framePayload(frame)) != binary.LittleEndian.Uint32(frame[len(frame)-4:]) {
+		return nil, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
-	return payload, pos + int64(len(hdr)) + plen + 4, nil
+	return dst[:start+len(frame)], nil
+}
+
+// framePayload is the payload of a verified frame (kind prefix included
+// in v3 stores).
+func framePayload(frame []byte) []byte {
+	return frame[len(blockMagic)+4 : len(frame)-4]
 }
 
 // ValidPrefix walks the store bytes of f in [from, to) — the header
@@ -190,11 +203,11 @@ func ValidPrefix(f *os.File, from, to int64) int64 {
 		pos = hdrLen
 	}
 	for pos < to {
-		_, end, err := readFramePayload(f, pos, to)
+		frame, err := readFrame(nil, f, pos, to)
 		if err != nil {
 			break
 		}
-		pos = end
+		pos += int64(len(frame))
 	}
 	return pos
 }
@@ -216,11 +229,11 @@ func splitKind(payload []byte, version int) (int, []byte, error) {
 // past limit, returning the decoded records and the offset just past the
 // frame. In a v3 store the frame must actually be a record block.
 func readFrameAt(f *os.File, pos, limit int64, version int) ([]Record, int64, error) {
-	payload, end, err := readFramePayload(f, pos, limit)
+	frame, err := readFrame(nil, f, pos, limit)
 	if err != nil {
 		return nil, 0, err
 	}
-	kind, body, err := splitKind(payload, version)
+	kind, body, err := splitKind(framePayload(frame), version)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -231,5 +244,5 @@ func readFrameAt(f *os.File, pos, limit int64, version int) ([]Record, int64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	return recs, end, nil
+	return recs, pos + int64(len(frame)), nil
 }

@@ -120,10 +120,21 @@ func appendColumns[R any](dst []byte, buf *columnBuf, runs [][]R, cols []column[
 	return dst
 }
 
-// decodeColumns inverts appendColumns for len(rows) rows, setting each
-// decoded value into rows, and returns the bytes consumed.
-func decodeColumns[R any](src []byte, buf *columnBuf, rows []R, cols []column[R], version int) (int, error) {
-	n := len(rows)
+// columnTap asks a check-only decode for the values of one integer
+// column.
+type columnTap struct {
+	col  int                // index into the column table
+	seen func(vals []int64) // valid until the decode reuses its buffer
+}
+
+// decodeColumns inverts appendColumns for n rows, setting each decoded
+// value into rows (len n), and returns the bytes consumed. With tap
+// non-nil it builds no rows (rows may be nil) but checks every column as
+// strictly: it skips over each varint column's bytes — SkipUvarints
+// accepts exactly the streams the decoders accept — except tap.col's,
+// whose values it decodes for tap.seen.
+func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []column[R], version int,
+	tap *columnTap) (int, error) {
 	buf.fit(n)
 	pos := 0
 	for ci, c := range cols {
@@ -132,24 +143,34 @@ func decodeColumns[R any](src []byte, buf *columnBuf, rows []R, cols []column[R]
 		}
 		var used int
 		var err error
-		switch c.codec {
-		case deltaCodec:
-			used, err = compress.DecodeDeltaInts(src[pos:], buf.vals)
-		case delta2Codec:
-			used, err = compress.DecodeDelta2Ints(src[pos:], buf.vals)
-		case xorCodec:
-			used, err = compress.DecodeXorFloats(src[pos:], buf.floats)
-		case flagCodec:
+		switch {
+		case c.codec == flagCodec:
 			used = compress.PackedBoolLen(n)
 			if pos+used > len(src) {
 				return 0, fmt.Errorf("%w: truncated flag column %d", ErrCorrupt, ci)
 			}
-			err = compress.UnpackBools(src[pos:pos+used], buf.flags)
+			if tap == nil {
+				err = compress.UnpackBools(src[pos:pos+used], buf.flags)
+			}
+		case tap != nil && ci != tap.col:
+			used, err = compress.SkipUvarints(src[pos:], n)
+		case c.codec == deltaCodec:
+			used, err = compress.DecodeDeltaInts(src[pos:], buf.vals)
+		case c.codec == delta2Codec:
+			used, err = compress.DecodeDelta2Ints(src[pos:], buf.vals)
+		case c.codec == xorCodec:
+			used, err = compress.DecodeXorFloats(src[pos:], buf.floats)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("%w: column %d: %v", ErrCorrupt, ci, err)
 		}
 		pos += used
+		if tap != nil {
+			if ci == tap.col {
+				tap.seen(buf.vals)
+			}
+			continue
+		}
 		switch c.codec {
 		case xorCodec:
 			for i, f := range buf.floats {
@@ -209,8 +230,10 @@ func (b *nestedBody[C]) append(dst []byte, recs []Record, version int) []byte {
 // header, cell −1 until a cell column says otherwise, since v0 stores
 // predate spectrum coupling); otherwise recs must be exactly the records
 // the header names (a series frame attaching to its paired block). The
-// children attach to the records only once the whole body decodes.
-func (b *nestedBody[C]) decode(src []byte, recs []Record, version int) ([]Record, error) {
+// children attach to the records only once the whole body decodes. With
+// tap non-nil the children are checked as strictly but never built, and
+// tap sees one of their columns (decodeColumns).
+func (b *nestedBody[C]) decode(src []byte, recs []Record, version int, tap *columnTap) ([]Record, error) {
 	var header [3]uint64
 	pos := 0
 	for i := range header {
@@ -259,18 +282,24 @@ func (b *nestedBody[C]) decode(src []byte, recs []Record, version int) ([]Record
 	}
 	var buf columnBuf
 	buf.fit(max(count, total)) // the longest column, so later fits only reslice
-	used, err = decodeColumns(src[pos:], &buf, recs, b.records, version)
+	used, err = decodeColumns(src[pos:], &buf, count, recs, b.records, version, nil)
 	if err != nil {
 		return nil, err
 	}
 	pos += used
-	kids := make([]C, total)
-	if used, err = decodeColumns(src[pos:], &buf, kids, b.children, version); err != nil {
+	var kids []C
+	if tap == nil {
+		kids = make([]C, total)
+	}
+	if used, err = decodeColumns(src[pos:], &buf, total, kids, b.children, version, tap); err != nil {
 		return nil, err
 	}
 	pos += used
 	if pos != len(src) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(src)-pos)
+	}
+	if tap != nil {
+		return recs, nil
 	}
 	off := 0
 	for i := range recs {

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -299,17 +301,26 @@ func FuzzSeriesBlock(f *testing.F) {
 		// Direction 2: data is a raw adversarial body. Any outcome but a
 		// panic or an over-read is acceptable; on (unlikely) success the
 		// attached points must be bounded by what the bytes could hold.
+		// The check-only decode a merge splice runs must refuse exactly
+		// what the full decode refuses, and on success report the points
+		// the full decode built.
 		tgt := make([]Record, 4)
 		for i := range tgt {
 			tgt[i].Wearer = i
 		}
-		if err := decodeSeriesBody(data, tgt); err == nil {
-			total := 0
-			for i := range tgt {
-				total += len(tgt[i].Series)
+		var span timeSpan
+		checkErr := checkSeriesBody(data, tgt, &span)
+		err = decodeSeriesBody(data, tgt)
+		if (err == nil) != (checkErr == nil) {
+			t.Fatalf("full decode error %v, check-only decode error %v", err, checkErr)
+		}
+		if err == nil {
+			want := entryFor(0, 0, tgt).timeSpan
+			if span != want {
+				t.Fatalf("check-only decode spans %+v, built points span %+v", span, want)
 			}
-			if 6*total > len(data) {
-				t.Fatalf("decoded %d points from %d bytes — over-read", total, len(data))
+			if 6*span.points > len(data) {
+				t.Fatalf("decoded %d points from %d bytes — over-read", span.points, len(data))
 			}
 		}
 	})
@@ -700,4 +711,145 @@ func TestResumeRefusesDamageUnderCheckpoint(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzMergeShards is the merge's differential: for a random population,
+// block size, format version, series on or off, up to three shards cut
+// anywhere (on the grid or off it) and shards laid out by older writers,
+// MergeShards must reproduce the single-writer store byte for byte,
+// trailing index and checkpoint sidecar included. Then one frame of one
+// shard has a body byte flipped and its CRC recomputed, so only the
+// decoders can see the damage: the merge must fail with ErrCorrupt
+// exactly when a Reader draining that shard fails — the splice accepts
+// nothing the re-encode path refuses — and a failed merge must leave no
+// dst or sidecar behind.
+func FuzzMergeShards(f *testing.F) {
+	// Seeds: the merge tests' 37-wearer, block-8 layouts (off the grid;
+	// on it, with a damaged frame; a legacy shard, damaged), the CI
+	// smoke's 80 wearers cut at 27 and 54 (damaged), a damaged v0 store
+	// and a single-shard v2 one.
+	f.Add(uint8(36), uint8(7), uint8(13), uint8(25), uint8(7), uint8(0), uint16(0), uint8(0))
+	f.Add(uint8(36), uint8(7), uint8(16), uint8(32), uint8(7), uint8(3), uint16(41), uint8(0x10))
+	f.Add(uint8(36), uint8(7), uint8(13), uint8(25), uint8(15), uint8(4), uint16(9), uint8(0x01))
+	f.Add(uint8(79), uint8(7), uint8(27), uint8(54), uint8(7), uint8(5), uint16(300), uint8(0x80))
+	f.Add(uint8(20), uint8(3), uint8(5), uint8(5), uint8(0), uint8(1), uint16(2), uint8(0xff))
+	f.Add(uint8(20), uint8(3), uint8(0), uint8(0), uint8(2), uint8(0), uint16(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, pop, block, cut1, cut2, mode, frameSel uint8, byteSel uint16, flip uint8) {
+		n, bs := 1+int(pop)%80, 1+int(block)%16
+		version, series, legacy := int(mode)%4, mode&4 != 0, mode&8 != 0
+		if series {
+			version = FormatV3
+		}
+		meta := fuzzMeta(version)
+		meta.Wearers, meta.BlockSize = n, bs
+		if series {
+			meta.SeriesCadenceSeconds = 0.5
+		}
+		mk := func(i int) Record {
+			rec := testRecord(i)
+			if series {
+				rec = seriesRecord(i)
+			}
+			if version < FormatV1 {
+				rec.Cell, rec.ForeignLoadPPM = -1, 0
+			}
+			if version < FormatV2 {
+				rec.EqForeignLoadPPM, rec.FeedbackIters = 0, 0
+			}
+			return rec
+		}
+		full := filepath.Join(t.TempDir(), "full.wtl")
+		w, err := Create(full, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Consume(mk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		cuts := []int{0, int(cut1) % (n + 1), int(cut2) % (n + 1), n}
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		var paths []string
+		for k := 0; k+1 < len(cuts); k++ {
+			paths = append(paths, writeShardStore(t, t.TempDir(), meta, cuts[k], cuts[k+1], mk, legacy && k > 0))
+		}
+		dst := filepath.Join(t.TempDir(), "merged.wtl")
+		if _, _, err := MergeShards(dst, paths, nil); err != nil {
+			t.Fatalf("merge of shards cut at %v: %v", cuts, err)
+		}
+		sameStore(t, dst, full)
+		if flip == 0 {
+			return
+		}
+
+		// Damage one committed frame body of one shard, keep its CRC and
+		// its sidecar valid: the damage sits inside the checkpointed
+		// prefix, where the Reader must refuse it rather than truncate.
+		k := int(frameSel) % len(paths)
+		raw, err := os.ReadFile(paths[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, committed, _, err := Committed(paths[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hf, err := os.Open(paths[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pos, err := readHeaderFile(hf)
+		hf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []int64
+		for ; pos < committed; pos += int64(frameOverhead) + int64(binary.LittleEndian.Uint32(raw[pos+4:])) {
+			frames = append(frames, pos)
+		}
+		at := frames[int(frameSel)/len(paths)%len(frames)]
+		plen := int64(binary.LittleEndian.Uint32(raw[at+4:]))
+		payload := raw[at+8 : at+8+plen]
+		payload[int(byteSel)%len(payload)] ^= flip
+		binary.LittleEndian.PutUint32(raw[at+8+plen:], crc32.ChecksumIEEE(payload))
+		bad := filepath.Join(t.TempDir(), "bad.wtl")
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := os.ReadFile(CheckpointPath(paths[k]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(CheckpointPath(bad), ck, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := Open(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readErr := r.Each(func(Record) error { return nil })
+		r.Close()
+		paths[k] = bad
+		dst = filepath.Join(t.TempDir(), "merged.wtl")
+		_, _, mergeErr := MergeShards(dst, paths, nil)
+		if (readErr != nil) != errors.Is(mergeErr, ErrCorrupt) {
+			t.Fatalf("flipped %#x in frame at %d of shard %d: reader error %v, merge error %v",
+				flip, at, k, readErr, mergeErr)
+		}
+		if mergeErr != nil {
+			for _, p := range []string{dst, CheckpointPath(dst)} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("failed merge left %s behind (stat err = %v)", filepath.Base(p), err)
+				}
+			}
+		}
+	})
 }

@@ -2,30 +2,37 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
 // Shard-store merging. A sharded sweep runs each contiguous wearer range
 // [first, end) on its own backend, producing a shard store whose meta
 // carries FirstWearer/EndWearer and whose records keep their absolute
-// wearer indices. MergeShards streams the shards' records, in wearer
-// order, through a fresh full-range Writer — re-encoding rather than
-// splicing frames. Because block boundaries are a pure function of the
-// record sequence and BlockSize, and every codec is deterministic, the
-// merged file is byte-identical to the store a single-process run of the
-// whole population would have written, trailing query index included.
+// wearer indices. MergeShards walks the shards' record(+series) pairs in
+// wearer order into a fresh full-range Writer, and the merged file is
+// byte-identical to the store a single-process run of the whole
+// population would have written, trailing query index and checkpoint
+// sidecar included.
 //
-// Series frames ride the same path. A shard's block boundaries differ
-// from the merged ones (a shard covering [100,200) at BlockSize 64
-// blocks at 100/164, the single writer at 64/128/192), so series frames
-// cannot be spliced either: the shard Reader re-pairs each record block
-// with its series frame and attaches the decoded samples to rec.Series,
-// Writer.Consume copies them into its block arena (records offered to
-// the merge borrow decoder memory, exactly the engine's Sink contract),
-// and the merged writer re-cuts record+series pairs at its own
-// boundaries, committing each pair in one write. A sharded -series
-// sweep therefore merges byte-identical too — samples, gap markers and
-// index columns included.
+// Most pairs are copied, not rebuilt. Writers cut blocks on the absolute
+// wearer grid (Writer.Consume), and every codec is deterministic, so a
+// shard pair that starts on the grid, where the merged writer has
+// nothing buffered, and holds a full block or the population's tail
+// (Writer.onGrid), is byte for byte the pair the single writer commits
+// there. The shard Reader checks such a pair exactly as strictly as any
+// other — CRCs, kinds, wearer contiguity, record/series pairing, body
+// headers, child counts, every column's varints, no trailing bytes — but
+// builds no series samples, keeping only their count and time range for
+// the index entry, and the merged writer appends the verified bytes
+// unchanged (Writer.splice). Every other pair — the short blocks either
+// side of a seam that falls off the grid, and frames an older writer cut
+// at FirstWearer+k·BlockSize — is decoded, samples included, and
+// re-encoded through Writer.Consume, which re-cuts them at the merged
+// boundaries. The rule is "splice on-grid pairs, re-encode the rest". A
+// pair is trusted as far as the Reader trusts it: bytes no writer
+// produces that still pass every check, such as a varint padded with a
+// redundant continuation byte, are copied as they are.
 
 // Committed reports a store's durable extent — its meta, the
 // checkpoint-covered byte length, and the next wearer index — without
@@ -58,13 +65,16 @@ func rangeless(m Meta) Meta {
 // one sweep identity, tile [0, Wearers) exactly, and each hold every
 // record of its range. Every merged record is also offered to sink (when
 // non-nil) in wearer order, so the caller can fold the fingerprint in the
-// same pass; records — their node AND series slices — borrow decoder
-// memory and must not be retained past the call.
+// same pass. The sink sees a record's nodes but never its series samples
+// (Series is nil, whether or not its pair was spliced); a Reader over dst
+// replays those. Records borrow decoder memory and must not be retained
+// past the call.
 // Returns the merged store's committed block count and final file size.
-// On any error the half-written dst and its checkpoint sidecar are
-// removed (Writer.Discard): a failed merge leaves no partial store a
-// later recovery could mistake for real state — the shard stores remain
-// the durable inputs to retry from.
+// The merged store's checkpoint sidecar is written once, at Close: the
+// shard stores, not dst, are the recovery state. On any error the
+// half-written dst and its sidecar are removed (Writer.Discard): a failed
+// merge leaves no partial store a later recovery could mistake for real
+// state — the shard stores remain the durable inputs to retry from.
 func MergeShards(dst string, paths []string, sink func(Record) error) (int, int64, error) {
 	if len(paths) == 0 {
 		return 0, 0, fmt.Errorf("telemetry: merge of zero shards")
@@ -92,6 +102,7 @@ func MergeShards(dst string, paths []string, sink func(Record) error) (int, int6
 				r.Close()
 				return 0, 0, fmt.Errorf("telemetry: merge: create merged store: %w", err)
 			}
+			w.derived = true
 		} else if rangeless(meta) != base {
 			r.Close()
 			w.Discard()
@@ -135,17 +146,38 @@ func MergeShards(dst string, paths []string, sink func(Record) error) (int, int6
 	return blocks, st.Size(), nil
 }
 
-// copyShard streams one shard's records into the merged writer and sink.
-// The Reader attaches each block's decoded series samples to rec.Series
-// before handing the record over, and Consume copies nodes and series
-// into the writer's arenas, so the borrowed decode buffers never outlive
-// the shard block they came from even though the merged writer buffers
-// records across shard boundaries.
+// copyShard walks one shard's pairs into the merged writer and its
+// records into sink. A pair the writer takes unchanged (onGrid) is
+// spliced; any other pair's records, series attached, go through Consume,
+// which copies nodes and series into the writer's arenas, so the borrowed
+// decode buffers never outlive the pair they came from even though the
+// merged writer buffers records across shard boundaries.
 func copyShard(r *Reader, w *Writer, sink func(Record) error) error {
-	return r.Each(func(rec Record) error {
-		if err := w.Consume(rec); err != nil || sink == nil {
+	r.splice = w.onGrid
+	for {
+		if err := r.advance(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
 			return err
 		}
-		return sink(rec)
-	})
+		if r.spliced {
+			if err := w.splice(r.frames, r.entries[len(r.entries)-1]); err != nil {
+				return err
+			}
+		}
+		for _, rec := range r.block {
+			if !r.spliced {
+				if err := w.Consume(rec); err != nil {
+					return err
+				}
+			}
+			rec.Series = nil
+			if sink != nil {
+				if err := sink(rec); err != nil {
+					return err
+				}
+			}
+		}
+	}
 }

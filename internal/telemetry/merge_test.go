@@ -14,205 +14,271 @@ import (
 // as 0, the way a coordinator's sub-spec does).
 func writeShard(t *testing.T, dir string, n, blockSize, first, end int) string {
 	t.Helper()
-	meta := testMeta(n, blockSize)
+	return writeShardStore(t, dir, testMeta(n, blockSize), first, end, testRecord, false)
+}
+
+// writeSeriesShard is writeShard lifted to a series-enabled v3 store
+// whose records carry the deterministic seriesRecord samples.
+func writeSeriesShard(t *testing.T, dir string, n, blockSize, first, end int) string {
+	t.Helper()
+	return writeShardStore(t, dir, seriesMeta(n, blockSize), first, end, seriesRecord, false)
+}
+
+// writeShardStore writes mk(first..end) into a shard store of meta's
+// sweep. With legacy set it lays the blocks out the way writers did
+// before they cut on the absolute grid — at FirstWearer+k·BlockSize,
+// encoded with encodeBlock/encodeSeriesFrame — so a merge of it must
+// take the re-encode path for every pair off the merged grid.
+func writeShardStore(tb testing.TB, dir string, meta Meta, first, end int, mk func(int) Record, legacy bool) string {
+	tb.Helper()
 	meta.FirstWearer = first
-	if end != n {
+	if end != meta.Wearers {
 		meta.EndWearer = end
 	}
 	path := filepath.Join(dir, "shard.wtl")
 	w, err := Create(path, meta)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := first; i < end; i++ {
-		if err := w.Consume(testRecord(i)); err != nil {
-			t.Fatal(err)
+	for lo := first; lo < end; lo += meta.BlockSize {
+		hi := min(lo+meta.BlockSize, end)
+		recs := make([]Record, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			recs = append(recs, mk(i))
+		}
+		if !legacy {
+			for _, rec := range recs {
+				if err := w.Consume(rec); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			continue
+		}
+		frame := encodeBlock(recs, meta.Version)
+		serOff := int64(0)
+		if meta.Series() {
+			serOff = w.Offset() + int64(len(frame))
+			frame = encodeSeriesFrame(frame, recs)
+		}
+		w.next = hi
+		if err := w.appendPair(frame, entryFor(w.Offset(), serOff, recs)); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return path
+}
+
+// mergeLayouts are the shard tilings of a 37-wearer, block-8 sweep the
+// merge byte-identity tests cover: seams off the merged grid (13 and 25
+// fall mid-block, so each seam's short blocks re-encode while the merged
+// writer buffers borrowed records across a shard switch), seams on it
+// (every pair splices), and a middle shard laid out by an older writer
+// (every one of its pairs re-encodes).
+var mergeLayouts = []struct {
+	name   string
+	ranges [][2]int
+	legacy int // index of the shard written in the legacy layout, or -1
+}{
+	{"off-grid", [][2]int{{0, 13}, {13, 25}, {25, 37}}, -1},
+	{"on-grid", [][2]int{{0, 16}, {16, 32}, {32, 37}}, -1},
+	{"legacy", [][2]int{{0, 13}, {13, 25}, {25, 37}}, 1},
+}
+
+// sameStore asserts the store at got — data file and checkpoint sidecar
+// — is byte-identical to the one at want.
+func sameStore(tb testing.TB, got, want string) {
+	tb.Helper()
+	for _, p := range [][2]string{{got, want}, {CheckpointPath(got), CheckpointPath(want)}} {
+		g, err := os.ReadFile(p[0])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w, err := os.ReadFile(p[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			tb.Fatalf("merged %s differs from the single writer's: %d vs %d bytes", filepath.Base(p[0]), len(g), len(w))
+		}
+	}
 }
 
 // TestMergeShardsByteIdentical is the merge's core contract: shards
-// tiling [0, n) re-encode into a store byte-identical to the one a
-// single writer would have produced — header, blocks, checkpoints and
-// trailing index — with the sink seeing every record in wearer order.
+// tiling [0, n) — seams on or off the grid, any shard layout — merge
+// into a store byte-identical to the one a single writer would have
+// produced — header, blocks, checkpoint and trailing index — with the
+// sink seeing every record in wearer order.
 func TestMergeShardsByteIdentical(t *testing.T) {
 	const n, blockSize = 37, 8
 	full := writeStore(t, n, blockSize)
-
-	// Uneven tiling, with ranges that straddle block boundaries.
-	ranges := [][2]int{{0, 13}, {13, 25}, {25, n}}
-	paths := make([]string, len(ranges))
-	for i, rng := range ranges {
-		paths[i] = writeShard(t, t.TempDir(), n, blockSize, rng[0], rng[1])
+	for _, l := range mergeLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			paths := make([]string, len(l.ranges))
+			for i, rng := range l.ranges {
+				paths[i] = writeShardStore(t, t.TempDir(), testMeta(n, blockSize), rng[0], rng[1], testRecord, i == l.legacy)
+			}
+			dst := filepath.Join(t.TempDir(), "merged.wtl")
+			next := 0
+			blocks, size, err := MergeShards(dst, paths, func(rec Record) error {
+				if rec.Wearer != next {
+					t.Fatalf("sink saw wearer %d, want %d", rec.Wearer, next)
+				}
+				if want := testRecord(next); len(rec.Nodes) != len(want.Nodes) || rec.Events != want.Events {
+					t.Fatalf("sink record %d diverged from the shard's", next)
+				}
+				next++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != n {
+				t.Fatalf("sink saw %d records, want %d", next, n)
+			}
+			sameStore(t, dst, full)
+			if st, _ := os.Stat(dst); st.Size() != size {
+				t.Errorf("MergeShards reported size %d, file is %d", size, st.Size())
+			}
+			r, err := Open(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if recs := drain(t, r); len(recs) != n {
+				t.Fatalf("merged store holds %d records, want %d", len(recs), n)
+			}
+			if r.Blocks() != blocks {
+				t.Errorf("MergeShards reported %d blocks, reader sees %d", blocks, r.Blocks())
+			}
+		})
 	}
-
-	dst := filepath.Join(t.TempDir(), "merged.wtl")
-	next := 0
-	blocks, size, err := MergeShards(dst, paths, func(rec Record) error {
-		if rec.Wearer != next {
-			t.Fatalf("sink saw wearer %d, want %d", rec.Wearer, next)
-		}
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != n {
-		t.Fatalf("sink saw %d records, want %d", next, n)
-	}
-
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged store differs from single-writer store: %d vs %d bytes", len(got), len(want))
-	}
-	if st, _ := os.Stat(dst); st.Size() != size {
-		t.Errorf("MergeShards reported size %d, file is %d", size, st.Size())
-	}
-	r, err := Open(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if recs := drain(t, r); len(recs) != n {
-		t.Fatalf("merged store holds %d records, want %d", len(recs), n)
-	}
-	if r.Blocks() != blocks {
-		t.Errorf("MergeShards reported %d blocks, reader sees %d", blocks, r.Blocks())
-	}
-}
-
-// writeSeriesShard is writeShard lifted to a series-enabled v3 store:
-// the shard's records carry the deterministic seriesRecord samples, so
-// its block boundaries (cut at FirstWearer+k·BlockSize) straddle the
-// merged store's 0-based grid.
-func writeSeriesShard(t *testing.T, dir string, n, blockSize, first, end int) string {
-	t.Helper()
-	meta := seriesMeta(n, blockSize)
-	meta.FirstWearer = first
-	if end != n {
-		meta.EndWearer = end
-	}
-	path := filepath.Join(dir, "shard.wtl")
-	w, err := Create(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := first; i < end; i++ {
-		if err := w.Consume(seriesRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // TestMergeShardsSeriesByteIdentical extends the merge's core contract
-// to series-enabled stores: shards whose record+series pairs were cut at
-// shard-local block boundaries must re-pair and re-encode into a store
-// byte-identical to the single-writer -series run — samples, NaN gap
-// markers, checkpoints and the trailing query index all included — with
-// the sink seeing every record's series attached.
+// to series-enabled stores: spliced and re-encoded record+series pairs
+// alike must merge into a store byte-identical to the single-writer
+// -series run — samples, NaN gap markers, checkpoint and the trailing
+// query index all included. The sink sees records without their samples;
+// a Reader over the merged store replays every one.
 func TestMergeShardsSeriesByteIdentical(t *testing.T) {
 	const n, blockSize = 37, 8
 	full := writeSeriesStore(t, n, blockSize)
+	for _, l := range mergeLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			paths := make([]string, len(l.ranges))
+			for i, rng := range l.ranges {
+				paths[i] = writeShardStore(t, t.TempDir(), seriesMeta(n, blockSize), rng[0], rng[1], seriesRecord, i == l.legacy)
+			}
+			dst := filepath.Join(t.TempDir(), "merged.wtl")
+			next := 0
+			blocks, size, err := MergeShards(dst, paths, func(rec Record) error {
+				if rec.Wearer != next {
+					t.Fatalf("sink saw wearer %d, want %d", rec.Wearer, next)
+				}
+				if rec.Series != nil {
+					t.Fatalf("sink record %d carries %d series points, want none", next, len(rec.Series))
+				}
+				next++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != n {
+				t.Fatalf("sink saw %d records, want %d", next, n)
+			}
+			sameStore(t, dst, full)
+			if st, _ := os.Stat(dst); st.Size() != size {
+				t.Errorf("MergeShards reported size %d, file is %d", size, st.Size())
+			}
 
-	// Uneven tiling: shard boundaries at 13 and 25 fall mid-block on the
-	// merged grid (blocks at 8/16/24/32), so every shard seam forces the
-	// merged writer to buffer borrowed records across a shard switch.
-	ranges := [][2]int{{0, 13}, {13, 25}, {25, n}}
-	paths := make([]string, len(ranges))
-	for i, rng := range ranges {
-		paths[i] = writeSeriesShard(t, t.TempDir(), n, blockSize, rng[0], rng[1])
+			// The merged store must replay every sample, survive a strict
+			// audit (its trailing index restates the blocks), and serve
+			// index-pruned queries identically to the single-writer store.
+			r, err := Open(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			recs := drain(t, r)
+			if len(recs) != n || r.Blocks() != blocks {
+				t.Fatalf("merged store holds %d records in %d blocks (MergeShards said %d)", len(recs), r.Blocks(), blocks)
+			}
+			points := int64(0)
+			for i := range recs {
+				if want := seriesRecord(i); !samePoints(recs[i].Series, want.Series) {
+					t.Fatalf("merged record %d: series diverged from the shard's samples", i)
+				}
+				points += int64(len(recs[i].Series))
+			}
+			if r.SeriesPoints() != points || points == 0 {
+				t.Errorf("merged store counts %d series points, replays %d", r.SeriesPoints(), points)
+			}
+			rs, err := OpenStrict(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if audit := drain(t, rs); len(audit) != n {
+				t.Fatalf("strict audit of merged store read %d records, want %d", len(audit), n)
+			}
+			for _, q := range []Query{
+				{Metric: "charge", Cell: -1, Node: -1},
+				{Metric: "per", FromMS: 1000, ToMS: 2500, Cell: 3, Node: -1},
+			} {
+				m, err := QueryStore(dst, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := QueryStore(full, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Points != s.Points || m.Gaps != s.Gaps || m.Sum != s.Sum || m.Min != s.Min || m.Max != s.Max {
+					t.Errorf("query %+v over merged store diverged: got {pts=%d gaps=%d sum=%v}, want {pts=%d gaps=%d sum=%v}",
+						q, m.Points, m.Gaps, m.Sum, s.Points, s.Gaps, s.Sum)
+				}
+			}
+		})
 	}
+}
 
-	dst := filepath.Join(t.TempDir(), "merged.wtl")
-	next := 0
-	sinkPoints := int64(0)
-	blocks, size, err := MergeShards(dst, paths, func(rec Record) error {
-		if rec.Wearer != next {
-			t.Fatalf("sink saw wearer %d, want %d", rec.Wearer, next)
-		}
-		if want := seriesRecord(next); !samePoints(rec.Series, want.Series) {
-			t.Fatalf("sink record %d: series diverged from the shard's samples", next)
-		}
-		sinkPoints += int64(len(rec.Series))
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != n {
-		t.Fatalf("sink saw %d records, want %d", next, n)
-	}
-
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged series store differs from single-writer store: %d vs %d bytes", len(got), len(want))
-	}
-	if st, _ := os.Stat(dst); st.Size() != size {
-		t.Errorf("MergeShards reported size %d, file is %d", size, st.Size())
-	}
-
-	// The merged store must replay every sample, survive a strict audit
-	// (its trailing index restates the re-cut blocks), and serve index-
-	// pruned queries identically to the single-writer store.
-	r, err := Open(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	recs := drain(t, r)
-	if len(recs) != n || r.Blocks() != blocks {
-		t.Fatalf("merged store holds %d records in %d blocks (MergeShards said %d)", len(recs), r.Blocks(), blocks)
-	}
-	if r.SeriesPoints() != sinkPoints {
-		t.Errorf("merged store replays %d series points, sink saw %d", r.SeriesPoints(), sinkPoints)
-	}
-	rs, err := OpenStrict(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if audit := drain(t, rs); len(audit) != n {
-		t.Fatalf("strict audit of merged store read %d records, want %d", len(audit), n)
-	}
-	for _, q := range []Query{
-		{Metric: "charge", Cell: -1, Node: -1},
-		{Metric: "per", FromMS: 1000, ToMS: 2500, Cell: 3, Node: -1},
-	} {
-		m, err := QueryStore(dst, q)
+// TestShardBlocksOnGrid pins the grid rule the splice rests on: a shard
+// store starting off the BlockSize grid commits one short first block,
+// and every later block starts at a multiple of BlockSize — the merged
+// store's boundaries — series frames paired alike.
+func TestShardBlocksOnGrid(t *testing.T) {
+	const n, blockSize = 100, 8
+	for _, first := range []int{0, 1, 7, 8, 13, 60, 99} {
+		path := writeSeriesShard(t, t.TempDir(), n, blockSize, first, n)
+		r, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := QueryStore(full, q)
-		if err != nil {
+		if err := r.Each(func(Record) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if m.Points != s.Points || m.Gaps != s.Gaps || m.Sum != s.Sum || m.Min != s.Min || m.Max != s.Max {
-			t.Errorf("query %+v over merged store diverged: got {pts=%d gaps=%d sum=%v}, want {pts=%d gaps=%d sum=%v}",
-				q, m.Points, m.Gaps, m.Sum, s.Points, s.Gaps, s.Sum)
+		r.Close()
+		if got := r.Records(); got != n-first {
+			t.Fatalf("shard from %d holds %d records, want %d", first, got, n-first)
+		}
+		for i, e := range r.entries {
+			if e.serOffset == 0 {
+				t.Fatalf("shard from %d: block %d has no series frame", first, i)
+			}
+			if i == 0 {
+				if want := min(blockSize-first%blockSize, n-first); e.firstWearer != first || e.records != want {
+					t.Errorf("shard from %d: first block holds [%d,+%d), want [%d,+%d)",
+						first, e.firstWearer, e.records, first, want)
+				}
+				continue
+			}
+			if e.firstWearer%blockSize != 0 {
+				t.Errorf("shard from %d: block %d starts at wearer %d, off the %d-grid", first, i, e.firstWearer, blockSize)
+			}
 		}
 	}
 }

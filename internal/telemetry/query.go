@@ -172,7 +172,7 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 			if err != nil {
 				return nil, fmt.Errorf("telemetry: query: %w", err)
 			}
-			if _, err := readSeriesFrameAt(r.f, e.serOffset, r.ck.Offset, recs); err != nil {
+			if _, err := readSeriesFrameAt(nil, r.f, e.serOffset, r.ck.Offset, recs, nil); err != nil {
 				return nil, fmt.Errorf("telemetry: query: %w", err)
 			}
 			for j := range recs {
@@ -202,11 +202,11 @@ func (r *Reader) loadIndex() (entries []indexEntry, ok bool) {
 	if r.meta.Version < FormatV3 || r.ck == nil || r.ck.Offset >= r.size {
 		return nil, false
 	}
-	payload, end, err := readFramePayload(r.f, r.ck.Offset, r.size)
-	if err != nil || end != r.size {
+	frame, err := readFrame(nil, r.f, r.ck.Offset, r.size)
+	if err != nil || r.ck.Offset+int64(len(frame)) != r.size {
 		return nil, false
 	}
-	kind, body, err := splitKind(payload, r.meta.Version)
+	kind, body, err := splitKind(framePayload(frame), r.meta.Version)
 	if err != nil || kind != kindIndex {
 		return nil, false
 	}

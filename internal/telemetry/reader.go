@@ -36,6 +36,16 @@ type Reader struct {
 	// decoded block being drained
 	block []Record
 	bi    int
+	// frames holds the verified bytes of the pair in hand, reused from
+	// pair to pair.
+	frames []byte
+	// splice, set by MergeShards, is asked with each record block's first
+	// wearer and record count whether the merged store takes the pair
+	// unchanged. Such a pair is checked exactly as strictly, but its
+	// series samples are never built; spliced reports the answer for the
+	// pair in hand.
+	splice  func(first, n int) bool
+	spliced bool
 	// running totals
 	blocks    int
 	records   int
@@ -123,16 +133,8 @@ func (r *Reader) Meta() Meta { return r.meta }
 // or the trailing index frame), and limit pulled back to it.
 func (r *Reader) Next() (Record, error) {
 	for r.bi >= len(r.block) {
-		if r.pos >= r.limit {
-			return Record{}, io.EOF
-		}
-		if err := r.nextBlock(); err != nil {
-			if err != io.EOF && (r.ck != nil || r.strict) {
-				return Record{}, err
-			}
-			r.truncated = err != io.EOF
-			r.limit = r.pos
-			return Record{}, io.EOF
+		if err := r.advance(); err != nil {
+			return Record{}, err
 		}
 	}
 	rec := r.block[r.bi]
@@ -140,17 +142,38 @@ func (r *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
+// advance loads the next committed pair into r.block, or returns io.EOF
+// where the walk ends. Without a checkpoint, a damaged frame ends it
+// early (a truncation); inside a checkpointed prefix, or in strict
+// mode, damage is the error returned.
+func (r *Reader) advance() error {
+	if r.pos >= r.limit {
+		return io.EOF
+	}
+	if err := r.nextBlock(); err != nil {
+		if err != io.EOF && (r.ck != nil || r.strict) {
+			return err
+		}
+		r.truncated = err != io.EOF
+		r.limit = r.pos
+		return io.EOF
+	}
+	return nil
+}
+
 // nextBlock loads the next record block (with its series frame attached
-// in a series-enabled store) into r.block and advances pos past the
-// pair. It returns io.EOF at a valid trailing index frame, and
-// ErrCorrupt-wrapped errors for damage — the caller maps those to
-// truncation or hard failure. Neither advances pos.
+// in a series-enabled store, unless the pair is spliced) into r.block,
+// its verified bytes into r.frames, and advances pos past the pair. It
+// returns io.EOF at a valid trailing index frame, and ErrCorrupt-wrapped
+// errors for damage — the caller maps those to truncation or hard
+// failure. Neither advances pos.
 func (r *Reader) nextBlock() error {
-	payload, end, err := readFramePayload(r.f, r.pos, r.limit)
+	frames, err := readFrame(r.frames[:0], r.f, r.pos, r.limit)
 	if err != nil {
 		return err
 	}
-	kind, body, err := splitKind(payload, r.meta.Version)
+	r.frames = frames
+	kind, body, err := splitKind(framePayload(frames), r.meta.Version)
 	if err != nil {
 		return err
 	}
@@ -163,24 +186,36 @@ func (r *Reader) nextBlock() error {
 		if len(recs) == 0 || recs[0].Wearer != r.meta.FirstWearer+r.records {
 			return fmt.Errorf("%w: non-contiguous wearer indices", ErrCorrupt)
 		}
+		r.spliced = r.splice != nil && r.splice(recs[0].Wearer, len(recs))
 		serOff := int64(0)
+		var span *timeSpan
 		if r.meta.Series() {
 			// The pair committed in one write: a record block inside the
 			// trusted region without a valid series frame is damage.
-			serOff = end
-			if end, err = readSeriesFrameAt(r.f, end, r.limit, recs); err != nil {
+			serOff = r.pos + int64(len(r.frames))
+			if r.spliced {
+				span = &timeSpan{}
+			}
+			if r.frames, err = readSeriesFrameAt(r.frames, r.f, serOff, r.limit, recs, span); err != nil {
 				return err
 			}
 		}
-		r.entries = append(r.entries, entryFor(r.pos, serOff, recs))
+		e := entryFor(r.pos, serOff, recs)
+		if span != nil {
+			e.timeSpan = *span
+		}
+		r.entries = append(r.entries, e)
 		r.block, r.bi = recs, 0
 		r.blocks++
 		r.records += len(recs)
+		r.seriesPts += int64(e.points)
+		if span != nil { // the spliced samples were never attached
+			r.rawBytes += int64(span.points * rawPointSize)
+		}
 		for i := range recs {
 			r.rawBytes += int64(recs[i].RawSize())
-			r.seriesPts += int64(len(recs[i].Series))
 		}
-		r.pos = end
+		r.pos += int64(len(r.frames))
 		return nil
 	case kindSeries:
 		// Series frames are consumed with their record block above; one
@@ -191,7 +226,7 @@ func (r *Reader) nextBlock() error {
 		if err != nil {
 			return err
 		}
-		if end != r.limit {
+		if r.pos+int64(len(frames)) != r.limit {
 			return fmt.Errorf("%w: index frame is not the final frame", ErrCorrupt)
 		}
 		if r.strict {

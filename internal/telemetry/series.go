@@ -35,7 +35,7 @@ var seriesFrame = nestedBody[SeriesPoint]{
 		{codec: deltaCodec,
 			get: func(p *SeriesPoint) int64 { return int64(p.QueueDepth) },
 			set: func(p *SeriesPoint, v int64) { p.QueueDepth = int(v) }},
-		{codec: delta2Codec,
+		{codec: delta2Codec, // seriesTimeColumn
 			get: func(p *SeriesPoint) int64 { return p.TimeMS },
 			set: func(p *SeriesPoint, v int64) { p.TimeMS = v }},
 		{codec: xorCodec,
@@ -51,6 +51,11 @@ var seriesFrame = nestedBody[SeriesPoint]{
 	childrenOf: func(r *Record) *[]SeriesPoint { return &r.Series },
 }
 
+// seriesTimeColumn is the position of the timestamp column in
+// seriesFrame.children: a check-only decode reads a frame's time range
+// off it.
+const seriesTimeColumn = 2
+
 // encodeSeriesFrame renders the samples attached to recs (one committed
 // block) as a framed series payload appended to dst.
 func encodeSeriesFrame(dst []byte, recs []Record) []byte {
@@ -62,8 +67,39 @@ func encodeSeriesFrame(dst []byte, recs []Record) []byte {
 // already stripped) and attaches the points to recs, which must be the
 // records of the paired block.
 func decodeSeriesBody(body []byte, recs []Record) error {
-	_, err := seriesFrame.decode(body, recs, FormatV3)
+	_, err := seriesFrame.decode(body, recs, FormatV3, nil)
 	return err
+}
+
+// checkSeriesBody checks a series body exactly as strictly as
+// decodeSeriesBody but builds no points: it widens span by each point's
+// timestamp instead, which is all a block's index entry keeps of them.
+func checkSeriesBody(body []byte, recs []Record, span *timeSpan) error {
+	_, err := seriesFrame.decode(body, recs, FormatV3, &columnTap{col: seriesTimeColumn, seen: func(times []int64) {
+		for _, t := range times {
+			span.add(t)
+		}
+	}})
+	return err
+}
+
+// timeSpan counts a series frame's points and their sample-time range
+// (0,0 when pointless).
+type timeSpan struct {
+	points    int
+	minTimeMS int64
+	maxTimeMS int64
+}
+
+// add widens the span by one point sampled at t.
+func (s *timeSpan) add(t int64) {
+	if s.points == 0 || t < s.minTimeMS {
+		s.minTimeMS = t
+	}
+	if s.points == 0 || t > s.maxTimeMS {
+		s.maxTimeMS = t
+	}
+	s.points++
 }
 
 // indexEntry summarizes one committed record block for query pruning.
@@ -72,9 +108,7 @@ type indexEntry struct {
 	serOffset   int64 // file offset of the paired series frame; 0 when the store has no series
 	firstWearer int
 	records     int
-	points      int   // series points in the paired frame
-	minTimeMS   int64 // sample-time range of the paired frame (0,0 when pointless)
-	maxTimeMS   int64
+	timeSpan        // the paired series frame's points
 	minCell     int // cell range of the block's records
 	maxCell     int
 	maxNodes    int // widest node count in the block — bounds the node-class label space
@@ -102,14 +136,7 @@ func entryFor(recOffset, serOffset int64, recs []Record) indexEntry {
 			e.maxNodes = len(r.Nodes)
 		}
 		for j := range r.Series {
-			t := r.Series[j].TimeMS
-			if e.points == 0 || t < e.minTimeMS {
-				e.minTimeMS = t
-			}
-			if e.points == 0 || t > e.maxTimeMS {
-				e.maxTimeMS = t
-			}
-			e.points++
+			e.add(r.Series[j].TimeMS)
 		}
 	}
 	return e
@@ -168,7 +195,7 @@ func decodeIndexBody(body []byte) ([]indexEntry, error) {
 		return nil, fmt.Errorf("%w: implausible index entry count %d", ErrCorrupt, count)
 	}
 	entries := make([]indexEntry, count)
-	used, err := decodeColumns(body[pos:], &columnBuf{}, entries, indexColumns, FormatV3)
+	used, err := decodeColumns(body[pos:], &columnBuf{}, count, entries, indexColumns, FormatV3, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -178,22 +205,29 @@ func decodeIndexBody(body []byte) ([]indexEntry, error) {
 	return entries, nil
 }
 
-// readSeriesFrameAt reads the series frame at pos and attaches its points
-// to recs, returning the offset past the frame.
-func readSeriesFrameAt(f *os.File, pos, limit int64, recs []Record) (int64, error) {
-	payload, end, err := readFramePayload(f, pos, limit)
+// readSeriesFrameAt reads the series frame at pos, which must pair with
+// recs, and appends it to dst (see readFrame). With span nil it attaches
+// the frame's points to recs; otherwise it only checks them
+// (checkSeriesBody) and widens span.
+func readSeriesFrameAt(dst []byte, f *os.File, pos, limit int64, recs []Record, span *timeSpan) ([]byte, error) {
+	out, err := readFrame(dst, f, pos, limit)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	kind, body, err := splitKind(payload, FormatV3)
+	kind, body, err := splitKind(framePayload(out[len(dst):]), FormatV3)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if kind != kindSeries {
-		return 0, fmt.Errorf("%w: frame kind %d where a series frame was expected", ErrCorrupt, kind)
+		return nil, fmt.Errorf("%w: frame kind %d where a series frame was expected", ErrCorrupt, kind)
 	}
-	if err := decodeSeriesBody(body, recs); err != nil {
-		return 0, err
+	if span == nil {
+		err = decodeSeriesBody(body, recs)
+	} else {
+		err = checkSeriesBody(body, recs, span)
 	}
-	return end, nil
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -13,8 +13,14 @@
 //	file   := header block*
 //
 // All fixed-width integers are little-endian; crc32 is IEEE. Records are
-// strictly ordered by wearer index starting at 0, BlockSize records per
-// block (the final block may be short). A block payload is columnar:
+// strictly ordered by wearer index, starting at the store's first wearer
+// (0 unless it is a shard store). Blocks are cut on the absolute wearer
+// grid: one commits whenever the next wearer index is a multiple of
+// BlockSize, so a full-range store holds BlockSize records per block
+// (the final block may be short), and a shard store starting off the
+// grid holds one short first block, then exactly the blocks a full-range
+// store holds over the same wearers — the frames MergeShards splices. A
+// block payload is columnar:
 //
 //	uvarint firstWearer | uvarint records | uvarint totalNodes
 //	per-record columns: nodeCount, events, hubRxBits (zigzag-delta
@@ -371,5 +377,8 @@ type SeriesPoint struct {
 // record); the compression ratio iobtrace reports is relative to this.
 // Attached series points count at 8 bytes per column value.
 func (r *Record) RawSize() int {
-	return 3*8 + len(r.Nodes)*(8*8+1) + len(r.Series)*(6*8)
+	return 3*8 + len(r.Nodes)*(8*8+1) + len(r.Series)*rawPointSize
 }
+
+// rawPointSize is a series point's share of RawSize.
+const rawPointSize = 6 * 8

@@ -11,10 +11,10 @@ import (
 )
 
 // Writer appends wearer records to a store, committing a framed block
-// every Meta.BlockSize records and checkpointing after each commit. It
-// implements the fleet engine's Sink interface via Consume. Writers are
-// not safe for concurrent use; the fleet engine already serializes sink
-// calls into wearer-index order.
+// whenever the next wearer index lands on the absolute BlockSize grid
+// and checkpointing after each commit. It implements the fleet engine's
+// Sink interface via Consume. Writers are not safe for concurrent use;
+// the fleet engine already serializes sink calls into wearer-index order.
 type Writer struct {
 	f      *os.File
 	path   string
@@ -30,6 +30,9 @@ type Writer struct {
 	// the entries of the blocks it verified, so Close never re-reads.
 	entries []indexEntry
 	closed  bool
+	// derived marks a merge destination: it checkpoints once, at Close,
+	// because the shard stores it is built from are its recovery state.
+	derived bool
 
 	// OnCommit, when non-nil, is invoked after every committed block once
 	// its checkpoint is durable, with the writer's running totals: committed
@@ -132,6 +135,10 @@ func resume(f *os.File, path string, want Meta, sink func(Record) error) (*Write
 	if err != nil {
 		return nil, err
 	}
+	if r.meta.BlockSize <= 0 {
+		// Create always writes a positive one, and Consume cuts on its grid.
+		return nil, fmt.Errorf("%w: block size %d", ErrCorrupt, r.meta.BlockSize)
+	}
 	want.BlockSize = r.meta.BlockSize
 	want.Version = adoptVersion(r.meta.Version, want.Cells, want.Feedback, want.Series())
 	if r.meta != want {
@@ -172,11 +179,15 @@ func (w *Writer) Blocks() int { return w.blocks }
 func (w *Writer) Offset() int64 { return w.offset }
 
 // Consume appends one wearer record; it implements the fleet engine's
-// Sink interface. Records must arrive in strict wearer order. The writer
-// copies both slice-typed fields — rec.Nodes and rec.Series — into its
-// block arenas before returning, so callers may reuse theirs; this is
-// what lets MergeShards feed it records that borrow a shard Reader's
-// decode buffers.
+// Sink interface. Records must arrive in strict wearer order. A block
+// commits once the next wearer index is a multiple of BlockSize: blocks
+// sit on the absolute wearer grid, so a shard store starting off it
+// commits one short first block and from then on exactly the blocks a
+// full-range writer cuts there — which is what lets MergeShards splice
+// them. The writer copies both slice-typed fields — rec.Nodes and
+// rec.Series — into its block arenas before returning, so callers may
+// reuse theirs; this is what lets MergeShards re-encode records that
+// borrow a shard Reader's decode buffers.
 func (w *Writer) Consume(rec Record) error {
 	if w.closed {
 		return fmt.Errorf("telemetry: write to closed store %s", w.path)
@@ -215,7 +226,7 @@ func (w *Writer) Consume(rec Record) error {
 	rec.Series = w.points[ps:len(w.points):len(w.points)]
 	w.buf = append(w.buf, rec)
 	w.next++
-	if len(w.buf) >= w.meta.BlockSize {
+	if w.next%w.meta.BlockSize == 0 {
 		return w.commit()
 	}
 	return nil
@@ -235,17 +246,49 @@ func (w *Writer) commit() error {
 		serOff = w.offset + int64(len(frame))
 		frame = encodeSeriesFrame(frame, w.buf)
 	}
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("telemetry: write block: %w", err)
-	}
-	if w.meta.Version >= FormatV3 {
-		w.entries = append(w.entries, entryFor(w.offset, serOff, w.buf))
-	}
-	w.offset += int64(len(frame))
-	w.blocks++
+	e := entryFor(w.offset, serOff, w.buf)
 	w.buf = w.buf[:0]
 	w.nodes = w.nodes[:0]
 	w.points = w.points[:0]
+	return w.appendPair(frame, e)
+}
+
+// onGrid reports whether the n records from wearer first are exactly the
+// block this writer cuts next: first is the next wearer and on the
+// BlockSize grid — so nothing is buffered, Consume having committed
+// there — and n makes a full block or the range's tail. A verified pair
+// holding them is then byte for byte the pair commit would write, so
+// splice may copy it.
+func (w *Writer) onGrid(first, n int) bool {
+	_, end := w.meta.Range()
+	return first == w.next && first%w.meta.BlockSize == 0 && n == min(w.meta.BlockSize, end-first)
+}
+
+// splice appends a verified record(+series) pair that onGrid accepted,
+// unchanged, with its index entry moved to this store's offsets.
+func (w *Writer) splice(pair []byte, e indexEntry) error {
+	if e.serOffset != 0 {
+		e.serOffset += w.offset - e.recOffset
+	}
+	e.recOffset = w.offset
+	w.next += e.records
+	return w.appendPair(pair, e)
+}
+
+// appendPair writes one committed record(+series) pair in a single write,
+// files its index entry and advances the checkpoint past it.
+func (w *Writer) appendPair(pair []byte, e indexEntry) error {
+	if _, err := w.f.Write(pair); err != nil {
+		return fmt.Errorf("telemetry: write block: %w", err)
+	}
+	if w.meta.Version >= FormatV3 {
+		w.entries = append(w.entries, e)
+	}
+	w.offset += int64(len(pair))
+	w.blocks++
+	if w.derived {
+		return nil
+	}
 	if err := w.writeCheckpoint(); err != nil {
 		return err
 	}
@@ -264,12 +307,17 @@ func (w *Writer) Flush() error { return w.commit() }
 // blocks it then appends the trailing query-index frame — deliberately
 // PAST the final checkpoint and never covered by one, so Resume discards
 // and deterministically rewrites it: a kill/resume cycle yields a
-// byte-identical file.
+// byte-identical file. A merge destination writes its one checkpoint
+// here, the same sidecar a single writer leaves after its last commit.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.commit(); err != nil {
+	err := w.commit()
+	if err == nil && w.derived {
+		err = w.writeCheckpoint()
+	}
+	if err != nil {
 		w.f.Close()
 		return err
 	}
