@@ -11,6 +11,14 @@
 // (time, sequence number) — the monotone sequence number breaks ties in
 // scheduling order — and all randomness flows through the seeded RNG the
 // simulator owns.
+//
+// That RNG is NewRand: math/rand's frozen rand.NewSource stream, bit for
+// bit, from a source whose Seed is O(1) and which builds each of the 607
+// state words on its first read. Seeding is the per-wearer cost of a
+// fleet sweep (every wearer reseeds a scenario and a kernel stream, and a
+// coupled sweep a load stream too), and most streams read only a fraction
+// of the table; TestSourceMatchesMathRand and FuzzSource pin the stream to
+// rand.NewSource's.
 package desim
 
 import (
@@ -168,7 +176,7 @@ type Simulator struct {
 
 // New returns a simulator whose RNG is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: NewRand(seed)}
 }
 
 // Reset rewinds the simulator to the state New(seed) constructs —
@@ -243,7 +251,9 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Rand exposes the simulator's deterministic random source. All model
 // randomness (packet errors, jitter, harvester variation) must come from
-// here so a run is reproducible from its seed.
+// here so a run is reproducible from its seed. It is a NewRand generator:
+// after New(seed) or Reset(seed) it yields exactly the stream of
+// rand.New(rand.NewSource(seed)).
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Executed reports how many events have run so far.

@@ -61,10 +61,11 @@
 // # Zero-allocation steady state
 //
 // The per-wearer hot path allocates nothing once warm. Each worker owns
-// a scratch — a pooled rand.Rand reseeded per wearer (bit-identical
-// stream to a fresh one), a long-lived bannet.Sim kernel arena recycled
-// with Reset/RunInto, and a node buffer interference stamping copies
-// into — and the reorder window circulates a fixed pool of output
+// a scratch — a pooled desim.NewRand generator reseeded per wearer (the
+// stream of a fresh rand.NewSource; the reseed is O(1) and builds only
+// the state words a stream reads), a long-lived bannet.Sim kernel arena
+// recycled with Reset/RunInto, and a node buffer interference stamping
+// copies into — and the reorder window circulates a fixed pool of output
 // buffers between workers and the in-order consumer. Sinks receive
 // records on a borrow-until-return contract (see Sink), so one record
 // buffer serves the whole sweep. The coupled engine's phase 1 runs the
@@ -291,10 +292,11 @@ type wearerOut struct {
 }
 
 // workerScratch is one worker goroutine's private reusable state: the
-// per-wearer scenario RNG (reseeded instead of reallocated — a fresh
-// rand.Rand is a ~5 KB table), the long-lived simulation kernel arena,
-// and the node-slice buffer interference stamping copies into. Nothing
-// in it survives a wearer except capacity.
+// per-wearer scenario RNG (a desim.NewRand generator, reseeded instead of
+// reallocated: its state is a ~5 KB table, and a reseed builds only the
+// words the scenario or load stream reads), the long-lived simulation
+// kernel arena, and the node-slice buffer interference stamping copies
+// into. Nothing in it survives a wearer except capacity.
 type workerScratch struct {
 	rng   *rand.Rand
 	sim   *bannet.Sim
@@ -309,7 +311,7 @@ type workerScratch struct {
 }
 
 func newWorkerScratch() *workerScratch {
-	sc := &workerScratch{rng: rand.New(rand.NewSource(0))}
+	sc := &workerScratch{rng: desim.NewRand(0)}
 	sc.sink = func(samples []bannet.SeriesSample) {
 		for i := range samples {
 			s := &samples[i]
@@ -472,7 +474,7 @@ func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 // population and differ only in interference.
 //
 // The hot path is allocation-free in steady state: the scratch RNG is
-// reseeded (identical stream to a freshly constructed one), the
+// reseeded (the stream of a fresh rand.NewSource of that seed), the
 // interference stamp reuses the scratch node buffer, and the kernel
 // arena is Reset instead of rebuilt. Seeding is unchanged from the
 // fresh-everything formulation, so fingerprints are bit-identical.
