@@ -190,7 +190,7 @@ func BenchmarkRPeakDetector(b *testing.B) {
 // kernel under a TDMA-shaped load, the shape of a body-area-network run:
 // eight periodic slot ticks per 1 ms superframe, each scheduling a
 // one-shot at a random delay, so the queue holds a dozen or so events.
-// One op is 10 000 events on a reset arena.
+// One op is 10 000 events on a reset simulator.
 func BenchmarkDESKernel(b *testing.B) {
 	s := desim.New(1)
 	rng := s.Rand()

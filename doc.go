@@ -17,7 +17,7 @@
 //     bannet.Sim is a reusable kernel arena: NewSim builds it, Reset
 //     rebinds it to a different scenario and RunInto replays into a
 //     caller-owned report, all recycling the packet rings, node states,
-//     TDMA slot table and the desim event arena — a warmed
+//     TDMA slot table and the desim event queue — a warmed
 //     Reset–RunInto cycle is allocation-free (bannet.Run remains the
 //     one-shot convenience). The fleet engine gives each worker one
 //     long-lived Sim, which is where its wearers-per-second comes from;

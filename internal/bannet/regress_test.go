@@ -107,9 +107,12 @@ func TestSimReuseMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestSimSetSeed verifies seeds actually steer the replayed randomness.
+// TestSimSetSeed verifies seeds actually steer the replayed randomness:
+// rebinding the same scenario under another seed changes the run, and
+// rebinding it under the original seed restores it exactly.
 func TestSimSetSeed(t *testing.T) {
-	sim, err := NewSim(regressConfig())
+	cfg := regressConfig()
+	sim, err := NewSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,11 @@ func TestSimSetSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetSeed(43)
+	seed := cfg.Seed
+	cfg.Seed = seed + 1
+	if err := sim.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
 	b, err := sim.Run(units.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +132,10 @@ func TestSimSetSeed(t *testing.T) {
 	if a.Nodes[1].Transmissions == b.Nodes[1].Transmissions {
 		t.Errorf("seed change did not perturb retransmissions (%d)", a.Nodes[1].Transmissions)
 	}
-	sim.SetSeed(42)
+	cfg.Seed = seed
+	if err := sim.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
 	c, err := sim.Run(units.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +185,7 @@ func TestPacketQueue(t *testing.T) {
 // contract: once a Sim's arena has warmed to a configuration family's
 // high-water shape, a Reset–RunInto cycle — the fleet engine's per-wearer
 // hot path — performs no heap allocation. A regression here means some
-// per-wearer churn crept back into the kernel (event arena, node states,
+// per-wearer churn crept back into the kernel (event queue, node states,
 // schedule, report buffers) and the fleet throughput numbers in
 // BENCH_fleet.json no longer hold.
 func TestSimArenaSteadyStateZeroAlloc(t *testing.T) {
@@ -204,7 +214,7 @@ func TestSimArenaSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the arena: queues, latency buffers and the event freelist grow
+	// Warm the arena: packet rings, latency buffers and the event queue grow
 	// to their steady-state capacity within a few runs.
 	for i := 0; i < 4; i++ {
 		cycle()

@@ -177,7 +177,7 @@ var (
 // Sim is a reusable simulation kernel arena. NewSim validates the
 // configuration, builds the TDMA schedule and allocates runtime state;
 // each Run replays the scenario from a clean state, reusing the packet
-// rings, latency buffers and the discrete-event kernel's event arena.
+// rings, latency buffers and the discrete-event kernel's queue.
 // Reset rebinds the same arena to a different configuration — node
 // states, demand slices, the schedule's slot table and the event queue
 // are all recycled — so a fleet worker that sweeps many scenarios on one
@@ -305,9 +305,6 @@ func (s *Sim) Reset(cfg Config) error {
 // returned pointer aliases the Sim's arena: its contents change on the
 // next Reset.
 func (s *Sim) Schedule() *mac.Schedule { return &s.schedule }
-
-// SetSeed changes the seed subsequent Runs replay from.
-func (s *Sim) SetSeed(seed int64) { s.seed = seed }
 
 // genFn returns the cached packet-generation tick for node i.
 func (s *Sim) genFn(i int) func() {

@@ -11,12 +11,12 @@ import (
 func TestEventOrdering(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.At(30*Millisecond, func() { order = append(order, 3) })
-	s.At(10*Millisecond, func() { order = append(order, 1) })
-	s.At(20*Millisecond, func() { order = append(order, 2) })
-	end := s.Run()
-	if end != 30*Millisecond {
-		t.Errorf("final time %v, want 30ms", end)
+	s.After(30*Millisecond, func() { order = append(order, 3) })
+	s.After(10*Millisecond, func() { order = append(order, 1) })
+	s.After(20*Millisecond, func() { order = append(order, 2) })
+	s.RunUntil(30 * Millisecond)
+	if s.Executed() != 3 {
+		t.Errorf("executed %d events, want 3", s.Executed())
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -31,9 +31,12 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(Second, func() { order = append(order, i) })
+		s.After(Second, func() { order = append(order, i) })
 	}
-	s.Run()
+	s.RunUntil(Second)
+	if len(order) != 100 {
+		t.Fatalf("ran %d same-time events, want 100", len(order))
+	}
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("same-time events ran out of submission order at %d: %v", i, order[:i+1])
@@ -48,36 +51,10 @@ func TestAfterAccumulates(t *testing.T) {
 		times = append(times, s.Now())
 		s.After(2*Second, func() { times = append(times, s.Now()) })
 	})
-	s.Run()
+	s.RunUntil(Minute)
 	if len(times) != 2 || times[0] != Second || times[1] != 3*Second {
 		t.Errorf("times = %v, want [1s 3s]", times)
 	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New(1)
-	ran := false
-	id := s.At(Second, func() { ran = true })
-	s.Cancel(id)
-	s.Run()
-	if ran {
-		t.Error("canceled event ran")
-	}
-	// Canceling twice is a no-op.
-	s.Cancel(id)
-}
-
-func TestSchedulingInPastPanics(t *testing.T) {
-	s := New(1)
-	s.At(Second, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		s.At(0, func() {})
-	})
-	s.Run()
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -90,33 +67,20 @@ func TestNegativeDelayPanics(t *testing.T) {
 	s.After(-1, func() {})
 }
 
-func TestEvery(t *testing.T) {
-	s := New(1)
-	count := 0
-	var stop func()
-	stop = s.Every(0, 10*Millisecond, func() {
-		count++
-		if count == 5 {
-			stop()
-		}
-	})
-	s.Run()
-	if count != 5 {
-		t.Errorf("periodic ran %d times, want 5", count)
-	}
-	if s.Now() != 40*Millisecond {
-		t.Errorf("final time %v, want 40ms", s.Now())
-	}
-}
-
+// TestEveryZeroPeriodPanics: Periodic refuses every non-positive period,
+// since a source that re-arms at or before its own time would never let
+// the clock move past it.
 func TestEveryZeroPeriodPanics(t *testing.T) {
-	s := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("zero period did not panic")
-		}
-	}()
-	s.Every(0, 0, func() {})
+	for _, period := range []Time{0, -Millisecond} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Periodic with period %v did not panic", period)
+				}
+			}()
+			New(1).Periodic(0, period, func() {})
+		}()
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -124,7 +88,7 @@ func TestRunUntil(t *testing.T) {
 	var ran []Time
 	for _, at := range []Time{Second, 2 * Second, 3 * Second} {
 		at := at
-		s.At(at, func() { ran = append(ran, at) })
+		s.After(at, func() { ran = append(ran, at) })
 	}
 	s.RunUntil(2 * Second)
 	if len(ran) != 2 {
@@ -133,9 +97,9 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 2*Second {
 		t.Errorf("clock %v, want 2s", s.Now())
 	}
-	// Resume to completion.
-	s.Run()
-	if len(ran) != 3 || s.Now() != 3*Second {
+	// Resume past the last event: the clock lands on end, not on it.
+	s.RunUntil(4 * Second)
+	if len(ran) != 3 || s.Now() != 4*Second {
 		t.Errorf("after resume ran=%d now=%v", len(ran), s.Now())
 	}
 }
@@ -148,35 +112,17 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	s := New(1)
-	ran2 := false
-	s.At(Second, func() { s.Halt() })
-	s.At(2*Second, func() { ran2 = true })
-	s.Run()
-	if ran2 {
-		t.Error("event after Halt ran")
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", s.Pending())
-	}
-	s.Run()
-	if !ran2 {
-		t.Error("resume after Halt did not run pending event")
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []int64 {
 		s := New(seed)
 		var draws []int64
-		s.Every(0, Millisecond, func() {
+		s.Periodic(0, Millisecond, func() {
 			draws = append(draws, s.Rand().Int63n(1000))
-			if len(draws) >= 50 {
-				s.Halt()
-			}
 		})
-		s.Run()
+		s.RunUntil(49 * Millisecond)
+		if len(draws) != 50 {
+			t.Fatalf("periodic source fired %d times in [0, 49ms], want 50", len(draws))
+		}
 		return draws
 	}
 	a, b := run(42), run(42)
@@ -209,9 +155,9 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 		for i := range times {
 			times[i] = Time(rng.Int63n(int64(Second)))
 			at := times[i]
-			s.At(at, func() { executed = append(executed, at) })
+			s.After(at, func() { executed = append(executed, at) })
 		}
-		s.Run()
+		s.RunUntil(Second)
 		if len(executed) != n {
 			return false
 		}
@@ -240,11 +186,12 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-// TestPeriodicMatchesCallbackRescheduling pins the arena's re-arm
-// discipline against the classic self-rescheduling-callback formulation:
-// both must interleave multiple sources (and a one-shot event scheduled
-// mid-run) in the identical order, because the fleet fingerprints were
-// recorded under the callback formulation.
+// TestPeriodicMatchesCallbackRescheduling pins the in-place re-arm
+// against the classic self-rescheduling-callback formulation: both must
+// interleave multiple sources — equal periods, periods that divide each
+// other, a zero first delay — and a one-shot due mid-run in the identical
+// order, because the fleet fingerprints were recorded under the callback
+// formulation.
 func TestPeriodicMatchesCallbackRescheduling(t *testing.T) {
 	run := func(periodic bool) []string {
 		s := New(9)
@@ -259,6 +206,8 @@ func TestPeriodicMatchesCallbackRescheduling(t *testing.T) {
 			{"a", 10 * Millisecond, 10 * Millisecond},
 			{"b", 10 * Millisecond, 15 * Millisecond},
 			{"c", 5 * Millisecond, 25 * Millisecond},
+			{"d", 0, 10 * Millisecond},
+			{"e", 10 * Millisecond, 20 * Millisecond},
 		}
 		for _, src := range sources {
 			fn := mark(src.tag)
@@ -269,14 +218,12 @@ func TestPeriodicMatchesCallbackRescheduling(t *testing.T) {
 				var tick Handler
 				tick = func() {
 					fn()
-					if !s.halted {
-						s.After(period, tick)
-					}
+					s.After(period, tick)
 				}
 				s.After(src.first, tick)
 			}
 		}
-		s.At(20*Millisecond, mark("one-shot"))
+		s.After(20*Millisecond, mark("one-shot"))
 		s.RunUntil(100 * Millisecond)
 		return order
 	}
@@ -289,7 +236,7 @@ func TestPeriodicMatchesCallbackRescheduling(t *testing.T) {
 
 // TestResetReplaysIdentically: a Reset simulator must replay the run of a
 // freshly constructed one bit-for-bit — same RNG stream, same event
-// count — and stale EventIDs from before the Reset must be inert.
+// count — and a source armed before the Reset must never run.
 func TestResetReplaysIdentically(t *testing.T) {
 	run := func(s *Simulator) ([]int64, uint64) {
 		var draws []int64
@@ -303,15 +250,14 @@ func TestResetReplaysIdentically(t *testing.T) {
 	wantDraws, wantEvents := run(fresh)
 
 	s := New(1)
-	stale := s.Periodic(Second, Second, func() { t.Error("event from before Reset ran") })
+	s.Periodic(Second, Second, func() { t.Error("event from before Reset ran") })
 	run(s) // dirty the clock, queue and RNG
 	s.Reset(77)
-	if s.Now() != 0 || s.Executed() != 0 || s.Pending() != 0 {
-		t.Fatalf("Reset left state: now=%v executed=%d pending=%d", s.Now(), s.Executed(), s.Pending())
+	if s.Now() != 0 || s.Executed() != 0 || len(s.q) != 0 {
+		t.Fatalf("Reset left state: now=%v executed=%d queued=%d", s.Now(), s.Executed(), len(s.q))
 	}
 	gotDraws, gotEvents := run(s)
-	s.Cancel(stale) // must not touch whatever now occupies the arena slot
-	s.RunUntil(60 * Millisecond)
+	s.RunUntil(2 * Second) // past the stale source's first time
 	if gotEvents != wantEvents {
 		t.Fatalf("Reset replay executed %d events, fresh executed %d", gotEvents, wantEvents)
 	}
@@ -322,40 +268,27 @@ func TestResetReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestCancelAfterRecycleIsInert: an EventID whose event already ran (and
-// whose storage was recycled into a new event) must not cancel the new
-// occupant.
-func TestCancelAfterRecycleIsInert(t *testing.T) {
-	s := New(1)
-	first := s.At(Millisecond, func() {})
-	s.Run()
-	ran := false
-	s.At(2*Millisecond, func() { ran = true }) // reuses the recycled storage
-	s.Cancel(first)                            // stale generation: must be a no-op
-	s.Run()
-	if !ran {
-		t.Fatal("stale EventID canceled a recycled event")
-	}
-}
-
-// TestKernelSteadyStateZeroAlloc pins the arena contract the fleet
+// TestKernelSteadyStateZeroAlloc pins the reuse contract the fleet
 // engine's zero-allocation hot path is built on: once warm, a
-// Reset-schedule-run cycle allocates nothing.
+// Reset-schedule-run cycle allocates nothing, one-shots included.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	s := New(1)
 	var sink int64
 	// Handlers are hoisted out of the cycle, the way a reusable driver
 	// caches its tick closures: a fresh closure per cycle would itself be
-	// the per-run allocation the arena exists to avoid.
+	// the per-run allocation Reset's retained capacity exists to avoid.
 	fast := func() { sink += s.Rand().Int63n(3) }
 	slow := func() { sink++ }
+	oneShot := func() { sink-- }
+	spawn := func() { s.After(Time(s.Rand().Int63n(int64(500*Microsecond))), oneShot) }
 	cycle := func() {
 		s.Reset(42)
 		s.Periodic(Millisecond, Millisecond, fast)
 		s.Periodic(Millisecond, 7*Millisecond, slow)
+		s.Periodic(0, 250*Microsecond, spawn)
 		s.RunUntil(100 * Millisecond)
 	}
-	cycle() // warm the arena
+	cycle() // warm the queue's capacity
 	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
 		t.Fatalf("steady-state kernel cycle allocates %.1f times per run, want 0", avg)
 	}
