@@ -200,6 +200,26 @@ func TestFleetStoreByteGoldenV2(t *testing.T) {
 	}
 }
 
+// TestFleetSeriesStoreByteGolden pins the end-to-end series-on byte
+// stream — kernel sampling, the engine's series hand-off, the v3
+// record+series encoder, the index frame and checkpointing — to a
+// recorded hash, so a refactor of the sampling path cannot move a
+// stored sample unnoticed.
+func TestFleetSeriesStoreByteGolden(t *testing.T) {
+	const (
+		goldenSHA = "7f25575c3da44e0307a13ec257d13de80ff063557175ff464c95db95b49fe80c"
+		goldenLen = 26998
+	)
+	f := testFleet(90, 4, 77)
+	f.Series = 5 * units.Second
+	data, _ := streamSeriesStore(t, f, 16)
+	sum := sha256.Sum256(data)
+	if len(data) != goldenLen || hex.EncodeToString(sum[:]) != goldenSHA {
+		t.Fatalf("series fleet store drifted: %d bytes, sha256 %s (want %d, %s)",
+			len(data), hex.EncodeToString(sum[:]), goldenLen, goldenSHA)
+	}
+}
+
 // TestFleetSeriesStoreRefusal: a fleet sampling series must be paired
 // with a series-enabled store — the writer refuses rather than silently
 // dropping the samples.
