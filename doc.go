@@ -92,8 +92,9 @@
 //     load and fixed-point iteration columns feedback sweeps replay
 //     from, and format v3 adds kinded frames: per-node in-run time
 //     series (battery charge, queue depth, link PER, collision rate,
-//     sampled on the TDMA superframe tick by bannet.Sim.SetSeries
-//     without perturbing the simulation — iobfleet -series) compressed
+//     sampled on the TDMA superframe tick into bannet.Report.Series
+//     when bannet.Config.SeriesEvery is set, without perturbing the
+//     simulation — iobfleet -series) compressed
 //     with delta-of-delta timestamps and XOR floats, plus a trailing
 //     label index that iobtrace query prunes with when aggregating a
 //     metric over a time/cell/node range;

@@ -21,6 +21,7 @@ import (
 	"wiban/internal/partition"
 	"wiban/internal/radio"
 	"wiban/internal/sensors"
+	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
 
@@ -87,6 +88,14 @@ type Config struct {
 	// HubCompute is the hub's inference platform (partition.HubSoC if
 	// nil).
 	HubCompute *partition.Platform
+	// SeriesEvery, when positive, samples every node into Report.Series
+	// at this cadence, quantized up to the TDMA superframe (samples are
+	// taken at superframe boundaries, before the frame is processed),
+	// plus one final sample at the end of the span if the cadence did
+	// not land there. Sampling draws no RNG and schedules no kernel
+	// events, so every other Report field — Events included — is
+	// identical with sampling on or off.
+	SeriesEvery units.Duration
 }
 
 // NodeStats is the per-node outcome of a run.
@@ -152,6 +161,10 @@ type Report struct {
 	HubUtilization float64
 	Schedule       *mac.Schedule
 	Events         uint64
+	// Series holds the in-run samples when Config.SeriesEvery is
+	// positive: one point per node per sampling instant, in (time, node)
+	// order. RunInto reuses its backing array, like Nodes'.
+	Series []telemetry.SeriesPoint
 }
 
 // Run simulates the network for the given span and returns the report.

@@ -4,77 +4,28 @@ import (
 	"math"
 
 	"wiban/internal/desim"
-	"wiban/internal/units"
+	"wiban/internal/telemetry"
 )
 
-// SeriesSample is one per-node observation emitted at the sampling
-// cadence: the in-run dynamics (battery drain, queue growth under
-// collision storms, per-window link quality) that the end-of-run NodeStats
-// summary integrates away.
-type SeriesSample struct {
-	Node   int   // index into the configuration's node list
-	TimeMS int64 // simulated sampling instant, integer milliseconds
-
-	// Charge is the battery state of charge in [0,1]; 1.0 for nodes not
-	// in DrainBattery mode (their battery is never debited).
-	Charge float64
-	// QueueDepth is the number of packets waiting at the sampling instant.
-	QueueDepth int
-	// LinkPER is the fraction of transmission attempts since the previous
-	// sample that failed (link loss and collisions combined). NaN when the
-	// window held no attempts — a gap, not a perfect link.
-	LinkPER float64
-	// CollisionRate is the fraction of attempts since the previous sample
-	// attributed to cross-wearer collisions rather than link loss. NaN when
-	// the window held no attempts.
-	CollisionRate float64
-}
-
-// SeriesSink receives the per-node samples of one sampling instant. The
-// slice is the Sim's reusable arena: it is only valid for the duration of
-// the call, and the sink must copy anything it keeps. A sink is invoked
-// only between kernel events, never concurrently.
-type SeriesSink func(samples []SeriesSample)
-
-// SetSeries configures in-run sampling: every run after this call emits
-// one SeriesSample per node to sink at the given cadence, quantized up to
-// the TDMA superframe (samples are taken at superframe boundaries, before
-// the frame is processed), plus one final sample at the end of the span
-// if the cadence did not land there. A non-positive cadence or nil sink
-// disables sampling. The setting survives Reset, so a recycled Sim keeps
-// its sink across scenarios; sampling never draws from the kernel RNG and
-// schedules no kernel events, so a run's Report — including its event
-// count — is byte-identical with sampling on or off.
-func (s *Sim) SetSeries(every units.Duration, sink SeriesSink) {
-	if every <= 0 || sink == nil {
-		s.seriesEvery, s.seriesSink = 0, nil
-		return
-	}
-	s.seriesEvery, s.seriesSink = every, sink
-}
-
-// emitSeries samples every node at now and hands the batch to the sink,
-// then opens the next attempt-counting window.
+// emitSeries appends one sample per node at now to the report under
+// construction, then opens the next attempt-counting window.
 func (s *Sim) emitSeries(now desim.Time) {
 	ms := int64(now.Seconds()*1000 + 0.5)
-	buf := s.seriesBuf[:0]
 	for i := range s.states {
 		st := &s.states[i]
-		samp := SeriesSample{Node: i, TimeMS: ms, Charge: 1, QueueDepth: st.queue.len()}
+		p := telemetry.SeriesPoint{Node: i, TimeMS: ms, Charge: 1, QueueDepth: st.queue.len()}
 		if st.battState != nil {
-			samp.Charge = st.battState.FractionRemaining()
+			p.Charge = st.battState.FractionRemaining()
 		}
 		if st.winAttempts > 0 {
-			samp.LinkPER = float64(st.winFails) / float64(st.winAttempts)
-			samp.CollisionRate = float64(st.winCollisions) / float64(st.winAttempts)
+			p.LinkPER = float64(st.winFails) / float64(st.winAttempts)
+			p.CollisionRate = float64(st.winCollisions) / float64(st.winAttempts)
 		} else {
-			samp.LinkPER = math.NaN()
-			samp.CollisionRate = math.NaN()
+			p.LinkPER = math.NaN()
+			p.CollisionRate = math.NaN()
 		}
 		st.winAttempts, st.winFails, st.winCollisions = 0, 0, 0
-		buf = append(buf, samp)
+		s.rep.Series = append(s.rep.Series, p)
 	}
-	s.seriesBuf = buf
-	s.seriesSink(buf)
 	s.seriesLast = now
 }

@@ -5,32 +5,27 @@ import (
 	"reflect"
 	"testing"
 
+	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
 
 // collectSeries runs cfg with sampling at the given cadence and returns
-// every emitted sample (copied out of the borrowed arena) plus the report.
-func collectSeries(t *testing.T, cfg Config, cadence, span units.Duration) ([]SeriesSample, *Report) {
+// the report's samples plus the report.
+func collectSeries(t *testing.T, cfg Config, cadence, span units.Duration) ([]telemetry.SeriesPoint, *Report) {
 	t.Helper()
-	sim, err := NewSim(cfg)
+	cfg.SeriesEvery = cadence
+	rep, err := Run(cfg, span)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []SeriesSample
-	sim.SetSeries(cadence, func(samples []SeriesSample) {
-		out = append(out, samples...)
-	})
-	rep, err := sim.Run(span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, rep
+	return rep.Series, rep
 }
 
 // TestSeriesSamplingInert: enabling sampling must not perturb the run —
-// the report (node stats, energy books and the kernel event count the
-// fleet fingerprints) is byte-identical with sampling on or off, and the
-// sample stream itself replays deterministically.
+// every report field but Series (node stats, energy books and the
+// kernel event count the fleet fingerprints) is byte-identical with
+// sampling on or off, and the sample stream itself replays
+// deterministically.
 func TestSeriesSamplingInert(t *testing.T) {
 	cfg := regressConfig()
 	plain, err := Run(cfg, 10*units.Minute)
@@ -39,6 +34,7 @@ func TestSeriesSamplingInert(t *testing.T) {
 	}
 	sampled, rep := collectSeries(t, cfg, 30*units.Second, 10*units.Minute)
 	plain.Schedule, rep.Schedule = nil, nil
+	rep.Series = nil
 	if !reflect.DeepEqual(plain, rep) {
 		t.Fatalf("sampling perturbed the run:\noff %+v\non  %+v", plain, rep)
 	}
@@ -201,24 +197,18 @@ func TestSeriesBatteryCharge(t *testing.T) {
 }
 
 // TestSeriesSteadyStateZeroAlloc extends the arena contract to sampling:
-// a warmed Reset–RunInto cycle with a non-allocating sink attached stays
-// allocation-free — the sample buffer is part of the arena.
+// a warmed Reset–RunInto cycle with SeriesEvery set stays
+// allocation-free — the report's Series array is reused like Nodes'.
 func TestSeriesSteadyStateZeroAlloc(t *testing.T) {
 	big := regressConfig()
-	small := regressConfig()
+	big.SeriesEvery = units.Second
+	small := big
 	small.Nodes = small.Nodes[:1]
 	sim, err := NewSim(big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sampleCount int64
-	var chargeSum float64
-	sim.SetSeries(units.Second, func(samples []SeriesSample) {
-		for i := range samples {
-			sampleCount++
-			chargeSum += samples[i].Charge
-		}
-	})
 	var rep Report
 	seed := int64(0)
 	cycle := func() {
@@ -234,6 +224,7 @@ func TestSeriesSteadyStateZeroAlloc(t *testing.T) {
 		if err := sim.RunInto(10*units.Second, &rep); err != nil {
 			t.Fatal(err)
 		}
+		sampleCount += int64(len(rep.Series))
 	}
 	for i := 0; i < 4; i++ {
 		cycle()
@@ -242,16 +233,18 @@ func TestSeriesSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state sampling cycle allocates %.1f times, want 0", avg)
 	}
 	if sampleCount == 0 {
-		t.Fatal("sink never invoked")
+		t.Fatal("no samples emitted")
 	}
-	// SetSeries survives Reset (exercised above); disabling stops emission.
-	sim.SetSeries(0, nil)
-	before := sampleCount
-	if _, err := sim.Run(10 * units.Second); err != nil {
+	// Sampling is per configuration: a Reset without SeriesEvery stops
+	// emission, and RunInto truncates the reused Series array.
+	big.SeriesEvery = 0
+	if err := sim.Reset(big); err != nil {
 		t.Fatal(err)
 	}
-	if sampleCount != before {
-		t.Error("disabled series still emitted samples")
+	if err := sim.RunInto(10*units.Second, &rep); err != nil {
+		t.Fatal(err)
 	}
-	_ = chargeSum
+	if len(rep.Series) != 0 {
+		t.Errorf("disabled series still emitted %d samples", len(rep.Series))
+	}
 }

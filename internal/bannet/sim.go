@@ -207,15 +207,12 @@ type Sim struct {
 	harvFns []func()
 	frameFn func()
 
-	// Series sampling (SetSeries). The configuration survives Reset; the
-	// cursors are rearmed per run and seriesBuf is the reused sample arena
-	// handed to the sink, keeping the steady state allocation-free.
-	seriesEvery units.Duration
-	seriesSink  SeriesSink
-	seriesStep  desim.Time
-	seriesNext  desim.Time
-	seriesLast  desim.Time
-	seriesBuf   []SeriesSample
+	// Series sampling (Config.SeriesEvery): seriesStep is the cadence
+	// quantized up to the superframe, 0 when sampling is off; the cursors
+	// are rearmed per run.
+	seriesStep desim.Time
+	seriesNext desim.Time
+	seriesLast desim.Time
 }
 
 // NewSim validates the configuration, builds the TDMA schedule and
@@ -292,6 +289,10 @@ func (s *Sim) Reset(cfg Config) error {
 	s.tdma = tdma
 	s.superframe = desim.FromSeconds(float64(tdma.Superframe))
 	s.seed = cfg.Seed
+	s.seriesStep = 0
+	if cfg.SeriesEvery > 0 {
+		s.seriesStep = max(desim.FromSeconds(float64(cfg.SeriesEvery)), s.superframe)
+	}
 
 	hubPlatform := cfg.HubCompute
 	if hubPlatform == nil {
@@ -352,7 +353,7 @@ func (s *Sim) frameTick() {
 	// kernel event: the sample reflects the state left by the previous
 	// frame, and the event count the Report fingerprints stays identical
 	// with sampling on or off.
-	if s.seriesSink != nil && kern.Now() >= s.seriesNext {
+	if s.seriesStep > 0 && kern.Now() >= s.seriesNext {
 		s.emitSeries(kern.Now())
 		s.seriesNext += s.seriesStep
 	}
@@ -452,11 +453,11 @@ func (s *Sim) Run(span units.Duration) (*Report, error) {
 }
 
 // RunInto simulates the network for the given span from a clean state
-// into rep, reusing rep's node-stats buffer. It is the allocation-free
-// form of Run: once the Sim's arena and rep's buffers have warmed, a
-// Reset–RunInto cycle performs no heap allocation (pinned by the
-// steady-state regression test). rep.Schedule is left nil — the schedule
-// is per-kernel arena state, available via Schedule.
+// into rep, reusing rep's node-stats and series buffers. It is the
+// allocation-free form of Run: once the Sim's arena and rep's buffers
+// have warmed, a Reset–RunInto cycle performs no heap allocation
+// (pinned by the steady-state regression tests). rep.Schedule is left
+// nil — the schedule is per-kernel arena state, available via Schedule.
 func (s *Sim) RunInto(span units.Duration, rep *Report) error {
 	if span <= 0 {
 		return fmt.Errorf("bannet: non-positive span")
@@ -466,7 +467,7 @@ func (s *Sim) RunInto(span units.Duration, rep *Report) error {
 	}
 	s.hub.reset()
 	s.kern.Reset(s.seed)
-	*rep = Report{Nodes: rep.Nodes[:0]}
+	*rep = Report{Nodes: rep.Nodes[:0], Series: rep.Series[:0]}
 	s.rep = rep
 
 	// Packet generation: one event per packet at the node's output rate.
@@ -499,14 +500,7 @@ func (s *Sim) RunInto(span units.Duration, rep *Report) error {
 	// Arm the series cursors: first sample at the cadence (quantized up
 	// to the next superframe boundary by frameTick), last sample rearmed
 	// so the tail emission below fires at most once.
-	if s.seriesSink != nil {
-		s.seriesStep = desim.FromSeconds(float64(s.seriesEvery))
-		if s.seriesStep < s.superframe {
-			s.seriesStep = s.superframe
-		}
-		s.seriesNext = s.seriesStep
-		s.seriesLast = 0
-	}
+	s.seriesNext, s.seriesLast = s.seriesStep, 0
 
 	end := desim.FromSeconds(float64(span))
 	s.kern.RunUntil(end)
@@ -516,7 +510,7 @@ func (s *Sim) RunInto(span units.Duration, rep *Report) error {
 	// Tail sample: close the final window at the end of the span unless a
 	// cadence sample already landed exactly there, so every run yields at
 	// least one sample per node and the books balance for short spans.
-	if s.seriesSink != nil && s.seriesLast < end {
+	if s.seriesStep > 0 && s.seriesLast < end {
 		s.emitSeries(end)
 	}
 

@@ -224,8 +224,9 @@ func (f *Fleet) Run() (*Report, Perf, error) {
 // consumed form a valid committed prefix).
 //
 // Records are borrowed: the engine reuses one record buffer (including
-// its Nodes slice) across Consume calls, so a sink must copy whatever it
-// keeps past the call — see the Sink contract.
+// its Nodes slice) and each pooled report's Series array across Consume
+// calls, so a sink must copy whatever it keeps past the call — see the
+// Sink contract.
 func (f *Fleet) Stream(sink Sink) (Perf, error) {
 	var rec telemetry.Record
 	return f.stream(func(w int, out *wearerOut) error {
@@ -234,7 +235,6 @@ func (f *Fleet) Stream(sink Sink) (Perf, error) {
 		rec.ForeignLoadPPM = out.foreignPPM
 		rec.EqForeignLoadPPM = out.eqForeignPPM
 		rec.FeedbackIters = out.iters
-		rec.Series = out.series
 		return sink.Consume(rec)
 	})
 }
@@ -277,18 +277,15 @@ func (f *Fleet) validate() error {
 // fields stay 0 unless the coupling closes the feedback loop). The
 // structs are pooled: the engine circulates exactly `window` of them
 // between workers and the in-order consumer, so the per-wearer report
-// storage is reused instead of reallocated — the pool doubles as the
-// reorder window's backpressure tokens.
+// storage — rep.Nodes and, when Fleet.Series is set, the sampled
+// rep.Series — is reused instead of reallocated; the pool doubles as
+// the reorder window's backpressure tokens.
 type wearerOut struct {
 	rep          bannet.Report
 	cell         int
 	foreignPPM   int64
 	eqForeignPPM int64
 	iters        int
-	// series holds the wearer's sampled time series when Fleet.Series is
-	// set; like rep.Nodes it is pooled storage, truncated and refilled
-	// each time the buffer carries a new wearer.
-	series []telemetry.SeriesPoint
 }
 
 // workerScratch is one worker goroutine's private reusable state: the
@@ -296,36 +293,17 @@ type wearerOut struct {
 // reallocated: its state is a ~5 KB table, and a reseed builds only the
 // words the scenario or load stream reads), the long-lived simulation
 // kernel arena, and the node-slice buffer interference stamping copies
-// into. Nothing in it survives a wearer except capacity.
+// into. Nothing in it survives a wearer except capacity; the kernel
+// writes its samples straight into the wearer's pooled report.
 type workerScratch struct {
 	rng   *rand.Rand
 	sim   *bannet.Sim
 	nodes []bannet.NodeConfig
 	loads []spectrum.NodeLoad
-	// out is the output buffer of the wearer currently running; sink (one
-	// closure per worker, so the per-wearer hot path allocates none)
-	// converts the kernel's borrowed sample batches into telemetry points
-	// appended to out.series.
-	out  *wearerOut
-	sink bannet.SeriesSink
 }
 
 func newWorkerScratch() *workerScratch {
-	sc := &workerScratch{rng: desim.NewRand(0)}
-	sc.sink = func(samples []bannet.SeriesSample) {
-		for i := range samples {
-			s := &samples[i]
-			sc.out.series = append(sc.out.series, telemetry.SeriesPoint{
-				Node:          s.Node,
-				TimeMS:        s.TimeMS,
-				Charge:        s.Charge,
-				QueueDepth:    s.QueueDepth,
-				LinkPER:       s.LinkPER,
-				CollisionRate: s.CollisionRate,
-			})
-		}
-	}
-	return sc
+	return &workerScratch{rng: desim.NewRand(0)}
 }
 
 // stream is the engine. In coupled mode it first runs phase 1 — the
@@ -489,17 +467,13 @@ func (f *Fleet) runWearer(w int, loads *phase1, sc *workerScratch, out *wearerOu
 		out.cell, out.foreignPPM, out.eqForeignPPM, out.iters = f.applyInterference(w, &cfg, loads, sc)
 	}
 	cfg.Seed = desim.DeriveSeed(f.Seed, 2*uint64(w)+1)
-	out.series = out.series[:0]
-	sc.out = out
+	cfg.SeriesEvery = f.Series
 	if sc.sim == nil {
 		if sc.sim, err = bannet.NewSim(cfg); err != nil {
 			return err
 		}
 	} else if err = sc.sim.Reset(cfg); err != nil {
 		return err
-	}
-	if f.Series > 0 {
-		sc.sim.SetSeries(f.Series, sc.sink)
 	}
 	return sc.sim.RunInto(f.Span, &out.rep)
 }

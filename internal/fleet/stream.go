@@ -16,12 +16,12 @@ import (
 // stream into several.
 //
 // Records are borrowed until Consume returns: the engine reuses the
-// record's storage — in particular rec.Nodes' backing array — for the
-// next wearer, so a Sink that keeps any slice-typed field past the call
-// must copy it. Scalar fields may be copied freely. StreamAggregator
-// folds everything it needs during the call, and telemetry.Writer copies
-// the node slice into its block arena; a custom Sink must follow the
-// same discipline.
+// record's storage — in particular the backing arrays of rec.Nodes and
+// rec.Series — for later wearers, so a Sink that keeps any slice-typed
+// field past the call must copy it. Scalar fields may be copied freely.
+// StreamAggregator folds everything it needs during the call, and
+// telemetry.Writer copies the node and series slices into its block
+// arena; a custom Sink must follow the same discipline.
 type Sink interface {
 	Consume(rec telemetry.Record) error
 }
@@ -48,7 +48,8 @@ func Tee(sinks ...Sink) Sink {
 // recordInto flattens one wearer's simulation report into its telemetry
 // record — exactly the fields fleet aggregation consumes, with durations
 // in seconds. The spectrum placement defaults to the uncoupled sentinel
-// (cell −1); the engine's Stream overwrites it on coupled sweeps. It
+// (cell −1); the engine's Stream overwrites it on coupled sweeps.
+// rec.Series aliases the report's samples. It
 // overwrites every field of rec, reusing rec.Nodes' capacity: the engine
 // calls it with one long-lived record per sweep — the Sink
 // borrow-until-return contract exists exactly so this reuse is sound.
@@ -61,7 +62,7 @@ func recordInto(rec *telemetry.Record, wearer int, r *bannet.Report) {
 	rec.ForeignLoadPPM = 0
 	rec.EqForeignLoadPPM = 0
 	rec.FeedbackIters = 0
-	rec.Series = nil
+	rec.Series = r.Series
 	rec.Nodes = rec.Nodes[:0]
 	for i := range r.Nodes {
 		n := &r.Nodes[i]

@@ -359,15 +359,23 @@ type Record struct {
 	Series []SeriesPoint
 }
 
-// SeriesPoint is one in-run per-node sample: the bannet kernel's
-// SeriesSample re-expressed in store units. LinkPER and CollisionRate are
-// NaN for a window with no transmission attempts — a gap the fleet
-// aggregation layer skips (StreamDist NaN policy), never a fake zero.
+// SeriesPoint is one in-run per-node sample, as the bannet kernel
+// appends it to its Report and the store keeps it: the in-run dynamics
+// (battery drain, queue growth under collision storms, per-window link
+// quality) that the end-of-run node summary integrates away.
 type SeriesPoint struct {
-	Node          int
-	TimeMS        int64
-	Charge        float64
-	QueueDepth    int
+	Node   int   // index into the wearer's node list
+	TimeMS int64 // simulated sampling instant, integer milliseconds
+	// Charge is the battery state of charge in [0,1]; 1.0 for nodes
+	// whose battery is never debited.
+	Charge float64
+	// QueueDepth is the number of packets waiting at the sampling instant.
+	QueueDepth int
+	// LinkPER is the fraction of transmission attempts since the previous
+	// sample that failed (link loss and collisions combined), and
+	// CollisionRate the fraction attributed to cross-wearer collisions.
+	// Both are NaN for a window with no attempts — a gap the fleet
+	// aggregation layer skips (StreamDist NaN policy), never a fake zero.
 	LinkPER       float64
 	CollisionRate float64
 }
