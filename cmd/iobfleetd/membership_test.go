@@ -127,8 +127,29 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 		t.Fatalf("registration: code %d err %v state %+v", resp, err, reg)
 	}
 
-	raw := `{"wearers":25000,"seed":31,"dur_seconds":20,"workers":2,"cells":4,"block_size":64,"shards":2}`
+	raw := `{"wearers":25000,"seed":31,"dur_seconds":100,"workers":2,"cells":4,"block_size":64,"shards":2}`
 	id := co.submit(raw).ID
+
+	// The entry must expire while the sweep is still in flight: poll the
+	// table until it reads not live, then demand the sweep is not yet
+	// terminal — a sweep that beat the TTL tests no race.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var table []memberState
+		co.getJSON("/api/backends", &table)
+		if len(table) == 1 && !table[0].Live {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend entry still live 60s after a 2s TTL: %+v", table)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	var cur sweepState
+	co.getJSON("/api/sweeps/"+id, &cur)
+	if cur.terminal() {
+		t.Fatalf("sweep finished before the backend's 2s TTL expired: %+v (grow the spec)", cur)
+	}
 	done := co.awaitStatus(id, statusDone, 120*time.Second)
 
 	var spec sweepSpec
@@ -137,10 +158,10 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	if done.Fingerprint != fp {
 		t.Errorf("fingerprint %q after mid-sweep expiry, want %q", done.Fingerprint, fp)
 	}
-	// The sweep outlived the entry's TTL by construction (seconds of
-	// wearers vs a 2s expiry): the backend must have expired. Expiry is
-	// lazy-on-read, so the first scrape's liveness gauge performs the
-	// flip and a second scrape observes the counted transition.
+	// The sweep outlived the entry's TTL (checked above): the backend
+	// must have expired. Expiry is lazy-on-read, so the first scrape's
+	// liveness gauge performs the flip and a second scrape observes the
+	// counted transition.
 	text := co.metrics()
 	if got := metricValue(t, text, "iobfleetd_backends_live"); got != 0 {
 		t.Errorf("backends_live %v with the only member silent, want 0", got)

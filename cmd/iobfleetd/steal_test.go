@@ -8,15 +8,13 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"wiban/internal/chaoskit"
 )
 
 // awaitLiveBackends polls the coordinator's membership table until
 // exactly n entries are live.
 func awaitLiveBackends(t *testing.T, co *daemon, n int, timeout time.Duration) {
 	t.Helper()
-	if !chaoskit.Settle(timeout, 50*time.Millisecond, func() bool {
+	if !settle(timeout, 50*time.Millisecond, func() bool {
 		var table []memberState
 		co.getJSON("/api/backends", &table)
 		live := 0
@@ -166,7 +164,7 @@ func TestStealStraggler(t *testing.T) {
 
 	// The losing copies on the hogged backend must be cancelled — queued
 	// work for a shard someone else finished is a leak.
-	if !chaoskit.Settle(30*time.Second, 100*time.Millisecond, func() bool {
+	if !settle(30*time.Second, 100*time.Millisecond, func() bool {
 		var all []sweepState
 		b0.getJSON("/api/sweeps", &all)
 		for _, st := range all {
@@ -221,7 +219,7 @@ func TestCancelShardedPropagates(t *testing.T) {
 	}
 
 	// Partials are garbage once the parent is cancelled.
-	if !chaoskit.Settle(30*time.Second, 100*time.Millisecond, func() bool {
+	if !settle(30*time.Second, 100*time.Millisecond, func() bool {
 		left, _ := filepath.Glob(filepath.Join(coDir, id+".shard*"))
 		return len(left) == 0
 	}) {
@@ -244,7 +242,7 @@ func TestCancelShardedPropagates(t *testing.T) {
 		return metricValue(t, text, "iobfleetd_sweeps_queued") == 0 &&
 			metricValue(t, text, "iobfleetd_sweeps_running") == 0
 	}
-	if !chaoskit.Settle(60*time.Second, 100*time.Millisecond, func() bool {
+	if !settle(60*time.Second, 100*time.Millisecond, func() bool {
 		return settled(co) && settled(b0) && settled(b1)
 	}) {
 		t.Error("fleet never settled after cancelling the sharded parent")

@@ -9,8 +9,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"wiban/internal/chaoskit"
 )
 
 // chaosEnvInt reads an integer knob for the sustained chaos harness,
@@ -86,8 +84,8 @@ func TestSustainedChaos(t *testing.T) {
 		shapeOf[st.ID] = i % len(shapes)
 	}
 
-	c := chaoskit.New(seed)
-	actions := []chaoskit.Action{
+	c := newChaos(seed)
+	actions := []chaosAction{
 		{Name: "kill", Weight: 3},
 		{Name: "restart", Weight: 3},
 		{Name: "drain", Weight: 1},
@@ -159,7 +157,7 @@ func TestSustainedChaos(t *testing.T) {
 
 	// Every sweep settles terminally...
 	finals := map[string]sweepState{}
-	if !chaoskit.Settle(360*time.Second, 250*time.Millisecond, func() bool {
+	if !settle(360*time.Second, 250*time.Millisecond, func() bool {
 		var all []sweepState
 		co.getJSON("/api/sweeps", &all)
 		n := 0
@@ -205,7 +203,7 @@ func TestSustainedChaos(t *testing.T) {
 	t.Logf("%d/%d sweeps completed, %d cancelled", done, len(ids), len(ids)-done)
 
 	// No partial-store leaks on the coordinator...
-	if !chaoskit.Settle(30*time.Second, 250*time.Millisecond, func() bool {
+	if !settle(30*time.Second, 250*time.Millisecond, func() bool {
 		left, _ := filepath.Glob(filepath.Join(coDir, "*.shard*"))
 		return len(left) == 0
 	}) {
@@ -220,7 +218,7 @@ func TestSustainedChaos(t *testing.T) {
 		return metricValue(t, text, "iobfleetd_sweeps_queued") == 0 &&
 			metricValue(t, text, "iobfleetd_sweeps_running") == 0
 	}
-	if !chaoskit.Settle(180*time.Second, 500*time.Millisecond, func() bool {
+	if !settle(180*time.Second, 500*time.Millisecond, func() bool {
 		if !quiescent(co) {
 			return false
 		}
@@ -236,7 +234,7 @@ func TestSustainedChaos(t *testing.T) {
 
 	// ...and no goroutine leaks on the coordinator: every supervisor,
 	// progress stream and runner hand-off wound down.
-	if !chaoskit.Settle(60*time.Second, 500*time.Millisecond, func() bool {
+	if !settle(60*time.Second, 500*time.Millisecond, func() bool {
 		return metricValue(t, co.metrics(), "iobfleetd_goroutines") <= baseGoroutines+32
 	}) {
 		t.Errorf("coordinator goroutines %v never settled near baseline %v",

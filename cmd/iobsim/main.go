@@ -15,49 +15,32 @@ import (
 
 	"wiban/internal/bannet"
 	"wiban/internal/energy"
+	"wiban/internal/fleet"
 	"wiban/internal/isa"
 	"wiban/internal/radio"
 	"wiban/internal/sensors"
 	"wiban/internal/units"
 )
 
-// scenario builds the default heterogeneous BAN: ECG patch, IMU, voice
-// mic with ADPCM, QVGA camera with MJPEG.
+// scenario builds the default heterogeneous BAN: fleet.DefaultBase's ECG
+// patch, IMU and ADPCM voice mic, plus a QVGA camera with MJPEG on Wi-R,
+// or the three base nodes on BLE 4.2.
 func scenario(useBLE bool) bannet.Config {
-	mk := func() *radio.Transceiver {
-		if useBLE {
-			return radio.BLE42()
+	cfg := fleet.DefaultBase()
+	if useBLE {
+		for i := range cfg.Nodes {
+			cfg.Nodes[i].Radio = radio.BLE42()
 		}
-		return radio.WiR()
+		return cfg
 	}
-	nodes := []bannet.NodeConfig{
-		{
-			ID: 1, Name: "ecg-patch", Sensor: sensors.ECGPatch(),
-			Policy: isa.StreamAll{}, Radio: mk(), Battery: energy.Fig3Battery(),
-			PacketBits: 1024, PER: 0.01, MaxRetries: 5,
-		},
-		{
-			ID: 2, Name: "imu-band", Sensor: sensors.IMU6Axis(),
-			Policy: isa.StreamAll{}, Radio: mk(), Battery: energy.CR2032(),
-			Harvester: energy.IndoorPV(), PacketBits: 1024, PER: 0.02, MaxRetries: 5,
-		},
-		{
-			ID: 3, Name: "voice-mic", Sensor: sensors.MicMono(),
-			Policy: isa.Compress{Label: "ADPCM", MeasuredRatio: 4, Power: 20 * units.Microwatt},
-			Radio:  mk(), Battery: energy.Fig3Battery(),
-			PacketBits: 4096, PER: 0.02, MaxRetries: 4,
-		},
-	}
-	if !useBLE {
-		// The MJPEG camera stream (1.15 Mbps) only fits the Wi-R medium.
-		nodes = append(nodes, bannet.NodeConfig{
-			ID: 4, Name: "camera", Sensor: sensors.CameraQVGA(),
-			Policy: isa.Compress{Label: "MJPEG q50", MeasuredRatio: 8, Power: 500 * units.Microwatt},
-			Radio:  mk(), Battery: energy.LiPo(300),
-			PacketBits: 16384, PER: 0.02, MaxRetries: 4,
-		})
-	}
-	return bannet.Config{Nodes: nodes}
+	// The MJPEG camera stream (1.15 Mbps) only fits the Wi-R medium.
+	cfg.Nodes = append(cfg.Nodes, bannet.NodeConfig{
+		ID: 4, Name: "camera", Sensor: sensors.CameraQVGA(),
+		Policy: isa.Compress{Label: "MJPEG q50", MeasuredRatio: 8, Power: 500 * units.Microwatt},
+		Radio:  radio.WiR(), Battery: energy.LiPo(300),
+		PacketBits: 16384, PER: 0.02, MaxRetries: 4,
+	})
+	return cfg
 }
 
 func main() {

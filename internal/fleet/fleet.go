@@ -96,10 +96,11 @@ import (
 
 // Scenario produces the simulation configuration for one wearer. The rng
 // is private to the wearer and deterministically seeded from the fleet
-// seed; all perturbation randomness must come from it. Config.Seed is
-// overwritten by the engine with the wearer's simulation seed, so a
-// Scenario need not set it. Scenarios are called concurrently from worker
-// goroutines and must not mutate shared state. The engine consumes the
+// seed; all perturbation randomness must come from it. The engine
+// overwrites Config.Seed with the wearer's simulation seed and
+// Config.SeriesEvery with Fleet.Series, so a Scenario need not set
+// them. Scenarios are called concurrently from worker goroutines and
+// must not mutate shared state. The engine consumes the
 // returned config — including cfg.Nodes — before the same worker's next
 // call, and never mutates it in place (interference stamping copies the
 // node slice first), so a scenario may hand out slices backed by shared
@@ -155,9 +156,10 @@ type Fleet struct {
 	Loads LoadScenario
 	// Series, when positive, samples every node's in-run state (battery
 	// charge, queue depth, per-window link PER and collision rate) at
-	// this cadence and attaches the samples to each wearer's telemetry
-	// record (Record.Series). Sampling rides the kernel's existing
-	// superframe tick — no extra events, no RNG draws — so enabling it
+	// this cadence (each wearer's bannet.Config.SeriesEvery) and
+	// attaches the samples to each wearer's telemetry record
+	// (Record.Series). Sampling rides the kernel's existing superframe
+	// tick — no extra events, no RNG draws — so enabling it
 	// changes nothing about the simulated outcomes: Report fields and
 	// fleet fingerprints are identical with Series on or off. Zero (the
 	// default) disables sampling. Sinks persisting series need a
@@ -293,8 +295,7 @@ type wearerOut struct {
 // reallocated: its state is a ~5 KB table, and a reseed builds only the
 // words the scenario or load stream reads), the long-lived simulation
 // kernel arena, and the node-slice buffer interference stamping copies
-// into. Nothing in it survives a wearer except capacity; the kernel
-// writes its samples straight into the wearer's pooled report.
+// into. Nothing in it survives a wearer except capacity.
 type workerScratch struct {
 	rng   *rand.Rand
 	sim   *bannet.Sim

@@ -212,11 +212,11 @@ func (g *Generator) LoadScenario() LoadScenario {
 	}
 }
 
-// DefaultBase returns the stock heterogeneous BAN used by cmd/iobfleet
-// and the fleet benchmarks: an ECG patch, an IMU band with indoor-PV
-// harvesting, and an ADPCM voice mic, all on Wi-R. It mirrors the
-// cmd/iobsim scenario minus the camera (whose 1.15 Mbps stream would bar
-// the BLE arm of a population sweep).
+// DefaultBase returns the stock heterogeneous BAN used by cmd/iobfleet,
+// cmd/iobsim and the fleet benchmarks: an ECG patch, an IMU band with
+// indoor-PV harvesting, and an ADPCM voice mic, all on Wi-R. It has no
+// camera, whose 1.15 Mbps stream would bar the BLE arm of a population
+// sweep.
 func DefaultBase() bannet.Config {
 	return bannet.Config{Nodes: []bannet.NodeConfig{
 		{

@@ -48,11 +48,11 @@ func Tee(sinks ...Sink) Sink {
 // recordInto flattens one wearer's simulation report into its telemetry
 // record — exactly the fields fleet aggregation consumes, with durations
 // in seconds. The spectrum placement defaults to the uncoupled sentinel
-// (cell −1); the engine's Stream overwrites it on coupled sweeps.
-// rec.Series aliases the report's samples. It
-// overwrites every field of rec, reusing rec.Nodes' capacity: the engine
-// calls it with one long-lived record per sweep — the Sink
-// borrow-until-return contract exists exactly so this reuse is sound.
+// (cell −1); the engine's Stream overwrites it on coupled sweeps, and
+// rec.Series aliases the report's samples. It overwrites every field of
+// rec, reusing rec.Nodes' capacity: the engine calls it with one
+// long-lived record per sweep — the Sink borrow-until-return contract
+// exists exactly so this reuse is sound.
 func recordInto(rec *telemetry.Record, wearer int, r *bannet.Report) {
 	rec.Wearer = wearer
 	rec.Events = r.Events
