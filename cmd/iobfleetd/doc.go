@@ -26,7 +26,6 @@
 //	GET    /api/sweeps/{id}             one sweep's state
 //	DELETE /api/sweeps/{id}             cancel (200; 409 once terminal)
 //	GET    /api/sweeps/{id}/progress    NDJSON progress stream (curl -N)
-//	POST   /api/loads                   phase-1 gather for a shard spec
 //	GET    /api/sweeps/{id}/store       committed telemetry prefix
 //	GET    /api/sweeps/{id}/shards/{k}/store  a coordinator's shard partial
 //	POST   /api/backends                register/heartbeat a backend
@@ -139,12 +138,13 @@
 // on every backend writing a shard's identical byte sequence, and builds
 // that cut blocks differently do not.
 //
-// Every coupled sweep (cells > 0) adds a loads round: the coordinator
-// POSTs each range to /api/loads and merges the partial load tables.
-// First-order sweeps ship each shard only the merged table; feedback
-// sweeps also run the one equilibrium solve on the concatenated members
-// and ship each shard its window of the solution (sweep.Spec's Split,
-// Gather and Presolve), so phase 2 sees a single process's phase 1.
+// A coupled sweep (cells > 0) dispatches the same way: each shard's
+// engine computes phase 1 — the per-cell load gather and, with
+// feedback, the equilibrium solve — over the whole population [0,
+// wearers) before simulating its own range, exactly as an unsharded or
+// resumed run does, so phase 2 sees a single process's phase 1. Every
+// shard repeats that O(wearers) pass; nothing but the sub-spec crosses
+// the wire.
 //
 // The fault model is label-idempotent re-dispatch. Sub-sweeps carry a
 // deterministic label; re-submitting one is a no-op on a backend that

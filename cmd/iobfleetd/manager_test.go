@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -400,15 +401,11 @@ func TestHealthzDrainAware(t *testing.T) {
 	if code := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain: %d, want 503", code)
 	}
-	// Readiness and behavior must agree: everything that creates or
-	// computes work refuses alongside the probe.
+	// Readiness and behavior must agree: submission refuses alongside
+	// the probe.
 	spec := `{"wearers":8,"seed":1,"dur_seconds":1}`
 	if code := post("/api/sweeps", spec); code != http.StatusServiceUnavailable {
 		t.Errorf("submit during drain: %d, want 503", code)
-	}
-	loads := `{"wearers":8,"seed":1,"dur_seconds":1,"cells":4}`
-	if code := post("/api/loads", loads); code != http.StatusServiceUnavailable {
-		t.Errorf("loads gather during drain: %d, want 503", code)
 	}
 }
 
@@ -447,8 +444,9 @@ func TestSubmitLabelIdempotent(t *testing.T) {
 // spec moved into sweep.Spec — key order included: a coordinator caught
 // queued (shards) and a shard sub-sweep caught running (label,
 // first_wearer, seed_store_url, presolved with the solved equilibrium).
-// The seed-store URL points at a closed port, so recovery also takes the
-// scratch-store fallback.
+// Sidecars decode leniently, so the since-retired presolved key is
+// ignored and the shard solves phase 1 itself. The seed-store URL points
+// at a closed port, so recovery also takes the scratch-store fallback.
 var parentSidecars = map[string]string{
 	"s000000": `{
   "id": "s000000",
@@ -566,5 +564,32 @@ func TestParentSidecarsRecover(t *testing.T) {
 	}
 	if st, err := m.submit(specs["s000001"]); err != nil || st.ID != "s000001" {
 		t.Errorf("re-dispatch of the recovered label: %s, %v; want s000001 back", st.ID, err)
+	}
+}
+
+// TestSubmitPresolvedRefused pins the retired presolved key at the other
+// door: sidecars decode leniently (TestParentSidecarsRecover), but a
+// submission carrying it is an unknown field and bounces with 400 before
+// anything is queued.
+func TestSubmitPresolvedRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := newManager(t.TempDir(), 1, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(m, reg))
+	defer srv.Close()
+	spec := `{"wearers":8,"seed":1,"dur_seconds":1,"cells":2,"first_wearer":4,"presolved":{"loads":[{"cell":1,"ppm":5}]}}`
+	resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"presolved\"`) {
+		t.Errorf("submit with presolved: %d %s, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+	if got := m.list(); len(got) != 0 {
+		t.Errorf("refused submission left %d sweeps behind", len(got))
 	}
 }

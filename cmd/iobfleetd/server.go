@@ -25,7 +25,6 @@ import (
 //	POST   /api/backends              register (or heartbeat) a backend {"url": ...}
 //	GET    /api/backends              the membership table with per-entry liveness
 //	DELETE /api/backends?url=...      deregister a backend
-//	POST   /api/loads                 shard protocol: gather a wearer range's offered loads
 //	GET    /api/sweeps/{id}/store     shard protocol: committed store bytes from an offset
 //	GET    /api/sweeps/{id}/shards/{k}/store  coordinator's partial shard copy (seed store)
 //	GET    /debug/pprof/...           Go profiling endpoints
@@ -135,34 +134,6 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			return
 		}
 		streamProgress(w, r, sw)
-	})
-	mux.HandleFunc("POST /api/loads", func(w http.ResponseWriter, r *http.Request) {
-		// The shard protocol's loads round: gather the spec's wearer range's
-		// offered loads (and, in feedback mode, its members) and return them
-		// for the coordinator to merge. Pure computation — no sweep state is
-		// created — but a draining daemon still refuses so coordinators
-		// rotate away before the process exits mid-gather.
-		if m.isDraining() {
-			httpError(w, http.StatusServiceUnavailable, "draining; ask another backend")
-			return
-		}
-		var spec sweepSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "bad sweep spec: "+err.Error())
-			return
-		}
-		if err := spec.normalize(); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		loads, err := spec.Gather(m.stats)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, loads)
 	})
 	mux.HandleFunc("GET /api/sweeps/{id}/store", func(w http.ResponseWriter, r *http.Request) {
 		// The shard protocol's replication feed: the store's committed bytes

@@ -3,11 +3,10 @@ package main
 // The coordinator half of the shard protocol. A sweep submitted with a
 // shards field splits (sweep.Spec.Split) into contiguous wearer-range
 // sub-sweeps dispatched to backend daemons (-backends, or this daemon
-// itself) over the ordinary HTTP API. Coupled sweeps run two rounds:
-// every shard first gathers its range's offered loads (POST /api/loads,
-// sweep.Spec.Gather), sweep.Spec.Presolve merges and solves them, and
-// the dispatch round ships each shard its phase-1 results. This file is
-// the transport. Shard stores replicate back block by block as they
+// itself) over the ordinary HTTP API. A coupled shard runs phase 1 over
+// the whole population itself, as an unsharded or resumed run does, so
+// coupled and uncoupled sweeps dispatch alike. This file is the
+// transport. Shard stores replicate back block by block as they
 // commit and merge into one store bit-identical to a single-process
 // run. Series sampling (series_seconds) rides the same protocol
 // unchanged: each backend commits record+series frame pairs in one
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"wiban/internal/fleet"
-	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -182,26 +180,21 @@ func (m *manager) getJSON(url string, out any) (string, error) {
 	return inst, json.Unmarshal(body, out)
 }
 
-// runSharded executes a coordinator sweep: Split, then for coupled
-// sweeps the loads round across the shard backends and Presolve, then
-// the shard sub-sweeps themselves with their stores replicated back as
-// they commit, then the merge into one full-population store. The merged
-// store, its fingerprint and its trailing index are bit-identical to a
-// single-process run of the same spec: phase 1 merges commutative
-// integer tables, the solve is a pure function of the concatenated
-// members, phase-2 records are pure functions of (seed, wearer, tables),
-// and shard writers cut blocks on the same absolute grid as the merged
-// Writer: the merge copies every verified record+series pair on that
-// grid unchanged and re-encodes the seam blocks through the Writer
-// (telemetry.MergeShards). A failed merge removes its partial output
-// (Writer.Discard), so the shard partials on disk stay the only
-// recovery state.
+// runSharded executes a coordinator sweep: Split, then the shard
+// sub-sweeps with their stores replicated back as they commit, then the
+// merge into one full-population store. The merged store, its
+// fingerprint and its trailing index are bit-identical to a
+// single-process run of the same spec: every shard computes the one
+// full-population phase 1 itself, phase-2 records are pure functions of
+// (seed, wearer, phase 1), and shard writers cut blocks on the same
+// absolute grid as the merged Writer: the merge copies every verified
+// record+series pair on that grid unchanged and re-encodes the seam
+// blocks through the Writer (telemetry.MergeShards). A failed merge
+// removes its partial output (Writer.Discard), so the shard partials on
+// disk stay the only recovery state.
 func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, storePath string) {
 	start := time.Now()
 	subs, err := spec.Split(spec.Shards)
-	if err == nil && spec.Cells > 0 {
-		err = m.gatherShards(ctx, &spec.Spec, subs)
-	}
 	if err != nil {
 		m.finish(sw, err)
 		return
@@ -283,29 +276,6 @@ func (m *manager) runSharded(ctx context.Context, sw *job, spec sweepSpec, store
 	removePartials()
 }
 
-// gatherShards is the coupled protocol's loads round: every shard
-// gathers its range's partial loads on a backend concurrently, then
-// Presolve merges them, solves the equilibrium in feedback mode and
-// attaches each shard's phase-1 results to its sub-spec.
-func (m *manager) gatherShards(ctx context.Context, spec *sweep.Spec, subs []sweep.Spec) error {
-	parts := make([]sweep.Loads, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for k := range subs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			attempt := 0
-			_, errs[k] = m.place(ctx, k, &attempt, "/api/loads", subs[k], &parts[k])
-		}(k)
-	}
-	wg.Wait()
-	if err := worst(errs); err != nil {
-		return err
-	}
-	return spec.Presolve(subs, parts, m.stats)
-}
-
 // worst folds the errors of a sweep's concurrent shard operations into
 // the one the sweep ends with: a failure outranks a cancellation, which
 // outranks a drain; nil when every operation succeeded.
@@ -320,15 +290,15 @@ func worst(errs []error) error {
 	return w
 }
 
-// place is the one loop that puts shard k's work on a backend: it
+// place is the one loop that puts shard k's sub-sweep on a backend: it
 // rotates through backendFor(k, *attempt), probes the candidate's
-// health, and POSTs body to path on it, decoding the answer into out.
+// health, and POSTs sub to its /api/sweeps, decoding the answer into st.
 // It returns the backend that accepted. A 400 is a deterministic spec
 // rejection and fails the shard; every other miss counts a retry and
 // backs off (jittered) before the next candidate. attempt advances on
 // every try, success included, so a shard placed again after losing its
 // host starts from the next backend.
-func (m *manager) place(ctx context.Context, k int, attempt *int, path string, body, out any) (string, error) {
+func (m *manager) place(ctx context.Context, k int, attempt *int, sub sweepSpec, st *sweepState) (string, error) {
 	for {
 		if err := context.Cause(ctx); err != nil {
 			return "", err
@@ -336,12 +306,12 @@ func (m *manager) place(ctx context.Context, k int, attempt *int, path string, b
 		b := m.backendFor(k, *attempt)
 		*attempt++
 		if b != "" && m.healthy(b) {
-			err := m.postJSON(b+path, body, out)
+			err := m.postJSON(b+"/api/sweeps", sub, st)
 			if err == nil {
 				return b, nil
 			}
 			if permanent(err) {
-				return "", fmt.Errorf("shard %d rejected by %s%s: %w", k, b, path, err)
+				return "", fmt.Errorf("shard %d rejected by %s/api/sweeps: %w", k, b, err)
 			}
 		}
 		m.metrics.shardRetries.Inc()
@@ -406,7 +376,7 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 		}
 		if len(hosts) == 0 {
 			var st sweepState
-			b, err := m.place(ctx, k, &attempt, "/api/sweeps", sub, &st)
+			b, err := m.place(ctx, k, &attempt, sub, &st)
 			if err != nil {
 				return err
 			}

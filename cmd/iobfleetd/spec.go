@@ -21,7 +21,7 @@ type sweepSpec struct {
 
 	// Label and SeedStoreURL are the shard side of the protocol — set by
 	// a coordinator on the sub-specs it dispatches (beside the Spec's
-	// first_wearer/end_wearer/presolved), not by clients. Label makes
+	// first_wearer/end_wearer), not by clients. Label makes
 	// re-dispatch idempotent (a resubmitted label returns the existing
 	// sweep instead of a duplicate); SeedStoreURL points at the
 	// coordinator's partial copy of the shard store, so a replacement
@@ -40,8 +40,8 @@ func (s *sweepSpec) normalize() error {
 	if s.Shards < 0 || s.Shards > s.Wearers {
 		return fmt.Errorf("shard count %d outside [0, %d]", s.Shards, s.Wearers)
 	}
-	if s.Shards > 0 && (s.FirstWearer != 0 || s.EndWearer != 0 || s.Label != "" || s.SeedStoreURL != "" || s.Presolved != nil) {
-		return fmt.Errorf("shards is a coordinator knob; first_wearer/end_wearer/label/seed_store_url/presolved describe one shard — a spec carries one side only")
+	if s.Shards > 0 && (s.FirstWearer != 0 || s.EndWearer != 0 || s.Label != "" || s.SeedStoreURL != "") {
+		return fmt.Errorf("shards is a coordinator knob; first_wearer/end_wearer/label/seed_store_url describe one shard — a spec carries one side only")
 	}
 	return nil
 }

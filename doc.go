@@ -43,18 +43,16 @@
 //     load pass instead of regenerating scenarios (profile a sweep
 //     with iobfleet -cpuprofile/-memprofile). The engine also runs
 //     range-bounded: Start/End restrict simulation to a wearer window
-//     while phase 1 still reduces over the full population, and a
-//     GatherLoads/Presolved pair splits the two phases across
-//     processes — cmd/iobfleetd, the long-running fleet daemon,
-//     builds on exactly that to shard one sweep across remote
-//     backends ("shards" in the sweep spec; a static -backends list,
-//     or backends that register and heartbeat themselves over
-//     POST /api/backends with TTL expiry): shards gather loads, the
-//     coordinator merges and solves the equilibrium once, shards
-//     simulate their windows and replicate committed telemetry blocks
-//     back, and because seeds derive from absolute wearer indices the
-//     merged store — per-node time series included: writers cut
-//     blocks on the absolute wearer grid, so the merge copies every
+//     while phase 1 still reduces over the full population —
+//     cmd/iobfleetd, the long-running fleet daemon, builds on exactly
+//     that to shard one sweep across remote backends ("shards" in the
+//     sweep spec; a static -backends list, or backends that register
+//     and heartbeat themselves over POST /api/backends with TTL
+//     expiry): each shard runs phase 1 itself, simulates its window
+//     and replicates committed telemetry blocks back, and because
+//     seeds derive from absolute wearer indices the merged store —
+//     per-node time series included: writers cut blocks on the
+//     absolute wearer grid, so the merge copies every
 //     verified record+series pair that lies on it and re-encodes the
 //     seam blocks — is byte-identical to a single-process run, even
 //     after a backend is SIGKILLed and resumed mid-sweep, replaced,
@@ -69,10 +67,8 @@
 //     its store metadata) and its one run path (Open creates or
 //     resumes the store, Run streams into it and stops at a record
 //     boundary when its context ends), shared by iobfleet and
-//     iobfleetd so both write byte-identical stores, plus the shard
-//     protocol's data plane iobfleetd carries over HTTP (Split tiles
-//     the population, Gather runs a shard's phase-1 load gather,
-//     Presolve merges the gathers and solves the equilibrium once);
+//     iobfleetd so both write byte-identical stores, plus Split, which
+//     tiles the population into the shard specs iobfleetd dispatches;
 //   - internal/spectrum — cross-wearer co-channel interference: wearers
 //     hash into spatial cells, each cell sums its members' offered RF
 //     airtime in exact integer PPM, and a CSMA/ALOHA collision curve

@@ -27,8 +27,9 @@ import (
 // untouched, reproducing the paper's density contrast. Because both
 // phases are pure functions of (fleetSeed, population), the engine's
 // determinism, parallelism-invariance and resume contracts carry over
-// unchanged: a resumed sweep recomputes phase 1 over the full population
-// [0, Wearers) regardless of Start and lands on the same loads.
+// unchanged: a resumed sweep or a shard recomputes phase 1 over the full
+// population [0, Wearers) regardless of Start/End and lands on the same
+// loads.
 type Coupling struct {
 	// Cells is the spatial cell count wearers hash into (> 0). More
 	// wearers per cell means more co-channel contention; Wearers/Cells is
@@ -55,25 +56,6 @@ type Coupling struct {
 	// TolPPM is the fixed-point convergence tolerance in integer PPM
 	// (0 = spectrum.DefaultTolPPM). Only meaningful with Feedback.
 	TolPPM int64
-	// Presolved, when non-nil, supplies phase 1's results instead of
-	// gathering and solving them in-process: the shard half of the
-	// distributed protocol (GatherLoads per shard, then one merge and
-	// Solve; see sweep.Spec.Presolve). The shipped quantities are exactly
-	// what the in-process phase 1 computes, so a presolved shard run is
-	// bit-identical to its slice of a single-process sweep.
-	Presolved *Presolved
-}
-
-// Presolved is a coupled sweep's phase-1 results computed elsewhere (see
-// Coupling.Presolved).
-type Presolved struct {
-	// Loads is the FULL population's first-order per-cell offered-load
-	// table; its cell count must match Coupling.Cells.
-	Loads *spectrum.LoadTable
-	// Eq is the solved equilibrium, windowed to cover at least the
-	// fleet's own wearer range (spectrum.NewResult). Required in feedback
-	// mode, forbidden otherwise.
-	Eq *spectrum.Result
 }
 
 // model returns the effective collision model.
@@ -91,17 +73,6 @@ func (c *Coupling) validate() error {
 	}
 	if err := c.model().Validate(); err != nil {
 		return err
-	}
-	if p := c.Presolved; p != nil {
-		if p.Loads == nil {
-			return fmt.Errorf("fleet: presolved coupling without a load table")
-		}
-		if p.Loads.Cells() != c.Cells {
-			return fmt.Errorf("fleet: presolved table covers %d cells, coupling has %d", p.Loads.Cells(), c.Cells)
-		}
-		if (p.Eq != nil) != c.Feedback {
-			return fmt.Errorf("fleet: presolved equilibrium present=%v but feedback=%v", p.Eq != nil, c.Feedback)
-		}
 	}
 	eq := c.equilibrium()
 	return eq.Validate()
@@ -230,34 +201,29 @@ func (f *Fleet) wearerLoads(w int, sc *workerScratch, dst []spectrum.NodeLoad) (
 	return appendNodeLoads(dst, &cfg), nil
 }
 
-// offeredLoads is phase 1: the deterministic per-cell load reduction over
-// the full population [0, Wearers) — including wearers below Start, so a
-// resumed sweep sees the loads the interrupted one did — followed in
-// feedback mode by the one single-threaded Solve. Both halves are
-// worker-count invariant (see gatherLoads).
+// offeredLoads is phase 1: the deterministic per-cell load reduction
+// over the full population [0, Wearers) — including wearers outside
+// [Start, End), so a resumed sweep or a shard sees the loads one
+// uninterrupted process does — followed in feedback mode by the one
+// single-threaded solve. Both halves are worker-count invariant (see
+// gatherLoads).
 func (f *Fleet) offeredLoads(workers int) (*phase1, error) {
-	if p := f.Coupling.Presolved; p != nil {
-		// The distributed two-round protocol already ran phase 1; a shard
-		// simulates phase 2 straight against the shipped results.
-		return &phase1{loads: p.Loads, model: f.Coupling.model(), eq: p.Eq}, nil
-	}
-	total, members, err := f.gatherLoads(0, f.Wearers, workers)
+	total, members, err := f.gatherLoads(workers)
 	if err != nil {
 		return nil, err
 	}
 	p1 := &phase1{loads: total, model: f.Coupling.model()}
 	if members != nil {
-		if p1.eq, err = f.Coupling.Solve(members, f.Stats); err != nil {
+		if p1.eq, err = f.Coupling.solve(members, f.Stats); err != nil {
 			return nil, err
 		}
 	}
 	return p1, nil
 }
 
-// Solve is phase 1's one equilibrium solve over the full population's
-// members in wearer order, gathered in-process or concatenated from the
-// shards' GatherLoads; it adds its time, rounds and cells to stats.
-func (c *Coupling) Solve(members []spectrum.Member, stats *Stats) (*spectrum.Result, error) {
+// solve is phase 1's one equilibrium solve over the full population's
+// members in wearer order; it adds its time, rounds and cells to stats.
+func (c *Coupling) solve(members []spectrum.Member, stats *Stats) (*spectrum.Result, error) {
 	start := time.Now()
 	eq := c.equilibrium()
 	res, err := eq.Solve(c.Cells, members)
@@ -276,33 +242,18 @@ func (c *Coupling) Solve(members []spectrum.Member, stats *Stats) (*spectrum.Res
 	return res, nil
 }
 
-// GatherLoads runs only the phase-1 gather, and only over the fleet's own
-// wearer range [Start, End): the shard half of the distributed protocol.
-// It returns the range's partial per-cell load table and, in feedback
-// mode, its members indexed w − Start (nil otherwise). Per-wearer loads
-// are pure functions of absolute wearer indices, so the shards' merged
-// tables and concatenated members equal the full-population gather.
-func (f *Fleet) GatherLoads() (*spectrum.LoadTable, []spectrum.Member, error) {
-	if f.Coupling == nil {
-		return nil, nil, fmt.Errorf("fleet: GatherLoads on an uncoupled fleet")
-	}
-	if err := f.validate(); err != nil {
-		return nil, nil, err
-	}
-	return f.gatherLoads(f.Start, f.end(), f.effectiveWorkers())
-}
-
-// gatherLoads is the parallel offered-load gather over wearers [lo, hi):
-// a partial per-cell table plus, in feedback mode, the range's members
-// indexed w − lo. Workers accumulate into private tables over contiguous
-// chunks and the integer merges commute, so the result is bit-identical
-// for any worker count; a failing scenario surfaces as the lowest failing
-// wearer index, matching the phase-2 error contract. The pass is
-// allocation-free per wearer: each worker owns a scratch (pooled RNG plus
-// a reusable load buffer) and, in feedback mode, appends node loads into
-// a per-worker arena whose sub-slices the members keep — a grown arena
-// strands its old backing array, but the values there are final.
-func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectrum.Member, error) {
+// gatherLoads is the parallel offered-load gather over the full
+// population [0, Wearers): the per-cell table plus, in feedback mode,
+// every wearer's member in wearer order. Workers accumulate into
+// private tables over contiguous chunks and the integer merges commute,
+// so the result is bit-identical for any worker count; a failing
+// scenario surfaces as the lowest failing wearer index, matching the
+// phase-2 error contract. The pass is allocation-free per wearer: each
+// worker owns a scratch (pooled RNG plus a reusable load buffer) and,
+// in feedback mode, appends node loads into a per-worker arena whose
+// sub-slices the members keep — a grown arena strands its old backing
+// array, but the values there are final.
+func (f *Fleet) gatherLoads(workers int) (*spectrum.LoadTable, []spectrum.Member, error) {
 	gatherStart := time.Now()
 	cells := f.Coupling.Cells
 	total, err := spectrum.NewLoadTable(cells)
@@ -311,7 +262,7 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 	}
 	var members []spectrum.Member
 	if f.Coupling.Feedback {
-		members = make([]spectrum.Member, hi-lo)
+		members = make([]spectrum.Member, f.Wearers)
 	}
 	const chunk = 256
 	var (
@@ -321,9 +272,8 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 		failIdx = -1
 		failErr error
 	)
-	next.Store(int64(lo))
-	if workers > hi-lo {
-		workers = hi - lo
+	if workers > f.Wearers {
+		workers = f.Wearers
 	}
 	if workers < 1 {
 		workers = 1
@@ -343,12 +293,12 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 			}
 			for {
 				c0 := int(next.Add(chunk) - chunk)
-				if c0 >= hi {
+				if c0 >= f.Wearers {
 					break
 				}
 				c1 := c0 + chunk
-				if c1 > hi {
-					c1 = hi
+				if c1 > f.Wearers {
+					c1 = f.Wearers
 				}
 				for w := c0; w < c1; w++ {
 					cell := f.cellOf(w)
@@ -365,7 +315,7 @@ func (f *Fleet) gatherLoads(lo, hi, workers int) (*spectrum.LoadTable, []spectru
 						for _, nl := range m.Nodes {
 							own += nl.BasePPM
 						}
-						members[w-lo] = m
+						members[w] = m
 					} else {
 						var err error
 						if sc.loads, err = f.wearerLoads(w, sc, sc.loads[:0]); err != nil {

@@ -141,8 +141,8 @@ type Fleet struct {
 	// End is the exclusive upper bound of the wearer range; 0 means
 	// Wearers. A shard of a distributed sweep sets Start/End to its
 	// contiguous sub-range — everything else (seeding, emit order, the
-	// coupled engine) is unchanged, which is what keeps shard boundaries
-	// invisible in the merged output.
+	// coupled engine's full-population phase 1) is unchanged, which is
+	// what keeps shard boundaries invisible in the merged output.
 	End int
 	// Coupling, when non-nil, runs the two-phase spectrum-coupled
 	// engine: wearers share RF spectrum inside spatial cells and each RF
@@ -250,7 +250,7 @@ func (f *Fleet) end() int {
 	return f.Wearers
 }
 
-// validate rejects a fleet no run or gather can start from, before any
+// validate rejects a fleet no run can start from, before any
 // work is dispatched.
 func (f *Fleet) validate() error {
 	if f.Wearers <= 0 {

@@ -1,16 +1,12 @@
 package fleet
 
-// Tests for the shard half of the distributed two-round protocol:
-// range-bounded gathers must merge bit-exactly into the full-population
-// phase 1, and shards simulating phase 2 against shipped (presolved)
-// results must concatenate into the exact single-process sweep.
+// Tests for range-bounded fleets, the engine half of a sharded sweep:
+// shards simulating contiguous wearer ranges must concatenate into the
+// exact single-process sweep.
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
-	"wiban/internal/spectrum"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -31,72 +27,11 @@ func rangeFleet(f *Fleet, lo, hi int) *Fleet {
 	return &g
 }
 
-// TestGatherLoadsRangeMerge: merging every shard's partial table — and
-// concatenating the member windows in range order — reproduces the
-// full-population gather bit-exactly, including the equilibrium solved
-// from the concatenation.
-func TestGatherLoadsRangeMerge(t *testing.T) {
-	const wearers, cells = 120, 8
-	full := feedbackFleet(wearers, 4, 99, cells)
-	fullLoads, fullMembers, err := full.GatherLoads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fullMembers) != wearers {
-		t.Fatalf("full gather returned %d members, want %d", len(fullMembers), wearers)
-	}
-
-	merged, err := spectrum.NewLoadTable(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := make([]spectrum.Member, wearers)
-	for _, rng := range shardTiling {
-		part, partMembers, err := rangeFleet(feedbackFleet(wearers, 4, 99, cells), rng[0], rng[1]).GatherLoads()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(partMembers) != rng[1]-rng[0] {
-			t.Fatalf("range [%d,%d) returned %d members", rng[0], rng[1], len(partMembers))
-		}
-		if err := merged.Merge(part); err != nil {
-			t.Fatal(err)
-		}
-		copy(members[rng[0]:rng[1]], partMembers)
-	}
-
-	if !reflect.DeepEqual(merged.Export(), fullLoads.Export()) {
-		t.Error("merged shard tables differ from the full-population gather")
-	}
-	if !reflect.DeepEqual(members, fullMembers) {
-		t.Error("concatenated shard members differ from the full-population gather")
-	}
-
-	// The one deterministic solve over either member set must agree.
-	eq := spectrum.Equilibrium{}
-	fullRes, err := eq.Solve(cells, fullMembers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedRes, err := eq.Solve(cells, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mergedRes.Table().Export(), fullRes.Table().Export()) {
-		t.Error("equilibrium tables diverge between merged and full member sets")
-	}
-	if !reflect.DeepEqual(mergedRes.ExportOwn(0, wearers), fullRes.ExportOwn(0, wearers)) {
-		t.Error("equilibrium own loads diverge between merged and full member sets")
-	}
-}
-
-// TestPresolvedShardRunBitIdentical is the protocol's phase-2 contract:
-// shards simulating their ranges against the shipped phase-1 results —
-// round-tripped through the wire form, exactly as a coordinator ships
-// them — concatenate into the fingerprint of an uninterrupted
-// single-process run. Both coupling modes, because feedback adds the
-// windowed equilibrium to the shipment.
-func TestPresolvedShardRunBitIdentical(t *testing.T) {
+// TestShardRangeRunBitIdentical is the shard contract: range-bounded
+// coupled fleets, each solving phase 1 over the full population itself,
+// concatenate into the fingerprint of an uninterrupted single-process
+// run. Both coupling modes, because feedback adds the equilibrium solve.
+func TestShardRangeRunBitIdentical(t *testing.T) {
 	const wearers, cells = 120, 8
 	for _, feedback := range []bool{false, true} {
 		name := "first-order"
@@ -114,45 +49,14 @@ func TestPresolvedShardRunBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			loads, members, err := build().GatherLoads()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var res *spectrum.Result
-			if feedback {
-				eq := spectrum.Equilibrium{}
-				if res, err = eq.Solve(cells, members); err != nil {
-					t.Fatal(err)
-				}
-			}
-
 			agg := NewStreamAggregator(30 * units.Second)
 			for _, rng := range shardTiling {
-				// Round-trip the shipment through its exported wire form: the
-				// shard side reconstructs from []CellLoad and a windowed own
-				// slice, never from shared pointers.
-				shipped, err := spectrum.ImportTable(cells, loads.Export())
-				if err != nil {
-					t.Fatal(err)
-				}
-				pre := &Presolved{Loads: shipped}
-				if feedback {
-					win, err := spectrum.NewResult(cells, res.Table().Export(), res.ExportIters(),
-						rng[0], res.ExportOwn(rng[0], rng[1]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					pre.Eq = win
-				}
-				shard := rangeFleet(build(), rng[0], rng[1])
-				shard.Coupling.Presolved = pre
-				if _, err := shard.Stream(agg); err != nil {
+				if _, err := rangeFleet(build(), rng[0], rng[1]).Stream(agg); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if got := agg.Report(); got.Fingerprint() != want.Fingerprint() {
-				t.Errorf("presolved shard concatenation fingerprint %q != single-process %q",
+				t.Errorf("shard concatenation fingerprint %q != single-process %q",
 					got.Fingerprint(), want.Fingerprint())
 			}
 		})
@@ -191,33 +95,6 @@ func TestStreamEndBounded(t *testing.T) {
 	if _, _, err := inverted.Run(); err == nil {
 		t.Error("Start past End accepted")
 	}
-}
-
-// TestGatherLoadsUncoupled: the shard gather is a coupled-protocol
-// operation and refuses a fleet with no spectrum topology.
-func TestGatherLoadsUncoupled(t *testing.T) {
-	f := testFleet(40, 2, 7)
-	if _, _, err := f.GatherLoads(); err == nil || !strings.Contains(err.Error(), "uncoupled") {
-		t.Fatalf("GatherLoads on an uncoupled fleet: %v, want uncoupled error", err)
-	}
-}
-
-// TestGatherLoadsRejects pins the gather's validation surface — the same
-// envelope Run enforces, checked before any work is dispatched.
-func TestGatherLoadsRejects(t *testing.T) {
-	mustFail := func(name string, mutate func(*Fleet)) {
-		t.Helper()
-		f := coupledFleet(40, 2, 7, 4)
-		mutate(f)
-		if _, _, err := f.GatherLoads(); err == nil {
-			t.Errorf("%s: GatherLoads succeeded, want error", name)
-		}
-	}
-	mustFail("bad coupling", func(f *Fleet) { f.Coupling.Cells = -1 })
-	mustFail("non-positive population", func(f *Fleet) { f.Wearers = 0 })
-	mustFail("nil scenario", func(f *Fleet) { f.Scenario, f.Loads = nil, nil })
-	mustFail("end beyond population", func(f *Fleet) { f.End = 41 })
-	mustFail("start past end", func(f *Fleet) { f.Start, f.End = 30, 20 })
 }
 
 // TestStreamAggregatorWearers: the fold count is what a resumed sweep

@@ -53,21 +53,18 @@ const (
 // how far collisions can inflate it.
 type NodeLoad struct {
 	// BasePPM is the node's first-order offered airtime in [0, PPM].
-	BasePPM int64 `json:"base_ppm"`
+	BasePPM int64
 	// Retries is the node's retransmission budget (bannet MaxRetries): a
 	// packet is attempted at most Retries+1 times.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 }
 
 // Member is one contender in the feedback iteration — a wearer's
 // radiative nodes and the cell they share spectrum in. Body-channel
-// nodes radiate nothing and are simply absent from Nodes. The JSON tags
-// are the shard protocol's wire form: a shard backend gathers its wearer
-// range's members and ships them to the coordinator, which concatenates
-// the ranges and runs the one deterministic Solve.
+// nodes radiate nothing and are simply absent from Nodes.
 type Member struct {
-	Cell  int        `json:"cell"`
-	Nodes []NodeLoad `json:"nodes,omitempty"`
+	Cell  int
+	Nodes []NodeLoad
 }
 
 // RetryMultiplier is the expected transmission attempts per packet when
@@ -138,34 +135,15 @@ func (e *Equilibrium) Validate() error {
 
 // Result is a solved equilibrium: per-member retry-inflated loads, the
 // per-cell equilibrium totals, and per-cell convergence diagnostics.
-// Solve returns a Result over the full member slice (first = 0);
-// NewResult rebuilds one covering an arbitrary member window, so a shard
-// backend can index the coordinator's solution by absolute wearer.
 type Result struct {
-	table *LoadTable
+	table *LoadTable // retry-inflated counterpart of the first-order table
 	own   []int64
 	iters map[int]int
-	// first is the member index own[0] corresponds to: OwnPPM(i) reads
-	// own[i-first]. Zero for a Solve result over the full population.
-	first int
 }
-
-// CellIters is one cell's fixed-point round count — the wire form of the
-// Result's convergence diagnostics.
-type CellIters struct {
-	Cell  int `json:"cell"`
-	Iters int `json:"iters"`
-}
-
-// Table is the per-cell equilibrium load table — the retry-inflated
-// counterpart of the first-order phase-1 reduction.
-func (r *Result) Table() *LoadTable { return r.table }
 
 // OwnPPM is member i's equilibrium own load: its first-order offered
-// airtime inflated by the collision retries its cell settled at. The
-// index is absolute; a windowed Result (NewResult) holds only members
-// [first, first+len(own)).
-func (r *Result) OwnPPM(i int) int64 { return r.own[i-r.first] }
+// airtime inflated by the collision retries its cell settled at.
+func (r *Result) OwnPPM(i int) int64 { return r.own[i] }
 
 // ForeignPPM is the equilibrium foreign load member i sees: its cell's
 // equilibrium total minus its own equilibrium share.
@@ -178,48 +156,6 @@ func (r *Result) ForeignPPM(i int, cell int) int64 {
 // MaxIters may mean the cap cut iteration short). Unpopulated cells
 // report 0.
 func (r *Result) Iters(cell int) int { return r.iters[cell] }
-
-// ExportIters renders the per-cell round counts in ascending cell order.
-func (r *Result) ExportIters() []CellIters {
-	out := make([]CellIters, 0, len(r.iters))
-	for c, n := range r.iters {
-		out = append(out, CellIters{Cell: c, Iters: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
-	return out
-}
-
-// ExportOwn copies the per-member equilibrium loads of members
-// [lo, hi) — the window a shard backend needs to replay phase 2 against
-// the coordinator's solve.
-func (r *Result) ExportOwn(lo, hi int) []int64 {
-	return append([]int64(nil), r.own[lo-r.first:hi-r.first]...)
-}
-
-// NewResult reassembles a solved equilibrium from its exported pieces:
-// the per-cell table and iteration counts of the full solve plus the
-// own-load window covering members [first, first+len(own)). A shard
-// backend holding NewResult(...) observes bit-identical OwnPPM /
-// ForeignPPM / Iters for its wearers as the coordinator's full Result —
-// the merge/export round-trip is exact because every quantity is an
-// integer.
-func NewResult(cells int, table []CellLoad, iters []CellIters, first int, own []int64) (*Result, error) {
-	if first < 0 {
-		return nil, fmt.Errorf("spectrum: negative result base %d", first)
-	}
-	t, err := ImportTable(cells, table)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{table: t, own: own, iters: make(map[int]int, len(iters)), first: first}
-	for _, ci := range iters {
-		if ci.Cell < 0 || ci.Cell >= cells {
-			return nil, fmt.Errorf("spectrum: iteration count for cell %d outside [0,%d)", ci.Cell, cells)
-		}
-		res.iters[ci.Cell] = ci.Iters
-	}
-	return res, nil
-}
 
 // Solve computes the per-cell equilibrium of members over a cells-sized
 // spectrum. It is single-threaded and deterministic; the fleet engine

@@ -120,7 +120,7 @@ func TestEquilibriumConvergesOnRandomCells(t *testing.T) {
 				t.Fatalf("impossible: base above aggregate duty cap")
 			}
 		}
-		if eqTotal := res.Table().TotalPPM(0); eqTotal < firstTotal {
+		if eqTotal := res.table.TotalPPM(0); eqTotal < firstTotal {
 			t.Fatalf("seed %d: equilibrium cell total %d < first-order total %d", seed, eqTotal, firstTotal)
 		}
 		// Per-member foreign monotonicity: Σ_{j≠i} eq_j ≥ Σ_{j≠i} base_j.
@@ -197,7 +197,7 @@ func TestEquilibriumDeterministic(t *testing.T) {
 		}
 	}
 	for c := 0; c < 8; c++ {
-		if a.Iters(c) != b.Iters(c) || a.Table().TotalPPM(c) != b.Table().TotalPPM(c) {
+		if a.Iters(c) != b.Iters(c) || a.table.TotalPPM(c) != b.table.TotalPPM(c) {
 			t.Fatalf("cell %d diverged across identical solves", c)
 		}
 	}

@@ -31,7 +31,6 @@ package spectrum
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"wiban/internal/desim"
 )
@@ -86,9 +85,6 @@ func NewLoadTable(cells int) (*LoadTable, error) {
 	return &LoadTable{cells: cells, ppm: make(map[int]int64)}, nil
 }
 
-// Cells reports the table's cell count.
-func (t *LoadTable) Cells() int { return t.cells }
-
 // Add accumulates ppm airtime into cell.
 func (t *LoadTable) Add(cell int, ppm int64) error {
 	if cell < 0 || cell >= t.cells {
@@ -122,44 +118,6 @@ func (t *LoadTable) ForeignPPM(cell int, ownPPM int64) int64 {
 		return 0
 	}
 	return f
-}
-
-// CellLoad is one populated cell's integer-PPM load — the wire form of a
-// LoadTable entry. The fleet coordinator's shard protocol ships partial
-// per-cell tables between processes as sorted CellLoad lists; because the
-// underlying sums are exact integers, a table reassembled from any
-// partition of the population merges to bit-identical totals.
-type CellLoad struct {
-	Cell int   `json:"cell"`
-	PPM  int64 `json:"ppm"`
-}
-
-// Export renders the table's populated cells in ascending cell order — a
-// deterministic, order-independent serialization of the sparse map.
-func (t *LoadTable) Export() []CellLoad {
-	out := make([]CellLoad, 0, len(t.ppm))
-	for c, v := range t.ppm {
-		out = append(out, CellLoad{Cell: c, PPM: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
-	return out
-}
-
-// ImportTable rebuilds a LoadTable from an exported cell list. It is the
-// inverse of Export: ImportTable(t.Cells(), t.Export()) reproduces t
-// exactly, and importing several shards' partial exports into one table
-// (via Merge) reproduces the full-population reduction.
-func ImportTable(cells int, loads []CellLoad) (*LoadTable, error) {
-	t, err := NewLoadTable(cells)
-	if err != nil {
-		return nil, err
-	}
-	for _, l := range loads {
-		if err := t.Add(l.Cell, l.PPM); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // Model is the co-channel collision approximation: it maps a cell's

@@ -167,3 +167,12 @@ func TestPPMConversions(t *testing.T) {
 		t.Fatalf("Erlangs(500000) = %g", Erlangs(500_000))
 	}
 }
+
+// TestModelTagStable: the tag is persisted in telemetry metadata and
+// compared on resume, so its rendering must never drift.
+func TestModelTagStable(t *testing.T) {
+	m := Model{Beta: 2.5, MaxCollision: 0.95}
+	if got, want := m.Tag(), "csma:beta=2.5,cap=0.95"; got != want {
+		t.Errorf("Tag() = %q, want %q", got, want)
+	}
+}

@@ -14,8 +14,8 @@ import (
 // for n up to min(Wearers, 4) tiles [0, Wearers) with shards that
 // re-normalize unchanged. The corpus
 // is seeded with the submission literals of the daemon tests (their
-// front-end-only keys such as shards are ignored here) plus shard specs
-// carrying presolved phase-1 results.
+// front-end-only keys such as shards are ignored here) plus coupled
+// shard specs bounded to a wearer range.
 func FuzzSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"wearers":0,"dur_seconds":5}`,
@@ -33,8 +33,8 @@ func FuzzSpecNormalize(f *testing.F) {
 		`{"wearers":6000,"seed":23,"dur_seconds":30,"workers":2,"ble_frac":0.5,"cells":16,"series_seconds":10,"block_size":64,"shards":3}`,
 		`{"wearers":9000,"seed":43,"dur_seconds":20,"workers":2,"ble_frac":0.5,"cells":8,"series_seconds":8,"block_size":64,"shards":3}`,
 		`{"wearers":1000,"dur_seconds":1,"density":2.5,"per_spread":0.5,"batt_spread":0.3,"harvest_prob":0.3,"drop_prob":0.25,"drain":true}`,
-		`{"wearers":8,"seed":1,"dur_seconds":1,"cells":2,"first_wearer":4,"end_wearer":8,"presolved":{"loads":[{"cell":0,"ppm":120000},{"cell":1,"ppm":80000}]}}`,
-		`{"wearers":8,"seed":1,"dur_seconds":1,"cells":2,"feedback":true,"first_wearer":2,"end_wearer":4,"presolved":{"loads":[{"cell":1,"ppm":5}],"eq":{"table":[{"cell":1,"ppm":7}],"iters":[{"cell":1,"iters":3}],"own":[1,2]}}}`,
+		`{"wearers":8,"seed":1,"dur_seconds":1,"cells":2,"first_wearer":4,"end_wearer":8}`,
+		`{"wearers":8,"seed":1,"dur_seconds":1,"cells":2,"feedback":true,"first_wearer":2,"end_wearer":4}`,
 	} {
 		f.Add(seed)
 	}

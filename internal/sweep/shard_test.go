@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"wiban/internal/fleet"
-	"wiban/internal/spectrum"
 	"wiban/internal/telemetry"
 )
 
@@ -85,60 +83,13 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// TestPresolveRejects: the loads parts come from other processes, so
-// Presolve checks them before use — a member window that does not match
-// its shard's range, a table naming a cell outside the spec's topology,
-// and a parts count that does not match the shards are refused, and a
-// refused set ships no phase-1 results to any shard.
-func TestPresolveRejects(t *testing.T) {
-	spec := Spec{Wearers: 12, Seed: 5, DurSeconds: 1, BLEFraction: 0.5, Cells: 3, Feedback: true}
-	if err := spec.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name   string
-		mutate func([]Loads) []Loads
-		want   string
-	}{
-		{"member count", func(p []Loads) []Loads {
-			p[1].Members = p[1].Members[1:]
-			return p
-		}, "shard 1 returned 5 members for range [6,12)"},
-		{"cell count", func(p []Loads) []Loads {
-			p[0].Loads = append(p[0].Loads, spectrum.CellLoad{Cell: 3, PPM: 1})
-			return p
-		}, "shard 0 loads"},
-		{"part count", func(p []Loads) []Loads { return p[:1] }, "1 loads parts for 2 shards"},
-	} {
-		shards, err := spec.Split(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]Loads, len(shards))
-		for k := range shards {
-			if parts[k], err = shards[k].Gather(nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err = spec.Presolve(shards, c.mutate(parts), nil)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Presolve returned %v, want an error containing %q", c.name, err, c.want)
-		}
-		for k, shard := range shards {
-			if shard.Presolved != nil {
-				t.Errorf("%s: refused parts shipped phase-1 results to shard %d", c.name, k)
-			}
-		}
-	}
-}
-
-// TestShardedPhase1MatchesInProcess is the shard protocol without its
-// transport: Split, a Gather per shard, Presolve, then every shard —
-// round-tripped through JSON as the dispatch round ships it — run into
+// TestShardedPhase1MatchesInProcess is a sharded sweep without its
+// transport: Split, then every shard — round-tripped through JSON as
+// the dispatch round ships it — runs phase 1 itself and its range into
 // its own store, and the stores merged through one aggregator must
 // reproduce an unsharded run's fingerprint and store bytes in both
-// coupling modes. The solve counters must match the unsharded run's
-// too: both phase 1s go through the one fleet.Coupling.Solve.
+// coupling modes. Every shard solves the same full-population
+// equilibrium, so the solve counters read shards × the unsharded run's.
 func TestShardedPhase1MatchesInProcess(t *testing.T) {
 	for _, feedback := range []bool{false, true} {
 		name := "first-order"
@@ -171,15 +122,6 @@ func TestShardedPhase1MatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := make([]Loads, len(shards))
-			for k := range shards {
-				if parts[k], err = shards[k].Gather(&sharded); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := spec.Presolve(shards, parts, &sharded); err != nil {
-				t.Fatal(err)
-			}
 			paths := make([]string, len(shards))
 			for k := range shards {
 				raw, err := json.Marshal(&shards[k])
@@ -194,7 +136,17 @@ func TestShardedPhase1MatchesInProcess(t *testing.T) {
 					t.Fatal(err)
 				}
 				paths[k] = filepath.Join(dir, fmt.Sprintf("shard%d.wtl", k))
-				run(t, wire, paths[k], false)
+				sf, smeta, err := wire.Build(&sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss, err := Open(sf, smeta, paths[k], false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ss.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			agg := fleet.NewStreamAggregator(f.Span)
 			merged := filepath.Join(dir, "merged.wtl")
@@ -208,11 +160,12 @@ func TestShardedPhase1MatchesInProcess(t *testing.T) {
 			if !bytes.Equal(readStore(t, merged), readStore(t, truth)) {
 				t.Error("merged shard stores differ byte-for-byte from the unsharded store")
 			}
-			if got, want := sharded.EquilibriumIters.Load(), single.EquilibriumIters.Load(); got != want {
-				t.Errorf("equilibrium iterations: sharded %d, unsharded %d", got, want)
+			n := int64(len(shards))
+			if got, want := sharded.EquilibriumIters.Load(), n*single.EquilibriumIters.Load(); got != want {
+				t.Errorf("equilibrium iterations: sharded %d, want %d shards × unsharded = %d", got, n, want)
 			}
-			if got, want := sharded.EquilibriumCells.Load(), single.EquilibriumCells.Load(); got != want {
-				t.Errorf("equilibrium cells: sharded %d, unsharded %d", got, want)
+			if got, want := sharded.EquilibriumCells.Load(), n*single.EquilibriumCells.Load(); got != want {
+				t.Errorf("equilibrium cells: sharded %d, want %d shards × unsharded = %d", got, n, want)
 			}
 			if feedback && single.EquilibriumCells.Load() != int64(spec.Cells) {
 				t.Errorf("unsharded run solved %d cells, want %d", single.EquilibriumCells.Load(), spec.Cells)

@@ -42,29 +42,9 @@ type Spec struct {
 	BlockSize     int     `json:"block_size,omitempty"`
 
 	// FirstWearer/EndWearer bound a shard's wearer range (end 0 =
-	// Wearers); Presolved ships a coordinator's merged phase-1 results
-	// (see fleet.Presolved). Split and Presolve set them for the shard
-	// protocol, not clients.
-	FirstWearer int        `json:"first_wearer,omitempty"`
-	EndWearer   int        `json:"end_wearer,omitempty"`
-	Presolved   *Presolved `json:"presolved,omitempty"`
-}
-
-// Presolved is the wire form of fleet.Presolved: the coordinator's
-// merged full-population load table plus, in feedback mode, the solved
-// equilibrium windowed to the shard's wearer range.
-type Presolved struct {
-	Loads []spectrum.CellLoad `json:"loads"`
-	Eq    *Equilibrium        `json:"eq,omitempty"`
-}
-
-// Equilibrium is the exported spectrum.Result: the equilibrium per-cell
-// table and iteration counts of the full solve plus the per-wearer own
-// loads of the shard's range [first_wearer, end_wearer).
-type Equilibrium struct {
-	Table []spectrum.CellLoad  `json:"table"`
-	Iters []spectrum.CellIters `json:"iters,omitempty"`
-	Own   []int64              `json:"own"`
+	// Wearers). Split sets them for sharded sweeps, not clients.
+	FirstWearer int `json:"first_wearer,omitempty"`
+	EndWearer   int `json:"end_wearer,omitempty"`
 }
 
 // Normalize validates the spec and resolves density into cells (the two
@@ -122,17 +102,6 @@ func (s *Spec) Normalize() error {
 	if first >= end || end > s.Wearers {
 		return fmt.Errorf("wearer range [%d,%d) outside population %d", first, end, s.Wearers)
 	}
-	if s.Presolved != nil {
-		if s.Cells <= 0 {
-			return fmt.Errorf("presolved loads need a spectrum topology; pass cells or density")
-		}
-		if (s.Presolved.Eq != nil) != s.Feedback {
-			return fmt.Errorf("presolved equilibrium present=%v but feedback=%v", s.Presolved.Eq != nil, s.Feedback)
-		}
-		if _, err := s.presolved(); err != nil {
-			return err
-		}
-	}
 	return s.generator().Validate()
 }
 
@@ -144,33 +113,6 @@ func (s *Spec) Range() (int, int) {
 		end = s.Wearers
 	}
 	return s.FirstWearer, end
-}
-
-// presolved reconstructs the fleet.Presolved the wire form describes (nil
-// when the spec carries none). Called from Normalize so a malformed table
-// or equilibrium is rejected at submit time, not as a failed sweep later.
-func (s *Spec) presolved() (*fleet.Presolved, error) {
-	if s.Presolved == nil {
-		return nil, nil
-	}
-	loads, err := spectrum.ImportTable(s.Cells, s.Presolved.Loads)
-	if err != nil {
-		return nil, fmt.Errorf("presolved loads: %w", err)
-	}
-	p := &fleet.Presolved{Loads: loads}
-	if e := s.Presolved.Eq; e != nil {
-		first, end := s.Range()
-		if len(e.Own) != end-first {
-			return nil, fmt.Errorf("presolved equilibrium covers %d wearers, shard range [%d,%d) holds %d",
-				len(e.Own), first, end, end-first)
-		}
-		res, err := spectrum.NewResult(s.Cells, e.Table, e.Iters, first, e.Own)
-		if err != nil {
-			return nil, fmt.Errorf("presolved equilibrium: %w", err)
-		}
-		p.Eq = res
-	}
-	return p, nil
 }
 
 // cellsForDensity derives the cell count hitting a target wearers-per-
@@ -197,8 +139,7 @@ func (s *Spec) generator() *fleet.Generator {
 	}
 }
 
-// coupling builds the spectrum coupling of a coupled spec, without
-// presolved phase-1 results.
+// coupling builds the spectrum coupling of a coupled spec.
 func (s *Spec) coupling() *fleet.Coupling {
 	c := &fleet.Coupling{Cells: s.Cells, Model: spectrum.Default()}
 	if s.Feedback {
@@ -209,9 +150,9 @@ func (s *Spec) coupling() *fleet.Coupling {
 
 // Build assembles the runnable fleet and the telemetry metadata of a
 // normalized spec, with the engine's Stats hook attached (nil for none).
-// A shard spec yields a range-bounded fleet (Start/End) with the shipped
-// phase-1 results attached, and a meta whose FirstWearer/EndWearer mark
-// the store as a shard store.
+// A shard spec yields a range-bounded fleet (Start/End), whose coupled
+// phase 1 still covers the whole population, and a meta whose
+// FirstWearer/EndWearer mark the store as a shard store.
 func (s *Spec) Build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
 	gen := s.generator()
 	first, end := s.Range()
@@ -234,11 +175,6 @@ func (s *Spec) Build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
 	tag := gen.Tag()
 	if s.Cells > 0 {
 		f.Coupling = s.coupling()
-		p, err := s.presolved()
-		if err != nil {
-			return nil, telemetry.Meta{}, err
-		}
-		f.Coupling.Presolved = p
 		tag += ";" + f.Coupling.Tag()
 	}
 	meta := telemetry.Meta{

@@ -6,14 +6,14 @@
 //
 // Spec is the definition: Normalize validates it and resolves density
 // into cells, and Build assembles the fleet.Fleet (generator, spectrum
-// coupling, shard range, presolved phase-1 results) and the
-// telemetry.Meta that identifies its store.
+// coupling, shard range) and the telemetry.Meta that identifies its
+// store.
 //
-// Split, Gather and Presolve are the shard protocol: Split tiles the
-// population into shard specs, Gather runs a shard's phase-1 load
-// gather, and Presolve merges the gathers, solves the equilibrium once
-// and attaches each shard's phase-1 results. iobfleetd only carries
-// their values between processes.
+// Split tiles the population into shard specs: the same sweep over
+// contiguous wearer ranges. A coupled shard runs phase 1 over the whole
+// population itself, exactly as an unsharded or resumed run does, so
+// its store is the matching slice of the unsharded one and iobfleetd
+// only dispatches the shard specs and merges their stores.
 //
 // Open and Run are the path. Open creates the telemetry store, or
 // resumes a checkpointed one in a single pass, telemetry.Resume: the
