@@ -115,11 +115,8 @@
 // contiguous sub-ranges, submits each as an ordinary sweep (same spec,
 // first_wearer/end_wearer set, shards stripped) to the live fleet —
 // the -backends list plus every dynamically registered member (see
-// Fleet membership below) — or to itself over loopback when the table
-// is empty, which needs spare -sweeps slots because the coordinator
-// sweep occupies one while its shards run — then streams each shard's
-// committed store bytes back incrementally and merges the replicas
-// into one <id>.wtl. Because per-wearer seeds derive from absolute
+// Fleet membership below) — then streams each shard's committed store
+// bytes back incrementally and merges the replicas into one <id>.wtl. Because per-wearer seeds derive from absolute
 // indices and block boundaries are deterministic, every backend
 // executing a given shard writes the identical byte sequence, so the
 // merged store — fingerprint, blocks, checkpoint and trailing index —
@@ -156,12 +153,16 @@
 // their frames pass the CRC check, so a cut or garbled body never
 // lands in the partial (FuzzFetchShard); a coordinator restarted after a
 // kill mid-append cuts the torn tail back to the same frame check before
-// it fetches again (TestPrepPartial). Backend selection consults
-// /healthz, which reports readiness — 200 while accepting work, 503
-// once draining — so a draining backend stops receiving shards. Each
-// sweep response carries an X-Iobfleetd-Instance nonce, so a
-// supervisor notices a backend that was killed and restarted between
-// two polls even when the address never changed.
+// it fetches again (TestPrepPartial). A backend's answer to the
+// submission is the whole readiness signal: a draining backend or one
+// whose queue is full answers 503, a dead one a transport error, and
+// either way placement moves on to the next member (only a 400, a spec
+// every backend would reject, fails the shard). /healthz reports the
+// same readiness — 200 while accepting work, 503 once draining — for
+// clients that poll before they submit. Each sweep response carries an
+// X-Iobfleetd-Instance nonce, so a supervisor notices a backend that
+// was killed and restarted between two polls even when the address
+// never changed.
 // TestShardedFingerprint and TestShardedSeriesFingerprint (bytes and
 // fingerprint vs an unsharded run, both coupling modes, series on and
 // off) and TestShardedChaosKillResume (a backend SIGKILLed mid-sweep
@@ -182,12 +183,17 @@
 // heartbeat. Expiry is lazy-on-read (checked when the table is
 // consulted, counted once per live→expired transition), an expired
 // entry stays in the table and revives in place on the next heartbeat
-// (one row per address, however often it blinks), and the dynamic
-// table persists beside the sweeps (<data>/backends.json) so a
-// coordinator restart recovers its fleet without waiting for the next
-// heartbeat round. While the table is non-empty but nothing is live,
-// sharded dispatch waits for a member to come back rather than falling
-// back to loopback. TestMembershipTable and
+// (one row per address, however often it blinks). The table lives in
+// memory: a restarted coordinator starts from its -backends entries,
+// and each dynamic member is back after its next heartbeat. The table
+// is the only place a shard can go. While no member is live — a lone
+// daemon, an all-expired fleet, or the last member deregistered —
+// sharded dispatch waits (the sweep stays running with 0 records and
+// iobfleetd_shard_retries_total rises) until a member is listed or
+// registers. A daemon may shard onto itself by naming its own URL in
+// -backends; that needs spare -sweeps slots, because the coordinator
+// sweep holds one while its shards run. TestMembershipTable,
+// TestShardsWaitForAMember, TestCoordinatorRestartDynamicFleet and
 // TestMembershipExpiryKeepsInFlightDispatch pin the semantics.
 //
 // # Work-stealing

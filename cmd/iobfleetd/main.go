@@ -66,10 +66,10 @@ func main() {
 	// The actual address, not the flag: with -listen :0 this line is how
 	// scripts (and the exec-level tests) learn the port. Runners start only
 	// now — a recovered coordinator sweep needs the daemon's own address
-	// (loopback dispatch, seed-store URLs) before it may run.
-	m.start("http://" + ln.Addr().String())
-	fmt.Printf("iobfleetd: listening on http://%s (data %s, %d sweep slots)\n",
-		ln.Addr(), *data, *sweeps)
+	// (its shards' seed-store URLs) before it may run.
+	self := "http://" + ln.Addr().String()
+	m.start(self)
+	fmt.Printf("iobfleetd: listening on %s (data %s, %d sweep slots)\n", self, *data, *sweeps)
 
 	// Register with each coordinator and keep heartbeating until drain;
 	// the goroutines deregister on the way out so coordinators stop
@@ -79,7 +79,7 @@ func main() {
 		hb.Add(1)
 		go func(c string) {
 			defer hb.Done()
-			heartbeat(m.client, c, m.selfBase, *hbEvery, m.drainCtx.Done())
+			heartbeat(m.client, c, self, *hbEvery, m.drainCtx.Done())
 		}(c)
 	}
 

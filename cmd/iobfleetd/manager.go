@@ -258,21 +258,16 @@ func newManager(dir string, slots int, reg *obs.Registry, backends []string) (*m
 	m.cond = sync.NewCond(&m.mu)
 	m.drainCtx, m.stopDrain = context.WithCancelCause(context.Background())
 	m.registerMetrics(reg)
-	members, err := newMembership(filepath.Join(dir, "backends.json"), backends,
-		m.metrics.registrations, m.metrics.expirations)
-	if err != nil {
-		return nil, err
-	}
-	m.members = members
+	m.members = newMembership(backends, m.metrics.registrations, m.metrics.expirations)
 	if err := m.recover(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// start records the daemon's own base URL (the loopback shard-dispatch
-// target and seed-store address) and starts the runner pool. Called once
-// the listener is up.
+// start records the daemon's own base URL (the address its shards'
+// seed-store URLs name) and starts the runner pool. Called once the
+// listener is up.
 func (m *manager) start(selfBase string) {
 	m.selfBase = selfBase
 	for i := 0; i < m.slots; i++ {
@@ -524,7 +519,7 @@ func (m *manager) beginDrain() {
 }
 
 // isDraining reports whether the daemon is shutting down — the health
-// endpoint's readiness signal, so coordinators stop routing shards here.
+// endpoint's readiness signal, which submissions refuse alongside.
 func (m *manager) isDraining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -808,7 +803,7 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 		return float64(m.running)
 	})
 	reg.NewGaugeFunc("iobfleetd_backends_configured",
-		"Shard backends configured via -backends (0 = loopback self-dispatch).", nil,
+		"Shard backends configured via -backends (static members; dynamic ones register).", nil,
 		func() float64 { return float64(len(m.backends)) })
 
 	// Membership liveness is derived per scrape, so the gauges are funcs

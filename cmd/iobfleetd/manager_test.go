@@ -87,6 +87,34 @@ func TestSubmitQueueFull(t *testing.T) {
 	}
 }
 
+// TestSubmitQueueFullHTTP pins the code a full queue answers: 503, a
+// transient refusal, so a coordinator placing a shard on a full backend
+// retries elsewhere (a 400 would fail the whole sweep as a bad spec).
+func TestSubmitQueueFullHTTP(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := newManager(t.TempDir(), 1, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.queueCap = 1 // runners never start, so one sweep fills the queue
+	srv := httptest.NewServer(newMux(m, reg))
+	defer srv.Close()
+
+	var codes []int
+	for seed := 1; seed <= 2; seed++ {
+		spec := fmt.Sprintf(`{"wearers":8,"seed":%d,"dur_seconds":1}`, seed)
+		resp, err := http.Post(srv.URL+"/api/sweeps", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		codes = append(codes, resp.StatusCode)
+	}
+	if codes[0] != http.StatusAccepted || codes[1] != http.StatusServiceUnavailable {
+		t.Errorf("submit codes %v, want [202 503]", codes)
+	}
+}
+
 // TestRecoverBeyondQueueCap pins recovery's unbounded staging: a dead
 // process may leave arbitrarily many queued sidecars — more than the
 // submission queue cap — and the next process must still come up. (The
@@ -363,9 +391,10 @@ func TestLifecycleInvariants(t *testing.T) {
 
 // TestHealthzDrainAware pins readiness semantics: /healthz answers 200
 // only while the daemon accepts work, and flips to 503 the moment it
-// drains — the probe coordinators use to route shards away from a
-// backend that would refuse them. (The original bug kept /healthz at
-// 200 during drain, so shard dispatch kept selecting dying backends.)
+// drains, in step with the submission endpoint — the probe and the POST
+// a coordinator places shards with must agree. (The original bug kept
+// /healthz at 200 during drain, so shard dispatch kept selecting dying
+// backends.)
 func TestHealthzDrainAware(t *testing.T) {
 	reg := obs.NewRegistry()
 	m, err := newManager(t.TempDir(), 1, reg, nil)
@@ -536,14 +565,19 @@ func TestParentSidecarsRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The daemon lists its own listener as its one static backend, so
+	// the coordinator and its two shards all run here.
+	srv := httptest.NewUnstartedServer(nil)
+	self := "http://" + srv.Listener.Addr().String()
 	reg := obs.NewRegistry()
-	m, err := newManager(dir, 3, reg, nil) // the coordinator and its two loopback shards
+	m, err := newManager(dir, 3, reg, []string{self})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newMux(m, reg))
+	srv.Config.Handler = newMux(m, reg)
+	srv.Start()
 	defer srv.Close()
-	m.start(srv.URL)
+	m.start(self)
 	defer m.beginDrain()
 
 	for id, fp := range map[string]string{

@@ -1,13 +1,13 @@
 package main
 
-// The fleet membership layer. PR 8's shard dispatch selected backends
-// from a static -backends list, so a dead backend had to be resurrected
-// or hand-replaced at the same URL. Membership makes the fleet live:
-// backends POST /api/backends to register (and re-POST on a heartbeat
-// interval), the coordinator expires entries that fall silent past a
-// TTL, and the table persists in -data so a restarted coordinator still
-// knows its fleet before the first heartbeat arrives. Static -backends
-// entries remain supported as permanent members that never expire.
+// The fleet membership layer: the one place a shard can be placed.
+// Static -backends entries are permanent members that never expire;
+// other backends POST /api/backends to register (and re-POST on a
+// heartbeat interval), and the coordinator expires entries that fall
+// silent past a TTL. The table lives in memory only: after a
+// coordinator restart the static entries come back from the flag and
+// dynamic members re-register on their next heartbeat. A coordinator
+// whose table holds no live member dispatches nothing and waits.
 //
 // Expiry is a selection gate, not a kill switch: a shard already
 // dispatched to a backend keeps streaming from it for as long as the
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -33,11 +32,9 @@ import (
 // member is one row of the membership table. Static members come from
 // the -backends flag and never expire; dynamic members arrive over
 // POST /api/backends and live for the coordinator's -expire TTL past
-// their last heartbeat. expired is in-memory bookkeeping so the flip is
-// counted exactly once; the entry itself stays in the table (a later
-// heartbeat revives it, and its presence records that a fleet was
-// configured — which is what keeps selection from silently falling back
-// to loopback self-dispatch when every backend is down).
+// their last heartbeat. expired is bookkeeping so the flip is counted
+// exactly once; the entry itself stays in the table, and a later
+// heartbeat revives it in place.
 type member struct {
 	URL      string    `json:"url"`
 	Static   bool      `json:"static,omitempty"`
@@ -57,10 +54,9 @@ type memberState struct {
 // by mu; liveness is evaluated lazily against now() on every read, so
 // there is no sweeper goroutine to leak or race.
 type membership struct {
-	mu   sync.Mutex
-	path string // persisted table; never matches the s*.json sidecar glob
-	ttl  time.Duration
-	now  func() time.Time
+	mu  sync.Mutex
+	ttl time.Duration
+	now func() time.Time
 
 	entries map[string]*member
 
@@ -70,81 +66,21 @@ type membership struct {
 
 const defaultExpiry = 10 * time.Second
 
-// newMembership builds the table with the static -backends entries and,
-// when path names an existing file, the dynamic members a previous
-// process persisted (their staleness is re-judged against the TTL on
-// first read, so a long-dead backend does not resurrect as live).
+// newMembership builds the table with the static -backends entries.
 // registrations and expirations count the table's entry and expiry
 // events.
-func newMembership(path string, static []string, registrations, expirations *obs.Counter) (*membership, error) {
+func newMembership(static []string, registrations, expirations *obs.Counter) *membership {
 	ms := &membership{
-		path:          path,
 		ttl:           defaultExpiry,
 		now:           time.Now,
 		entries:       make(map[string]*member),
 		registrations: registrations,
 		expirations:   expirations,
 	}
-	if err := ms.load(); err != nil {
-		return nil, err
-	}
 	for _, b := range static {
 		ms.entries[b] = &member{URL: b, Static: true}
 	}
-	return ms, nil
-}
-
-// load reads the persisted dynamic members. A missing file is a fresh
-// start; a corrupt one is an error — membership is recovery state, and
-// silently dropping it would strand a fleet that registered before the
-// coordinator crashed.
-func (ms *membership) load() error {
-	raw, err := os.ReadFile(ms.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Backends []*member `json:"backends"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("membership table %s: %w", ms.path, err)
-	}
-	for _, m := range doc.Backends {
-		if m.URL == "" {
-			return fmt.Errorf("membership table %s: entry with no url", ms.path)
-		}
-		m.Static = false
-		ms.entries[m.URL] = m
-	}
-	return nil
-}
-
-// persistLocked writes the dynamic half of the table atomically (temp +
-// rename), the same durability discipline as the sweep sidecars. Static
-// entries are re-derived from the -backends flag each start, so they
-// are deliberately not persisted. Caller holds mu.
-func (ms *membership) persistLocked() error {
-	var doc struct {
-		Backends []*member `json:"backends"`
-	}
-	for _, m := range ms.entries {
-		if !m.Static {
-			doc.Backends = append(doc.Backends, m)
-		}
-	}
-	sort.Slice(doc.Backends, func(i, j int) bool { return doc.Backends[i].URL < doc.Backends[j].URL })
-	raw, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := ms.path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, ms.path)
+	return ms
 }
 
 // normalizeBackendURL validates and canonicalizes a registration URL:
@@ -183,9 +119,6 @@ func (ms *membership) register(raw string) (memberState, error) {
 		ms.registrations.Inc()
 	}
 	m.LastSeen = now
-	if err := ms.persistLocked(); err != nil {
-		return memberState{}, err
-	}
 	return memberState{member: *m, Live: true}, nil
 }
 
@@ -203,7 +136,6 @@ func (ms *membership) deregister(raw string) bool {
 		return false
 	}
 	delete(ms.entries, u)
-	ms.persistLocked()
 	return true
 }
 
@@ -222,22 +154,19 @@ func (ms *membership) expireLocked(m *member, now time.Time) bool {
 
 // live returns the selectable backend URLs — static members plus every
 // dynamic member inside its TTL — in sorted order, so round-robin
-// placement is deterministic for a given fleet. any reports whether the
-// table holds entries at all (live or expired): a fleet that was
-// configured but is momentarily all-dead should make dispatch wait for
-// a heartbeat, not silently fall back to loopback.
-func (ms *membership) live() (urls []string, any bool) {
+// placement is deterministic for a given fleet.
+func (ms *membership) live() []string {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := ms.now()
+	var urls []string
 	for _, m := range ms.entries {
-		any = true
 		if !ms.expireLocked(m, now) {
 			urls = append(urls, m.URL)
 		}
 	}
 	sort.Strings(urls)
-	return urls, any
+	return urls
 }
 
 // list returns every table row with its derived liveness, sorted by
@@ -272,10 +201,11 @@ func (ms *membership) counts() (total, live int) {
 // heartbeat keeps this daemon registered with one coordinator: an
 // immediate POST /api/backends, then one per interval, until stop
 // closes — at which point it deregisters best-effort so the
-// coordinator stops selecting a backend that is about to drain (the
-// /healthz gate would catch it anyway; this just makes goodbye
-// explicit). Registration failures are retried on the next tick: a
-// coordinator restart loses nothing but one beat.
+// coordinator stops selecting a backend that is about to drain (its
+// 503 would turn a shard away anyway; this just makes goodbye
+// explicit). Registration failures are retried on the next tick, and
+// the next beat after a coordinator restart puts this daemon back in
+// the restarted table.
 func heartbeat(client *http.Client, coordinator, self string, interval time.Duration, stop <-chan struct{}) {
 	body, _ := json.Marshal(map[string]string{"url": self})
 	post := func() {

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
+	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -14,14 +16,9 @@ import (
 
 // TestMembershipTable drives the membership layer in-process with a
 // hand-cranked clock: registration, heartbeat refresh, TTL expiry,
-// revival, static permanence, deregistration, and persistence across a
-// (simulated) coordinator restart.
+// revival, static permanence and deregistration.
 func TestMembershipTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "backends.json")
-	ms, err := newMembership(path, []string{"http://static:1"}, new(obs.Counter), new(obs.Counter))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := newMembership([]string{"http://static:1"}, new(obs.Counter), new(obs.Counter))
 	now := time.Unix(1000, 0)
 	ms.now = func() time.Time { return now }
 	ms.ttl = 10 * time.Second
@@ -40,26 +37,24 @@ func TestMembershipTable(t *testing.T) {
 		t.Errorf("registration state %+v, want live with trailing slash stripped", st)
 	}
 
-	live, any := ms.live()
-	if !any || len(live) != 2 {
-		t.Fatalf("live = %v (any %v), want static + dynamic", live, any)
+	live := ms.live()
+	if len(live) != 2 {
+		t.Fatalf("live = %v, want static + dynamic", live)
 	}
 
 	// Heartbeats refresh; silence past the TTL expires the dynamic entry
-	// but never the static one, and the expired entry stays in the table
-	// (any=true) so dispatch waits instead of falling back to loopback.
+	// but never the static one, and the expired entry stays in the table.
 	now = now.Add(9 * time.Second)
 	if _, err := ms.register("http://dyn:2"); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(9 * time.Second)
-	if live, _ = ms.live(); len(live) != 2 {
+	if live = ms.live(); len(live) != 2 {
 		t.Errorf("refreshed entry expired early: %v", live)
 	}
 	now = now.Add(2 * time.Second)
-	live, any = ms.live()
-	if len(live) != 1 || live[0] != "http://static:1" || !any {
-		t.Errorf("after TTL: live=%v any=%v, want only the static entry and any=true", live, any)
+	if live = ms.live(); len(live) != 1 || live[0] != "http://static:1" {
+		t.Errorf("after TTL: live=%v, want only the static entry", live)
 	}
 	for _, m := range ms.list() {
 		if m.URL == "http://dyn:2" && m.Live {
@@ -75,23 +70,11 @@ func TestMembershipTable(t *testing.T) {
 	if _, err := ms.register("http://dyn:2"); err != nil {
 		t.Fatal(err)
 	}
-	if live, _ = ms.live(); len(live) != 2 {
+	if live = ms.live(); len(live) != 2 {
 		t.Errorf("revived entry not live: %v", live)
 	}
 	if got := ms.list(); len(got) != 2 {
 		t.Errorf("table holds %d entries after revival, want 2: %+v", len(got), got)
-	}
-
-	// Persistence: a new table on the same path reloads the dynamic
-	// entry (static entries come from flags, not the file).
-	ms2, err := newMembership(path, nil, new(obs.Counter), new(obs.Counter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms2.now = ms.now
-	ms2.ttl = ms.ttl
-	if live, any = ms2.live(); len(live) != 1 || live[0] != "http://dyn:2" || !any {
-		t.Errorf("reloaded table live=%v any=%v, want the persisted dynamic entry", live, any)
 	}
 
 	if !ms.deregister("http://dyn:2") {
@@ -100,8 +83,16 @@ func TestMembershipTable(t *testing.T) {
 	if ms.deregister("http://dyn:2") {
 		t.Error("double deregister reported true")
 	}
-	if live, _ = ms.live(); len(live) != 1 {
+	if live = ms.live(); len(live) != 1 {
 		t.Errorf("deregistered entry still live: %v", live)
+	}
+	// Deregistering the last member leaves nothing to place a shard on —
+	// never a fallback to the coordinator itself.
+	if !ms.deregister("http://static:1") {
+		t.Error("deregister of the static entry reported false")
+	}
+	if live = ms.live(); len(live) != 0 {
+		t.Errorf("emptied table still lists %v", live)
 	}
 }
 
@@ -186,6 +177,98 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	}
 	if got := metricValue(t, co.metrics(), "iobfleetd_backend_registrations_total"); got != 2 {
 		t.Errorf("registrations_total %v, want 2 (initial + revival)", got)
+	}
+}
+
+// TestShardsWaitForAMember pins that the membership table is the only
+// place a shard can go: a coordinator with one runner slot and no
+// members keeps a sharded sweep running with nothing dispatched and no
+// records — it never queues the shards behind itself — until a one-slot
+// backend registers, after which the sweep finishes with the
+// uninterrupted run's fingerprint.
+func TestShardsWaitForAMember(t *testing.T) {
+	serve := func() (*manager, *obs.Registry, string) {
+		reg := obs.NewRegistry()
+		m, err := newManager(t.TempDir(), 1, reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(newMux(m, reg))
+		t.Cleanup(srv.Close)
+		m.start(srv.URL)
+		t.Cleanup(m.beginDrain)
+		return m, reg, srv.URL
+	}
+	co, coReg, _ := serve()
+	raw := `{"wearers":60,"seed":41,"dur_seconds":5,"cells":4,"block_size":8,"shards":2}`
+	var spec sweepSpec
+	mustUnmarshalSpec(t, raw, &spec)
+	st, err := co.submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every look at the empty table counts a retry: wait for a few per
+	// shard, then the sweep must still be running with nothing placed.
+	if !settle(30*time.Second, 5*time.Millisecond, func() bool {
+		return metricValue(t, scrape(t, coReg), "iobfleetd_shard_retries_total") >= 4
+	}) {
+		t.Fatal("shard placement never retried against the empty table")
+	}
+	if cur, _ := co.get(st.ID); cur.snapshot().Status != statusRunning || cur.snapshot().Records != 0 {
+		t.Fatalf("memberless coordinator sweep %+v, want running with 0 records", cur.snapshot())
+	}
+	if got := metricValue(t, scrape(t, coReg), "iobfleetd_shards_dispatched_total"); got != 0 {
+		t.Fatalf("shards_dispatched_total %v with no members, want 0", got)
+	}
+
+	_, _, backend := serve()
+	if _, err := co.members.register(backend); err != nil {
+		t.Fatal(err)
+	}
+	done := awaitSweep(t, co, st.ID, statusDone, 60*time.Second)
+	if _, fp := groundTruthStore(t, spec); done.Fingerprint != fp {
+		t.Errorf("fingerprint %q after a member registered, want %q", done.Fingerprint, fp)
+	}
+}
+
+// TestCoordinatorRestartDynamicFleet kills a coordinator whose whole
+// fleet joined by heartbeat (no -backends) mid-sweep and restarts it on
+// the same address and data dir. The restarted table starts empty, so
+// the recovered sharded sweep waits until the next heartbeats
+// re-register both backends; it must then finish byte-identical to an
+// uninterrupted single-writer run.
+func TestCoordinatorRestartDynamicFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-daemon kill lifecycle in -short mode")
+	}
+	coDir, coAddr := t.TempDir(), freePort(t)
+	co := startDaemon(t, coDir, "-listen", coAddr)
+	for i := 0; i < 2; i++ {
+		startDaemon(t, t.TempDir(), "-register", co.base, "-heartbeat", "200ms")
+	}
+	awaitLiveBackends(t, co, 2, 30*time.Second)
+
+	raw := `{"wearers":6000,"seed":61,"dur_seconds":30,"workers":2,"ble_frac":0.5,"cells":16,"block_size":64,"shards":2}`
+	id := co.submit(raw).ID
+	awaitMidRun(t, co, id, 90*time.Second)
+	co.cmd.Process.Signal(syscall.SIGKILL)
+	co.cmd.Wait()
+
+	co = startDaemon(t, coDir, "-listen", coAddr)
+	done := co.awaitStatus(id, statusDone, 300*time.Second)
+	var spec sweepSpec
+	mustUnmarshalSpec(t, raw, &spec)
+	truth, fp := groundTruthStore(t, spec)
+	if done.Fingerprint != fp {
+		t.Errorf("post-restart fingerprint %q != uninterrupted %q", done.Fingerprint, fp)
+	}
+	if !bytes.Equal(storeBytes(t, coDir, id), truth) {
+		t.Error("post-restart merged store differs byte-for-byte from an uninterrupted single-writer run")
+	}
+	// The restarted table was rebuilt from heartbeats alone.
+	if got := metricValue(t, co.metrics(), "iobfleetd_backend_registrations_total"); got != 2 {
+		t.Errorf("registrations_total %v on the restarted coordinator, want 2", got)
 	}
 }
 

@@ -33,8 +33,8 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		// Health is readiness, not liveness: a draining daemon 503s POSTs,
-		// so it must 503 here too — coordinators select backends by this
-		// probe, and "healthy but refuses work" would stall shard dispatch.
+		// so it must 503 here too — a client polling this probe before it
+		// submits must not read "healthy" from a daemon that refuses work.
 		if m.isDraining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte("draining\n"))
@@ -55,6 +55,10 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 		switch {
 		case errors.Is(err, errDrained):
 			httpError(w, http.StatusServiceUnavailable, "draining; resubmit to the next process")
+		case errors.Is(err, errQueueFull):
+			// Transient, unlike a bad spec: a coordinator placing a shard
+			// here retries elsewhere instead of failing the sweep.
+			httpError(w, http.StatusServiceUnavailable, err.Error())
 		case err != nil:
 			httpError(w, http.StatusBadRequest, err.Error())
 		default:
@@ -95,8 +99,7 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("POST /api/backends", func(w http.ResponseWriter, r *http.Request) {
 		// Registration doubles as the heartbeat. A draining coordinator
 		// refuses: it is about to exit, and the backend's next beat will
-		// land on the restarted process (which reloads the persisted table
-		// anyway).
+		// land on the restarted process.
 		if m.isDraining() {
 			httpError(w, http.StatusServiceUnavailable, "draining; re-register with the next process")
 			return

@@ -2,21 +2,20 @@ package main
 
 // The coordinator half of the shard protocol. A sweep submitted with a
 // shards field splits (sweep.Spec.Split) into contiguous wearer-range
-// sub-sweeps dispatched to backend daemons (-backends, or this daemon
-// itself) over the ordinary HTTP API. A coupled shard runs phase 1 over
-// the whole population itself, as an unsharded or resumed run does, so
-// coupled and uncoupled sweeps dispatch alike. This file is the
-// transport. Shard stores replicate back block by block as they
-// commit and merge into one store bit-identical to a single-process
-// run. Series sampling (series_seconds) rides the same protocol
-// unchanged: each backend commits record+series frame pairs in one
-// write, so the committed-prefix replication boundary
-// (X-Committed-Offset) always sits after a complete pair, and every
-// writer cuts blocks on the absolute wearer grid, so
-// telemetry.MergeShards copies each verified pair that lies on the
-// merged grid and re-encodes only the blocks at an off-grid seam — the
-// merged series store, trailing query index included, is
-// byte-identical too.
+// sub-sweeps dispatched to the fleet's member daemons over the ordinary
+// HTTP API. A coupled shard runs phase 1 over the whole population
+// itself, as an unsharded or resumed run does, so coupled and uncoupled
+// sweeps dispatch alike. This file is the transport. Shard stores
+// replicate back block by block as they commit and merge into one store
+// bit-identical to a single-process run. Series sampling
+// (series_seconds) rides the same protocol unchanged: each backend
+// commits record+series frame pairs in one write, so the
+// committed-prefix replication boundary (X-Committed-Offset) always
+// sits after a complete pair, and every writer cuts blocks on the
+// absolute wearer grid, so telemetry.MergeShards copies each verified
+// pair that lies on the merged grid and re-encodes only the blocks at
+// an off-grid seam — the merged series store, trailing query index
+// included, is byte-identical too.
 //
 // Fault model: a backend lost mid-shard is re-dispatched — to itself
 // after a restart (the label finds the recovered sweep, which resumes
@@ -35,8 +34,9 @@ package main
 // reach committed-complete wins, and the loser is cancelled (DELETE) —
 // the merged store cannot tell the difference. Backends come from the
 // live membership table (static -backends entries plus dynamically
-// registered daemons), gated on a drain-aware /healthz probe at
-// selection time.
+// registered daemons); a backend that cannot take a shard says so in
+// its answer to the submission itself — 503 while draining or with a
+// full queue, a transport error when dead — and placement moves on.
 
 import (
 	"bytes"
@@ -71,32 +71,15 @@ func (m *manager) shardPath(id string, k int) string {
 
 // backendFor is shard k's dispatch target on the given attempt: shards
 // spread round-robin over the live membership (sorted, so placement is
-// deterministic for a given fleet) and rotate on failure. With no
-// membership entries at all every shard loops back to this daemon
-// itself; with entries known but none currently live it returns "" and
-// the caller waits for a heartbeat — a fleet that is momentarily
-// all-dead must not silently collapse into loopback self-dispatch.
+// deterministic for a given fleet) and rotate on failure. With no live
+// member it returns "" and the caller waits for one to be listed or to
+// register.
 func (m *manager) backendFor(k, attempt int) string {
-	live, any := m.members.live()
+	live := m.members.live()
 	if len(live) == 0 {
-		if any {
-			return ""
-		}
-		return m.selfBase
+		return ""
 	}
 	return live[(k+attempt)%len(live)]
-}
-
-// healthy probes a backend's readiness. A draining backend answers 503
-// (it would refuse the submission anyway), so selection skips it.
-func (m *manager) healthy(base string) bool {
-	resp, err := m.client.Get(base + "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // pause sleeps for d without outliving the sweep's context — a pending
@@ -291,11 +274,12 @@ func worst(errs []error) error {
 }
 
 // place is the one loop that puts shard k's sub-sweep on a backend: it
-// rotates through backendFor(k, *attempt), probes the candidate's
-// health, and POSTs sub to its /api/sweeps, decoding the answer into st.
-// It returns the backend that accepted. A 400 is a deterministic spec
-// rejection and fails the shard; every other miss counts a retry and
-// backs off (jittered) before the next candidate. attempt advances on
+// rotates through backendFor(k, *attempt) and POSTs sub to the
+// candidate's /api/sweeps, decoding the answer into st. It returns the
+// backend that accepted. A 400 is a deterministic spec rejection and
+// fails the shard; every other miss — no live member, a dead backend, a
+// 503 from a draining or full one — counts a retry and backs off
+// (jittered) before the next candidate. attempt advances on
 // every try, success included, so a shard placed again after losing its
 // host starts from the next backend.
 func (m *manager) place(ctx context.Context, k int, attempt *int, sub sweepSpec, st *sweepState) (string, error) {
@@ -305,7 +289,7 @@ func (m *manager) place(ctx context.Context, k int, attempt *int, sub sweepSpec,
 		}
 		b := m.backendFor(k, *attempt)
 		*attempt++
-		if b != "" && m.healthy(b) {
+		if b != "" {
 			err := m.postJSON(b+"/api/sweeps", sub, st)
 			if err == nil {
 				return b, nil
@@ -385,13 +369,10 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 			lastAdvance = time.Now()
 		}
 		if m.stealAfter > 0 && len(hosts) == 1 && time.Since(lastAdvance) > m.stealAfter {
-			if b := m.stealTarget(k, hosts); b != "" {
-				var st sweepState
-				if err := m.postJSON(b+"/api/sweeps", sub, &st); err == nil {
-					hosts = append(hosts, shardHost{base: b, id: st.ID})
-					m.metrics.shardsDispatched.Inc()
-					m.metrics.shardsStolen.Inc()
-				}
+			if h, ok := m.steal(k, hosts[0].base, sub); ok {
+				hosts = append(hosts, h)
+				m.metrics.shardsDispatched.Inc()
+				m.metrics.shardsStolen.Inc()
 			}
 			// Re-arm the deadline whether or not a target existed: one
 			// speculative copy per stall, not one per poll tick.
@@ -461,24 +442,22 @@ func (m *manager) superviseShard(ctx context.Context, sub sweepSpec, k int, path
 	}
 }
 
-// stealTarget picks a live, healthy backend not already hosting this
-// shard for the speculative copy; "" when the fleet has no spare.
-func (m *manager) stealTarget(k int, hosts []shardHost) string {
-	live, _ := m.members.live()
+// steal plants the speculative copy of shard k's sub-sweep on the first
+// live backend other than taken, the one already hosting it, that
+// accepts the submission; ok is false when no other member does.
+func (m *manager) steal(k int, taken string, sub sweepSpec) (h shardHost, ok bool) {
+	live := m.members.live()
 	for i := range live {
 		b := live[(k+i)%len(live)]
-		taken := false
-		for _, h := range hosts {
-			if h.base == b {
-				taken = true
-				break
-			}
+		if b == taken {
+			continue
 		}
-		if !taken && m.healthy(b) {
-			return b
+		var st sweepState
+		if err := m.postJSON(b+"/api/sweeps", sub, &st); err == nil {
+			return shardHost{base: b, id: st.ID}, true
 		}
 	}
-	return ""
+	return shardHost{}, false
 }
 
 // cancelRemote disowns one sub-sweep copy, best-effort: the losing side

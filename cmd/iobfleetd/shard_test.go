@@ -92,7 +92,6 @@ func sameQueryStats(t *testing.T, mergedPath, singlePath string) {
 // sweep split 3 ways across two remote backends must merge into a store
 // bit-identical — fingerprint AND bytes — to the same spec run
 // unsharded in one process, in both first-order and feedback coupling.
-// A loopback run (no -backends) covers the self-dispatch path.
 func TestShardedFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-daemon lifecycle in -short mode")
@@ -244,14 +243,16 @@ func TestShardedSeriesFingerprint(t *testing.T) {
 	}
 }
 
-// TestShardedLoopback covers self-dispatch: with no -backends the
-// coordinator ships its shards to itself, which needs spare runner
-// slots (the coordinator occupies one while its shards run).
+// TestShardedLoopback covers a coordinator that lists its own URL in
+// -backends: it ships its shards to itself over HTTP like to any other
+// member, which needs spare runner slots (the coordinator occupies one
+// while its shards run).
 func TestShardedLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon lifecycle in -short mode")
 	}
-	d := startDaemon(t, t.TempDir(), "-sweeps", "3")
+	addr := freePort(t)
+	d := startDaemon(t, t.TempDir(), "-sweeps", "3", "-listen", addr, "-backends", "http://"+addr)
 	raw := `{"wearers":90,"seed":13,"dur_seconds":10,"workers":2,"ble_frac":1,"cells":6,"block_size":16,"shards":2}`
 	done := d.awaitStatus(d.submit(raw).ID, statusDone, 120*time.Second)
 

@@ -14,7 +14,7 @@ type sweepSpec struct {
 
 	// Shards, when positive, makes the receiving daemon a coordinator: it
 	// splits [0, Wearers) into this many contiguous ranges, dispatches
-	// each as a shard sub-sweep to a backend (-backends, or itself), and
+	// each as a shard sub-sweep to a live fleet member, and
 	// merges the returned stores into one bit-identical to a 1-process
 	// run. A coordinator spec carries none of the shard-side fields.
 	Shards int `json:"shards,omitempty"`
