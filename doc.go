@@ -16,10 +16,11 @@
 //   - internal/bannet — the discrete-event network simulator. A
 //     bannet.Sim is a reusable kernel arena: NewSim builds it, Reset
 //     rebinds it to a different scenario and RunInto replays into a
-//     caller-owned report, all recycling the packet rings, node states,
-//     TDMA slot table and the desim event queue — a warmed
-//     Reset–RunInto cycle is allocation-free (bannet.Run remains the
-//     one-shot convenience). The fleet engine gives each worker one
+//     caller-owned report, all recycling the packet rings, node states
+//     and TDMA slot table — a warmed Reset–RunInto cycle is
+//     allocation-free (bannet.Run remains the one-shot convenience). A
+//     run walks the superframes and computes each fixed-period tick
+//     ahead of them in closed form, with no event queue. The fleet engine gives each worker one
 //     long-lived Sim, which is where its wearers-per-second comes from;
 //   - internal/fleet — the population-scale engine: N wearer simulations
 //     across a worker pool (cmd/iobfleet drives it), with a scenario

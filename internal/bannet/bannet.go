@@ -92,9 +92,9 @@ type Config struct {
 	// at this cadence, quantized up to the TDMA superframe (samples are
 	// taken at superframe boundaries, before the frame is processed),
 	// plus one final sample at the end of the span if the cadence did
-	// not land there. Sampling draws no RNG and schedules no kernel
-	// events, so every other Report field — Events included — is
-	// identical with sampling on or off.
+	// not land there. Sampling draws no RNG and adds no ticks, so every
+	// other Report field — Events included — is identical with sampling
+	// on or off.
 	SeriesEvery units.Duration
 }
 

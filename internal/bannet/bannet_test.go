@@ -6,6 +6,7 @@ import (
 
 	"wiban/internal/energy"
 	"wiban/internal/isa"
+	"wiban/internal/mac"
 	"wiban/internal/radio"
 	"wiban/internal/sensors"
 	"wiban/internal/units"
@@ -245,6 +246,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Nodes: []NodeConfig{ecgNode(1, "x", radio.WiR())}}, 0); err == nil {
 		t.Error("zero span should fail")
+	}
+	// A schedule that fits a sub-nanosecond superframe on an absurdly
+	// fast medium still has no whole time step to advance by.
+	tiny := &mac.TDMA{Superframe: 0.4e-9, LinkRate: 1e15}
+	if _, err := Run(Config{TDMA: tiny, Nodes: []NodeConfig{ecgNode(1, "x", radio.WiR())}}, units.Second); err == nil {
+		t.Error("sub-nanosecond superframe should fail")
 	}
 }
 

@@ -185,7 +185,7 @@ func TestPacketQueue(t *testing.T) {
 // contract: once a Sim's arena has warmed to a configuration family's
 // high-water shape, a Reset–RunInto cycle — the fleet engine's per-wearer
 // hot path — performs no heap allocation. A regression here means some
-// per-wearer churn crept back into the kernel (event queue, node states,
+// per-wearer churn crept back into the kernel (packet rings, node states,
 // schedule, report buffers) and the fleet throughput numbers in
 // BENCH_fleet.json no longer hold.
 func TestSimArenaSteadyStateZeroAlloc(t *testing.T) {
@@ -214,8 +214,8 @@ func TestSimArenaSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the arena: packet rings, latency buffers and the event queue grow
-	// to their steady-state capacity within a few runs.
+	// Warm the arena: packet rings and latency buffers grow to their
+	// steady-state capacity within a few runs.
 	for i := 0; i < 4; i++ {
 		cycle()
 	}

@@ -1,17 +1,16 @@
-// Package desim is a deterministic discrete-event simulation kernel.
+// Package desim holds the deterministic-simulation primitives the
+// body-area-network simulator (internal/bannet) and the fleet engine
+// build on: integer virtual Time, the seeded RNG NewRand, and the
+// splitmix64 seed derivation DeriveSeed and Mix64.
 //
-// It drives the body-area-network simulator (internal/bannet): virtual time
-// advances from event to event, never by wall-clock sleeping, so a month of
-// simulated wearable operation costs only as many events as actually occur.
+// It also has a discrete-event scheduler, Simulator: callbacks kept in
+// one slice sorted by time, with ties in scheduling order. bannet does
+// not run on it — every bannet source is fixed-period, so its frame loop
+// computes the same order in closed form — but the scheduler is the
+// reference that order is tested against (bannet's FuzzKernelSchedule),
+// and the benchmark harness times its dispatch.
 //
-// Determinism is a design requirement: the same seed and the same scenario
-// must replay the identical event order, because the benchmark harness
-// compares energy and latency figures across runs. To that end the kernel is
-// single-threaded, scheduled callbacks are kept in one slice sorted by
-// time, with ties in scheduling order, and all randomness flows through
-// the seeded RNG the simulator owns.
-//
-// That RNG is NewRand: math/rand's frozen rand.NewSource stream, bit for
+// NewRand is math/rand's frozen rand.NewSource stream, bit for
 // bit, from a source whose Seed is O(1) and which builds each of the 607
 // state words on its first read. Seeding is the per-wearer cost of a
 // fleet sweep (every wearer reseeds a scenario and a kernel stream, and a
@@ -69,16 +68,15 @@ type entry struct {
 //
 // The queue is one slice kept sorted by time, and among equal times in
 // scheduling order: a new entry goes in after every entry due at or
-// before its time. A driver arms a handful of sources (bannet: at most
-// 2·nodes+1), so an insertion scan beats a heap's sifts, and no
-// tie-breaking sequence number is stored: the insert rule is the
-// (time, sequence number) order a counter would give.
+// before its time. A driver arms a handful of sources (bannet's
+// reference: at most 2·nodes+1), so an insertion scan beats a heap's
+// sifts, and no tie-breaking sequence number is stored: the insert rule
+// is the (time, sequence number) order a counter would give.
 //
 // A Simulator is reusable: Reset rewinds it to the freshly constructed
 // state (new seed, empty queue, zero clock) while keeping the queue's
-// capacity, so a driver that replays many scenarios on one kernel — the
-// fleet engine's per-worker shards — runs allocation-free in steady
-// state.
+// capacity, so a driver that replays many scenarios on one kernel runs
+// allocation-free in steady state.
 type Simulator struct {
 	now    Time
 	q      []entry

@@ -33,9 +33,9 @@
 //	    scenario generator's perturbations (PER spread, battery spread,
 //	    harvester assignment, node mix, radio choice);
 //	simulation seed = desim.DeriveSeed(fleetSeed, 2*w+1)   — overrides
-//	    Config.Seed and drives the discrete-event kernel's randomness.
+//	    Config.Seed and drives the bannet kernel's randomness.
 //
-// Each wearer runs on its own desim kernel with its own RNG, so runs
+// Each wearer runs on its own bannet kernel with its own RNG, so runs
 // share no mutable state and the schedule of workers cannot influence any
 // outcome. Completed reports are handed to the run's Sink in wearer-index
 // order through a bounded reorder window, so floating-point accumulation
