@@ -14,7 +14,6 @@ import (
 
 	"wiban/internal/bannet"
 	"wiban/internal/compress"
-	"wiban/internal/desim"
 	"wiban/internal/energy"
 	"wiban/internal/figures"
 	"wiban/internal/isa"
@@ -184,29 +183,6 @@ func BenchmarkRPeakDetector(b *testing.B) {
 			b.Fatal("no peaks")
 		}
 	}
-}
-
-// BenchmarkDESKernel measures raw event throughput of the simulation
-// kernel under a TDMA-shaped load, the shape of a body-area-network run:
-// eight periodic slot ticks per 1 ms superframe, each scheduling a
-// one-shot at a random delay, so the queue holds a dozen or so events.
-// One op is 10 000 events on a reset simulator.
-func BenchmarkDESKernel(b *testing.B) {
-	s := desim.New(1)
-	rng := s.Rand()
-	oneShot := func() {}
-	tick := func() { s.After(desim.Time(rng.Int63n(int64(500*desim.Microsecond))), oneShot) }
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		s.Reset(1)
-		for k := 0; k < 8; k++ {
-			s.Periodic(desim.Time(k)*125*desim.Microsecond, desim.Millisecond, tick)
-		}
-		s.RunUntil(625 * desim.Millisecond)
-		events += s.Executed()
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkBANHour simulates one hour of the two-node ECG comparison —

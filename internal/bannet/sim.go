@@ -87,12 +87,12 @@ type nodeState struct {
 	slotBits  int64
 	queue     packetQueue
 	stats     NodeStats
-	latencies []units.Duration
+	latencies []desim.Time   // delivery latencies, in ticks
 	airTime   units.Duration // cumulative transmit air time
 	// Inference window assembly.
 	windowBits  int64
 	windowStart desim.Time
-	infLat      []units.Duration
+	infLat      []desim.Time // end-to-end inference latencies, in ticks
 	// Battery drain (DrainBattery mode).
 	battState *energy.State
 	dead      bool
@@ -371,8 +371,9 @@ func (s *Sim) harvTick(i int) {
 // ticksThrough runs the harvest and packet-generation ticks due at or
 // before limit, or, with frame set, those the superframe at limit
 // follows (see RunInto). Harvests share the RNG, so they run in time
-// order, then node order. A dead node's generation ticks push nothing
-// but still count; dead changes only inside frameTick, so it is constant
+// order, then node order. A live node counts its generation ticks as it
+// pushes them; a dead node's ticks push nothing but still count, in
+// closed form. dead changes only inside frameTick, so it is constant
 // here.
 func (s *Sim) ticksThrough(limit desim.Time, frame bool) {
 	var events uint64
@@ -397,16 +398,19 @@ func (s *Sim) ticksThrough(limit desim.Time, frame bool) {
 		if st.interval == 0 || st.nextGen > genLimit {
 			continue
 		}
-		n := (genLimit-st.nextGen)/st.interval + 1
-		events += uint64(n)
 		if st.dead {
+			n := (genLimit-st.nextGen)/st.interval + 1
+			events += uint64(n)
 			st.nextGen += n * st.interval
 			continue
 		}
-		st.stats.PacketsGenerated += int64(n)
+		var n int64
 		for ; st.nextGen <= genLimit; st.nextGen += st.interval {
 			st.queue.push(packet{created: st.nextGen})
+			n++
 		}
+		events += uint64(n)
+		st.stats.PacketsGenerated += n
 	}
 	s.rep.Events += events
 }
@@ -454,8 +458,7 @@ func (s *Sim) frameTick() {
 			u := s.rng.Float64()
 			if u >= st.effPER {
 				// Delivered.
-				lat := units.Duration((now - p.created).Seconds())
-				st.latencies = append(st.latencies, lat)
+				st.latencies = append(st.latencies, now-p.created)
 				st.stats.PacketsDelivered++
 				st.stats.BitsDelivered += int64(st.cfg.PacketBits)
 				report.HubRxBits += int64(st.cfg.PacketBits)
@@ -470,8 +473,7 @@ func (s *Sim) frameTick() {
 					for st.windowBits >= spec.InputBits {
 						st.windowBits -= spec.InputBits
 						done := s.hub.enqueue(now, st.windowStart, spec.MACs)
-						e2e := units.Duration((done - st.windowStart).Seconds())
-						st.infLat = append(st.infLat, e2e)
+						st.infLat = append(st.infLat, done-st.windowStart)
 						st.stats.Inferences++
 						st.windowStart = now
 					}
@@ -603,14 +605,19 @@ func (s *Sim) finish(span units.Duration, end desim.Time) {
 		harvestPower := stats.Harvested.At(life)
 		stats.Perpetual = stats.ProjectedLife >= energy.PerpetualLife || harvestPower >= stats.AvgPower
 
-		// Latency percentiles, by selection: the picks are the elements a
-		// full sort of the multiset would put at n/2 and n*99/100, so
-		// they do not depend on the order the samples arrived in.
+		// Latency percentiles, by selection over the tick samples: the
+		// picks are the elements a full sort of the multiset would put at
+		// n/2 and n*99/100, so they do not depend on the order the
+		// samples arrived in. Seconds is monotone, so converting the two
+		// picks gives the values converting every sample and then
+		// selecting would.
 		if len(st.latencies) > 0 {
-			stats.LatencyP50, stats.LatencyP99 = p50p99(st.latencies)
+			p50, p99 := p50p99(st.latencies)
+			stats.LatencyP50, stats.LatencyP99 = units.Duration(p50.Seconds()), units.Duration(p99.Seconds())
 		}
 		if len(st.infLat) > 0 {
-			stats.InferenceP50, stats.InferenceP99 = p50p99(st.infLat)
+			p50, p99 := p50p99(st.infLat)
+			stats.InferenceP50, stats.InferenceP99 = units.Duration(p50.Seconds()), units.Duration(p99.Seconds())
 		}
 		rep.Nodes = append(rep.Nodes, *stats)
 	}
