@@ -312,11 +312,20 @@ func newWorkerScratch() *workerScratch {
 // — then phase 2 below; uncoupled sweeps skip straight to phase 2.
 // Phase 2 is a worker pool over wearer indices with a bounded reorder
 // window. Workers acquire a pooled output buffer (the window slot) before
-// taking an index, and buffers recirculate only when the in-order
-// consumer emits the report, so at most `window` completed reports exist
-// at any instant — backpressure, not buffering, absorbs stragglers — and
-// the same `window` buffers carry every report of the sweep. The emit
-// callback borrows its wearerOut until it returns.
+// taking an index, and buffers recirculate only when a report is
+// emitted, so at most `window` completed reports exist at any instant —
+// backpressure, not buffering, absorbs stragglers — and the same
+// `window` buffers carry every report of the sweep.
+//
+// Emission is a turn, not a goroutine: the worker that parks a report
+// takes the emitting turn if it is free and emits every report that is
+// next in wearer order, calling emit with mu released, so the other
+// workers park and simulate while the sink runs. A worker that finds the
+// turn taken goes back to simulating; the holder re-checks the window
+// after each record and emits what was parked meanwhile. Calls stay
+// serial and in wearer order, and with one worker emit(k) returns before
+// wearer k+1 starts. The emit callback borrows its wearerOut until it
+// returns.
 func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 	if err := f.validate(); err != nil {
 		return Perf{}, err
@@ -353,6 +362,7 @@ func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 		mu         sync.Mutex
 		pending    = make(map[int]*wearerOut, window)
 		nextEmit   = f.Start
+		emitting   bool // one worker at a time holds the emitting turn
 		maxPending int
 		events     uint64
 		failIdx    = -1
@@ -406,6 +416,13 @@ func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 				if len(pending) > maxPending {
 					maxPending = len(pending)
 				}
+				if emitting {
+					// The emitter re-checks pending after each record, so
+					// it will emit this one in turn.
+					mu.Unlock()
+					continue
+				}
+				emitting = true
 				for {
 					r, ok := pending[nextEmit]
 					if !ok {
@@ -413,17 +430,20 @@ func (f *Fleet) stream(emit func(w int, out *wearerOut) error) (Perf, error) {
 					}
 					delete(pending, nextEmit)
 					f.Stats.windowAdd(-1)
-					if err := emit(nextEmit, r); err != nil {
-						idx := nextEmit
-						mu.Unlock()
+					idx := nextEmit
+					mu.Unlock()
+					if err := emit(idx, r); err != nil {
+						// Keep the turn: nothing may be emitted past a failed record.
 						fail(idx, fmt.Errorf("fleet: sink at wearer %d: %w", idx, err))
 						return
 					}
+					mu.Lock()
 					events += r.rep.Events
 					f.Stats.wearerDone(r.rep.Events)
 					nextEmit++
 					bufs <- r // the emitted report's buffer frees a waiting worker
 				}
+				emitting = false
 				mu.Unlock()
 			}
 		}()

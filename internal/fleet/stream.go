@@ -15,6 +15,12 @@ import (
 // aggregator and the telemetry store's Writer are Sinks, and Tee fans one
 // stream into several.
 //
+// Serialized does not mean one goroutine: successive Consume calls may
+// come from different worker goroutines (each call happens-after the
+// previous one returns), and they run while later wearers are being
+// simulated. With one worker the engine is in lockstep: Consume for
+// wearer k returns before wearer k+1's scenario is built.
+//
 // Records are borrowed until Consume returns: the engine reuses the
 // record's storage — in particular the backing arrays of rec.Nodes and
 // rec.Series — for later wearers, so a Sink that keeps any slice-typed

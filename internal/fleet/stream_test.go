@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"wiban/internal/bannet"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -191,6 +194,89 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "wearer 23") {
 			t.Fatalf("workers=%d: err = %v, want sink failure at wearer 23", workers, err)
 		}
+	}
+}
+
+// TestSinkRunsBesideWorkers pins that the sink runs outside the engine's
+// lock. Scenario(1) waits until Consume(0) has been entered, and
+// Consume(0) waits until Scenario(2) has been called: the sweep finishes
+// only if a worker can park wearer 1 and start wearer 2 while Consume(0)
+// is still running. An engine that emits under its lock deadlocks here.
+func TestSinkRunsBesideWorkers(t *testing.T) {
+	consuming := make(chan struct{}) // closed when Consume(0) is entered
+	started := make(chan struct{})   // closed when Scenario(2) is called
+	f := testFleet(6, 2, 11)
+	f.Span = 5 * units.Second
+	scenario := f.Scenario
+	f.Scenario = func(w int, rng *rand.Rand) (bannet.Config, error) {
+		switch w {
+		case 1:
+			<-consuming
+		case 2:
+			close(started)
+		}
+		return scenario(w, rng)
+	}
+	sink := SinkFunc(func(rec telemetry.Record) error {
+		if rec.Wearer == 0 {
+			close(consuming)
+			<-started
+		}
+		return nil
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.Stream(sink)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("deadlock: Consume(0) blocks the worker that would start wearer 2")
+	}
+}
+
+// TestSingleWorkerLockstep pins that one worker alternates strictly
+// between building a wearer and consuming its record, across a store
+// block boundary: Consume(k) returns before Scenario(k+1) starts, so a
+// sweep stopped in Scenario(k) has committed exactly the blocks below k.
+// The sweep package's kill-and-resume tests rely on this.
+func TestSingleWorkerLockstep(t *testing.T) {
+	const wearers, blockSize = 20, 8
+	f := testFleet(wearers, 1, 13)
+	f.Span = 5 * units.Second
+	store, err := telemetry.Create(filepath.Join(t.TempDir(), "lockstep.wtl"), storeMeta(f, blockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []string
+	scenario := f.Scenario
+	f.Scenario = func(w int, rng *rand.Rand) (bannet.Config, error) {
+		calls = append(calls, fmt.Sprintf("S%d", w))
+		if got, want := store.Checkpointed(), w/blockSize*blockSize; got != want {
+			t.Errorf("Scenario(%d) saw checkpoint at wearer %d, want %d", w, got, want)
+		}
+		return scenario(w, rng)
+	}
+	record := SinkFunc(func(rec telemetry.Record) error {
+		calls = append(calls, fmt.Sprintf("C%d", rec.Wearer))
+		return nil
+	})
+	if _, err := f.Stream(Tee(store, record)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for w := 0; w < wearers; w++ {
+		want = append(want, fmt.Sprintf("S%d", w), fmt.Sprintf("C%d", w))
+	}
+	if got := strings.Join(calls, " "); got != strings.Join(want, " ") {
+		t.Fatalf("call order\n got %s\nwant %s", got, strings.Join(want, " "))
 	}
 }
 
