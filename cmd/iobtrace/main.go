@@ -115,13 +115,9 @@ func withStore(cmd string, args []string, defineFlags func(*flag.FlagSet),
 	return fn(r)
 }
 
-// skip is the record sink of a drain that only wants the reader's
-// totals (Records, Blocks, SeriesPoints, RawBytes).
-func skip(telemetry.Record) error { return nil }
-
 func info(r *telemetry.Reader) error {
 	m := r.Meta()
-	if err := r.Each(skip); err != nil {
+	if err := r.Check(); err != nil {
 		return err
 	}
 	n := r.Records()
@@ -166,7 +162,7 @@ func verify(r *telemetry.Reader) error {
 	// The reader is strict (OpenStrict): any damaged, torn or
 	// out-of-place frame — anywhere in the physical file — surfaces as a
 	// hard error from Next, never as a silent truncation.
-	if err := r.Each(skip); err != nil {
+	if err := r.Check(); err != nil {
 		return fmt.Errorf("block %d: %w", r.Blocks(), err)
 	}
 	n := r.Records()

@@ -34,15 +34,18 @@ func benchRecords(n int) []Record {
 	return recs
 }
 
+// BenchmarkBlockEncode encodes one block into buffers reused from
+// block to block, as Writer.commit does.
 func BenchmarkBlockEncode(b *testing.B) {
 	recs := benchRecords(DefaultBlockSize)
-	var encoded int64
+	var frame []byte
+	var buf columnBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame := encodeBlock(recs, CurrentFormat)
-		encoded = int64(len(frame))
+		frame = encodeBlock(frame[:0], &buf, recs, CurrentFormat)
 	}
+	encoded := int64(len(frame))
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(DefaultBlockSize)/(perOp/1e9), "records/s")
@@ -51,7 +54,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 
 func BenchmarkBlockDecode(b *testing.B) {
 	recs := benchRecords(DefaultBlockSize)
-	frame := encodeBlock(recs, CurrentFormat)
+	frame := encodeBlock(nil, &columnBuf{}, recs, CurrentFormat)
 	payload := frame[8 : len(frame)-4] // strip magic+len and CRC framing
 	_, body, err := splitKind(payload, CurrentFormat)
 	if err != nil {
@@ -97,19 +100,22 @@ func benchSeriesBlock(n int) []Record {
 	return recs
 }
 
+// BenchmarkSeriesEncode encodes one block's series frame into buffers
+// reused from block to block, as Writer.commit does.
 func BenchmarkSeriesEncode(b *testing.B) {
 	recs := benchSeriesBlock(DefaultBlockSize)
 	points := 0
 	for i := range recs {
 		points += len(recs[i].Series)
 	}
-	var encoded int64
+	var frame []byte
+	var buf columnBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame := encodeSeriesFrame(nil, recs)
-		encoded = int64(len(frame))
+		frame = encodeSeriesFrame(frame[:0], &buf, recs)
 	}
+	encoded := int64(len(frame))
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(points)/(perOp/1e9), "points/s")
@@ -122,7 +128,7 @@ func BenchmarkSeriesDecode(b *testing.B) {
 	for i := range recs {
 		points += len(recs[i].Series)
 	}
-	frame := encodeSeriesFrame(nil, recs)
+	frame := encodeSeriesFrame(nil, &columnBuf{}, recs)
 	payload := frame[8 : len(frame)-4]
 	_, body, err := splitKind(payload, FormatV3)
 	if err != nil {

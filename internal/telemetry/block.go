@@ -20,12 +20,19 @@ const (
 	maxBlockPayload = 64 << 20
 )
 
-// appendFrame wraps payload in the block framing: magic, length, payload,
-// CRC32 of the payload.
-func appendFrame(dst, payload []byte) []byte {
-	dst = append(dst, blockMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
+// openFrame appends the head of a block frame — magic and a length that
+// closeFrame fills in — to dst, so the payload can be encoded straight
+// behind it.
+func openFrame(dst []byte) []byte {
+	return append(dst, blockMagic+"\x00\x00\x00\x00"...)
+}
+
+// closeFrame completes the frame openFrame started at offset start of
+// dst, whose payload is everything appended since: it writes the
+// payload's length in place and appends its CRC32.
+func closeFrame(dst []byte, start int) []byte {
+	payload := dst[start+len(blockMagic)+4:]
+	binary.LittleEndian.PutUint32(dst[start+len(blockMagic):], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
@@ -43,7 +50,7 @@ var recordBlock = nestedBody[NodeRecord]{
 		{codec: xorCodec,
 			get: func(r *Record) int64 { return floatBits(r.HubUtilization) },
 			set: func(r *Record, v int64) { r.HubUtilization = bitsFloat(v) }},
-		{codec: deltaCodec, since: FormatV1,
+		{codec: deltaCodec, since: FormatV1, // recordCellColumn
 			get: func(r *Record) int64 { return int64(r.Cell) },
 			set: func(r *Record, v int64) { r.Cell = int(v) }},
 		{codec: deltaCodec, since: FormatV1,
@@ -91,22 +98,28 @@ var recordBlock = nestedBody[NodeRecord]{
 	childrenOf: func(r *Record) *[]NodeRecord { return &r.Nodes },
 }
 
-// encodeBlock encodes recs (consecutive wearers) into a framed block laid
-// out per the given format version.
-func encodeBlock(recs []Record, version int) []byte {
-	var payload []byte
+// recordCellColumn is the position of the cell column in
+// recordBlock.records: a query that filters on cell projects it.
+const recordCellColumn = 3
+
+// encodeBlock encodes recs (consecutive wearers) as a block frame laid
+// out per the given format version, appended to dst, with buf as the
+// encoder's scratch.
+func encodeBlock(dst []byte, buf *columnBuf, recs []Record, version int) []byte {
+	start := len(dst)
+	dst = openFrame(dst)
 	if version >= FormatV3 {
 		// v3 payloads lead with the frame kind; the record body that
 		// follows is byte-identical to the v2 layout.
-		payload = compress.AppendUvarint(payload, kindRecords)
+		dst = compress.AppendUvarint(dst, kindRecords)
 	}
-	return appendFrame(nil, recordBlock.append(payload, recs, version))
+	return closeFrame(recordBlock.append(dst, buf, recs, version), start)
 }
 
 // decodeBlock inverts encodeBlock on a verified payload, under the
 // column layout of the given format version.
 func decodeBlock(payload []byte, version int) ([]Record, error) {
-	return recordBlock.decode(payload, nil, version, nil)
+	return recordBlock.decode(payload, nil, version)
 }
 
 // readHeaderFile reads and verifies the header at the start of f —
@@ -225,24 +238,20 @@ func splitKind(payload []byte, version int) (int, []byte, error) {
 	return int(kind), payload[n:], nil
 }
 
-// readFrameAt reads, verifies and decodes one record block at pos, never
-// past limit, returning the decoded records and the offset just past the
-// frame. In a v3 store the frame must actually be a record block.
-func readFrameAt(f *os.File, pos, limit int64, version int) ([]Record, int64, error) {
-	frame, err := readFrame(nil, f, pos, limit)
+// readKind reads and verifies the frame at pos, never past limit, and
+// appends it to dst (readFrame); the frame must be of the given kind,
+// and its body — the payload past the kind selector — is returned too.
+func readKind(dst []byte, f *os.File, pos, limit int64, version, want int) ([]byte, []byte, error) {
+	out, err := readFrame(dst, f, pos, limit)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	kind, body, err := splitKind(framePayload(frame), version)
+	kind, body, err := splitKind(framePayload(out[len(dst):]), version)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	if kind != kindRecords {
-		return nil, 0, fmt.Errorf("%w: frame kind %d where a record block was expected", ErrCorrupt, kind)
+	if kind != want {
+		return nil, nil, fmt.Errorf("%w: frame kind %d where kind %d was expected", ErrCorrupt, kind, want)
 	}
-	recs, err := decodeBlock(body, version)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recs, pos + int64(len(frame)), nil
+	return out, body, nil
 }

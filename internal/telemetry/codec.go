@@ -81,25 +81,39 @@ func (b *columnBuf) fit(n int) {
 	b.vals, b.floats, b.flags = b.vals[:n], b.floats[:n], b.flags[:n]
 }
 
-// appendColumns encodes the columns of cols present in version over the
-// rows of runs, concatenated in order, and appends them to dst.
-func appendColumns[R any](dst []byte, buf *columnBuf, runs [][]R, cols []column[R], version int) []byte {
-	n := 0
-	for _, run := range runs {
-		n += len(run)
+// fitSlice resizes s to n elements, allocating only to grow it.
+func fitSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// decode decodes one varint column from src: the integer codecs fill
+// ints, xorCodec fills floats.
+func (c codec) decode(src []byte, ints []int64, floats []float64) (int, error) {
+	switch c {
+	case deltaCodec:
+		return compress.DecodeDeltaInts(src, ints)
+	case delta2Codec:
+		return compress.DecodeDelta2Ints(src, ints)
+	default:
+		return compress.DecodeXorFloats(src, floats)
+	}
+}
+
+// appendColumns encodes the columns of cols present in version over n
+// rows and appends them to dst. gather fills vals (len n) with a column's
+// wire values in row order.
+func appendColumns[R any](dst []byte, buf *columnBuf, n int, cols []column[R], version int,
+	gather func(c *column[R], vals []int64)) []byte {
 	buf.fit(n)
-	for _, c := range cols {
+	for i := range cols {
+		c := &cols[i]
 		if c.since > version {
 			continue
 		}
-		k := 0
-		for _, run := range runs {
-			for i := range run {
-				buf.vals[k] = c.get(&run[i])
-				k++
-			}
-		}
+		gather(c, buf.vals)
 		switch c.codec {
 		case deltaCodec:
 			dst = compress.AppendDeltaInts(dst, buf.vals)
@@ -120,22 +134,44 @@ func appendColumns[R any](dst []byte, buf *columnBuf, runs [][]R, cols []column[
 	return dst
 }
 
-// columnTap asks a check-only decode for the values of one integer
-// column.
-type columnTap struct {
-	col  int                // index into the column table
-	seen func(vals []int64) // valid until the decode reuses its buffer
+// projection is a decode that builds no rows and keeps only some
+// columns' values, yet checks every column exactly as strictly as
+// building the rows would: it skips each varint column's bytes —
+// SkipUvarints accepts exactly the streams the decoders accept — and
+// each flag column's by its length, except the varint columns keep
+// selects (bit i for column i of the table). Those it decodes into
+// ints[i] (the integer codecs) or floats[i] (xorCodec), reusing the
+// slices from decode to decode. The zero projection keeps nothing: a
+// check-only decode.
+type projection struct {
+	keep   uint64
+	ints   [][]int64
+	floats [][]float64
 }
 
-// decodeColumns inverts appendColumns for n rows, setting each decoded
-// value into rows (len n), and returns the bytes consumed. With tap
-// non-nil it builds no rows (rows may be nil) but checks every column as
-// strictly: it skips over each varint column's bytes — SkipUvarints
-// accepts exactly the streams the decoders accept — except tap.col's,
-// whose values it decodes for tap.seen.
+// fit sizes column i's buffer of codec c, in a table of ncols, to n
+// values and returns both buffers of the column.
+func (p *projection) fit(i, ncols, n int, c codec) ([]int64, []float64) {
+	if len(p.ints) < ncols {
+		p.ints, p.floats = make([][]int64, ncols), make([][]float64, ncols)
+	}
+	if c == xorCodec {
+		p.floats[i] = fitSlice(p.floats[i], n)
+	} else {
+		p.ints[i] = fitSlice(p.ints[i], n)
+	}
+	return p.ints[i], p.floats[i]
+}
+
+// decodeColumns inverts appendColumns for n rows and returns the bytes
+// consumed. With p nil it sets each decoded value into rows (len n);
+// otherwise it builds no rows (rows may be nil) and decodes only the
+// columns p keeps.
 func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []column[R], version int,
-	tap *columnTap) (int, error) {
-	buf.fit(n)
+	p *projection) (int, error) {
+	if p == nil {
+		buf.fit(n)
+	}
 	pos := 0
 	for ci, c := range cols {
 		if c.since > version {
@@ -149,26 +185,22 @@ func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []co
 			if pos+used > len(src) {
 				return 0, fmt.Errorf("%w: truncated flag column %d", ErrCorrupt, ci)
 			}
-			if tap == nil {
+			if p == nil {
 				err = compress.UnpackBools(src[pos:pos+used], buf.flags)
 			}
-		case tap != nil && ci != tap.col:
+		case p == nil:
+			used, err = c.codec.decode(src[pos:], buf.vals, buf.floats)
+		case p.keep&(1<<ci) != 0:
+			ints, floats := p.fit(ci, len(cols), n, c.codec)
+			used, err = c.codec.decode(src[pos:], ints, floats)
+		default:
 			used, err = compress.SkipUvarints(src[pos:], n)
-		case c.codec == deltaCodec:
-			used, err = compress.DecodeDeltaInts(src[pos:], buf.vals)
-		case c.codec == delta2Codec:
-			used, err = compress.DecodeDelta2Ints(src[pos:], buf.vals)
-		case c.codec == xorCodec:
-			used, err = compress.DecodeXorFloats(src[pos:], buf.floats)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("%w: column %d: %v", ErrCorrupt, ci, err)
 		}
 		pos += used
-		if tap != nil {
-			if ci == tap.col {
-				tap.seen(buf.vals)
-			}
+		if p != nil {
 			continue
 		}
 		switch c.codec {
@@ -203,26 +235,99 @@ type nestedBody[C any] struct {
 }
 
 // append encodes recs, which must be non-empty, and appends the body to
-// dst.
-func (b *nestedBody[C]) append(dst []byte, recs []Record, version int) []byte {
-	runs := make([][]C, len(recs))
+// dst, using buf as scratch.
+func (b *nestedBody[C]) append(dst []byte, buf *columnBuf, recs []Record, version int) []byte {
 	total := 0
 	for i := range recs {
-		runs[i] = *b.childrenOf(&recs[i])
-		total += len(runs[i])
+		total += len(*b.childrenOf(&recs[i]))
 	}
-	var buf columnBuf
 	buf.fit(max(len(recs), total)) // the longest column, so later fits only reslice
 	buf.fit(len(recs))
-	for i := range runs {
-		buf.vals[i] = int64(len(runs[i]))
+	for i := range recs {
+		buf.vals[i] = int64(len(*b.childrenOf(&recs[i])))
 	}
 	dst = compress.AppendUvarint(dst, uint64(recs[0].Wearer))
 	dst = compress.AppendUvarint(dst, uint64(len(recs)))
 	dst = compress.AppendUvarint(dst, uint64(total))
 	dst = compress.AppendDeltaInts(dst, buf.vals)
-	dst = appendColumns(dst, &buf, [][]Record{recs}, b.records, version)
-	return appendColumns(dst, &buf, runs, b.children, version)
+	dst = appendColumns(dst, buf, len(recs), b.records, version, func(c *column[Record], vals []int64) {
+		for i := range recs {
+			vals[i] = c.get(&recs[i])
+		}
+	})
+	return appendColumns(dst, buf, total, b.children, version, func(c *column[C], vals []int64) {
+		k := 0
+		for i := range recs {
+			kids := *b.childrenOf(&recs[i])
+			for j := range kids {
+				vals[k] = c.get(&kids[j])
+				k++
+			}
+		}
+	})
+}
+
+// bodyView is what a decode of a nested body keeps besides rows: the
+// header's first wearer and the per-record child counts, which every
+// decode reads in full, and — for a projected decode — the values its
+// record and child projections keep. A caller that passes the same view
+// from body to body reuses its buffers.
+type bodyView struct {
+	first    int
+	counts   []int64
+	total    int
+	records  projection
+	children projection
+}
+
+// readHead parses the header and child counts at the start of src into
+// v and returns the bytes they took. When pairN >= 0 the body must cover
+// exactly the pairN wearers from pairFirst — a series frame pairing with
+// its record block. A header claiming more rows than the payload could
+// hold is refused with the minColumnsLen bound before anything sized by
+// it is allocated.
+func (b *nestedBody[C]) readHead(src []byte, version, pairFirst, pairN int, v *bodyView) (int, error) {
+	var header [3]uint64
+	pos := 0
+	for i := range header {
+		val, n := compress.DecodeUvarint(src[pos:])
+		if n == 0 {
+			return 0, fmt.Errorf("%w: body header", ErrCorrupt)
+		}
+		header[i] = val
+		pos += n
+	}
+	first, count, total := int(header[0]), int(header[1]), int(header[2])
+	if count <= 0 || count > maxBlockPayload || total < 0 || total > maxBlockPayload {
+		return 0, fmt.Errorf("%w: implausible body header (%d records, %d children)", ErrCorrupt, count, total)
+	}
+	if pairN >= 0 && (count != pairN || first != pairFirst) {
+		return 0, fmt.Errorf("%w: frame covers wearers [%d,+%d), paired block holds [%d,+%d)",
+			ErrCorrupt, first, count, pairFirst, pairN)
+	}
+	need := count + minColumnsLen(b.records, count, version) + minColumnsLen(b.children, total, version)
+	if need > len(src)-pos {
+		return 0, fmt.Errorf("%w: body header claims %d records, %d children in %d payload bytes",
+			ErrCorrupt, count, total, len(src))
+	}
+	v.counts = fitSlice(v.counts, count)
+	used, err := compress.DecodeDeltaInts(src[pos:], v.counts)
+	if err != nil {
+		return 0, fmt.Errorf("%w: child counts: %v", ErrCorrupt, err)
+	}
+	pos += used
+	sum := 0
+	for _, c := range v.counts {
+		if c < 0 || c > int64(total) {
+			return 0, fmt.Errorf("%w: child count %d outside [0,%d]", ErrCorrupt, c, total)
+		}
+		sum += int(c)
+	}
+	if sum != total {
+		return 0, fmt.Errorf("%w: child counts sum %d, header says %d", ErrCorrupt, sum, total)
+	}
+	v.first, v.total = first, total
+	return pos, nil
 }
 
 // decode inverts append on a verified body. With recs nil it builds the
@@ -230,87 +335,74 @@ func (b *nestedBody[C]) append(dst []byte, recs []Record, version int) []byte {
 // header, cell −1 until a cell column says otherwise, since v0 stores
 // predate spectrum coupling); otherwise recs must be exactly the records
 // the header names (a series frame attaching to its paired block). The
-// children attach to the records only once the whole body decodes. With
-// tap non-nil the children are checked as strictly but never built, and
-// tap sees one of their columns (decodeColumns).
-func (b *nestedBody[C]) decode(src []byte, recs []Record, version int, tap *columnTap) ([]Record, error) {
-	var header [3]uint64
-	pos := 0
-	for i := range header {
-		v, n := compress.DecodeUvarint(src[pos:])
-		if n == 0 {
-			return nil, fmt.Errorf("%w: body header", ErrCorrupt)
-		}
-		header[i] = v
-		pos += n
+// children attach to the records only once the whole body decodes.
+func (b *nestedBody[C]) decode(src []byte, recs []Record, version int) ([]Record, error) {
+	pairN := -1
+	if recs != nil {
+		pairN = len(recs)
 	}
-	first, count, total := int(header[0]), int(header[1]), int(header[2])
-	if count <= 0 || count > maxBlockPayload || total < 0 || total > maxBlockPayload {
-		return nil, fmt.Errorf("%w: implausible body header (%d records, %d children)", ErrCorrupt, count, total)
-	}
-	if recs != nil && (count != len(recs) || first != recs[0].Wearer) {
-		return nil, fmt.Errorf("%w: frame covers wearers [%d,+%d), paired block holds [%d,+%d)",
-			ErrCorrupt, first, count, firstWearerOf(recs), len(recs))
-	}
-	need := count + minColumnsLen(b.records, count, version) + minColumnsLen(b.children, total, version)
-	if need > len(src)-pos {
-		return nil, fmt.Errorf("%w: body header claims %d records, %d children in %d payload bytes",
-			ErrCorrupt, count, total, len(src))
-	}
-
-	counts := make([]int64, count)
-	used, err := compress.DecodeDeltaInts(src[pos:], counts)
+	var v bodyView
+	pos, err := b.readHead(src, version, firstWearerOf(recs), pairN, &v)
 	if err != nil {
-		return nil, fmt.Errorf("%w: child counts: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	pos += used
-	sum := 0
-	for _, c := range counts {
-		if c < 0 || c > int64(total) {
-			return nil, fmt.Errorf("%w: child count %d outside [0,%d]", ErrCorrupt, c, total)
-		}
-		sum += int(c)
-	}
-	if sum != total {
-		return nil, fmt.Errorf("%w: child counts sum %d, header says %d", ErrCorrupt, sum, total)
-	}
+	count := len(v.counts)
 	if recs == nil {
 		recs = make([]Record, count)
 		for i := range recs {
-			recs[i] = Record{Wearer: first + i, Cell: -1}
+			recs[i] = Record{Wearer: v.first + i, Cell: -1}
 		}
 	}
 	var buf columnBuf
-	buf.fit(max(count, total)) // the longest column, so later fits only reslice
-	used, err = decodeColumns(src[pos:], &buf, count, recs, b.records, version, nil)
+	buf.fit(max(count, v.total)) // the longest column, so later fits only reslice
+	used, err := decodeColumns(src[pos:], &buf, count, recs, b.records, version, nil)
 	if err != nil {
 		return nil, err
 	}
 	pos += used
-	var kids []C
-	if tap == nil {
-		kids = make([]C, total)
-	}
-	if used, err = decodeColumns(src[pos:], &buf, total, kids, b.children, version, tap); err != nil {
+	kids := make([]C, v.total)
+	if used, err = decodeColumns(src[pos:], &buf, v.total, kids, b.children, version, nil); err != nil {
 		return nil, err
 	}
 	pos += used
 	if pos != len(src) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(src)-pos)
 	}
-	if tap != nil {
-		return recs, nil
-	}
 	off := 0
 	for i := range recs {
-		nc := int(counts[i])
+		nc := int(v.counts[i])
 		*b.childrenOf(&recs[i]) = kids[off : off+nc : off+nc]
 		off += nc
 	}
 	return recs, nil
 }
 
-// firstWearerOf is a nil-safe accessor for error messages.
+// project checks src exactly as strictly as decode — header, pairing
+// (pairN as in readHead), the minColumnsLen bound, child counts, every
+// column, no trailing bytes — but builds no rows: it leaves the header
+// and child counts in v, and the values of the record and child columns
+// v's projections keep.
+func (b *nestedBody[C]) project(src []byte, version, pairFirst, pairN int, v *bodyView) error {
+	pos, err := b.readHead(src, version, pairFirst, pairN, v)
+	if err != nil {
+		return err
+	}
+	used, err := decodeColumns[Record](src[pos:], nil, len(v.counts), nil, b.records, version, &v.records)
+	if err != nil {
+		return err
+	}
+	pos += used
+	if used, err = decodeColumns[C](src[pos:], nil, v.total, nil, b.children, version, &v.children); err != nil {
+		return err
+	}
+	pos += used
+	if pos != len(src) {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(src)-pos)
+	}
+	return nil
+}
+
+// firstWearerOf is a nil-safe first wearer of recs, -1 when empty.
 func firstWearerOf(recs []Record) int {
 	if len(recs) == 0 {
 		return -1

@@ -230,14 +230,15 @@ func FuzzReader(f *testing.F) {
 // (every surviving point must come back bit-identical, NaN markers
 // included), then thrown raw at the decoder as an adversarial frame body
 // — which must reject or terminate cleanly without panicking or
-// allocating unboundedly from forged headers.
+// allocating unboundedly from forged headers, and which every projected
+// decode must refuse exactly when the full decode does.
 func FuzzSeriesBlock(f *testing.F) {
 	mk := func(n int) []byte {
 		recs := make([]Record, n)
 		for i := range recs {
 			recs[i] = seriesRecord(i)
 		}
-		frame := encodeSeriesFrame(nil, recs)
+		frame := encodeSeriesFrame(nil, &columnBuf{}, recs)
 		payload := frame[8 : len(frame)-4]
 		_, body, err := splitKind(payload, FormatV3)
 		if err != nil {
@@ -246,11 +247,14 @@ func FuzzSeriesBlock(f *testing.F) {
 		return body
 	}
 	f.Add(mk(1))
+	f.Add(mk(4)) // the four wearers direction 2 pairs raw bodies with
 	f.Add(mk(8))
 	f.Add(mk(8)[:20])
-	corrupt := mk(8)
-	corrupt[len(corrupt)/2] ^= 0x10
-	f.Add(corrupt)
+	for _, n := range []int{4, 8} {
+		corrupt := mk(n)
+		corrupt[len(corrupt)/2] ^= 0x10
+		f.Add(corrupt)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 
@@ -279,7 +283,7 @@ func FuzzSeriesBlock(f *testing.F) {
 				recs[i].Series = append(recs[i].Series, p)
 			}
 		}
-		frame := encodeSeriesFrame(nil, recs)
+		frame := encodeSeriesFrame(nil, &columnBuf{}, recs)
 		payload := frame[8 : len(frame)-4]
 		_, body, err := splitKind(payload, FormatV3)
 		if err != nil {
@@ -298,32 +302,83 @@ func FuzzSeriesBlock(f *testing.F) {
 			}
 		}
 
+		seriesProjections(t, body, recs[0].Wearer, len(recs))
+
 		// Direction 2: data is a raw adversarial body. Any outcome but a
 		// panic or an over-read is acceptable; on (unlikely) success the
 		// attached points must be bounded by what the bytes could hold.
-		// The check-only decode a merge splice runs must refuse exactly
-		// what the full decode refuses, and on success report the points
-		// the full decode built.
-		tgt := make([]Record, 4)
-		for i := range tgt {
-			tgt[i].Wearer = i
-		}
-		var span timeSpan
-		checkErr := checkSeriesBody(data, tgt, &span)
-		err = decodeSeriesBody(data, tgt)
-		if (err == nil) != (checkErr == nil) {
-			t.Fatalf("full decode error %v, check-only decode error %v", err, checkErr)
-		}
-		if err == nil {
-			want := entryFor(0, 0, tgt).timeSpan
-			if span != want {
-				t.Fatalf("check-only decode spans %+v, built points span %+v", span, want)
-			}
-			if 6*span.points > len(data) {
-				t.Fatalf("decoded %d points from %d bytes — over-read", span.points, len(data))
-			}
+		if pts, err := seriesProjections(t, data, 0, 4); err == nil && 6*len(pts) > len(data) {
+			t.Fatalf("decoded %d points from %d bytes — over-read", len(pts), len(data))
 		}
 	})
+}
+
+// seriesProjections decodes body in full as the series frame of the n
+// records from wearer first, and returns the points it built, laid end
+// to end, and its error. Every projection a reader runs on such a body —
+// the time column alone (checkSeriesBody: Resume, Check and a merge
+// splice) and the node, time and metric columns of each query metric —
+// must refuse it exactly when the full decode does, and otherwise keep
+// the full decode's values bit for bit.
+func seriesProjections(t *testing.T, body []byte, first, n int) ([]SeriesPoint, error) {
+	t.Helper()
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i].Wearer = first + i
+	}
+	err := decodeSeriesBody(body, recs)
+	var pts []SeriesPoint
+	for i := range recs {
+		pts = append(pts, recs[i].Series...)
+	}
+	var v bodyView // reused from projection to projection, as readers reuse it
+	span, checkErr := checkSeriesBody(body, recs, &v)
+	if (err == nil) != (checkErr == nil) {
+		t.Fatalf("full decode error %v, check-only decode error %v", err, checkErr)
+	}
+	if want := entryFor(0, 0, recs).timeSpan; err == nil && span != want {
+		t.Fatalf("check-only decode spans %+v, built points span %+v", span, want)
+	}
+	for _, col := range []int{seriesQueueColumn, seriesChargeColumn, seriesPERColumn, seriesCollisionsColumn} {
+		v.children.keep = 1<<seriesNodeColumn | 1<<seriesTimeColumn | 1<<col
+		perr := seriesFrame.project(body, FormatV3, first, n, &v)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("column %d: full decode error %v, projected decode error %v", col, err, perr)
+		}
+		if err == nil {
+			checkSeriesProjection(t, &v, recs, pts, col)
+		}
+	}
+	return pts, err
+}
+
+// checkSeriesProjection compares what a projected series decode kept in
+// v — the child counts and the node, time and col columns — with the
+// points a full decode attached to recs, pts being those laid end to end.
+func checkSeriesProjection(t *testing.T, v *bodyView, recs []Record, pts []SeriesPoint, col int) {
+	t.Helper()
+	for i := range recs {
+		if int(v.counts[i]) != len(recs[i].Series) {
+			t.Fatalf("record %d: projected %d points, full decode %d", i, v.counts[i], len(recs[i].Series))
+		}
+	}
+	for _, c := range []int{seriesNodeColumn, seriesTimeColumn, col} {
+		kept := v.children.ints[c]
+		if seriesFrame.children[c].codec == xorCodec {
+			kept = make([]int64, len(v.children.floats[c]))
+			for k, f := range v.children.floats[c] {
+				kept[k] = floatBits(f)
+			}
+		}
+		if len(kept) != len(pts) {
+			t.Fatalf("column %d: projected %d values, full decode %d points", c, len(kept), len(pts))
+		}
+		for k := range pts {
+			if want := seriesFrame.children[c].get(&pts[k]); kept[k] != want {
+				t.Fatalf("column %d, point %d: projected %#x, full decode %#x", c, k, kept[k], want)
+			}
+		}
+	}
 }
 
 // sameBits is reflect.DeepEqual with floats compared by their IEEE-754
@@ -399,7 +454,7 @@ func fuzzRecords(data []byte, version int) []Record {
 // blockBody encodes recs as a record block and strips the framing and
 // kind selector, leaving the body decodeBlock reads.
 func blockBody(tb testing.TB, recs []Record, version int) []byte {
-	frame := encodeBlock(recs, version)
+	frame := encodeBlock(nil, &columnBuf{}, recs, version)
 	_, body, err := splitKind(frame[8:len(frame)-4], version)
 	if err != nil {
 		tb.Fatal(err)
@@ -412,7 +467,8 @@ func blockBody(tb testing.TB, recs []Record, version int) []byte {
 // encode→decode round trip (every field must come back bit-identical,
 // float bits included), then thrown raw at the decoder as an adversarial
 // block body — which must reject or terminate cleanly without panicking
-// or allocating from a forged header.
+// or allocating from a forged header, and which every projected decode
+// must refuse exactly when the full decode does.
 func FuzzRecordBlock(f *testing.F) {
 	for v := FormatV0; v <= FormatV3; v++ {
 		f.Add(blockBody(f, fuzzRecords([]byte{byte(v), 0x80, 0x7f, 0xff}, v), v))
@@ -446,7 +502,7 @@ func FuzzRecordBlock(f *testing.F) {
 			// Direction 1: data parameterizes a small block; the round
 			// trip must be exact.
 			recs := fuzzRecords(data, v)
-			back, err := decodeBlock(blockBody(t, recs, v), v)
+			back, err := recordProjections(t, blockBody(t, recs, v), v)
 			if err != nil {
 				t.Fatalf("v%d: round trip rejected: %v", v, err)
 			}
@@ -458,7 +514,7 @@ func FuzzRecordBlock(f *testing.F) {
 			// but a panic or an over-read is acceptable; on success every
 			// record and node must have cost at least one byte per
 			// varint column.
-			if got, err := decodeBlock(data, v); err == nil {
+			if got, err := recordProjections(t, data, v); err == nil {
 				nodes := 0
 				for i := range got {
 					nodes += len(got[i].Nodes)
@@ -470,6 +526,41 @@ func FuzzRecordBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// recordProjections decodes body in full as a record block of format
+// version and returns what that built and its error. The projections a
+// query runs on record frames — check only, or the cell column too —
+// must refuse body exactly when the full decode does, and otherwise keep
+// its wearers, node counts and cells.
+func recordProjections(t *testing.T, body []byte, version int) ([]Record, error) {
+	t.Helper()
+	got, err := decodeBlock(body, version)
+	var v bodyView
+	for _, keep := range []uint64{0, 1 << recordCellColumn} {
+		v.records.keep = keep
+		perr := recordBlock.project(body, version, 0, -1, &v)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("v%d keep %#x: full decode error %v, projected decode error %v", version, keep, err, perr)
+		}
+		if err != nil {
+			continue
+		}
+		if v.first != got[0].Wearer || len(v.counts) != len(got) {
+			t.Fatalf("v%d: projected wearers [%d,+%d), full decode [%d,+%d)",
+				version, v.first, len(v.counts), got[0].Wearer, len(got))
+		}
+		for i := range got {
+			if int(v.counts[i]) != len(got[i].Nodes) {
+				t.Fatalf("v%d record %d: projected %d nodes, full decode %d", version, i, v.counts[i], len(got[i].Nodes))
+			}
+			if keep != 0 && version >= FormatV1 && int(v.records.ints[recordCellColumn][i]) != got[i].Cell {
+				t.Fatalf("v%d record %d: projected cell %d, full decode %d",
+					version, i, v.records.ints[recordCellColumn][i], got[i].Cell)
+			}
+		}
+	}
+	return got, err
 }
 
 // FuzzResumeCheckpoint throws corrupted, truncated and adversarial

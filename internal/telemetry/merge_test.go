@@ -54,11 +54,12 @@ func writeShardStore(tb testing.TB, dir string, meta Meta, first, end int, mk fu
 			}
 			continue
 		}
-		frame := encodeBlock(recs, meta.Version)
+		var buf columnBuf
+		frame := encodeBlock(nil, &buf, recs, meta.Version)
 		serOff := int64(0)
 		if meta.Series() {
 			serOff = w.Offset() + int64(len(frame))
-			frame = encodeSeriesFrame(frame, recs)
+			frame = encodeSeriesFrame(frame, &buf, recs)
 		}
 		w.next = hi
 		if err := w.appendPair(frame, entryFor(w.Offset(), serOff, recs)); err != nil {

@@ -19,27 +19,28 @@ type Query struct {
 	FromMS int64
 	ToMS   int64
 	// Cell restricts samples to wearers placed in this spectrum cell;
-	// negative matches every cell (including the uncoupled sentinel -1 is
-	// not expressible — uncoupled stores match only via negative Cell).
+	// negative matches every cell. An uncoupled store's wearers carry the
+	// sentinel cell -1, so only a negative Cell matches them.
 	Cell int
 	// Node restricts samples to this node index within each wearer;
 	// negative matches every node class.
 	Node int
 }
 
-// metric returns the column extractor for q.Metric.
-func (q *Query) metric() (func(p *SeriesPoint) float64, error) {
+// column returns the position of q.Metric's column in
+// seriesFrame.children.
+func (q *Query) column() (int, error) {
 	switch q.Metric {
 	case "charge":
-		return func(p *SeriesPoint) float64 { return p.Charge }, nil
+		return seriesChargeColumn, nil
 	case "queue":
-		return func(p *SeriesPoint) float64 { return float64(p.QueueDepth) }, nil
+		return seriesQueueColumn, nil
 	case "per":
-		return func(p *SeriesPoint) float64 { return p.LinkPER }, nil
+		return seriesPERColumn, nil
 	case "collisions":
-		return func(p *SeriesPoint) float64 { return p.CollisionRate }, nil
+		return seriesCollisionsColumn, nil
 	default:
-		return nil, fmt.Errorf("telemetry: unknown series metric %q (want charge, queue, per or collisions)", q.Metric)
+		return 0, fmt.Errorf("telemetry: unknown series metric %q (want charge, queue, per or collisions)", q.Metric)
 	}
 }
 
@@ -124,31 +125,55 @@ func (s *SeriesStats) Percentile(pct float64) float64 {
 	return s.values[idx]
 }
 
-// fold filters one record's samples through the query.
-func (s *SeriesStats) fold(q *Query, get func(p *SeriesPoint) float64, rec *Record) {
-	if q.Cell >= 0 && rec.Cell != q.Cell {
-		return
+// foldPair folds the samples of one projected record+series pair that
+// q selects: rec is the record frame's view, holding the cell column
+// when q filters on cell, and ser the series frame's, holding the node
+// and time columns and the metric column col. Samples are visited in
+// (record, point) order, the order they were written in.
+func (s *SeriesStats) foldPair(q *Query, col int, rec, ser *bodyView) {
+	var cells []int64
+	if q.Cell >= 0 {
+		cells = rec.records.ints[recordCellColumn]
 	}
-	for i := range rec.Series {
-		p := &rec.Series[i]
-		if q.Node >= 0 && p.Node != q.Node {
+	nodes := ser.children.ints[seriesNodeColumn]
+	times := ser.children.ints[seriesTimeColumn]
+	ints, floats := ser.children.ints[col], ser.children.floats[col]
+	xor := seriesFrame.children[col].codec == xorCodec
+	k := 0
+	for i, n := range ser.counts {
+		end := k + int(n)
+		if q.Cell >= 0 && int(cells[i]) != q.Cell {
+			k = end
 			continue
 		}
-		if p.TimeMS < q.FromMS || (q.ToMS > 0 && p.TimeMS > q.ToMS) {
-			continue
+		for ; k < end; k++ {
+			if q.Node >= 0 && int(nodes[k]) != q.Node {
+				continue
+			}
+			if t := times[k]; t < q.FromMS || (q.ToMS > 0 && t > q.ToMS) {
+				continue
+			}
+			if xor {
+				s.add(floats[k])
+			} else {
+				s.add(float64(int(ints[k])))
+			}
 		}
-		s.add(get(p))
 	}
 }
 
 // QueryStore aggregates the series samples of the store at path that
-// match q. When the store carries its trailing query index (every
-// completely written v3 store does) only the blocks whose index entry
-// overlaps the predicate are read — a narrow time- or cell-bounded query
-// touches a fraction of the file. Without the index (a killed run not
-// yet resumed) it degrades to a sequential scan of the committed prefix.
+// match q. It reads only the record+series pairs whose index entry
+// overlaps the predicate, and of each only what the query needs: the
+// series frame's node, time and metric columns, and the record frame's
+// cell column when q filters on cell. Every other column is checked as
+// strictly as a full decode would check it, but not decoded, and no
+// Record or SeriesPoint is built. The index is the trailing frame of a
+// completely written store; without it (a killed run not yet resumed) a
+// check-only walk of the committed prefix (Reader.Check) rebuilds the
+// entries first, so both paths fold the same samples in the same order.
 func QueryStore(path string, q Query) (*SeriesStats, error) {
-	get, err := q.metric()
+	col, err := q.column()
 	if err != nil {
 		return nil, err
 	}
@@ -161,34 +186,49 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 		return nil, fmt.Errorf("telemetry: store %s (format v%d) holds no series samples; re-run the sweep with a series cadence",
 			path, r.meta.Version)
 	}
-	stats := &SeriesStats{}
-	if entries, ok := r.loadIndex(); ok {
-		for i := range entries {
-			e := &entries[i]
-			if !q.admits(e) {
-				continue
-			}
-			recs, _, err := readFrameAt(r.f, e.recOffset, r.ck.Offset, r.meta.Version)
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: query: %w", err)
-			}
-			if _, err := readSeriesFrameAt(nil, r.f, e.serOffset, r.ck.Offset, recs, nil); err != nil {
-				return nil, fmt.Errorf("telemetry: query: %w", err)
-			}
-			for j := range recs {
-				stats.fold(&q, get, &recs[j])
-			}
+	entries, ok := r.loadIndex()
+	if !ok {
+		if err := r.Check(); err != nil {
+			return nil, fmt.Errorf("telemetry: query: %w", err)
 		}
-		return stats, nil
+		entries = r.entries
 	}
-	// No usable index: walk every committed block.
-	if err := r.Each(func(rec Record) error {
-		stats.fold(&q, get, &rec)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("telemetry: query: %w", err)
+	var rec, ser bodyView
+	if q.Cell >= 0 {
+		rec.records.keep = 1 << recordCellColumn
+	}
+	ser.children.keep = 1<<seriesNodeColumn | 1<<seriesTimeColumn | 1<<col
+	var frame []byte
+	stats := &SeriesStats{}
+	for i := range entries {
+		e := &entries[i]
+		if !q.admits(e) {
+			continue
+		}
+		if frame, err = r.projectPair(frame, e, &rec, &ser); err != nil {
+			return nil, fmt.Errorf("telemetry: query: %w", err)
+		}
+		stats.foldPair(&q, col, &rec, &ser)
 	}
 	return stats, nil
+}
+
+// projectPair reads the record+series pair e indexes, never past the
+// reader's limit, through the frame buffer buf, which it returns for
+// reuse. It projects the record frame into rec and the series frame,
+// which must pair with it, into ser (nestedBody.project).
+func (r *Reader) projectPair(buf []byte, e *indexEntry, rec, ser *bodyView) ([]byte, error) {
+	buf, body, err := readKind(buf[:0], r.f, e.recOffset, r.limit, r.meta.Version, kindRecords)
+	if err != nil {
+		return nil, err
+	}
+	if err := recordBlock.project(body, r.meta.Version, 0, -1, rec); err != nil {
+		return nil, err
+	}
+	if buf, body, err = readKind(buf[:0], r.f, e.serOffset, r.limit, FormatV3, kindSeries); err != nil {
+		return nil, err
+	}
+	return buf, seriesFrame.project(body, FormatV3, rec.first, len(rec.counts), ser)
 }
 
 // loadIndex locates and decodes the trailing query-index frame of a
@@ -196,18 +236,14 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 // final checkpoint offset, so the checkpoint the reader opened with
 // points straight at it, and record frames are read under that offset;
 // any inconsistency (no trusted checkpoint, no trailing frame, frame of
-// the wrong kind, trailing bytes past it) reports ok=false and the caller
-// falls back to a sequential scan.
+// the wrong kind, trailing bytes past it) reports ok=false, and the
+// caller rebuilds the entries with a check-only walk instead.
 func (r *Reader) loadIndex() (entries []indexEntry, ok bool) {
 	if r.meta.Version < FormatV3 || r.ck == nil || r.ck.Offset >= r.size {
 		return nil, false
 	}
-	frame, err := readFrame(nil, r.f, r.ck.Offset, r.size)
+	frame, body, err := readKind(nil, r.f, r.ck.Offset, r.size, r.meta.Version, kindIndex)
 	if err != nil || r.ck.Offset+int64(len(frame)) != r.size {
-		return nil, false
-	}
-	kind, body, err := splitKind(framePayload(frame), r.meta.Version)
-	if err != nil || kind != kindIndex {
 		return nil, false
 	}
 	entries, err = decodeIndexBody(body)

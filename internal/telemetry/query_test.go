@@ -1,25 +1,223 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// refValue is q's metric read off a built sample.
+func refValue(q *Query, p *SeriesPoint) float64 {
+	switch q.Metric {
+	case "charge":
+		return p.Charge
+	case "queue":
+		return float64(p.QueueDepth)
+	case "per":
+		return p.LinkPER
+	default:
+		return p.CollisionRate
+	}
+}
+
+// refFold is the reference fold QueryStore's projected reads must match
+// bit for bit: it filters one fully built record's samples through q,
+// one SeriesPoint at a time.
+func refFold(s *SeriesStats, q *Query, rec *Record) {
+	if q.Cell >= 0 && rec.Cell != q.Cell {
+		return
+	}
+	for i := range rec.Series {
+		p := &rec.Series[i]
+		if q.Node >= 0 && p.Node != q.Node {
+			continue
+		}
+		if p.TimeMS < q.FromMS || (q.ToMS > 0 && p.TimeMS > q.ToMS) {
+			continue
+		}
+		s.add(refValue(q, p))
+	}
+}
 
 // refStats is the brute-force reference: fold every sample of
 // seriesRecord(0..n) matching q through the same NaN policy, in the same
 // (wearer, sample) order the store's block walk visits — so float sums
 // must match QueryStore exactly, not just approximately.
-func refStats(n int, q Query, get func(p *SeriesPoint) float64) *SeriesStats {
+func refStats(n int, q Query) *SeriesStats {
 	stats := &SeriesStats{}
 	for w := 0; w < n; w++ {
 		rec := seriesRecord(w)
-		stats.fold(&q, get, &rec)
+		refFold(stats, &q, &rec)
 	}
 	return stats
+}
+
+// refQuery answers q over the store at path by replaying every record a
+// full-decode Reader.Each hands over through refFold.
+func refQuery(path string, q Query) (*SeriesStats, error) {
+	r, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	stats := &SeriesStats{}
+	return stats, r.Each(func(rec Record) error {
+		refFold(stats, &q, &rec)
+		return nil
+	})
+}
+
+// statsBits renders every answer SeriesStats gives, floats as their bits.
+func statsBits(s *SeriesStats) string {
+	return fmt.Sprintf("points=%d gaps=%d sum=%#x min=%#x max=%#x p50=%#x", s.Points, s.Gaps,
+		math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max),
+		math.Float64bits(s.Percentile(50)))
+}
+
+// FuzzQueryStore is QueryStore's differential test. The bytes draw a
+// small series store — uncoupled or with cells, NaN gap windows, block
+// size 1–16 — and a Query (metric, time bounds with ToMS open or not,
+// cell, node). QueryStore's answer must equal, bit for bit, refFold over
+// the records a full-decode Reader replays: through the trailing index,
+// and through the check-only walk that replaces it when the index frame
+// is cut or the sidecar that locates it is removed. A flipped byte
+// inside a block the query admits must fail both.
+func FuzzQueryStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{17, 3, 1, 4, 2, 200, 9, 0, 5, 1, 2, 3, 44, 91, 7, 250})
+	f.Add([]byte{39, 15, 0, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{8, 0, 2, 1, 255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return int(b)
+		}
+		meta := Meta{FleetSeed: 7, Wearers: 1 + next()%40, SpanSeconds: 4, BlockSize: 1 + next()%16,
+			Version: FormatV3, SeriesCadenceSeconds: 0.5}
+		if next()%2 == 1 {
+			meta.Cells = 1 + next()%4
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "query.wtl")
+		w, err := Create(path, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < meta.Wearers; i++ {
+			rec := Record{Wearer: i, Events: uint64(next()), Cell: -1, Nodes: make([]NodeRecord, next()%4)}
+			if meta.Cells > 0 {
+				rec.Cell = next() % meta.Cells
+			}
+			for tick := int64(1); tick <= int64(next()%8); tick++ {
+				for n := range rec.Nodes {
+					p := SeriesPoint{Node: n, TimeMS: 500 * tick, Charge: 1 - float64(next())/512,
+						QueueDepth: next()%9 - 2, LinkPER: float64(next()) / 255, CollisionRate: float64(next()) / 1024}
+					if next()%4 == 0 { // a window with no transmission attempts
+						p.LinkPER, p.CollisionRate = math.NaN(), math.NaN()
+					}
+					rec.Series = append(rec.Series, p)
+				}
+			}
+			if err := w.Consume(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		q := Query{Metric: []string{"charge", "queue", "per", "collisions"}[next()%4],
+			FromMS: int64(next()%10)*250 - 250, Cell: next()%(meta.Cells+2) - 1, Node: next()%5 - 1}
+		if to := next() % 12; to >= 2 {
+			q.ToMS = q.FromMS + int64(to)*250
+		} else {
+			q.ToMS = -int64(to) // open above: 0 or negative
+		}
+
+		want, err := refQuery(path, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := func(path, via string) {
+			t.Helper()
+			got, err := QueryStore(path, q)
+			if err != nil {
+				t.Fatalf("%s: %v", via, err)
+			}
+			if g, w := statsBits(got), statsBits(want); g != w {
+				t.Fatalf("%s: query %+v answered\n  %s\nreference fold\n  %s", via, q, g, w)
+			}
+		}
+		answer(path, "index")
+		_, committed, _, err := Committed(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sidecar, err := os.ReadFile(CheckpointPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := filepath.Join(dir, "cut.wtl")
+		if err := os.WriteFile(cut, store[:committed], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(CheckpointPath(cut), sidecar, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		answer(cut, "index frame cut")
+		bare := filepath.Join(dir, "bare.wtl")
+		if err := os.WriteFile(bare, store, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		answer(bare, "sidecar removed")
+
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, ok := r.loadIndex()
+		r.Close()
+		if !ok {
+			t.Fatal("a closed series store has no usable index")
+		}
+		var admitted []indexEntry
+		for _, e := range entries {
+			if q.admits(&e) {
+				admitted = append(admitted, e)
+			}
+		}
+		if len(admitted) == 0 {
+			return
+		}
+		e := admitted[next()%len(admitted)]
+		end := committed
+		if k := slices.IndexFunc(entries, func(x indexEntry) bool { return x.recOffset > e.recOffset }); k >= 0 {
+			end = entries[k].recOffset
+		}
+		store[e.recOffset+int64(next())*int64(next()+1)%(end-e.recOffset)] ^= byte(1 + next()%255)
+		if err := os.WriteFile(path, store, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := refQuery(path, q); err == nil {
+			t.Fatal("the full-decode walk read a damaged committed block")
+		}
+		if _, err := QueryStore(path, q); err == nil {
+			t.Fatalf("query %+v read a damaged admitted block", q)
+		}
+	})
 }
 
 // TestQueryStoreAggregates checks every metric, filter and aggregation
@@ -43,11 +241,7 @@ func TestQueryStoreAggregates(t *testing.T) {
 		{"empty-cell", Query{Metric: "charge", Cell: 999, Node: -1}},
 	} {
 		q := c.q
-		get, err := q.metric()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refStats(n, q, get)
+		want := refStats(n, q)
 		got, err := QueryStore(path, q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -141,11 +335,7 @@ func TestQueryIndexPruning(t *testing.T) {
 		{"cell-below-range", Query{Metric: "per", Cell: 0, Node: -1}},
 		{"mid-window", Query{Metric: "collisions", FromMS: 1500, ToMS: 1500, Cell: -1, Node: -1}},
 	} {
-		get, err := c.q.metric()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refStats(n, c.q, get)
+		want := refStats(n, c.q)
 		got, err := QueryStore(path, c.q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -14,9 +14,11 @@ import (
 // the first damaged one, reporting the cut via Truncated.
 //
 // Its block loop is the only walk over a store's committed record+series
-// pairs, and Each the one drain of it: Resume drains a Reader on its own
-// file into the caller's sink and adopts where the walk ended, the
-// counts and the index entries it collected.
+// pairs, and Each the one drain of it (Check is Each building no series
+// samples): Resume drains a Reader on its own file into the caller's
+// sink and adopts where the walk ended, the counts and the index entries
+// it collected, and QueryStore without an index queries the pairs the
+// walk verified.
 type Reader struct {
 	f    *os.File
 	meta Meta
@@ -39,11 +41,14 @@ type Reader struct {
 	// frames holds the verified bytes of the pair in hand, reused from
 	// pair to pair.
 	frames []byte
+	// skim (Check, Resume) builds no series samples: every series frame
+	// is checked exactly as strictly, through view, and only counted.
+	skim bool
+	view bodyView
 	// splice, set by MergeShards, is asked with each record block's first
 	// wearer and record count whether the merged store takes the pair
-	// unchanged. Such a pair is checked exactly as strictly, but its
-	// series samples are never built; spliced reports the answer for the
-	// pair in hand.
+	// unchanged. Such a pair is skimmed too; spliced reports the answer
+	// for the pair in hand.
 	splice  func(first, n int) bool
 	spliced bool
 	// running totals
@@ -162,7 +167,7 @@ func (r *Reader) advance() error {
 }
 
 // nextBlock loads the next record block (with its series frame attached
-// in a series-enabled store, unless the pair is spliced) into r.block,
+// in a series-enabled store, unless the pair is skimmed) into r.block,
 // its verified bytes into r.frames, and advances pos past the pair. It
 // returns io.EOF at a valid trailing index frame, and ErrCorrupt-wrapped
 // errors for damage — the caller maps those to truncation or hard
@@ -188,30 +193,35 @@ func (r *Reader) nextBlock() error {
 		}
 		r.spliced = r.splice != nil && r.splice(recs[0].Wearer, len(recs))
 		serOff := int64(0)
-		var span *timeSpan
+		skim := r.skim || r.spliced
+		var span timeSpan
 		if r.meta.Series() {
 			// The pair committed in one write: a record block inside the
 			// trusted region without a valid series frame is damage.
 			serOff = r.pos + int64(len(r.frames))
-			if r.spliced {
-				span = &timeSpan{}
+			var series []byte
+			if r.frames, series, err = readKind(r.frames, r.f, serOff, r.limit, FormatV3, kindSeries); err != nil {
+				return err
 			}
-			if r.frames, err = readSeriesFrameAt(r.frames, r.f, serOff, r.limit, recs, span); err != nil {
+			if skim {
+				span, err = checkSeriesBody(series, recs, &r.view)
+			} else {
+				err = decodeSeriesBody(series, recs)
+			}
+			if err != nil {
 				return err
 			}
 		}
 		e := entryFor(r.pos, serOff, recs)
-		if span != nil {
-			e.timeSpan = *span
+		if skim { // the samples were never attached
+			e.timeSpan = span
+			r.rawBytes += int64(span.points * rawPointSize)
 		}
 		r.entries = append(r.entries, e)
 		r.block, r.bi = recs, 0
 		r.blocks++
 		r.records += len(recs)
 		r.seriesPts += int64(e.points)
-		if span != nil { // the spliced samples were never attached
-			r.rawBytes += int64(span.points * rawPointSize)
-		}
 		for i := range recs {
 			r.rawBytes += int64(recs[i].RawSize())
 		}
@@ -264,6 +274,15 @@ func (r *Reader) Each(fn func(Record) error) error {
 			return err
 		}
 	}
+}
+
+// Check drains the reader like Each with a sink that keeps nothing, but
+// builds no series samples: each series frame is checked exactly as
+// strictly and only counted, so every total below reads as after Each.
+// It is the walk of a reader that wants only the totals or the verdict.
+func (r *Reader) Check() error {
+	r.skim = true
+	return r.Each(func(Record) error { return nil })
 }
 
 // Blocks and Records report how much of the store has been iterated so

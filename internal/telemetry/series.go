@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"os"
 
 	"wiban/internal/compress"
 )
@@ -29,58 +28,70 @@ import (
 // per-point columns.
 var seriesFrame = nestedBody[SeriesPoint]{
 	children: []column[SeriesPoint]{
-		{codec: deltaCodec,
+		{codec: deltaCodec, // seriesNodeColumn
 			get: func(p *SeriesPoint) int64 { return int64(p.Node) },
 			set: func(p *SeriesPoint, v int64) { p.Node = int(v) }},
-		{codec: deltaCodec,
+		{codec: deltaCodec, // seriesQueueColumn
 			get: func(p *SeriesPoint) int64 { return int64(p.QueueDepth) },
 			set: func(p *SeriesPoint, v int64) { p.QueueDepth = int(v) }},
 		{codec: delta2Codec, // seriesTimeColumn
 			get: func(p *SeriesPoint) int64 { return p.TimeMS },
 			set: func(p *SeriesPoint, v int64) { p.TimeMS = v }},
-		{codec: xorCodec,
+		{codec: xorCodec, // seriesChargeColumn
 			get: func(p *SeriesPoint) int64 { return floatBits(p.Charge) },
 			set: func(p *SeriesPoint, v int64) { p.Charge = bitsFloat(v) }},
-		{codec: xorCodec,
+		{codec: xorCodec, // seriesPERColumn
 			get: func(p *SeriesPoint) int64 { return floatBits(p.LinkPER) },
 			set: func(p *SeriesPoint, v int64) { p.LinkPER = bitsFloat(v) }},
-		{codec: xorCodec,
+		{codec: xorCodec, // seriesCollisionsColumn
 			get: func(p *SeriesPoint) int64 { return floatBits(p.CollisionRate) },
 			set: func(p *SeriesPoint, v int64) { p.CollisionRate = bitsFloat(v) }},
 	},
 	childrenOf: func(r *Record) *[]SeriesPoint { return &r.Series },
 }
 
-// seriesTimeColumn is the position of the timestamp column in
-// seriesFrame.children: a check-only decode reads a frame's time range
-// off it.
-const seriesTimeColumn = 2
+// The positions of the point columns in seriesFrame.children, which
+// projections select by.
+const (
+	seriesNodeColumn = iota
+	seriesQueueColumn
+	seriesTimeColumn
+	seriesChargeColumn
+	seriesPERColumn
+	seriesCollisionsColumn
+)
 
 // encodeSeriesFrame renders the samples attached to recs (one committed
-// block) as a framed series payload appended to dst.
-func encodeSeriesFrame(dst []byte, recs []Record) []byte {
-	payload := compress.AppendUvarint(nil, kindSeries)
-	return appendFrame(dst, seriesFrame.append(payload, recs, FormatV3))
+// block) as a series frame appended to dst, with buf as the encoder's
+// scratch.
+func encodeSeriesFrame(dst []byte, buf *columnBuf, recs []Record) []byte {
+	start := len(dst)
+	dst = compress.AppendUvarint(openFrame(dst), kindSeries)
+	return closeFrame(seriesFrame.append(dst, buf, recs, FormatV3), start)
 }
 
 // decodeSeriesBody inverts encodeSeriesFrame on a verified body (kind
 // already stripped) and attaches the points to recs, which must be the
 // records of the paired block.
 func decodeSeriesBody(body []byte, recs []Record) error {
-	_, err := seriesFrame.decode(body, recs, FormatV3, nil)
+	_, err := seriesFrame.decode(body, recs, FormatV3)
 	return err
 }
 
 // checkSeriesBody checks a series body exactly as strictly as
-// decodeSeriesBody but builds no points: it widens span by each point's
-// timestamp instead, which is all a block's index entry keeps of them.
-func checkSeriesBody(body []byte, recs []Record, span *timeSpan) error {
-	_, err := seriesFrame.decode(body, recs, FormatV3, &columnTap{col: seriesTimeColumn, seen: func(times []int64) {
-		for _, t := range times {
-			span.add(t)
-		}
-	}})
-	return err
+// decodeSeriesBody but builds no points: it projects the time column
+// alone, through v's buffers, and returns the points' time span, which
+// is all a block's index entry keeps of them.
+func checkSeriesBody(body []byte, recs []Record, v *bodyView) (timeSpan, error) {
+	var span timeSpan
+	v.children.keep = 1 << seriesTimeColumn
+	if err := seriesFrame.project(body, FormatV3, recs[0].Wearer, len(recs), v); err != nil {
+		return span, err
+	}
+	for _, t := range v.children.ints[seriesTimeColumn] {
+		span.add(t)
+	}
+	return span, nil
 }
 
 // timeSpan counts a series frame's points and their sample-time range
@@ -176,11 +187,16 @@ var indexColumns = []column[indexEntry]{
 		set: func(e *indexEntry, v int64) { e.maxNodes = int(v) }},
 }
 
-// encodeIndexFrame renders the per-block index as a framed payload.
+// encodeIndexFrame renders the per-block index as a frame.
 func encodeIndexFrame(entries []indexEntry) []byte {
-	payload := compress.AppendUvarint(nil, kindIndex)
-	payload = compress.AppendUvarint(payload, uint64(len(entries)))
-	return appendFrame(nil, appendColumns(payload, &columnBuf{}, [][]indexEntry{entries}, indexColumns, FormatV3))
+	dst := compress.AppendUvarint(openFrame(nil), kindIndex)
+	dst = compress.AppendUvarint(dst, uint64(len(entries)))
+	dst = appendColumns(dst, &columnBuf{}, len(entries), indexColumns, FormatV3, func(c *column[indexEntry], vals []int64) {
+		for i := range entries {
+			vals[i] = c.get(&entries[i])
+		}
+	})
+	return closeFrame(dst, 0)
 }
 
 // decodeIndexBody inverts encodeIndexFrame on a verified body (kind
@@ -203,31 +219,4 @@ func decodeIndexBody(body []byte) ([]indexEntry, error) {
 		return nil, fmt.Errorf("%w: %d trailing index bytes", ErrCorrupt, len(body)-pos-used)
 	}
 	return entries, nil
-}
-
-// readSeriesFrameAt reads the series frame at pos, which must pair with
-// recs, and appends it to dst (see readFrame). With span nil it attaches
-// the frame's points to recs; otherwise it only checks them
-// (checkSeriesBody) and widens span.
-func readSeriesFrameAt(dst []byte, f *os.File, pos, limit int64, recs []Record, span *timeSpan) ([]byte, error) {
-	out, err := readFrame(dst, f, pos, limit)
-	if err != nil {
-		return nil, err
-	}
-	kind, body, err := splitKind(framePayload(out[len(dst):]), FormatV3)
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindSeries {
-		return nil, fmt.Errorf("%w: frame kind %d where a series frame was expected", ErrCorrupt, kind)
-	}
-	if span == nil {
-		err = decodeSeriesBody(body, recs)
-	} else {
-		err = checkSeriesBody(body, recs, span)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -38,8 +38,11 @@
 // Each frame kind declares this layout once, as an ordered column table
 // (recordBlock in block.go; seriesFrame and indexColumns in series.go),
 // and one encoder and one decoder in codec.go walk every table. A
-// column's since field names the format version that added it; the wire
-// codecs themselves live in wiban/internal/compress.
+// column's since field names the format version that added it. The
+// decoder either builds rows or projects: it keeps some columns' values,
+// builds no rows, and checks the others exactly as strictly without
+// decoding them. The wire codecs themselves live in
+// wiban/internal/compress.
 //
 // # Format v3: frame kinds, series frames, query index
 //
@@ -69,9 +72,15 @@
 //
 // QueryStore aggregates one metric (charge, queue, per, collisions) over
 // a time/cell/node range — sum, mean, min/max and exact sorted-sample
-// percentiles — locating the index via the checkpoint sidecar and
-// falling back to a sequential scan (bit-identical results) when either
-// is missing. iobtrace query is the CLI face.
+// percentiles. It locates the index via the checkpoint sidecar and reads
+// only the pairs whose entry overlaps the range; when either is missing,
+// a check-only walk of the committed prefix rebuilds the entries first
+// (bit-identical results). Each pair is a projected read: it decodes the
+// series frame's node, time and metric columns, and the record frame's
+// cell column only when the query filters on cell, and checks every
+// other column as strictly without decoding it. A wearer-major store's
+// blocks each span the whole run, so time bounds rarely prune one;
+// projection is what keeps a query cheap. iobtrace query is the CLI face.
 //
 // # Checkpoint and resume semantics
 //

@@ -727,11 +727,12 @@ func staleCheckpoint(t *testing.T, path string, blockSize int) []byte {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, end, err := readFrameAt(f, int64(len(hdr)), r.StoredBytes(), meta.Version)
+	frame, err := readFrame(nil, f, int64(len(hdr)), r.StoredBytes())
 	r.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	end := int64(len(hdr) + len(frame))
 	w := &Writer{path: path, meta: meta, offset: end, blocks: 1, next: blockSize}
 	if err := w.writeCheckpoint(); err != nil {
 		t.Fatal(err)

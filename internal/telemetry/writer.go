@@ -25,6 +25,11 @@ type Writer struct {
 	buf    []Record
 	nodes  []NodeRecord  // backing arena so buffered records share one allocation
 	points []SeriesPoint // same arena trick for buffered series samples
+	// pair and cols are commit's encode buffers, reused from block to
+	// block: pair holds the last committed record(+series) frames, so it
+	// is already sized for the next.
+	pair []byte
+	cols columnBuf
 	// entries is the per-block query index accumulated across commits and
 	// written as the trailing index frame at Close. Resume seeds it with
 	// the entries of the blocks it verified, so Close never re-reads.
@@ -108,8 +113,10 @@ func Create(path string, meta Meta) (*Writer, error) {
 // represent want (adoptVersion). Then it walks the committed frames with
 // the store's own Reader, which verifies every frame, rebuilds its
 // query-index entry and hands its records to sink in wearer order,
-// borrowed until sink returns. With a valid checkpoint sidecar the walk
-// trusts exactly its prefix, and damage inside that prefix is an
+// borrowed until sink returns. Like Reader.Check, the walk checks series
+// frames exactly as strictly as a full read but builds no samples, so
+// sink sees each record with Series nil. With a valid checkpoint sidecar
+// the walk trusts exactly its prefix, and damage inside that prefix is an
 // ErrCorrupt error. When the sidecar is missing or does not match the
 // store, the walk trusts the longest verifiable prefix instead. A v3
 // record block whose series frame is missing or damaged is a torn tail
@@ -144,6 +151,7 @@ func resume(f *os.File, path string, want Meta, sink func(Record) error) (*Write
 	if r.meta != want {
 		return nil, fmt.Errorf("%s: %w:\n  store: %+v\n  spec:  %+v", path, ErrMismatch, r.meta, want)
 	}
+	r.skim = true
 	if err := r.Each(sink); err != nil {
 		return nil, fmt.Errorf("telemetry: resume: %w", err)
 	}
@@ -240,17 +248,17 @@ func (w *Writer) commit() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	frame := encodeBlock(w.buf, w.meta.Version)
+	w.pair = encodeBlock(w.pair[:0], &w.cols, w.buf, w.meta.Version)
 	serOff := int64(0)
 	if w.meta.Series() {
-		serOff = w.offset + int64(len(frame))
-		frame = encodeSeriesFrame(frame, w.buf)
+		serOff = w.offset + int64(len(w.pair))
+		w.pair = encodeSeriesFrame(w.pair, &w.cols, w.buf)
 	}
 	e := entryFor(w.offset, serOff, w.buf)
 	w.buf = w.buf[:0]
 	w.nodes = w.nodes[:0]
 	w.points = w.points[:0]
-	return w.appendPair(frame, e)
+	return w.appendPair(w.pair, e)
 }
 
 // onGrid reports whether the n records from wearer first are exactly the
