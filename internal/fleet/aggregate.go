@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"wiban/internal/units"
@@ -18,32 +17,6 @@ type Dist struct {
 	N                  int
 	Min, Max, Mean     float64
 	P10, P50, P90, P99 float64
-}
-
-// NewDist summarizes samples. The slice is sorted in place; an empty
-// sample yields the zero Dist.
-func NewDist(samples []float64) Dist {
-	if len(samples) == 0 {
-		return Dist{}
-	}
-	// Sum before sorting so the mean reflects the caller's (wearer-index)
-	// order — a fixed order is what makes the aggregate bit-reproducible.
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	sort.Float64s(samples)
-	n := len(samples)
-	return Dist{
-		N:    n,
-		Min:  samples[0],
-		Max:  samples[n-1],
-		Mean: sum / float64(n),
-		P10:  samples[(n*10)/100],
-		P50:  samples[n/2],
-		P90:  samples[(n*90)/100],
-		P99:  samples[(n*99)/100],
-	}
 }
 
 func (d Dist) String() string {

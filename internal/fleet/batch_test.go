@@ -7,6 +7,7 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 
 	"wiban/internal/bannet"
 	"wiban/internal/units"
@@ -91,4 +92,31 @@ func Aggregate(span units.Duration, reports []*bannet.Report) *Report {
 		rep.DiedFraction = float64(died) / float64(rep.Nodes)
 	}
 	return rep
+}
+
+// NewDist is the exact batch summary of samples, the oracle StreamDist is
+// held to below its centroid budget. The slice is sorted in place; an
+// empty sample yields the zero Dist.
+func NewDist(samples []float64) Dist {
+	if len(samples) == 0 {
+		return Dist{}
+	}
+	// Sum before sorting so the mean reflects the caller's (wearer-index)
+	// order — a fixed order is what makes the aggregate bit-reproducible.
+	var sum float64
+	for _, s := range samples {
+		sum += s
+	}
+	sort.Float64s(samples)
+	n := len(samples)
+	return Dist{
+		N:    n,
+		Min:  samples[0],
+		Max:  samples[n-1],
+		Mean: sum / float64(n),
+		P10:  samples[(n*10)/100],
+		P50:  samples[n/2],
+		P90:  samples[(n*90)/100],
+		P99:  samples[(n*99)/100],
+	}
 }

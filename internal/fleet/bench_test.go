@@ -153,3 +153,29 @@ func BenchmarkFleetFeedbackSparse(b *testing.B) { benchCoupledFleet(b, 4, 1<<20,
 // the workload — equilibrium collisions add retries and events — so
 // phase1-ms, not runs/s, is the engine-cost signal.
 func BenchmarkFleetFeedbackDense(b *testing.B) { benchCoupledFleet(b, 4, 16, true) }
+
+// BenchmarkStreamDistAdd times one Add on a full 256-centroid histogram
+// fed a continuous stream, so nearly every sample opens a centroid and
+// forces a merge. The reference sub-benchmark runs refDist, the Add that
+// rescanned every gap, on the same stream.
+func BenchmarkStreamDistAdd(b *testing.B) {
+	xs := make([]float64, 1<<16)
+	state := uint64(5)
+	for i := range xs {
+		state = state*6364136223846793005 + 1442695040888963407
+		xs[i] = float64(state>>11) / (1 << 53)
+	}
+	b.Run("cached", func(b *testing.B) { benchAdd(b, NewStreamDist(0).Add, xs) })
+	b.Run("reference", func(b *testing.B) { benchAdd(b, (&refDist{maxBins: DefaultMaxBins}).Add, xs) })
+}
+
+func benchAdd(b *testing.B, add func(float64), xs []float64) {
+	for _, x := range xs[:4096] { // fill past the budget
+		add(x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(xs[i&(len(xs)-1)])
+	}
+}

@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -85,7 +88,7 @@ func TestStreamDistDeterminism(t *testing.T) {
 // TestStreamDistNaNPolicy pins the gap-sample contract: NaN never enters
 // a statistic. Interleaving NaNs anywhere in the stream — first sample,
 // mid-stream, deep in merge territory — must leave every summary field
-// identical to the NaN-free stream, with the skips visible via NaNs().
+// identical to the NaN-free stream, with the skips counted in nans.
 func TestStreamDistNaNPolicy(t *testing.T) {
 	state := uint64(7)
 	next := func() float64 {
@@ -108,14 +111,14 @@ func TestStreamDistNaNPolicy(t *testing.T) {
 	if got, want := dirty.Dist(), clean.Dist(); got != want {
 		t.Fatalf("NaN samples leaked into the summary:\n got %+v\nwant %+v", got, want)
 	}
-	if dirty.N() != clean.N() {
-		t.Errorf("N counts NaNs: %d vs %d", dirty.N(), clean.N())
+	if dirty.n != clean.n {
+		t.Errorf("n counts NaNs: %d vs %d", dirty.n, clean.n)
 	}
-	if dirty.NaNs() != nans {
-		t.Errorf("NaNs() = %d, want %d", dirty.NaNs(), nans)
+	if dirty.nans != nans {
+		t.Errorf("nans = %d, want %d", dirty.nans, nans)
 	}
-	if clean.NaNs() != 0 {
-		t.Errorf("clean stream reports %d NaNs", clean.NaNs())
+	if clean.nans != 0 {
+		t.Errorf("clean stream reports %d NaNs", clean.nans)
 	}
 	// Mean must stay finite — the pre-policy failure mode was a poisoned
 	// sum turning every derived statistic into NaN.
@@ -412,4 +415,250 @@ func TestStreamDistPercentileProperty(t *testing.T) {
 	if exactTrials < 20 || mergedTrials < 20 {
 		t.Fatalf("property test degenerate: %d exact / %d merged trials", exactTrials, mergedTrials)
 	}
+}
+
+// refDist is StreamDist's Add before the gap cache: sort.Search for the
+// insert position, a shift to insert, and over budget a rescan of every
+// adjacent gap for the closest pair and a second shift to merge it.
+// FuzzStreamDist and TestStreamDistMatchesReference hold StreamDist to it
+// bit for bit.
+type refDist struct {
+	n, nans       int64
+	sum, min, max float64
+	bins          []centroid
+	maxBins       int
+}
+
+func (d *refDist) Add(x float64) {
+	if math.IsNaN(x) {
+		d.nans++
+		return
+	}
+	if d.n == 0 || x < d.min {
+		d.min = x
+	}
+	if d.n == 0 || x > d.max {
+		d.max = x
+	}
+	d.n++
+	d.sum += x
+
+	i := sort.Search(len(d.bins), func(i int) bool { return d.bins[i].c >= x })
+	if i < len(d.bins) && d.bins[i].c == x {
+		d.bins[i].w++
+		return
+	}
+	d.bins = append(d.bins, centroid{})
+	copy(d.bins[i+1:], d.bins[i:])
+	d.bins[i] = centroid{c: x, w: 1}
+	if len(d.bins) <= d.maxBins {
+		return
+	}
+	best, bestGap := 0, d.bins[1].c-d.bins[0].c
+	for j := 1; j < len(d.bins)-1; j++ {
+		if gap := d.bins[j+1].c - d.bins[j].c; gap < bestGap {
+			best, bestGap = j, gap
+		}
+	}
+	a, b := d.bins[best], d.bins[best+1]
+	w := a.w + b.w
+	d.bins[best] = centroid{c: (a.c*float64(a.w) + b.c*float64(b.w)) / float64(w), w: w}
+	d.bins = append(d.bins[:best+1], d.bins[best+2:]...)
+}
+
+// diffRef reports the first difference between d and the reference, or
+// "" when every field and centroid matches bit for bit and d's gap cache
+// holds the key of every adjacent gap.
+func diffRef(d *StreamDist, r *refDist) string {
+	bits := math.Float64bits
+	switch {
+	case d.n != r.n || d.nans != r.nans:
+		return fmt.Sprintf("n/nans %d/%d, reference %d/%d", d.n, d.nans, r.n, r.nans)
+	case bits(d.sum) != bits(r.sum) || bits(d.min) != bits(r.min) || bits(d.max) != bits(r.max):
+		return fmt.Sprintf("sum/min/max %v/%v/%v, reference %v/%v/%v", d.sum, d.min, d.max, r.sum, r.min, r.max)
+	case len(d.bins) != len(r.bins):
+		return fmt.Sprintf("%d centroids, reference %d", len(d.bins), len(r.bins))
+	}
+	for j := range d.bins {
+		if bits(d.bins[j].c) != bits(r.bins[j].c) || d.bins[j].w != r.bins[j].w {
+			return fmt.Sprintf("centroid %d = %+v, reference %+v", j, d.bins[j], r.bins[j])
+		}
+	}
+	for j, k := range d.gaps {
+		if want := gapKey(d.bins[j+1].c - d.bins[j].c); k != want {
+			return fmt.Sprintf("gap %d cached as %d, want %d", j, k, want)
+		}
+	}
+	return ""
+}
+
+// fuzzMaxBins are the budgets FuzzStreamDist picks from: the smallest
+// ones put ±Inf and NaN centroids next to each other within a few
+// samples, 256 is the engine's.
+var fuzzMaxBins = [...]int{1, 2, 3, 8, DefaultMaxBins}
+
+// streamSpecials are the values where float order stops being total or
+// arithmetic saturates.
+var streamSpecials = [...]float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+}
+
+// decodeStream reads a budget byte (an index into fuzzMaxBins) and then
+// a value stream of one-byte ops. The low three bits pick the op, the
+// high five its argument a:
+//
+//	0  the next 8 bytes as float64 bits, little-endian
+//	1  the previous value again
+//	2  one ulp above the previous value
+//	3  one ulp below it
+//	4  streamSpecials[a%8]
+//	5  the integer a-16
+//	6  (a·256 + the next byte)/8, a grid of equal gaps, so tied pairs
+//	7  (a-16)·1e307, whose merges overflow to ±Inf
+func decodeStream(data []byte) (int, []float64) {
+	if len(data) == 0 {
+		return fuzzMaxBins[0], nil
+	}
+	maxBins := fuzzMaxBins[int(data[0])%len(fuzzMaxBins)]
+	var xs []float64
+	prev := 0.0
+	for data = data[1:]; len(data) > 0; {
+		op, a := data[0]&7, float64(data[0]>>3)
+		data = data[1:]
+		var x float64
+		switch op {
+		case 0:
+			var raw [8]byte
+			data = data[copy(raw[:], data):]
+			x = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+		case 1:
+			x = prev
+		case 2:
+			x = math.Nextafter(prev, math.Inf(1))
+		case 3:
+			x = math.Nextafter(prev, math.Inf(-1))
+		case 4:
+			x = streamSpecials[int(a)%len(streamSpecials)]
+		case 5:
+			x = a - 16
+		case 6:
+			if len(data) > 0 {
+				a = a*256 + float64(data[0])
+				data = data[1:]
+			}
+			x = a / 8
+		case 7:
+			x = (a - 16) * 1e307
+		}
+		xs = append(xs, x)
+		prev = x
+	}
+	return maxBins, xs
+}
+
+// encodeStream is decodeStream's inverse: grid values (op 6) take two
+// bytes, any other value nine (op 0).
+func encodeStream(maxBins int, xs ...float64) []byte {
+	data := []byte{byte(slices.Index(fuzzMaxBins[:], maxBins))}
+	for _, x := range xs {
+		if v := x * 8; v >= 0 && v < 1<<13 && v == math.Trunc(v) && !math.Signbit(x) {
+			data = append(data, 6|byte(int(v)>>8)<<3, byte(int(v)))
+			continue
+		}
+		data = binary.LittleEndian.AppendUint64(append(data, 0), math.Float64bits(x))
+	}
+	return data
+}
+
+// streamCase is a named encoded stream.
+type streamCase struct {
+	name string
+	data []byte
+}
+
+// streamDistCases are FuzzStreamDist's seeds and
+// TestStreamDistMatchesReference's cases.
+func streamDistCases() []streamCase {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	up := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, inf)
+		}
+		return x
+	}
+	// Equal gaps in a shuffled order: every merge is a tie.
+	var ties []float64
+	for j := 0; j < 64; j++ {
+		ties = append(ties, float64(j*37%64))
+	}
+	cases := []streamCase{
+		{"repeats", encodeStream(3, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 1, 4)},
+		{"ulps", encodeStream(3, 1, up(1, 1), up(1, 3), up(1, 2), 2, up(2, 1), up(1, 1), 0, up(0, 1))},
+		{"zeros", encodeStream(2, 0, negZero, 1, -1, negZero, 0, up(0, 1), -up(0, 1))},
+		{"nan-first", encodeStream(2, nan, 1, nan, 2, 3, nan, 1.5)},
+		{"inf-1", encodeStream(1, inf, -inf, 1, inf, -inf, 0, nan, 5)},
+		{"inf-2", encodeStream(2, -inf, inf, 1, inf, -inf, 0, -inf, 2, inf, 3)},
+		{"inf-3", encodeStream(3, inf, -inf, 1, 2, -inf, inf, 0, negZero, 4, nan, -inf, 5)},
+		{"overflow", encodeStream(2, 1e308, 1.5e308, -1e308, math.MaxFloat64, -math.MaxFloat64, 1.7e308, 0)},
+		{"nan-centers", encodeStream(3, -inf, inf, 5, -inf, inf, 6, 7, -inf, 8, inf, 9)},
+		{"ties-8", encodeStream(8, ties...)},
+	}
+	// A full engine-sized histogram: ~600 distinct values on a grid, then
+	// specials amid them.
+	var grid []float64
+	state := uint64(11)
+	for j := 0; j < 1500; j++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		grid = append(grid, float64(state>>54)/8) // 1024 grid points
+	}
+	specials := append(grid[:400:400], inf, -inf, nan, 1e308, inf, -inf, 0, negZero, 3.25)
+	return append(cases,
+		streamCase{"grid-256", encodeStream(DefaultMaxBins, grid...)},
+		streamCase{"specials-256", encodeStream(DefaultMaxBins, specials...)})
+}
+
+// checkStream feeds one decoded stream to StreamDist and the reference
+// and fails at the first Add after which they differ.
+func checkStream(t *testing.T, data []byte) {
+	t.Helper()
+	maxBins, xs := decodeStream(data)
+	d := NewStreamDist(maxBins)
+	r := &refDist{maxBins: maxBins}
+	for k, x := range xs {
+		d.Add(x)
+		r.Add(x)
+		if diff := diffRef(d, r); diff != "" {
+			t.Fatalf("maxBins %d, after Add #%d (%v): %s", maxBins, k, x, diff)
+		}
+	}
+}
+
+// TestStreamDistMatchesReference: the cached Add leaves the same
+// centroids, bit for bit, as the rescanning reference after every
+// sample, on the fuzz seeds and on long random op streams at every
+// budget.
+func TestStreamDistMatchesReference(t *testing.T) {
+	for _, c := range streamDistCases() {
+		t.Run(c.name, func(t *testing.T) { checkStream(t, c.data) })
+	}
+	rng := rand.New(rand.NewSource(32))
+	for k := range fuzzMaxBins {
+		for rep := 0; rep < 4; rep++ {
+			data := make([]byte, 8192)
+			rng.Read(data)
+			data[0] = byte(k)
+			t.Run(fmt.Sprintf("random-%d-%d", fuzzMaxBins[k], rep), func(t *testing.T) { checkStream(t, data) })
+		}
+	}
+}
+
+// FuzzStreamDist diff-tests StreamDist against the reference on
+// arbitrary value streams: ties, ulp neighbours, ±0, NaN and ±Inf, and
+// the NaN centroids and gaps their merges make.
+func FuzzStreamDist(f *testing.F) {
+	for _, c := range streamDistCases() {
+		f.Add(c.data)
+	}
+	f.Fuzz(checkStream)
 }
