@@ -42,9 +42,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"strconv"
@@ -117,7 +117,7 @@ func withStore(cmd string, args []string, defineFlags func(*flag.FlagSet),
 
 func info(r *telemetry.Reader) error {
 	m := r.Meta()
-	if err := r.Check(); err != nil {
+	if err := r.EachRecord(keepNone); err != nil {
 		return err
 	}
 	n := r.Records()
@@ -161,8 +161,8 @@ func info(r *telemetry.Reader) error {
 func verify(r *telemetry.Reader) error {
 	// The reader is strict (OpenStrict): any damaged, torn or
 	// out-of-place frame — anywhere in the physical file — surfaces as a
-	// hard error from Next, never as a silent truncation.
-	if err := r.Check(); err != nil {
+	// hard error from the walk, never as a silent truncation.
+	if err := r.EachRecord(keepNone); err != nil {
 		return fmt.Errorf("block %d: %w", r.Blocks(), err)
 	}
 	n := r.Records()
@@ -295,17 +295,19 @@ func query(args []string) error {
 	return nil
 }
 
+// keepNone is the record sink of a walk that wants only the reader's
+// totals or its verdict.
+func keepNone(telemetry.Record) error { return nil }
+
+// errFound stops wearer's walk at the wearer it dumped.
+var errFound = errors.New("wearer found")
+
+// wearer dumps one wearer's record. It prints no samples, so it walks
+// the store without building them.
 func wearer(r *telemetry.Reader, w int) error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return fmt.Errorf("wearer %d not in store (%d records)", w, r.Records())
-		}
-		if err != nil {
-			return err
-		}
+	err := r.EachRecord(func(rec telemetry.Record) error {
 		if rec.Wearer != w {
-			continue
+			return nil
 		}
 		fmt.Printf("wearer %d: %d events, %d hub rx bits, hub utilization %.4f, %d nodes\n",
 			rec.Wearer, rec.Events, rec.HubRxBits, rec.HubUtilization, len(rec.Nodes))
@@ -316,6 +318,13 @@ func wearer(r *telemetry.Reader, w int) error {
 				n.ProjectedLife/float64(units.Hour), n.LatencyP50*1e3, n.LatencyP99*1e3,
 				n.Perpetual, n.Died)
 		}
+		return errFound
+	})
+	switch {
+	case err == errFound:
 		return nil
+	case err != nil:
+		return err
 	}
+	return fmt.Errorf("wearer %d not in store (%d records)", w, r.Records())
 }

@@ -486,3 +486,56 @@ func TestCellsColumnsByFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplesDoNotChangeRecordOutput pins that report, cells and wearer
+// read records only: on a -series 1 store they must print exactly what
+// they print on the series-off store of the same coupled sweep.
+func TestSamplesDoNotChangeRecordOutput(t *testing.T) {
+	write := func(series bool) string {
+		f := &fleet.Fleet{
+			Wearers:  40,
+			Seed:     5,
+			Scenario: (&fleet.Generator{Base: fleet.DefaultBase(), BLEFraction: 0.5}).Scenario(),
+			Span:     5 * units.Second,
+			Workers:  2,
+			Coupling: &fleet.Coupling{Cells: 4},
+		}
+		meta := telemetry.Meta{
+			FleetSeed: f.Seed, Wearers: f.Wearers, SpanSeconds: float64(f.Span),
+			Scenario: "series-test;" + f.Coupling.Tag(), BlockSize: 8,
+			Version: telemetry.CreateVersion(series), Cells: f.Coupling.Cells,
+		}
+		if series {
+			f.Series = units.Second
+			meta.SeriesCadenceSeconds = float64(f.Series)
+		}
+		path := filepath.Join(t.TempDir(), "sweep.wtl")
+		store, err := telemetry.Create(path, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Stream(store); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	on, off := write(true), write(false)
+	if code, out := runCLI(t, "info", on); code != 0 || !strings.Contains(out, "series:") {
+		t.Fatalf("info on the series store exited %d without a series line:\n%s", code, out)
+	}
+	for _, args := range [][]string{{"report"}, {"cells"}, {"wearer", "-w", "17"}} {
+		codeOn, outOn := runCLI(t, append(args, on)...)
+		codeOff, outOff := runCLI(t, append(args, off)...)
+		if codeOn != 0 || codeOff != 0 {
+			t.Fatalf("%v exited %d on the series store, %d on the series-off one:\n%s\n%s",
+				args, codeOn, codeOff, outOn, outOff)
+		}
+		if outOn != outOff {
+			t.Errorf("%v prints differently with samples in the store:\n--- series\n%s--- series off\n%s",
+				args, outOn, outOff)
+		}
+	}
+}

@@ -242,10 +242,13 @@ func (a *StreamAggregator) Report() *Report {
 // Replay feeds every committed record of a store into sink, in order, and
 // returns how many it fed — added to the store's first wearer, the index
 // a resumed sweep starts at (a shard store's records begin at
-// Meta.FirstWearer, not 0). Memory stays bounded by one telemetry block.
+// Meta.FirstWearer, not 0). Records arrive with Series nil: the walk
+// (telemetry.Reader.EachRecord) checks every series frame but builds no
+// samples, which no aggregate reads. Memory stays bounded by one
+// telemetry block.
 func Replay(r *telemetry.Reader, sink Sink) (int, error) {
 	n := 0
-	err := r.Each(func(rec telemetry.Record) error {
+	err := r.EachRecord(func(rec telemetry.Record) error {
 		if err := sink.Consume(rec); err != nil {
 			return fmt.Errorf("wearer %d: %w", rec.Wearer, err)
 		}

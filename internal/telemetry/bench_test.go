@@ -52,6 +52,8 @@ func BenchmarkBlockEncode(b *testing.B) {
 	b.ReportMetric(float64(encoded)/(perOp/1e9)/1e6, "MB/s")
 }
 
+// BenchmarkBlockDecode decodes one block with its records built, the
+// way Each reads it.
 func BenchmarkBlockDecode(b *testing.B) {
 	recs := benchRecords(DefaultBlockSize)
 	frame := encodeBlock(nil, &columnBuf{}, recs, CurrentFormat)
@@ -60,12 +62,15 @@ func BenchmarkBlockDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var v bodyView // reused from block to block, as a Reader reuses it
+	v.records.keep, v.children.keep = allColumns, allColumns
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeBlock(body, CurrentFormat); err != nil {
+		if err := recordBlock.project(body, CurrentFormat, 0, -1, &v); err != nil {
 			b.Fatal(err)
 		}
+		recordBlock.rows(&v, nil, CurrentFormat)
 	}
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -122,6 +127,8 @@ func BenchmarkSeriesEncode(b *testing.B) {
 	b.ReportMetric(float64(encoded)/(perOp/1e9)/1e6, "MB/s")
 }
 
+// BenchmarkSeriesDecode decodes one block's series frame with its
+// samples attached, the way Each reads it.
 func BenchmarkSeriesDecode(b *testing.B) {
 	recs := benchSeriesBlock(DefaultBlockSize)
 	points := 0
@@ -135,15 +142,18 @@ func BenchmarkSeriesDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	dst := make([]Record, len(recs))
+	var v bodyView // reused from frame to frame, as a Reader reuses it
+	v.children.keep = allColumns
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range dst {
 			dst[j] = Record{Wearer: recs[j].Wearer}
 		}
-		if err := decodeSeriesBody(body, dst); err != nil {
+		if err := seriesFrame.project(body, FormatV3, dst[0].Wearer, len(dst), &v); err != nil {
 			b.Fatal(err)
 		}
+		seriesFrame.rows(&v, dst, FormatV3)
 	}
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

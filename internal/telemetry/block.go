@@ -99,7 +99,7 @@ var recordBlock = nestedBody[NodeRecord]{
 }
 
 // recordCellColumn is the position of the cell column in
-// recordBlock.records: a query that filters on cell projects it.
+// recordBlock.records, which every walk keeps for the index entry.
 const recordCellColumn = 3
 
 // encodeBlock encodes recs (consecutive wearers) as a block frame laid
@@ -114,12 +114,6 @@ func encodeBlock(dst []byte, buf *columnBuf, recs []Record, version int) []byte 
 		dst = compress.AppendUvarint(dst, kindRecords)
 	}
 	return closeFrame(recordBlock.append(dst, buf, recs, version), start)
-}
-
-// decodeBlock inverts encodeBlock on a verified payload, under the
-// column layout of the given format version.
-func decodeBlock(payload []byte, version int) ([]Record, error) {
-	return recordBlock.decode(payload, nil, version)
 }
 
 // readHeaderFile reads and verifies the header at the start of f —

@@ -134,48 +134,49 @@ func appendColumns[R any](dst []byte, buf *columnBuf, n int, cols []column[R], v
 	return dst
 }
 
-// projection is a decode that builds no rows and keeps only some
-// columns' values, yet checks every column exactly as strictly as
-// building the rows would: it skips each varint column's bytes —
-// SkipUvarints accepts exactly the streams the decoders accept — and
-// each flag column's by its length, except the varint columns keep
-// selects (bit i for column i of the table). Those it decodes into
-// ints[i] (the integer codecs) or floats[i] (xorCodec), reusing the
-// slices from decode to decode. The zero projection keeps nothing: a
-// check-only decode.
+// projection is what one decode of a column table keeps: the columns
+// keep selects (bit i for column i) decode into ints[i], floats[i]
+// (xorCodec) or flags[i] (flagCodec), reused from decode to decode.
+// Every other column is checked exactly as strictly, not decoded:
+// SkipUvarints accepts exactly the streams the decoders accept, and a
+// flag column is checked by its length.
 type projection struct {
 	keep   uint64
 	ints   [][]int64
 	floats [][]float64
+	flags  [][]bool
 }
+
+// allColumns keeps every column of a table.
+const allColumns = ^uint64(0)
 
 // fit sizes column i's buffer of codec c, in a table of ncols, to n
-// values and returns both buffers of the column.
-func (p *projection) fit(i, ncols, n int, c codec) ([]int64, []float64) {
+// values.
+func (p *projection) fit(i, ncols, n int, c codec) {
 	if len(p.ints) < ncols {
-		p.ints, p.floats = make([][]int64, ncols), make([][]float64, ncols)
+		p.ints, p.floats, p.flags = make([][]int64, ncols), make([][]float64, ncols), make([][]bool, ncols)
 	}
-	if c == xorCodec {
+	switch c {
+	case xorCodec:
 		p.floats[i] = fitSlice(p.floats[i], n)
-	} else {
+	case flagCodec:
+		p.flags[i] = fitSlice(p.flags[i], n)
+	default:
 		p.ints[i] = fitSlice(p.ints[i], n)
 	}
-	return p.ints[i], p.floats[i]
 }
 
-// decodeColumns inverts appendColumns for n rows and returns the bytes
-// consumed. With p nil it sets each decoded value into rows (len n);
-// otherwise it builds no rows (rows may be nil) and decodes only the
-// columns p keeps.
-func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []column[R], version int,
-	p *projection) (int, error) {
-	if p == nil {
-		buf.fit(n)
-	}
+// decodeColumns inverts appendColumns for n rows into p, decoding the
+// columns p keeps and checking the rest, and returns the bytes consumed.
+func decodeColumns[R any](src []byte, n int, cols []column[R], version int, p *projection) (int, error) {
 	pos := 0
 	for ci, c := range cols {
 		if c.since > version {
 			continue
+		}
+		kept := p.keep&(1<<ci) != 0
+		if kept {
+			p.fit(ci, len(cols), n, c.codec)
 		}
 		var used int
 		var err error
@@ -185,14 +186,11 @@ func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []co
 			if pos+used > len(src) {
 				return 0, fmt.Errorf("%w: truncated flag column %d", ErrCorrupt, ci)
 			}
-			if p == nil {
-				err = compress.UnpackBools(src[pos:pos+used], buf.flags)
+			if kept {
+				err = compress.UnpackBools(src[pos:pos+used], p.flags[ci])
 			}
-		case p == nil:
-			used, err = c.codec.decode(src[pos:], buf.vals, buf.floats)
-		case p.keep&(1<<ci) != 0:
-			ints, floats := p.fit(ci, len(cols), n, c.codec)
-			used, err = c.codec.decode(src[pos:], ints, floats)
+		case kept:
+			used, err = c.codec.decode(src[pos:], p.ints[ci], p.floats[ci])
 		default:
 			used, err = compress.SkipUvarints(src[pos:], n)
 		}
@@ -200,25 +198,32 @@ func decodeColumns[R any](src []byte, buf *columnBuf, n int, rows []R, cols []co
 			return 0, fmt.Errorf("%w: column %d: %v", ErrCorrupt, ci, err)
 		}
 		pos += used
-		if p != nil {
+	}
+	return pos, nil
+}
+
+// setColumns is the row step: it sets every column p kept into rows.
+func setColumns[R any](rows []R, cols []column[R], version int, p *projection) {
+	for ci := range cols {
+		c := &cols[ci]
+		if c.since > version || p.keep&(1<<ci) == 0 {
 			continue
 		}
 		switch c.codec {
 		case xorCodec:
-			for i, f := range buf.floats {
+			for i, f := range p.floats[ci] {
 				c.set(&rows[i], floatBits(f))
 			}
 		case flagCodec:
-			for i, b := range buf.flags {
+			for i, b := range p.flags[ci] {
 				c.set(&rows[i], flagBit(b))
 			}
 		default:
-			for i, v := range buf.vals {
+			for i, v := range p.ints[ci] {
 				c.set(&rows[i], v)
 			}
 		}
 	}
-	return pos, nil
 }
 
 // nestedBody is the layout of a frame whose wearer records each own a run
@@ -267,11 +272,10 @@ func (b *nestedBody[C]) append(dst []byte, buf *columnBuf, recs []Record, versio
 	})
 }
 
-// bodyView is what a decode of a nested body keeps besides rows: the
-// header's first wearer and the per-record child counts, which every
-// decode reads in full, and — for a projected decode — the values its
-// record and child projections keep. A caller that passes the same view
-// from body to body reuses its buffers.
+// bodyView is what a decode of a nested body keeps: the header's first
+// wearer and the per-record child counts, which every decode reads in
+// full, and the values its record and child projections keep. A caller
+// that passes the same view from body to body reuses its buffers.
 type bodyView struct {
 	first    int
 	counts   []int64
@@ -330,69 +334,21 @@ func (b *nestedBody[C]) readHead(src []byte, version, pairFirst, pairN int, v *b
 	return pos, nil
 }
 
-// decode inverts append on a verified body. With recs nil it builds the
-// records the header names (a record block: wearers numbered from the
-// header, cell −1 until a cell column says otherwise, since v0 stores
-// predate spectrum coupling); otherwise recs must be exactly the records
-// the header names (a series frame attaching to its paired block). The
-// children attach to the records only once the whole body decodes.
-func (b *nestedBody[C]) decode(src []byte, recs []Record, version int) ([]Record, error) {
-	pairN := -1
-	if recs != nil {
-		pairN = len(recs)
-	}
-	var v bodyView
-	pos, err := b.readHead(src, version, firstWearerOf(recs), pairN, &v)
-	if err != nil {
-		return nil, err
-	}
-	count := len(v.counts)
-	if recs == nil {
-		recs = make([]Record, count)
-		for i := range recs {
-			recs[i] = Record{Wearer: v.first + i, Cell: -1}
-		}
-	}
-	var buf columnBuf
-	buf.fit(max(count, v.total)) // the longest column, so later fits only reslice
-	used, err := decodeColumns(src[pos:], &buf, count, recs, b.records, version, nil)
-	if err != nil {
-		return nil, err
-	}
-	pos += used
-	kids := make([]C, v.total)
-	if used, err = decodeColumns(src[pos:], &buf, v.total, kids, b.children, version, nil); err != nil {
-		return nil, err
-	}
-	pos += used
-	if pos != len(src) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(src)-pos)
-	}
-	off := 0
-	for i := range recs {
-		nc := int(v.counts[i])
-		*b.childrenOf(&recs[i]) = kids[off : off+nc : off+nc]
-		off += nc
-	}
-	return recs, nil
-}
-
-// project checks src exactly as strictly as decode — header, pairing
-// (pairN as in readHead), the minColumnsLen bound, child counts, every
-// column, no trailing bytes — but builds no rows: it leaves the header
-// and child counts in v, and the values of the record and child columns
-// v's projections keep.
+// project is the one decode of a body append wrote: it checks the
+// header, pairing (pairN as in readHead), child counts, every column and
+// that no bytes trail, and leaves in v the header, the child counts and
+// the columns v's projections keep.
 func (b *nestedBody[C]) project(src []byte, version, pairFirst, pairN int, v *bodyView) error {
 	pos, err := b.readHead(src, version, pairFirst, pairN, v)
 	if err != nil {
 		return err
 	}
-	used, err := decodeColumns[Record](src[pos:], nil, len(v.counts), nil, b.records, version, &v.records)
+	used, err := decodeColumns(src[pos:], len(v.counts), b.records, version, &v.records)
 	if err != nil {
 		return err
 	}
 	pos += used
-	if used, err = decodeColumns[C](src[pos:], nil, v.total, nil, b.children, version, &v.children); err != nil {
+	if used, err = decodeColumns(src[pos:], v.total, b.children, version, &v.children); err != nil {
 		return err
 	}
 	pos += used
@@ -402,10 +358,24 @@ func (b *nestedBody[C]) project(src []byte, version, pairFirst, pairN int, v *bo
 	return nil
 }
 
-// firstWearerOf is a nil-safe first wearer of recs, -1 when empty.
-func firstWearerOf(recs []Record) int {
-	if len(recs) == 0 {
-		return -1
+// rows builds rows from the columns a project into v kept: the records
+// the header names when recs is nil (cell −1 unless a cell column sets
+// it, as v0 stores have none), then the children, attached to recs.
+func (b *nestedBody[C]) rows(v *bodyView, recs []Record, version int) []Record {
+	if recs == nil {
+		recs = make([]Record, len(v.counts))
+		for i := range recs {
+			recs[i] = Record{Wearer: v.first + i, Cell: -1}
+		}
 	}
-	return recs[0].Wearer
+	setColumns(recs, b.records, version, &v.records)
+	kids := make([]C, v.total)
+	setColumns(kids, b.children, version, &v.children)
+	off := 0
+	for i := range recs {
+		nc := int(v.counts[i])
+		*b.childrenOf(&recs[i]) = kids[off : off+nc : off+nc]
+		off += nc
+	}
+	return recs
 }

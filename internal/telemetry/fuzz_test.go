@@ -119,11 +119,12 @@ func shardSeriesStoreBytes(f *testing.F) []byte {
 }
 
 // FuzzReader throws corrupted, truncated and adversarial byte streams at
-// both reader modes (checkpoint-less Open and OpenStrict) and at the
-// Resume scan fallback. The contract under fuzz: never panic, never
-// allocate unboundedly from forged headers, and always terminate — a
-// damaged stream must end in a clean error or a truncation, not an
-// over-read.
+// both reader modes (checkpoint-less Open and OpenStrict), under every
+// consumer's mask, and at the Resume scan fallback. The contract under
+// fuzz: never panic, never allocate unboundedly from forged headers,
+// always terminate — a damaged stream must end in a clean error or a
+// truncation, not an over-read — and reach one verdict whatever a walk
+// decodes.
 func FuzzReader(f *testing.F) {
 	valid := storeBytes(f, CurrentFormat)
 	f.Add(valid)
@@ -176,33 +177,80 @@ func FuzzReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		// No sidecar exists, so Open exercises the truncation-scan path
-		// and OpenStrict the hard-error path.
+		// and OpenStrict the hard-error path. Under each, Each, EachRecord
+		// and the walk under a query's mask must reach the same verdict,
+		// totals and index entries: a mask chooses what is decoded, never
+		// what is checked.
 		var meta Meta
+		col := []int{seriesQueueColumn, seriesChargeColumn, seriesPERColumn, seriesCollisionsColumn}[len(data)%4]
 		for _, open := range []func(string) (*Reader, error){Open, OpenStrict} {
 			r, err := open(path)
 			if err != nil {
 				continue
 			}
 			meta = r.Meta()
-			records := 0
-			first := r.Meta().FirstWearer // shard stores start past wearer 0
-			for {
-				rec, err := r.Next()
-				if err == io.EOF || (err != nil) {
-					break
+			first := meta.FirstWearer // shard stores start past wearer 0
+			var full []Record
+			fullErr := r.Each(func(rec Record) error {
+				if rec.Wearer != first+len(full) {
+					t.Fatalf("reader emitted wearer %d at position %d (range starts at %d)", rec.Wearer, len(full), first)
 				}
-				if rec.Wearer != first+records {
-					t.Fatalf("reader emitted wearer %d at position %d (range starts at %d)", rec.Wearer, records, first)
+				rec.Nodes, rec.Series = slices.Clone(rec.Nodes), nil
+				full = append(full, rec)
+				if len(full) > len(data) {
+					t.Fatalf("decoded %d records from %d bytes — over-read", len(full), len(data))
 				}
-				records++
-				if records > len(data) {
-					t.Fatalf("decoded %d records from %d bytes — over-read", records, len(data))
-				}
-			}
-			if r.Records() != records {
-				t.Fatalf("Records() = %d after %d emitted", r.Records(), records)
+				return nil
+			})
+			if r.Records() != len(full) {
+				t.Fatalf("Records() = %d after %d emitted", r.Records(), len(full))
 			}
 			r.Close()
+
+			rr, err := open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs []Record
+			recsErr := rr.EachRecord(func(rec Record) error {
+				if rec.Series != nil {
+					t.Fatalf("EachRecord handed wearer %d with %d samples", rec.Wearer, len(rec.Series))
+				}
+				rec.Nodes = slices.Clone(rec.Nodes)
+				recs = append(recs, rec)
+				return nil
+			})
+			rr.Close()
+			if !sameBits(reflect.ValueOf(recs), reflect.ValueOf(full)) {
+				t.Fatalf("EachRecord yielded %d records unlike Each's %d with Series nil", len(recs), len(full))
+			}
+
+			rq, err := open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queryErr := walk(rq, mask{points: 1<<seriesNodeColumn | 1<<col})
+			rq.Close()
+
+			for _, c := range []struct {
+				name string
+				r    *Reader
+				err  error
+			}{{"EachRecord", rr, recsErr}, {"query mask", rq, queryErr}} {
+				if (c.err == nil) != (fullErr == nil) || c.r.Truncated() != r.Truncated() {
+					t.Fatalf("%s: error %v, truncated %t; Each: error %v, truncated %t",
+						c.name, c.err, c.r.Truncated(), fullErr, r.Truncated())
+				}
+				if c.r.Blocks() != r.Blocks() || c.r.Records() != r.Records() ||
+					c.r.SeriesPoints() != r.SeriesPoints() || c.r.RawBytes() != r.RawBytes() {
+					t.Fatalf("%s totals %d blocks, %d records, %d points, %d raw bytes; Each %d, %d, %d, %d",
+						c.name, c.r.Blocks(), c.r.Records(), c.r.SeriesPoints(), c.r.RawBytes(),
+						r.Blocks(), r.Records(), r.SeriesPoints(), r.RawBytes())
+				}
+				if !slices.Equal(c.r.entries, r.entries) {
+					t.Fatalf("%s collected index entries %+v; Each %+v", c.name, c.r.entries, r.entries)
+				}
+			}
 		}
 		// The Resume scan fallback, continuing the sweep the header
 		// describes, truncates to the verifiable prefix; it must do so
@@ -225,13 +273,98 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// walk drains r under m, building whatever m builds and handing it to no
+// one, and returns the walk's verdict.
+func walk(r *Reader, m mask) error {
+	for {
+		if err := r.advance(m); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// refDecode is the reference the single decode (project, then rows) is
+// held to: the column-at-a-time decoder it replaced. It builds the
+// records the body's header names, with the children attached; pairN
+// and pairFirst are readHead's (a series body pairs with its block).
+func refDecode[C any](b *nestedBody[C], src []byte, version, pairFirst, pairN int) ([]Record, error) {
+	var v bodyView
+	pos, err := b.readHead(src, version, pairFirst, pairN, &v)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]Record, len(v.counts))
+	for i := range recs {
+		recs[i] = Record{Wearer: v.first + i, Cell: -1}
+	}
+	used, err := refColumns(src[pos:], recs, b.records, version)
+	if err != nil {
+		return nil, err
+	}
+	pos += used
+	kids := make([]C, v.total)
+	if used, err = refColumns(src[pos:], kids, b.children, version); err != nil {
+		return nil, err
+	}
+	if pos += used; pos != len(src) {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(src)-pos)
+	}
+	for i := range recs {
+		n := int(v.counts[i])
+		*b.childrenOf(&recs[i]), kids = kids[:n:n], kids[n:]
+	}
+	return recs, nil
+}
+
+// refColumns decodes every column of cols present in version, one at a
+// time through a columnBuf, setting each value into rows, and returns
+// the bytes consumed.
+func refColumns[R any](src []byte, rows []R, cols []column[R], version int) (int, error) {
+	var buf columnBuf
+	buf.fit(len(rows))
+	pos := 0
+	for ci, c := range cols {
+		if c.since > version {
+			continue
+		}
+		used, err := compress.PackedBoolLen(len(rows)), error(nil)
+		switch {
+		case c.codec != flagCodec:
+			used, err = c.codec.decode(src[pos:], buf.vals, buf.floats)
+		case pos+used > len(src):
+			err = errors.New("truncated flag column")
+		default:
+			err = compress.UnpackBools(src[pos:pos+used], buf.flags)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %d: %v", ErrCorrupt, ci, err)
+		}
+		pos += used
+		for i := range rows {
+			v := buf.vals[i]
+			switch c.codec {
+			case xorCodec:
+				v = floatBits(buf.floats[i])
+			case flagCodec:
+				v = flagBit(buf.flags[i])
+			}
+			c.set(&rows[i], v)
+		}
+	}
+	return pos, nil
+}
+
 // FuzzSeriesBlock drives the series-column codec both ways: bytes are
 // first interpreted as sample parameters for an encode→decode round trip
 // (every surviving point must come back bit-identical, NaN markers
 // included), then thrown raw at the decoder as an adversarial frame body
 // — which must reject or terminate cleanly without panicking or
-// allocating unboundedly from forged headers, and which every projected
-// decode must refuse exactly when the full decode does.
+// allocating unboundedly from forged headers. Both ways, the single
+// decode under every mask must refuse exactly what the reference decoder
+// refuses and keep its values bit for bit.
 func FuzzSeriesBlock(f *testing.F) {
 	mk := func(n int) []byte {
 		recs := make([]Record, n)
@@ -289,11 +422,8 @@ func FuzzSeriesBlock(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back := make([]Record, len(recs))
-		for i := range back {
-			back[i].Wearer = recs[i].Wearer
-		}
-		if err := decodeSeriesBody(body, back); err != nil {
+		back, err := seriesProjections(t, body, recs[0].Wearer, len(recs))
+		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 		for i := range recs {
@@ -302,67 +432,84 @@ func FuzzSeriesBlock(f *testing.F) {
 			}
 		}
 
-		seriesProjections(t, body, recs[0].Wearer, len(recs))
-
 		// Direction 2: data is a raw adversarial body. Any outcome but a
 		// panic or an over-read is acceptable; on (unlikely) success the
 		// attached points must be bounded by what the bytes could hold.
-		if pts, err := seriesProjections(t, data, 0, 4); err == nil && 6*len(pts) > len(data) {
-			t.Fatalf("decoded %d points from %d bytes — over-read", len(pts), len(data))
+		if got, err := seriesProjections(t, data, 0, 4); err == nil {
+			pts := 0
+			for i := range got {
+				pts += len(got[i].Series)
+			}
+			if 6*pts > len(data) {
+				t.Fatalf("decoded %d points from %d bytes — over-read", pts, len(data))
+			}
 		}
 	})
 }
 
-// seriesProjections decodes body in full as the series frame of the n
-// records from wearer first, and returns the points it built, laid end
-// to end, and its error. Every projection a reader runs on such a body —
-// the time column alone (checkSeriesBody: Resume, Check and a merge
-// splice) and the node, time and metric columns of each query metric —
-// must refuse it exactly when the full decode does, and otherwise keep
-// the full decode's values bit for bit.
-func seriesProjections(t *testing.T, body []byte, first, n int) ([]SeriesPoint, error) {
+// seriesProjections decodes body as the series frame of the n records
+// from wearer first, under every mask a walk puts on series frames — the
+// time column alone (EachRecord, Resume and the merge), the node, time
+// and metric columns of each query metric, and every column with the
+// samples attached (Each, and the merge's re-encoded pairs) — reusing
+// one view as readers do. Each must refuse body exactly when refDecode
+// does, and otherwise keep refDecode's values bit for bit. It returns
+// the records with the samples the single decode attached, and its error.
+func seriesProjections(t *testing.T, body []byte, first, n int) ([]Record, error) {
 	t.Helper()
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i].Wearer = first + i
+	fresh := func() []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i].Wearer = first + i
+		}
+		return recs
 	}
-	err := decodeSeriesBody(body, recs)
+	want, err := refDecode(&seriesFrame, body, FormatV3, first, n)
 	var pts []SeriesPoint
-	for i := range recs {
-		pts = append(pts, recs[i].Series...)
+	for i := range want {
+		pts = append(pts, want[i].Series...)
 	}
-	var v bodyView // reused from projection to projection, as readers reuse it
-	span, checkErr := checkSeriesBody(body, recs, &v)
-	if (err == nil) != (checkErr == nil) {
-		t.Fatalf("full decode error %v, check-only decode error %v", err, checkErr)
-	}
-	if want := entryFor(0, 0, recs).timeSpan; err == nil && span != want {
-		t.Fatalf("check-only decode spans %+v, built points span %+v", span, want)
-	}
+	var v bodyView
+	keeps := []uint64{1 << seriesTimeColumn}
 	for _, col := range []int{seriesQueueColumn, seriesChargeColumn, seriesPERColumn, seriesCollisionsColumn} {
-		v.children.keep = 1<<seriesNodeColumn | 1<<seriesTimeColumn | 1<<col
+		keeps = append(keeps, 1<<seriesNodeColumn|1<<seriesTimeColumn|1<<col)
+	}
+	for _, keep := range append(keeps, allColumns) {
+		v.children.keep = keep
 		perr := seriesFrame.project(body, FormatV3, first, n, &v)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("column %d: full decode error %v, projected decode error %v", col, err, perr)
+			t.Fatalf("keep %#x: reference decode error %v, single decode error %v", keep, err, perr)
 		}
 		if err == nil {
-			checkSeriesProjection(t, &v, recs, pts, col)
+			checkSeriesProjection(t, &v, want, pts)
 		}
 	}
-	return pts, err
+	if err != nil {
+		return nil, err
+	}
+	got := seriesFrame.rows(&v, fresh(), FormatV3)
+	for i := range got {
+		if !sameBits(reflect.ValueOf(got[i].Series), reflect.ValueOf(want[i].Series)) {
+			t.Fatalf("record %d: single decode built %+v, reference decode %+v", i, got[i].Series, want[i].Series)
+		}
+	}
+	return got, nil
 }
 
-// checkSeriesProjection compares what a projected series decode kept in
-// v — the child counts and the node, time and col columns — with the
-// points a full decode attached to recs, pts being those laid end to end.
-func checkSeriesProjection(t *testing.T, v *bodyView, recs []Record, pts []SeriesPoint, col int) {
+// checkSeriesProjection compares what a series decode kept in v — the
+// child counts and every column it keeps — with the points a reference
+// decode attached to recs, pts being those laid end to end.
+func checkSeriesProjection(t *testing.T, v *bodyView, recs []Record, pts []SeriesPoint) {
 	t.Helper()
 	for i := range recs {
 		if int(v.counts[i]) != len(recs[i].Series) {
-			t.Fatalf("record %d: projected %d points, full decode %d", i, v.counts[i], len(recs[i].Series))
+			t.Fatalf("record %d: single decode %d points, reference %d", i, v.counts[i], len(recs[i].Series))
 		}
 	}
-	for _, c := range []int{seriesNodeColumn, seriesTimeColumn, col} {
+	for c := range seriesFrame.children {
+		if v.children.keep&(1<<c) == 0 {
+			continue
+		}
 		kept := v.children.ints[c]
 		if seriesFrame.children[c].codec == xorCodec {
 			kept = make([]int64, len(v.children.floats[c]))
@@ -371,11 +518,11 @@ func checkSeriesProjection(t *testing.T, v *bodyView, recs []Record, pts []Serie
 			}
 		}
 		if len(kept) != len(pts) {
-			t.Fatalf("column %d: projected %d values, full decode %d points", c, len(kept), len(pts))
+			t.Fatalf("column %d: single decode %d values, reference %d points", c, len(kept), len(pts))
 		}
 		for k := range pts {
 			if want := seriesFrame.children[c].get(&pts[k]); kept[k] != want {
-				t.Fatalf("column %d, point %d: projected %#x, full decode %#x", c, k, kept[k], want)
+				t.Fatalf("column %d, point %d: single decode %#x, reference %#x", c, k, kept[k], want)
 			}
 		}
 	}
@@ -452,7 +599,7 @@ func fuzzRecords(data []byte, version int) []Record {
 }
 
 // blockBody encodes recs as a record block and strips the framing and
-// kind selector, leaving the body decodeBlock reads.
+// kind selector, leaving the body the pair step projects.
 func blockBody(tb testing.TB, recs []Record, version int) []byte {
 	frame := encodeBlock(nil, &columnBuf{}, recs, version)
 	_, body, err := splitKind(frame[8:len(frame)-4], version)
@@ -467,8 +614,9 @@ func blockBody(tb testing.TB, recs []Record, version int) []byte {
 // encode→decode round trip (every field must come back bit-identical,
 // float bits included), then thrown raw at the decoder as an adversarial
 // block body — which must reject or terminate cleanly without panicking
-// or allocating from a forged header, and which every projected decode
-// must refuse exactly when the full decode does.
+// or allocating from a forged header. Both ways, the single decode under
+// every mask must refuse exactly what the reference decoder refuses and
+// keep its values bit for bit.
 func FuzzRecordBlock(f *testing.F) {
 	for v := FormatV0; v <= FormatV3; v++ {
 		f.Add(blockBody(f, fuzzRecords([]byte{byte(v), 0x80, 0x7f, 0xff}, v), v))
@@ -528,39 +676,48 @@ func FuzzRecordBlock(f *testing.F) {
 	})
 }
 
-// recordProjections decodes body in full as a record block of format
-// version and returns what that built and its error. The projections a
-// query runs on record frames — check only, or the cell column too —
-// must refuse body exactly when the full decode does, and otherwise keep
-// its wearers, node counts and cells.
+// recordProjections decodes body as a record block of format version
+// under every mask a walk puts on record frames — the cell column alone
+// (a query) and every column with rows built (Each, EachRecord, the
+// merge) — reusing one view as readers do. Each must refuse body exactly
+// when refDecode does, and otherwise keep refDecode's wearers, node
+// counts and values bit for bit. It returns the records the single
+// decode built, and its error.
 func recordProjections(t *testing.T, body []byte, version int) ([]Record, error) {
 	t.Helper()
-	got, err := decodeBlock(body, version)
+	want, err := refDecode(&recordBlock, body, version, 0, -1)
 	var v bodyView
-	for _, keep := range []uint64{0, 1 << recordCellColumn} {
-		v.records.keep = keep
+	for _, m := range []mask{{records: 1 << recordCellColumn}, recordColumns} {
+		v.records.keep, v.children.keep = m.records, m.nodes
 		perr := recordBlock.project(body, version, 0, -1, &v)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("v%d keep %#x: full decode error %v, projected decode error %v", version, keep, err, perr)
+			t.Fatalf("v%d mask %+v: reference decode error %v, single decode error %v", version, m, err, perr)
 		}
 		if err != nil {
 			continue
 		}
-		if v.first != got[0].Wearer || len(v.counts) != len(got) {
-			t.Fatalf("v%d: projected wearers [%d,+%d), full decode [%d,+%d)",
-				version, v.first, len(v.counts), got[0].Wearer, len(got))
+		if v.first != want[0].Wearer || len(v.counts) != len(want) {
+			t.Fatalf("v%d: single decode wearers [%d,+%d), reference [%d,+%d)",
+				version, v.first, len(v.counts), want[0].Wearer, len(want))
 		}
-		for i := range got {
-			if int(v.counts[i]) != len(got[i].Nodes) {
-				t.Fatalf("v%d record %d: projected %d nodes, full decode %d", version, i, v.counts[i], len(got[i].Nodes))
+		for i := range want {
+			if int(v.counts[i]) != len(want[i].Nodes) {
+				t.Fatalf("v%d record %d: single decode %d nodes, reference %d", version, i, v.counts[i], len(want[i].Nodes))
 			}
-			if keep != 0 && version >= FormatV1 && int(v.records.ints[recordCellColumn][i]) != got[i].Cell {
-				t.Fatalf("v%d record %d: projected cell %d, full decode %d",
-					version, i, v.records.ints[recordCellColumn][i], got[i].Cell)
+			if version >= FormatV1 && int(v.records.ints[recordCellColumn][i]) != want[i].Cell {
+				t.Fatalf("v%d record %d: single decode cell %d, reference %d",
+					version, i, v.records.ints[recordCellColumn][i], want[i].Cell)
 			}
 		}
 	}
-	return got, err
+	if err != nil {
+		return nil, err
+	}
+	got := recordBlock.rows(&v, nil, version)
+	if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("v%d: single decode built %+v, reference decode %+v", version, got, want)
+	}
+	return got, nil
 }
 
 // FuzzResumeCheckpoint throws corrupted, truncated and adversarial

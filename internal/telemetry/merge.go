@@ -16,23 +16,16 @@ import (
 // sidecar included.
 //
 // Most pairs are copied, not rebuilt. Writers cut blocks on the absolute
-// wearer grid (Writer.Consume), and every codec is deterministic, so a
-// shard pair that starts on the grid, where the merged writer has
-// nothing buffered, and holds a full block or the population's tail
-// (Writer.onGrid), is byte for byte the pair the single writer commits
-// there. The shard Reader checks such a pair exactly as strictly as any
-// other — CRCs, kinds, wearer contiguity, record/series pairing, body
-// headers, child counts, every column's varints, no trailing bytes — but
-// builds no series samples, keeping only their count and time range for
-// the index entry, and the merged writer appends the verified bytes
-// unchanged (Writer.splice). Every other pair — the short blocks either
-// side of a seam that falls off the grid, and frames an older writer cut
-// at FirstWearer+k·BlockSize — is decoded, samples included, and
-// re-encoded through Writer.Consume, which re-cuts them at the merged
-// boundaries. The rule is "splice on-grid pairs, re-encode the rest". A
-// pair is trusted as far as the Reader trusts it: bytes no writer
-// produces that still pass every check, such as a varint padded with a
-// redundant continuation byte, are copied as they are.
+// wearer grid (Writer.Consume) and every codec is deterministic, so a
+// verified shard pair holding the block the merged writer cuts next
+// (Writer.onGrid) is byte for byte the pair it would commit, and is
+// copied unchanged (Writer.splice). Every other pair — the short blocks
+// either side of a seam off the grid, and frames an older writer cut at
+// FirstWearer+k·BlockSize — is re-encoded through Writer.Consume, which
+// re-cuts it at the merged boundaries. A pair is trusted as far as the
+// Reader trusts it: bytes no writer produces that still pass every
+// check, such as a varint padded with a redundant continuation byte, are
+// copied as they are.
 
 // Committed reports a store's durable extent — its meta, the
 // checkpoint-covered byte length, and the next wearer index — without
@@ -146,28 +139,36 @@ func MergeShards(dst string, paths []string, sink func(Record) error) (int, int6
 	return blocks, st.Size(), nil
 }
 
-// copyShard walks one shard's pairs into the merged writer and its
-// records into sink. A pair the writer takes unchanged (onGrid) is
-// spliced; any other pair's records, series attached, go through Consume,
-// which copies nodes and series into the writer's arenas, so the borrowed
-// decode buffers never outlive the pair they came from even though the
+// copyShard walks one shard under the records-only mask, which checks
+// every pair exactly as strictly as any read but decodes of its series
+// frame only the time column, and hands the records to sink. A pair
+// onGrid accepts is spliced; any other pair has its samples decoded from
+// the series body the walk already read, and its records go through
+// Consume, which copies nodes and series into the writer's arenas, so
+// the borrowed decode buffers never outlive their pair even though the
 // merged writer buffers records across shard boundaries.
 func copyShard(r *Reader, w *Writer, sink func(Record) error) error {
-	r.splice = w.onGrid
 	for {
-		if err := r.advance(); err != nil {
+		if err := r.advance(recordColumns); err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		if r.spliced {
-			if err := w.splice(r.frames, r.entries[len(r.entries)-1]); err != nil {
+		e := r.entries[len(r.entries)-1]
+		spliced := w.onGrid(e.firstWearer, e.records)
+		if spliced {
+			if err := w.splice(r.frames, e); err != nil {
 				return err
 			}
+		} else if r.meta.Series() {
+			if err := r.decodeSeries(allColumns); err != nil {
+				return err
+			}
+			seriesFrame.rows(&r.ser, r.block, FormatV3)
 		}
 		for _, rec := range r.block {
-			if !r.spliced {
+			if !spliced {
 				if err := w.Consume(rec); err != nil {
 					return err
 				}

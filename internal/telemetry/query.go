@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 )
@@ -125,16 +126,11 @@ func (s *SeriesStats) Percentile(pct float64) float64 {
 	return s.values[idx]
 }
 
-// foldPair folds the samples of one projected record+series pair that
-// q selects: rec is the record frame's view, holding the cell column
-// when q filters on cell, and ser the series frame's, holding the node
-// and time columns and the metric column col. Samples are visited in
-// (record, point) order, the order they were written in.
+// foldPair folds the samples q selects from a pair decoded under q's
+// mask: rec and ser are its views, ser holding the metric column col.
+// Samples are visited in the order they were written in.
 func (s *SeriesStats) foldPair(q *Query, col int, rec, ser *bodyView) {
-	var cells []int64
-	if q.Cell >= 0 {
-		cells = rec.records.ints[recordCellColumn]
-	}
+	cells := rec.records.ints[recordCellColumn]
 	nodes := ser.children.ints[seriesNodeColumn]
 	times := ser.children.ints[seriesTimeColumn]
 	ints, floats := ser.children.ints[col], ser.children.floats[col]
@@ -164,14 +160,12 @@ func (s *SeriesStats) foldPair(q *Query, col int, rec, ser *bodyView) {
 
 // QueryStore aggregates the series samples of the store at path that
 // match q. It reads only the record+series pairs whose index entry
-// overlaps the predicate, and of each only what the query needs: the
-// series frame's node, time and metric columns, and the record frame's
-// cell column when q filters on cell. Every other column is checked as
-// strictly as a full decode would check it, but not decoded, and no
-// Record or SeriesPoint is built. The index is the trailing frame of a
-// completely written store; without it (a killed run not yet resumed) a
-// check-only walk of the committed prefix (Reader.Check) rebuilds the
-// entries first, so both paths fold the same samples in the same order.
+// admits the predicate, each under a mask that keeps the cell, node,
+// time and metric columns, checks the rest as strictly, and builds no
+// rows. The index is the trailing frame of a completely written store;
+// without it (a killed run not yet resumed) the walk of the committed
+// prefix folds each pair its fresh entry admits, so both paths fold the
+// same samples in the same order.
 func QueryStore(path string, q Query) (*SeriesStats, error) {
 	col, err := q.column()
 	if err != nil {
@@ -186,49 +180,32 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 		return nil, fmt.Errorf("telemetry: store %s (format v%d) holds no series samples; re-run the sweep with a series cadence",
 			path, r.meta.Version)
 	}
+	m := mask{points: 1<<seriesNodeColumn | 1<<col}
+	stats := &SeriesStats{}
 	entries, ok := r.loadIndex()
 	if !ok {
-		if err := r.Check(); err != nil {
-			return nil, fmt.Errorf("telemetry: query: %w", err)
+		for {
+			if err := r.advance(m); err == io.EOF {
+				return stats, nil
+			} else if err != nil {
+				return nil, fmt.Errorf("telemetry: query: %w", err)
+			}
+			if q.admits(&r.entries[len(r.entries)-1]) {
+				stats.foldPair(&q, col, &r.rec, &r.ser)
+			}
 		}
-		entries = r.entries
 	}
-	var rec, ser bodyView
-	if q.Cell >= 0 {
-		rec.records.keep = 1 << recordCellColumn
-	}
-	ser.children.keep = 1<<seriesNodeColumn | 1<<seriesTimeColumn | 1<<col
-	var frame []byte
-	stats := &SeriesStats{}
 	for i := range entries {
 		e := &entries[i]
 		if !q.admits(e) {
 			continue
 		}
-		if frame, err = r.projectPair(frame, e, &rec, &ser); err != nil {
+		if _, err := r.nextBlock(e.recOffset, e.firstWearer, m); err != nil {
 			return nil, fmt.Errorf("telemetry: query: %w", err)
 		}
-		stats.foldPair(&q, col, &rec, &ser)
+		stats.foldPair(&q, col, &r.rec, &r.ser)
 	}
 	return stats, nil
-}
-
-// projectPair reads the record+series pair e indexes, never past the
-// reader's limit, through the frame buffer buf, which it returns for
-// reuse. It projects the record frame into rec and the series frame,
-// which must pair with it, into ser (nestedBody.project).
-func (r *Reader) projectPair(buf []byte, e *indexEntry, rec, ser *bodyView) ([]byte, error) {
-	buf, body, err := readKind(buf[:0], r.f, e.recOffset, r.limit, r.meta.Version, kindRecords)
-	if err != nil {
-		return nil, err
-	}
-	if err := recordBlock.project(body, r.meta.Version, 0, -1, rec); err != nil {
-		return nil, err
-	}
-	if buf, body, err = readKind(buf[:0], r.f, e.serOffset, r.limit, FormatV3, kindSeries); err != nil {
-		return nil, err
-	}
-	return buf, seriesFrame.project(body, FormatV3, rec.first, len(rec.counts), ser)
 }
 
 // loadIndex locates and decodes the trailing query-index frame of a
@@ -237,7 +214,7 @@ func (r *Reader) projectPair(buf []byte, e *indexEntry, rec, ser *bodyView) ([]b
 // points straight at it, and record frames are read under that offset;
 // any inconsistency (no trusted checkpoint, no trailing frame, frame of
 // the wrong kind, trailing bytes past it) reports ok=false, and the
-// caller rebuilds the entries with a check-only walk instead.
+// caller walks the committed prefix instead.
 func (r *Reader) loadIndex() (entries []indexEntry, ok bool) {
 	if r.meta.Version < FormatV3 || r.ck == nil || r.ck.Offset >= r.size {
 		return nil, false

@@ -13,12 +13,12 @@ import (
 // uncommitted tail); otherwise it verifies frame by frame and stops at
 // the first damaged one, reporting the cut via Truncated.
 //
-// Its block loop is the only walk over a store's committed record+series
-// pairs, and Each the one drain of it (Check is Each building no series
-// samples): Resume drains a Reader on its own file into the caller's
-// sink and adopts where the walk ended, the counts and the index entries
-// it collected, and QueryStore without an index queries the pairs the
-// walk verified.
+// Every read goes through one pair step (nextBlock) and one walk over
+// the committed pairs (advance), and each consumer is a mask over them:
+// Next and Each build records with samples, EachRecord records alone,
+// QueryStore no rows. Every mask checks every column exactly as
+// strictly, so a walk's verdict, totals and index entries never depend
+// on it.
 type Reader struct {
 	f    *os.File
 	meta Meta
@@ -38,19 +38,12 @@ type Reader struct {
 	// decoded block being drained
 	block []Record
 	bi    int
-	// frames holds the verified bytes of the pair in hand, reused from
-	// pair to pair.
-	frames []byte
-	// skim (Check, Resume) builds no series samples: every series frame
-	// is checked exactly as strictly, through view, and only counted.
-	skim bool
-	view bodyView
-	// splice, set by MergeShards, is asked with each record block's first
-	// wearer and record count whether the merged store takes the pair
-	// unchanged. Such a pair is skimmed too; spliced reports the answer
-	// for the pair in hand.
-	splice  func(first, n int) bool
-	spliced bool
+	// The pair in hand, reused from pair to pair: its verified frame
+	// bytes, the series body within them, and the views the pair step
+	// decodes its record and series frames into.
+	frames   []byte
+	series   []byte
+	rec, ser bodyView
 	// running totals
 	blocks    int
 	records   int
@@ -63,6 +56,21 @@ type Reader struct {
 	// and a resumed writer can rewrite it.
 	entries []indexEntry
 }
+
+// mask is what a walk decodes of each pair: the record, node and point
+// columns it keeps (bit i for column i of the table; the pair step adds
+// the cell and time columns the index entry reads), and whether it
+// builds the block's records — with their samples attached when points
+// keeps every column.
+type mask struct {
+	records, nodes, points uint64
+	rows                   bool
+}
+
+var (
+	everyColumn   = mask{records: allColumns, nodes: allColumns, points: allColumns, rows: true}
+	recordColumns = mask{records: allColumns, nodes: allColumns, rows: true} // EachRecord and the merge
+)
 
 // Open opens the store at path for reading. It may be called on a store a
 // live Writer is still appending to: the checkpoint pins the readable
@@ -129,16 +137,18 @@ func OpenStrict(path string) (*Reader, error) {
 // Meta returns the store's header metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Next returns the next record, or io.EOF after the last committed one.
-// Without a checkpoint, a damaged frame ends iteration early (Truncated
-// reports that) rather than erroring: it is indistinguishable from a
-// killed run's uncommitted tail. Inside a checkpointed prefix damage is
-// an error — the checkpoint promised those bytes. Either way the walk
-// ends with pos at the first frame it did not trust (the damaged frame,
-// or the trailing index frame), and limit pulled back to it.
-func (r *Reader) Next() (Record, error) {
+// Next returns the next record, samples attached, or io.EOF after the
+// last committed one. Without a checkpoint, a damaged frame ends
+// iteration early (Truncated reports that): it is indistinguishable from
+// a killed run's uncommitted tail. Inside a checkpointed prefix damage
+// is an error — the checkpoint promised those bytes.
+func (r *Reader) Next() (Record, error) { return r.next(everyColumn) }
+
+// next returns the next record of the block in hand, walking to the
+// next pair under m once the block is drained.
+func (r *Reader) next(m mask) (Record, error) {
 	for r.bi >= len(r.block) {
-		if err := r.advance(); err != nil {
+		if err := r.advance(m); err != nil {
 			return Record{}, err
 		}
 	}
@@ -147,15 +157,18 @@ func (r *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
-// advance loads the next committed pair into r.block, or returns io.EOF
-// where the walk ends. Without a checkpoint, a damaged frame ends it
-// early (a truncation); inside a checkpointed prefix, or in strict
-// mode, damage is the error returned.
-func (r *Reader) advance() error {
+// advance is the walk: it runs the pair step on the next committed pair
+// under m and books it — totals, index entry, pos past the pair — or
+// returns io.EOF where the walk ends: at a damaged frame without a
+// checkpoint (a truncation), or at the trailing index frame, with limit
+// pulled back to pos. Inside a checkpointed prefix, or in strict mode,
+// damage is the error returned.
+func (r *Reader) advance(m mask) error {
 	if r.pos >= r.limit {
 		return io.EOF
 	}
-	if err := r.nextBlock(); err != nil {
+	e, err := r.nextBlock(r.pos, r.meta.FirstWearer+r.records, m)
+	if err != nil {
 		if err != io.EOF && (r.ck != nil || r.strict) {
 			return err
 		}
@@ -163,107 +176,127 @@ func (r *Reader) advance() error {
 		r.limit = r.pos
 		return io.EOF
 	}
+	r.entries = append(r.entries, e)
+	r.blocks++
+	r.records += e.records
+	r.seriesPts += int64(e.points)
+	r.rawBytes += int64(rawSize(e.records, r.rec.total, e.points))
+	r.pos += int64(len(r.frames))
 	return nil
 }
 
-// nextBlock loads the next record block (with its series frame attached
-// in a series-enabled store, unless the pair is skimmed) into r.block,
-// its verified bytes into r.frames, and advances pos past the pair. It
-// returns io.EOF at a valid trailing index frame, and ErrCorrupt-wrapped
-// errors for damage — the caller maps those to truncation or hard
-// failure. Neither advances pos.
-func (r *Reader) nextBlock() error {
-	frames, err := readFrame(r.frames[:0], r.f, r.pos, r.limit)
+// nextBlock is the pair step. It reads the record frame at offset at
+// and, in a series-enabled store, the series frame that must follow it
+// (a pair commits in one write, so a lone record block is damage) into
+// r.frames, never past limit, and decodes them under m into r.rec and
+// r.ser; the block must start at wearer first. It returns the block's
+// index entry, built from the decoded columns, and with m.rows leaves
+// the block's records in r.block. It returns io.EOF at a valid trailing
+// index frame, and ErrCorrupt-wrapped errors for damage.
+func (r *Reader) nextBlock(at int64, first int, m mask) (indexEntry, error) {
+	frames, err := readFrame(r.frames[:0], r.f, at, r.limit)
 	if err != nil {
-		return err
+		return indexEntry{}, err
 	}
 	r.frames = frames
 	kind, body, err := splitKind(framePayload(frames), r.meta.Version)
 	if err != nil {
-		return err
+		return indexEntry{}, err
 	}
 	switch kind {
-	case kindRecords:
-		recs, err := decodeBlock(body, r.meta.Version)
-		if err != nil {
-			return err
-		}
-		if len(recs) == 0 || recs[0].Wearer != r.meta.FirstWearer+r.records {
-			return fmt.Errorf("%w: non-contiguous wearer indices", ErrCorrupt)
-		}
-		r.spliced = r.splice != nil && r.splice(recs[0].Wearer, len(recs))
-		serOff := int64(0)
-		skim := r.skim || r.spliced
-		var span timeSpan
-		if r.meta.Series() {
-			// The pair committed in one write: a record block inside the
-			// trusted region without a valid series frame is damage.
-			serOff = r.pos + int64(len(r.frames))
-			var series []byte
-			if r.frames, series, err = readKind(r.frames, r.f, serOff, r.limit, FormatV3, kindSeries); err != nil {
-				return err
-			}
-			if skim {
-				span, err = checkSeriesBody(series, recs, &r.view)
-			} else {
-				err = decodeSeriesBody(series, recs)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		e := entryFor(r.pos, serOff, recs)
-		if skim { // the samples were never attached
-			e.timeSpan = span
-			r.rawBytes += int64(span.points * rawPointSize)
-		}
-		r.entries = append(r.entries, e)
-		r.block, r.bi = recs, 0
-		r.blocks++
-		r.records += len(recs)
-		r.seriesPts += int64(e.points)
-		for i := range recs {
-			r.rawBytes += int64(recs[i].RawSize())
-		}
-		r.pos += int64(len(r.frames))
-		return nil
 	case kindSeries:
-		// Series frames are consumed with their record block above; one
+		// Series frames are read with their record block below; one
 		// standing alone lost its pair.
-		return fmt.Errorf("%w: orphan series frame", ErrCorrupt)
-	default: // kindIndex
-		entries, err := decodeIndexBody(body)
-		if err != nil {
-			return err
-		}
-		if r.pos+int64(len(frames)) != r.limit {
-			return fmt.Errorf("%w: index frame is not the final frame", ErrCorrupt)
-		}
-		if r.strict {
-			// The index must restate exactly the blocks walked to get
-			// here; any divergence means it describes a different file.
-			if len(entries) != len(r.entries) {
-				return fmt.Errorf("%w: index holds %d entries, store holds %d blocks",
-					ErrCorrupt, len(entries), len(r.entries))
-			}
-			for i := range entries {
-				if entries[i] != r.entries[i] {
-					return fmt.Errorf("%w: index entry %d (%+v) does not match block (%+v)",
-						ErrCorrupt, i, entries[i], r.entries[i])
-				}
-			}
-		}
-		return io.EOF
+		return indexEntry{}, fmt.Errorf("%w: orphan series frame", ErrCorrupt)
+	case kindIndex:
+		return indexEntry{}, r.checkIndex(at, body)
 	}
+	r.rec.records.keep, r.rec.children.keep = m.records|1<<recordCellColumn, m.nodes
+	if err := recordBlock.project(body, r.meta.Version, 0, -1, &r.rec); err != nil {
+		return indexEntry{}, err
+	}
+	if r.rec.first != first {
+		return indexEntry{}, fmt.Errorf("%w: non-contiguous wearer indices", ErrCorrupt)
+	}
+	e := indexEntry{recOffset: at, firstWearer: first}
+	for i, n := range r.rec.counts {
+		cell := -1
+		if r.meta.Version >= FormatV1 {
+			cell = int(r.rec.records.ints[recordCellColumn][i])
+		}
+		e.addRecord(cell, int(n))
+	}
+	if r.meta.Series() {
+		e.serOffset = at + int64(len(r.frames))
+		if r.frames, r.series, err = readKind(r.frames, r.f, e.serOffset, r.limit, FormatV3, kindSeries); err != nil {
+			return indexEntry{}, err
+		}
+		if err := r.decodeSeries(m.points); err != nil {
+			return indexEntry{}, err
+		}
+		for _, t := range r.ser.children.ints[seriesTimeColumn] {
+			e.addPoint(t)
+		}
+	}
+	r.block, r.bi = nil, 0
+	if m.rows {
+		r.block = recordBlock.rows(&r.rec, nil, r.meta.Version)
+		if r.meta.Series() && m.points == allColumns {
+			seriesFrame.rows(&r.ser, r.block, FormatV3)
+		}
+	}
+	return e, nil
 }
 
-// Each drains the reader: it hands every remaining committed record to
-// fn in wearer order and stops at the first error, from the walk or from
-// fn, returning it. A record borrows the reader's decode buffers until
-// fn returns.
-func (r *Reader) Each(fn func(Record) error) error {
+// decodeSeries decodes the series body of the pair in hand under keep
+// into r.ser, paired with the block in r.rec.
+func (r *Reader) decodeSeries(keep uint64) error {
+	r.ser.children.keep = keep | 1<<seriesTimeColumn
+	return seriesFrame.project(r.series, FormatV3, r.rec.first, len(r.rec.counts), &r.ser)
+}
+
+// checkIndex checks the index frame body read at offset at: it must be
+// the walk's last frame and, in strict mode, restate exactly the blocks
+// walked to get here. A valid one ends the walk with io.EOF.
+func (r *Reader) checkIndex(at int64, body []byte) error {
+	entries, err := decodeIndexBody(body)
+	if err != nil {
+		return err
+	}
+	if at+int64(len(r.frames)) != r.limit {
+		return fmt.Errorf("%w: index frame is not the final frame", ErrCorrupt)
+	}
+	if r.strict {
+		if len(entries) != len(r.entries) {
+			return fmt.Errorf("%w: index holds %d entries, store holds %d blocks",
+				ErrCorrupt, len(entries), len(r.entries))
+		}
+		for i := range entries {
+			if entries[i] != r.entries[i] {
+				return fmt.Errorf("%w: index entry %d (%+v) does not match block (%+v)",
+					ErrCorrupt, i, entries[i], r.entries[i])
+			}
+		}
+	}
+	return io.EOF
+}
+
+// Each drains the reader: it hands every remaining committed record,
+// samples attached, to fn in wearer order and stops at the first error,
+// from the walk or from fn, returning it. A record borrows the reader's
+// decode buffers until fn returns.
+func (r *Reader) Each(fn func(Record) error) error { return r.each(everyColumn, fn) }
+
+// EachRecord drains the reader like Each, but hands fn every record with
+// Series nil: series frames are checked as strictly and their samples
+// only counted, so every total below reads as after Each. With a fn that
+// keeps nothing it is the walk of a reader that wants only the totals.
+func (r *Reader) EachRecord(fn func(Record) error) error { return r.each(recordColumns, fn) }
+
+// each drains the reader under m into fn.
+func (r *Reader) each(m mask, fn func(Record) error) error {
 	for {
-		rec, err := r.Next()
+		rec, err := r.next(m)
 		if err == io.EOF {
 			return nil
 		}
@@ -276,22 +309,14 @@ func (r *Reader) Each(fn func(Record) error) error {
 	}
 }
 
-// Check drains the reader like Each with a sink that keeps nothing, but
-// builds no series samples: each series frame is checked exactly as
-// strictly and only counted, so every total below reads as after Each.
-// It is the walk of a reader that wants only the totals or the verdict.
-func (r *Reader) Check() error {
-	r.skim = true
-	return r.Each(func(Record) error { return nil })
-}
-
 // Blocks and Records report how much of the store has been iterated so
 // far; after draining to io.EOF they cover the whole committed prefix.
 func (r *Reader) Blocks() int  { return r.blocks }
 func (r *Reader) Records() int { return r.records }
 
-// SeriesPoints reports the time-series samples attached to the records
-// iterated so far (0 in a pre-v3 or series-off store).
+// SeriesPoints reports the time-series samples of the records iterated
+// so far, whether or not the walk attached them (0 in a pre-v3 or
+// series-off store).
 func (r *Reader) SeriesPoints() int64 { return r.seriesPts }
 
 // RawBytes is the flat fixed-width size of every record iterated so far —

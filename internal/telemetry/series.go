@@ -51,7 +51,8 @@ var seriesFrame = nestedBody[SeriesPoint]{
 }
 
 // The positions of the point columns in seriesFrame.children, which
-// projections select by.
+// projections select by; every walk keeps seriesTimeColumn for the index
+// entry.
 const (
 	seriesNodeColumn = iota
 	seriesQueueColumn
@@ -70,84 +71,52 @@ func encodeSeriesFrame(dst []byte, buf *columnBuf, recs []Record) []byte {
 	return closeFrame(seriesFrame.append(dst, buf, recs, FormatV3), start)
 }
 
-// decodeSeriesBody inverts encodeSeriesFrame on a verified body (kind
-// already stripped) and attaches the points to recs, which must be the
-// records of the paired block.
-func decodeSeriesBody(body []byte, recs []Record) error {
-	_, err := seriesFrame.decode(body, recs, FormatV3)
-	return err
-}
-
-// checkSeriesBody checks a series body exactly as strictly as
-// decodeSeriesBody but builds no points: it projects the time column
-// alone, through v's buffers, and returns the points' time span, which
-// is all a block's index entry keeps of them.
-func checkSeriesBody(body []byte, recs []Record, v *bodyView) (timeSpan, error) {
-	var span timeSpan
-	v.children.keep = 1 << seriesTimeColumn
-	if err := seriesFrame.project(body, FormatV3, recs[0].Wearer, len(recs), v); err != nil {
-		return span, err
-	}
-	for _, t := range v.children.ints[seriesTimeColumn] {
-		span.add(t)
-	}
-	return span, nil
-}
-
-// timeSpan counts a series frame's points and their sample-time range
-// (0,0 when pointless).
-type timeSpan struct {
-	points    int
-	minTimeMS int64
-	maxTimeMS int64
-}
-
-// add widens the span by one point sampled at t.
-func (s *timeSpan) add(t int64) {
-	if s.points == 0 || t < s.minTimeMS {
-		s.minTimeMS = t
-	}
-	if s.points == 0 || t > s.maxTimeMS {
-		s.maxTimeMS = t
-	}
-	s.points++
-}
-
 // indexEntry summarizes one committed record block for query pruning.
 type indexEntry struct {
 	recOffset   int64 // file offset of the record frame
 	serOffset   int64 // file offset of the paired series frame; 0 when the store has no series
 	firstWearer int
 	records     int
-	timeSpan        // the paired series frame's points
+	points      int   // the paired series frame's samples
+	minTimeMS   int64 // and their time range (0,0 when pointless)
+	maxTimeMS   int64
 	minCell     int // cell range of the block's records
 	maxCell     int
 	maxNodes    int // widest node count in the block — bounds the node-class label space
 }
 
-// entryFor summarizes a committed block from its decoded records.
-func entryFor(recOffset, serOffset int64, recs []Record) indexEntry {
-	e := indexEntry{
-		recOffset:   recOffset,
-		serOffset:   serOffset,
-		firstWearer: recs[0].Wearer,
-		records:     len(recs),
-		minCell:     recs[0].Cell,
-		maxCell:     recs[0].Cell,
+// addRecord widens the entry by the block's next record: its cell and
+// node count.
+func (e *indexEntry) addRecord(cell, nodes int) {
+	if e.records == 0 || cell < e.minCell {
+		e.minCell = cell
 	}
+	if e.records == 0 || cell > e.maxCell {
+		e.maxCell = cell
+	}
+	e.maxNodes = max(e.maxNodes, nodes)
+	e.records++
+}
+
+// addPoint widens the entry by one sample taken at t.
+func (e *indexEntry) addPoint(t int64) {
+	if e.points == 0 || t < e.minTimeMS {
+		e.minTimeMS = t
+	}
+	if e.points == 0 || t > e.maxTimeMS {
+		e.maxTimeMS = t
+	}
+	e.points++
+}
+
+// entryFor summarizes a block the writer commits from its records.
+func entryFor(recOffset, serOffset int64, recs []Record) indexEntry {
+	e := indexEntry{recOffset: recOffset, serOffset: serOffset, firstWearer: recs[0].Wearer}
 	for i := range recs {
 		r := &recs[i]
-		if r.Cell < e.minCell {
-			e.minCell = r.Cell
-		}
-		if r.Cell > e.maxCell {
-			e.maxCell = r.Cell
-		}
-		if len(r.Nodes) > e.maxNodes {
-			e.maxNodes = len(r.Nodes)
-		}
+		e.addRecord(r.Cell, len(r.Nodes))
 		for j := range r.Series {
-			e.add(r.Series[j].TimeMS)
+			e.addPoint(r.Series[j].TimeMS)
 		}
 	}
 	return e
@@ -210,13 +179,15 @@ func decodeIndexBody(body []byte) ([]indexEntry, error) {
 	if count < 0 || count > maxBlockPayload || minColumnsLen(indexColumns, count, FormatV3) > len(body)-pos {
 		return nil, fmt.Errorf("%w: implausible index entry count %d", ErrCorrupt, count)
 	}
-	entries := make([]indexEntry, count)
-	used, err := decodeColumns(body[pos:], &columnBuf{}, count, entries, indexColumns, FormatV3, nil)
+	p := projection{keep: allColumns}
+	used, err := decodeColumns(body[pos:], count, indexColumns, FormatV3, &p)
 	if err != nil {
 		return nil, err
 	}
 	if pos+used != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing index bytes", ErrCorrupt, len(body)-pos-used)
 	}
+	entries := make([]indexEntry, count)
+	setColumns(entries, indexColumns, FormatV3, &p)
 	return entries, nil
 }

@@ -126,19 +126,19 @@ func TestSeriesStoreRoundTrip(t *testing.T) {
 	if r.Truncated() || !r.Checkpointed() {
 		t.Errorf("trunc=%v ck=%v", r.Truncated(), r.Checkpointed())
 	}
-	// A check-only walk builds no samples but must total the same and
+	// A records-only walk builds no samples but must total the same and
 	// collect the same index entries.
 	rc, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if err := rc.Check(); err != nil {
+	if err := rc.EachRecord(func(Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Blocks() != r.Blocks() || rc.Records() != r.Records() || rc.SeriesPoints() != r.SeriesPoints() ||
 		rc.RawBytes() != r.RawBytes() || rc.pos != r.pos || !slices.Equal(rc.entries, r.entries) {
-		t.Errorf("Check totals %d blocks, %d records, %d points, %d raw bytes, ends at %d; Each %d, %d, %d, %d, %d",
+		t.Errorf("EachRecord totals %d blocks, %d records, %d points, %d raw bytes, ends at %d; Each %d, %d, %d, %d, %d",
 			rc.Blocks(), rc.Records(), rc.SeriesPoints(), rc.RawBytes(), rc.pos,
 			r.Blocks(), r.Records(), r.SeriesPoints(), r.RawBytes(), r.pos)
 	}

@@ -39,10 +39,11 @@
 // (recordBlock in block.go; seriesFrame and indexColumns in series.go),
 // and one encoder and one decoder in codec.go walk every table. A
 // column's since field names the format version that added it. The
-// decoder either builds rows or projects: it keeps some columns' values,
-// builds no rows, and checks the others exactly as strictly without
-// decoding them. The wire codecs themselves live in
-// wiban/internal/compress.
+// decoder projects: it decodes the columns its caller keeps into reused
+// slices and checks the others exactly as strictly without decoding
+// them; an optional row step then builds Record, NodeRecord and
+// SeriesPoint rows from the kept columns. The wire codecs themselves
+// live in wiban/internal/compress.
 //
 // # Format v3: frame kinds, series frames, query index
 //
@@ -74,13 +75,12 @@
 // a time/cell/node range — sum, mean, min/max and exact sorted-sample
 // percentiles. It locates the index via the checkpoint sidecar and reads
 // only the pairs whose entry overlaps the range; when either is missing,
-// a check-only walk of the committed prefix rebuilds the entries first
-// (bit-identical results). Each pair is a projected read: it decodes the
-// series frame's node, time and metric columns, and the record frame's
-// cell column only when the query filters on cell, and checks every
-// other column as strictly without decoding it. A wearer-major store's
-// blocks each span the whole run, so time bounds rarely prune one;
-// projection is what keeps a query cheap. iobtrace query is the CLI face.
+// it folds during one walk of the committed prefix (bit-identical
+// results). Each pair is read under the query's mask: the cell, node,
+// time and metric columns decode, no rows are built, and every other
+// column is checked as strictly. A wearer-major store's blocks each span
+// the whole run, so time bounds rarely prune one; the mask is what keeps
+// a query cheap. iobtrace query is the CLI face.
 //
 // # Checkpoint and resume semantics
 //
@@ -98,21 +98,13 @@
 // garbage offset.
 //
 // A killed process loses at most the tail records buffered for the
-// not-yet-committed block: Resume truncates the data file back to the
-// checkpointed offset and the fleet engine re-simulates from NextWearer.
-// A resume reads the store once. Resume first checks the header against
-// the sweep it is asked to continue and refuses a different one with
-// ErrMismatch. It then finds the offset by walking the committed frames
-// with the Reader, the one walk over record+series pairs, which verifies
-// them and hands every committed record to the caller's sink (the
-// sweep's aggregator). Damage inside a checkpointed prefix fails Resume
-// with ErrCorrupt. A refused or failed Resume leaves the store and its
-// sidecar as they were: the truncation and the checkpoint rewrite come
-// only after the walk and every sink call succeed.
-// Because every per-wearer simulation is a pure function of
-// (fleetSeed, wearer), the resumed sweep reproduces the interrupted one
-// bit-for-bit, and the re-aggregated report carries the identical
-// fingerprint — the resume golden test in internal/fleet pins that.
+// not-yet-committed block: Resume (writer.go) walks the committed pairs
+// once with a Reader, truncates the data file back to where the walk
+// ended, and the fleet engine re-simulates from NextWearer. Because
+// every per-wearer simulation is a pure function of (fleetSeed, wearer),
+// the resumed sweep reproduces the interrupted one bit-for-bit, and the
+// re-aggregated report carries the identical fingerprint — the resume
+// golden test in internal/fleet pins that.
 package telemetry
 
 import (
@@ -393,9 +385,10 @@ type SeriesPoint struct {
 // (8 bytes per integer/float column value, 1 bit per flag, rounded up per
 // record); the compression ratio iobtrace reports is relative to this.
 // Attached series points count at 8 bytes per column value.
-func (r *Record) RawSize() int {
-	return 3*8 + len(r.Nodes)*(8*8+1) + len(r.Series)*rawPointSize
-}
+func (r *Record) RawSize() int { return rawSize(1, len(r.Nodes), len(r.Series)) }
 
-// rawPointSize is a series point's share of RawSize.
-const rawPointSize = 6 * 8
+// rawSize is the RawSize of records records holding nodes nodes and
+// points series points between them.
+func rawSize(records, nodes, points int) int {
+	return records*3*8 + nodes*(8*8+1) + points*6*8
+}

@@ -106,24 +106,19 @@ func Create(path string, meta Meta) (*Writer, error) {
 }
 
 // Resume reopens the interrupted store at path to continue the sweep
-// want describes and positions the writer at NextWearer. It is the one
-// resume pass. It reads the header first and refuses a store that
-// describes a different sweep with ErrMismatch: the block size is the
-// store's own, and the format version the store's while it can still
-// represent want (adoptVersion). Then it walks the committed frames with
-// the store's own Reader, which verifies every frame, rebuilds its
-// query-index entry and hands its records to sink in wearer order,
-// borrowed until sink returns. Like Reader.Check, the walk checks series
-// frames exactly as strictly as a full read but builds no samples, so
-// sink sees each record with Series nil. With a valid checkpoint sidecar
-// the walk trusts exactly its prefix, and damage inside that prefix is an
-// ErrCorrupt error. When the sidecar is missing or does not match the
-// store, the walk trusts the longest verifiable prefix instead. A v3
-// record block whose series frame is missing or damaged is a torn tail
-// and is discarded; a trailing index frame is discarded too and
-// rewritten, identically, by Close. The truncation and the checkpoint
-// rewrite come only after the walk and every sink call succeed, so a
-// refused or failed Resume leaves the store and its sidecar as they were.
+// want describes and positions the writer at NextWearer. It reads the
+// header first and refuses a store that describes a different sweep with
+// ErrMismatch: the block size is the store's own, and the format version
+// the store's while it can still represent want (adoptVersion). Then it
+// drains the store's own Reader with EachRecord, which verifies every
+// frame, collects its index entry and hands sink each record, Series
+// nil, borrowed until sink returns. The walk trusts exactly a valid
+// checkpoint sidecar's prefix, where damage is an ErrCorrupt error, and
+// otherwise the longest verifiable prefix: a torn record+series pair is
+// discarded, and so is a trailing index frame, which Close rewrites
+// identically. The truncation and the checkpoint rewrite come only after
+// the walk and every sink call succeed, so a refused or failed Resume
+// leaves the store and its sidecar as they were.
 func Resume(path string, want Meta, sink func(Record) error) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -151,8 +146,7 @@ func resume(f *os.File, path string, want Meta, sink func(Record) error) (*Write
 	if r.meta != want {
 		return nil, fmt.Errorf("%s: %w:\n  store: %+v\n  spec:  %+v", path, ErrMismatch, r.meta, want)
 	}
-	r.skim = true
-	if err := r.Each(sink); err != nil {
+	if err := r.EachRecord(sink); err != nil {
 		return nil, fmt.Errorf("telemetry: resume: %w", err)
 	}
 	w := &Writer{f: f, path: path, meta: r.meta, next: r.meta.FirstWearer + r.records,
