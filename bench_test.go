@@ -88,30 +88,10 @@ func BenchmarkAblationMAC(b *testing.B) { benchTable(b, figures.AblationMAC) }
 
 // --- Substrate microbenchmarks ----------------------------------------------
 
-// BenchmarkKWSInference measures one forward pass of the keyword spotter —
-// the work the hub absorbs per offloaded inference.
-func BenchmarkKWSInference(b *testing.B) {
-	m, err := nn.KWSNet(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := nn.NewTensor(49, 10, 1)
-	for i := range x.Data {
-		x.Data[i] = float32(i%7) - 3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.TotalMACs()), "MACs/op")
-}
-
 // BenchmarkPartitionSweep measures evaluating every cut of the vision
 // model over Wi-R.
 func BenchmarkPartitionSweep(b *testing.B) {
-	m, err := nn.VisionNet(1)
+	m, err := nn.VisionNet()
 	if err != nil {
 		b.Fatal(err)
 	}

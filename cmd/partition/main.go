@@ -22,11 +22,11 @@ import (
 func model(name string) (*nn.Sequential, error) {
 	switch name {
 	case "kws":
-		return nn.KWSNet(1)
+		return nn.KWSNet()
 	case "ecg":
-		return nn.ECGNet(1)
+		return nn.ECGNet()
 	case "vision":
-		return nn.VisionNet(1)
+		return nn.VisionNet()
 	default:
 		return nil, fmt.Errorf("unknown model %q (kws|ecg|vision)", name)
 	}

@@ -4,15 +4,15 @@
 // offload heavy AI computation to an on-body hub over the electro-
 // quasistatic "Body as a Wire" (Wi-R) channel.
 //
-// The root package is a façade over the implementation packages:
+// The implementation lives in the internal packages:
 //
 //   - internal/iob — the core architecture API (node designs, power
 //     breakdowns, the Fig. 3 battery-life projector, network composition);
 //   - internal/channel, internal/phy, internal/radio — the physical
 //     substrate (EQS biophysical circuit model, link budgets, transceiver
 //     energy models);
-//   - internal/nn, internal/partition — wearable DNNs and the split-
-//     computing optimizer;
+//   - internal/nn, internal/partition — per-layer cost models of the
+//     wearable DNNs and the split-computing optimizer;
 //   - internal/bannet — the discrete-event network simulator. A
 //     bannet.Sim is a reusable kernel arena: NewSim builds it, Reset
 //     rebinds it to a different scenario and RunInto replays into a
@@ -98,42 +98,3 @@
 //   - internal/figures — generators for every figure and table in the
 //     paper (also exposed through cmd/iobfig and the root benchmarks).
 package wiban
-
-import (
-	"wiban/internal/iob"
-	"wiban/internal/units"
-)
-
-// Re-exported core types, so a downstream user can express the common
-// compositions without reaching into internal packages from examples.
-
-// NodeDesign is a leaf-node composition (see internal/iob).
-type NodeDesign = iob.NodeDesign
-
-// Network is a composed body-area network.
-type Network = iob.Network
-
-// PowerBreakdown is a per-component node power summary (Fig. 1).
-type PowerBreakdown = iob.PowerBreakdown
-
-// Projection is one point of the Fig. 3 battery-life projection.
-type Projection = iob.Projection
-
-// Architecture selects conventional vs human-inspired node organization.
-type Architecture = iob.Architecture
-
-// Node architectures.
-const (
-	Conventional  = iob.Conventional
-	HumanInspired = iob.HumanInspired
-)
-
-// PerpetualLife is the paper's perpetual-operation threshold (one year).
-const PerpetualLife = units.Year
-
-// NewFig3Projector returns the paper's battery-life projector
-// (1000 mAh battery, Wi-R at 100 pJ/bit, survey sensing power).
-func NewFig3Projector() *iob.Projector { return iob.NewFig3Projector() }
-
-// DefaultHub returns a smartwatch-class on-body hub design.
-func DefaultHub() iob.HubDesign { return iob.DefaultHub() }

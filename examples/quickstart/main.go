@@ -21,7 +21,7 @@ import (
 // and offloads keyword spotting to the hub; the camera ships MJPEG frames
 // for hub-side vision.
 func buildNetwork() (*iob.Network, error) {
-	kws, err := nn.KWSNet(1)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		return nil, err
 	}

@@ -131,7 +131,7 @@ func main() {
 		g.DeliveryRate()*100, g.LatencyP99)
 
 	// --- Hub-side vision ----------------------------------------------------
-	vision, err := nn.VisionNet(5)
+	vision, err := nn.VisionNet()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("link rate: raw %v → VAD %v → +ADPCM %v\n\n", mic.DataRate(), gatedRate, linkRate)
 
 	// --- Partition the keyword spotter across links ----------------------
-	kws, err := nn.KWSNet(3)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		log.Fatal(err)
 	}

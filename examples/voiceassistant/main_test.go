@@ -11,7 +11,7 @@ import (
 // TestBanConfigValidates asserts the voice node's network passes bannet
 // validation at nominal ISA measurements and produces hub inferences.
 func TestBanConfigValidates(t *testing.T) {
-	kws, err := nn.KWSNet(3)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}

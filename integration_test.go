@@ -63,7 +63,7 @@ func TestFullStackChannelToBatteryLife(t *testing.T) {
 // simulate the resulting node — asserting the leaf ends up CPU-less and
 // real-time.
 func TestFullStackOffloadPipeline(t *testing.T) {
-	kws, err := nn.KWSNet(7)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,35 +97,6 @@ func TestFullStackOffloadPipeline(t *testing.T) {
 	if rep.HubUtilization > 0.05 {
 		t.Errorf("hub utilization %.3f implausibly high", rep.HubUtilization)
 	}
-}
-
-// TestFacadeExports checks that the public façade is wired to the same
-// implementations the internals use.
-func TestFacadeExports(t *testing.T) {
-	p := NewFig3Projector()
-	pr, err := p.At(3 * units.Kbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Perpetual {
-		t.Error("façade projector disagrees with internal results")
-	}
-	hub := DefaultHub()
-	if hub.Radio == nil || hub.Compute == nil || hub.Battery == nil {
-		t.Error("façade hub incomplete")
-	}
-	var d NodeDesign
-	d.Name = "x"
-	if Conventional == HumanInspired {
-		t.Error("architecture constants collide")
-	}
-	if PerpetualLife != units.Year {
-		t.Error("perpetual threshold drifted")
-	}
-	var _ Network
-	var _ PowerBreakdown
-	var _ Projection
-	var _ Architecture
 }
 
 // TestEnergyConservation cross-checks the simulator's books against an

@@ -235,7 +235,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	over := NodeConfig{
 		ID: 1, Name: "fast",
-		Sensor:     sensors.Camera720p(), // 221 Mbps raw
+		Sensor:     sensors.CameraQVGA(), // 9.2 Mbps raw
 		Policy:     isa.StreamAll{},
 		Radio:      radio.WiR(),
 		Battery:    energy.Fig3Battery(),

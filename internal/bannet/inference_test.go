@@ -17,7 +17,7 @@ import (
 // spotting: 3920-bit inputs (49×10 int8 features), 2.55 M MACs each.
 func kwsNode(t *testing.T) NodeConfig {
 	t.Helper()
-	m, err := nn.KWSNet(1)
+	m, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestHubInferencePipeline(t *testing.T) {
 		t.Error("e2e inference latency must exceed packet latency")
 	}
 	// Hub energy: count × MACs × 8 pJ.
-	m, _ := nn.KWSNet(1)
+	m, _ := nn.KWSNet()
 	wantE := float64(n.Inferences) * float64(m.TotalMACs()) * 8e-12
 	if math.Abs(float64(rep.HubComputeEnergy)-wantE)/wantE > 1e-9 {
 		t.Errorf("hub compute energy %v, want %.3g J", rep.HubComputeEnergy, wantE)

@@ -63,10 +63,12 @@ func runScheduled(s *Sim, span units.Duration, rep *Report) error {
 // rate that some packet size in schedulePackets divides into a
 // superframe or a 1 s interval, so ties between sources occur often.
 var scheduleSensors = []*sensors.Sensor{
-	sensors.ECGPatch(),   // 3 kbps
-	sensors.IMU6Axis(),   // 9.6 kbps
-	sensors.PPGRing(),    // 3.2 kbps
-	sensors.EMGBand(),    // 12 kbps
+	sensors.ECGPatch(), // 3 kbps
+	sensors.IMU6Axis(), // 9.6 kbps
+	{Name: "PPG ring", Class: sensors.PPG, SampleRate: 100 * units.Hertz,
+		BitsPerSample: 16, Channels: 2, AFEPower: 250 * units.Microwatt}, // 3.2 kbps
+	{Name: "EMG band", Class: sensors.Biopotential, SampleRate: 1 * units.Kilohertz,
+		BitsPerSample: 12, Channels: 1, AFEPower: 25 * units.Microwatt}, // 12 kbps
 	sensors.MicMono(),    // 256 kbps
 	sensors.TempSensor(), // 16 bps
 }

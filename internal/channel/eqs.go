@@ -140,18 +140,6 @@ func (m *EQSBody) GainAtDB(f units.Frequency, d units.Distance) float64 {
 	return m.GainDB(f) - m.BodyPathLossDB*float64(d)
 }
 
-// PassbandGainDB returns the flat mid-band gain, evaluated at the geometric
-// middle of the usable EQS band.
-func (m *EQSBody) PassbandGainDB() float64 {
-	lo := float64(m.HighPassCorner())
-	hi := float64(m.FEQSLimit)
-	mid := units.Frequency(math.Sqrt(lo * hi * 100)) // a decade above corner
-	if mid > m.FEQSLimit {
-		mid = m.FEQSLimit / 2
-	}
-	return m.GainDB(mid)
-}
-
 // HighPassCorner returns the low-frequency -3 dB corner set by the
 // termination resistance against the total capacitance at the receiver
 // input. In voltage mode this sits at a few kHz; in 50 Ω mode it moves
@@ -163,21 +151,6 @@ func (m *EQSBody) HighPassCorner() units.Frequency {
 		return 0
 	}
 	return units.Frequency(1 / (2 * math.Pi * float64(m.RLoad) * float64(ctot)))
-}
-
-// InEQSRegime reports whether f is within the quasistatic validity region
-// (above the receiver high-pass corner, below the 30 MHz EQS limit).
-func (m *EQSBody) InEQSRegime(f units.Frequency) bool {
-	return f > m.HighPassCorner() && f <= m.FEQSLimit
-}
-
-// UsableBandwidth returns the flat EQS passband width.
-func (m *EQSBody) UsableBandwidth() units.Frequency {
-	c := m.HighPassCorner()
-	if c >= m.FEQSLimit {
-		return 0
-	}
-	return m.FEQSLimit - c
 }
 
 // LeakageGainDB returns the attacker-observable coupling at distance d from
@@ -193,6 +166,3 @@ func (m *EQSBody) LeakageGainDB(f units.Frequency, d units.Distance) float64 {
 	geom := float64(m.LeakR0) / float64(m.LeakR0+d)
 	return m.GainDB(f) + units.DBV(geom*geom*geom)
 }
-
-// Name identifies the channel for reports.
-func (m *EQSBody) Name() string { return "EQS-HBC body channel" }

@@ -94,15 +94,6 @@ func (m *MQSCoil) GainDB(d units.Distance) float64 {
 	return units.DB(eta) - m.LinkMarginDB
 }
 
-// InMQSRegime reports whether the carrier is quasistatic for body scales
-// (wavelength ≫ body: f ≲ 30 MHz, same criterion as EQS).
-func (m *MQSCoil) InMQSRegime() bool {
-	return m.Freq > 0 && m.Freq <= 30*units.Megahertz
-}
-
-// Name identifies the channel for reports.
-func (m *MQSCoil) Name() string { return "MQS-HBC coil link" }
-
 // --- Tissue absorption for the RF comparison ------------------------------
 
 // TissueLossDBPerCm is the microwave absorption of muscle-like tissue at

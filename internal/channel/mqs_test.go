@@ -94,9 +94,6 @@ func TestMQSRegime(t *testing.T) {
 	if m.InMQSRegime() {
 		t.Error("100 MHz should not be quasistatic")
 	}
-	if m.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestMQSGainCapsAtUnity(t *testing.T) {

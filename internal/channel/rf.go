@@ -54,15 +54,6 @@ func (m *RFPath) GainDB(d units.Distance) float64 {
 	return -m.FreeSpacePathLossDB(d) - m.BodyShadowDB
 }
 
-// LeakageGainDB returns the gain toward an off-body eavesdropper at
-// distance d. Radiated power follows the same Friis law the intended link
-// does — there is no containment — but the eavesdropper is typically not
-// shadowed by the body, so the leakage path is *stronger* per meter than
-// the intended on-body path.
-func (m *RFPath) LeakageGainDB(d units.Distance) float64 {
-	return -m.FreeSpacePathLossDB(d)
-}
-
 // CongestionLossDB is the load-aware RF loss curve: the equivalent
 // link-budget penalty when co-channel neighbors occupy a fraction util of
 // the shared band. Aggregate interference raises the receiver's
@@ -90,11 +81,3 @@ func (m *RFPath) RangeForLossDB(lossDB float64) units.Distance {
 	return units.Distance(SpeedOfLight / (4 * math.Pi * float64(m.Freq)) *
 		math.Pow(10, lossDB/20))
 }
-
-// Wavelength returns the carrier wavelength.
-func (m *RFPath) Wavelength() units.Distance {
-	return units.Distance(SpeedOfLight / float64(m.Freq))
-}
-
-// Name identifies the channel for reports.
-func (m *RFPath) Name() string { return "RF radiative path" }

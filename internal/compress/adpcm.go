@@ -113,39 +113,3 @@ func ADPCMEncode(samples []int16) []byte {
 	}
 	return out
 }
-
-// ADPCMDecode reverses ADPCMEncode. The reconstruction is lossy; the
-// decoder output tracks the encoder's internal prediction exactly.
-func ADPCMDecode(src []byte) ([]int16, error) {
-	n, k := uvarint(src)
-	if k == 0 || n > 1<<30 {
-		return nil, ErrCorrupt
-	}
-	src = src[k:]
-	if len(src) < 3 {
-		return nil, ErrCorrupt
-	}
-	var st adpcmState
-	st.predictor = int(int16(uint16(src[0])<<8 | uint16(src[1])))
-	st.index = int(src[2])
-	if st.index > 88 {
-		return nil, ErrCorrupt
-	}
-	src = src[3:]
-	need := (int(n) + 1) / 2
-	if len(src) < need {
-		return nil, ErrCorrupt
-	}
-	out := make([]int16, 0, n)
-	for i := uint64(0); i < n; i++ {
-		b := src[i/2]
-		var code byte
-		if i%2 == 0 {
-			code = b >> 4
-		} else {
-			code = b & 0x0f
-		}
-		out = append(out, st.decodeSample(code))
-	}
-	return out, nil
-}

@@ -50,7 +50,7 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 
 func BenchmarkADPCMEncode(b *testing.B) {
 	g := sensors.NewAudioSynth(16*units.Kilohertz, 3)
-	raw := sensors.Quantize(g.Samples(16000), 1.0)
+	raw := sensors.Quantize(audioSamples(g, 16000), 1.0)
 	b.SetBytes(int64(len(raw) * 2))
 	for i := 0; i < b.N; i++ {
 		ADPCMEncode(raw)

@@ -1,7 +1,7 @@
 // Package compress implements the source-coding toolbox the IoB leaf nodes
 // use to shrink sensor streams before they reach the link: lossless delta/
-// varint and Golomb-Rice coding for biopotential and IMU samples, RLE and
-// canonical Huffman as entropy back-ends, IMA-ADPCM for audio, and an
+// varint and Golomb-Rice coding for biopotential and IMU samples,
+// canonical Huffman as an entropy back-end, IMA-ADPCM for audio, and an
 // 8×8-DCT MJPEG-style intraframe codec for video (the paper names MJPEG
 // explicitly as the leaf-node video reduction).
 //
@@ -95,24 +95,6 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 		n -= take
 	}
 	return v, nil
-}
-
-// readUnary counts one-bits up to the terminating zero.
-func (r *bitReader) readUnary() (uint32, error) {
-	var q uint32
-	for {
-		b, err := r.readBits(1)
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return q, nil
-		}
-		q++
-		if q > 1<<24 {
-			return 0, ErrCorrupt
-		}
-	}
 }
 
 // --- Varint (LEB128) and zigzag ------------------------------------------

@@ -354,7 +354,7 @@ func TestHuffmanEdgeCases(t *testing.T) {
 
 func TestADPCMRatioAndFidelity(t *testing.T) {
 	g := sensors.NewAudioSynth(16*units.Kilohertz, 4)
-	raw := sensors.Quantize(g.Samples(16000), 1.0)
+	raw := sensors.Quantize(audioSamples(g, 16000), 1.0)
 	enc := ADPCMEncode(raw)
 	// 4 bits/sample plus small header → ratio just under 4.
 	if r := Ratio(len(raw)*2, len(enc)); r < 3.5 || r > 4.1 {

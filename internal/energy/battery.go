@@ -1,5 +1,5 @@
-// Package energy models the energy supply side of an IoB node: batteries,
-// energy harvesters and storage buffers, plus the paper's "perpetual"
+// Package energy models the energy supply side of an IoB node: batteries
+// and energy harvesters, plus the paper's "perpetual"
 // classification (operating life beyond one year, or outright
 // energy-neutral operation under harvesting).
 //
@@ -91,11 +91,6 @@ func (b *Battery) Perpetual(load units.Power) bool {
 	return b.Lifetime(load) >= PerpetualLife
 }
 
-// String summarizes the cell.
-func (b *Battery) String() string {
-	return fmt.Sprintf("%s (%.0f mAh @ %v)", b.Name, b.CapacityMAh, b.Voltage)
-}
-
 // --- Battery catalog -----------------------------------------------------
 
 // Fig3Battery returns the battery of the paper's Fig. 3: a 1000 mAh
@@ -152,9 +147,6 @@ func NewState(b *Battery) *State {
 	return &State{batt: b, remaining: b.UsableEnergy()}
 }
 
-// Battery returns the underlying cell.
-func (s *State) Battery() *Battery { return s.batt }
-
 // Reset refills the battery to full and clears the drain accounting, so a
 // simulator can reuse the state across runs without reallocating.
 func (s *State) Reset() {
@@ -169,12 +161,6 @@ func (s *State) Reinit(b *Battery) {
 	s.batt = b
 	s.Reset()
 }
-
-// Remaining returns the energy left.
-func (s *State) Remaining() units.Energy { return s.remaining }
-
-// Drained returns the cumulative energy drawn.
-func (s *State) Drained() units.Energy { return s.drained }
 
 // Draw removes e from the battery; it reports false once depleted (the
 // draw that crosses zero is honored, further draws are not).

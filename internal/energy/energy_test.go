@@ -89,7 +89,7 @@ func TestShelfLifeCap(t *testing.T) {
 	// 0.85 usable / 1%/yr ≈ 85 years.
 	nb := *b
 	nb.ShelfLife = 0
-	if life := nb.Lifetime(0); math.Abs(life.Years()-85) > 1 {
+	if life := nb.Lifetime(0); math.Abs(float64(life/units.Year)-85) > 1 {
 		t.Errorf("uncapped zero-load lifetime = %v, want ≈ 85 yr (self-discharge bound)", life)
 	}
 	// With neither cap nor self-discharge, life is infinite.

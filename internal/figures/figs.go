@@ -15,15 +15,15 @@ import (
 // fig1Designs builds the node pairs Fig. 1 contrasts, one per workload
 // class.
 func fig1Designs() ([]*iob.NodeDesign, error) {
-	ecgModel, err := nn.ECGNet(1)
+	ecgModel, err := nn.ECGNet()
 	if err != nil {
 		return nil, err
 	}
-	kws, err := nn.KWSNet(2)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		return nil, err
 	}
-	vision, err := nn.VisionNet(3)
+	vision, err := nn.VisionNet()
 	if err != nil {
 		return nil, err
 	}

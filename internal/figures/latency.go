@@ -20,7 +20,7 @@ import (
 // cross-checked by the discrete-event simulator for the Wi-R keyword-
 // spotting pipeline.
 func TableLatency() (*Table, error) {
-	models, err := nn.Zoo(1)
+	models, err := nn.Zoo()
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func TableLatency() (*Table, error) {
 
 	// Simulator cross-check: the full KWS pipeline (packetization, TDMA
 	// slot wait, ARQ, hub queue) for the Wi-R audio node.
-	kws, err := nn.KWSNet(1)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		return nil, err
 	}

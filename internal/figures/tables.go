@@ -104,7 +104,7 @@ func TableSecurity() (*Table, error) {
 // each workload, the optimal partition under BLE vs Wi-R and the leaf-side
 // consequences.
 func TableOffload() (*Table, error) {
-	models, err := nn.Zoo(1)
+	models, err := nn.Zoo()
 	if err != nil {
 		return nil, err
 	}

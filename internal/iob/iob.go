@@ -91,12 +91,6 @@ type PowerBreakdown struct {
 // Total sums the components.
 func (b PowerBreakdown) Total() units.Power { return b.Sense + b.Compute + b.Comm }
 
-// String renders the breakdown.
-func (b PowerBreakdown) String() string {
-	return fmt.Sprintf("sense %v + compute %v + comm %v = %v",
-		b.Sense, b.Compute, b.Comm, b.Total())
-}
-
 // LinkRate returns the node's average transmitted rate.
 func (d *NodeDesign) LinkRate() units.DataRate {
 	return d.Policy.OutputRate(d.Sensor.DataRate())

@@ -17,7 +17,7 @@ func radioBLE() *radio.Transceiver { return radio.BLE42() }
 
 func ecgWorkload(t *testing.T) *Workload {
 	t.Helper()
-	m, err := nn.ECGNet(1)
+	m, err := nn.ECGNet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSweepValidation(t *testing.T) {
 }
 
 func TestNetworkComposition(t *testing.T) {
-	kws, err := nn.KWSNet(2)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}

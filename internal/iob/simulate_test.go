@@ -1,17 +1,125 @@
 package iob
 
 import (
+	"fmt"
 	"testing"
 
+	"wiban/internal/bannet"
+	"wiban/internal/energy"
 	"wiban/internal/isa"
 	"wiban/internal/nn"
+	"wiban/internal/phy"
+	"wiban/internal/radio"
 	"wiban/internal/sensors"
 	"wiban/internal/units"
 )
 
+// The simulation bridge lowers a composed Network into the discrete-event
+// simulator, deriving each node's packet error rate from the physical
+// link budget, so these tests can hold the closed-form power breakdown to
+// a simulated run. No binary lowers a Network this way.
+
+// SimOptions tunes the lowering.
+type SimOptions struct {
+	// Seed drives the simulation randomness.
+	Seed int64
+	// BodyPath is the assumed node-to-hub body path for the link budget
+	// (1.5 m default).
+	BodyPath units.Distance
+	// PacketBits is the framing quantum (8192 default).
+	PacketBits int
+	// MaxRetries bounds ARQ (5 default).
+	MaxRetries int
+	// Battery powers every node (the Fig. 3 cell by default).
+	Battery *energy.Battery
+	// DrainBattery enables in-run battery accounting and node death.
+	DrainBattery bool
+}
+
+// fill applies defaults.
+func (o *SimOptions) fill() {
+	if o.BodyPath <= 0 {
+		o.BodyPath = 1.5 * units.Meter
+	}
+	if o.PacketBits <= 0 {
+		o.PacketBits = 8192
+	}
+	if o.MaxRetries <= 0 {
+		o.MaxRetries = 5
+	}
+	if o.Battery == nil {
+		o.Battery = energy.Fig3Battery()
+	}
+}
+
+// linkPER derives the packet error rate for a node's radio over the body
+// path from the PHY link budget.
+func linkPER(tr *radio.Transceiver, bodyPath units.Distance, packetBits int) (float64, error) {
+	var link *phy.Link
+	switch tr.Tech {
+	case radio.TechEQS:
+		link = phy.WiRLink(bodyPath)
+	case radio.TechRF:
+		link = phy.BLELink(bodyPath)
+	case radio.TechMQS:
+		link = phy.MQSLink(bodyPath)
+	default:
+		return 0, fmt.Errorf("iob: no channel model for %v", tr.Tech)
+	}
+	per := link.PER(packetBits)
+	if per >= 1 {
+		return 0, fmt.Errorf("iob: %s link does not close over %v", tr.Name, bodyPath)
+	}
+	return per, nil
+}
+
+// ToSimConfig lowers the network to a bannet configuration.
+func (n *Network) ToSimConfig(opts SimOptions) (bannet.Config, error) {
+	opts.fill()
+	cfg := bannet.Config{Seed: opts.Seed}
+	if n.Hub.Compute != nil {
+		cfg.HubCompute = n.Hub.Compute
+	}
+	for i, d := range n.Nodes {
+		if d.Sensor == nil || d.Policy == nil || d.Radio == nil {
+			return bannet.Config{}, fmt.Errorf("iob: node %q incompletely specified", d.Name)
+		}
+		per, err := linkPER(d.Radio, opts.BodyPath, opts.PacketBits)
+		if err != nil {
+			return bannet.Config{}, err
+		}
+		nc := bannet.NodeConfig{
+			ID: i + 1, Name: d.Name,
+			Sensor: d.Sensor, Policy: d.Policy, Radio: d.Radio,
+			Battery:    opts.Battery,
+			PacketBits: opts.PacketBits, PER: per, MaxRetries: opts.MaxRetries,
+			DrainBattery: opts.DrainBattery,
+		}
+		// Offloaded workloads become hub inference specs.
+		if d.Workload != nil && d.Arch == HumanInspired {
+			nc.Inference = &bannet.InferenceSpec{
+				Name:      d.Workload.Model.Name,
+				MACs:      d.Workload.Model.TotalMACs(),
+				InputBits: d.Workload.Model.InElems() * 8,
+			}
+		}
+		cfg.Nodes = append(cfg.Nodes, nc)
+	}
+	return cfg, nil
+}
+
+// Simulate lowers the network and runs it for the given span.
+func (n *Network) Simulate(opts SimOptions, span units.Duration) (*bannet.Report, error) {
+	cfg, err := n.ToSimConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	return bannet.Run(cfg, span)
+}
+
 func demoNetwork(t *testing.T) *Network {
 	t.Helper()
-	kws, err := nn.KWSNet(2)
+	kws, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}

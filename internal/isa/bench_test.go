@@ -7,21 +7,6 @@ import (
 	"wiban/internal/units"
 )
 
-func BenchmarkFFT1024(b *testing.B) {
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(math.Sin(float64(i)/7), 0)
-	}
-	b.SetBytes(1024 * 16)
-	for i := 0; i < b.N; i++ {
-		buf := make([]complex128, len(x))
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBiquadBlock(b *testing.B) {
 	f := NewBandPass(250*units.Hertz, 10*units.Hertz, 0.7)
 	in := make([]float64, 2500)
@@ -46,20 +31,5 @@ func BenchmarkVADSecond(b *testing.B) {
 		for _, s := range in {
 			v.Process(s)
 		}
-	}
-}
-
-func BenchmarkBandEnergies(b *testing.B) {
-	frame := make([]float64, 512)
-	w := Hann(512)
-	for i := range frame {
-		frame[i] = w[i] * math.Sin(float64(i)/4)
-	}
-	spec, err := PowerSpectrum(frame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		BandEnergies(spec, 16*units.Kilohertz, 100*units.Hertz, 8*units.Kilohertz, 12)
 	}
 }

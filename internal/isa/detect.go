@@ -101,42 +101,6 @@ func (d *RPeakDetector) HeartRateBPM() float64 {
 	return 60 * float64(d.fs) / med
 }
 
-// EMGOnsetDetector detects muscle activations with a rectified envelope
-// and hysteresis thresholding.
-type EMGOnsetDetector struct {
-	env     *MovingAverage
-	hi, lo  float64
-	active  bool
-	onsets  int
-	offsets int
-}
-
-// NewEMGOnsetDetector returns a detector at fs. hi/lo are envelope
-// thresholds in the signal's units (mV).
-func NewEMGOnsetDetector(fs units.Frequency, hi, lo float64) *EMGOnsetDetector {
-	win := int(0.05 * float64(fs)) // 50 ms envelope
-	if win < 1 {
-		win = 1
-	}
-	return &EMGOnsetDetector{env: NewMovingAverage(win), hi: hi, lo: lo}
-}
-
-// Process consumes one sample and returns the current activation state.
-func (d *EMGOnsetDetector) Process(x float64) bool {
-	e := d.env.Process(math.Abs(x))
-	if !d.active && e > d.hi {
-		d.active = true
-		d.onsets++
-	} else if d.active && e < d.lo {
-		d.active = false
-		d.offsets++
-	}
-	return d.active
-}
-
-// Onsets returns the number of activations detected.
-func (d *EMGOnsetDetector) Onsets() int { return d.onsets }
-
 // VAD is a frame-energy voice-activity detector with a min-tracking noise
 // floor.
 type VAD struct {

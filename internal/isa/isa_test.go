@@ -290,40 +290,6 @@ func TestRPeakRefractory(t *testing.T) {
 	}
 }
 
-func TestEMGOnsetDetector(t *testing.T) {
-	fs := 1 * units.Kilohertz
-	g := sensors.NewEMGSynth(fs, 5)
-	d := NewEMGOnsetDetector(fs, 0.15, 0.05)
-	n := 60000 // 60 s
-	agree, total := 0, 0
-	transitions := 0
-	prev := false
-	for i := 0; i < n; i++ {
-		x := g.Next()
-		got := d.Process(x)
-		// Skip the first 2 s of envelope warm-up.
-		if i > 2000 {
-			if got == g.Active() {
-				agree++
-			}
-			total++
-		}
-		if got != prev {
-			transitions++
-			prev = got
-		}
-	}
-	if acc := float64(agree) / float64(total); acc < 0.85 {
-		t.Errorf("EMG state accuracy %.2f, want ≥ 0.85", acc)
-	}
-	if d.Onsets() < 5 {
-		t.Errorf("detected %d onsets in 60 s, want ≥ 5", d.Onsets())
-	}
-	if transitions > 200 {
-		t.Errorf("%d transitions — detector is chattering", transitions)
-	}
-}
-
 func TestVADAccuracy(t *testing.T) {
 	fs := 16 * units.Kilohertz
 	g := sensors.NewAudioSynth(fs, 6)

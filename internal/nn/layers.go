@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Profile is the static cost of one layer for a given input shape — the
 // currency of the split-computing partitioner.
@@ -23,8 +20,6 @@ type Layer interface {
 	Name() string
 	// OutShape returns the output shape for an input shape.
 	OutShape(in []int) ([]int, error)
-	// Forward computes the layer output.
-	Forward(x *Tensor) (*Tensor, error)
 	// Profile returns the layer cost for an input shape.
 	Profile(in []int) (Profile, error)
 }
@@ -34,17 +29,12 @@ type Layer interface {
 // Dense is a fully connected layer y = Wx + b.
 type Dense struct {
 	In, Out int
-	W       []float32 // [Out][In] row-major
-	B       []float32 // [Out]
 	label   string
 }
 
-// NewDense returns a He-initialized fully connected layer.
-func NewDense(in, out int, r *rng) *Dense {
-	d := &Dense{In: in, Out: out, W: make([]float32, in*out), B: make([]float32, out)}
-	heInit(d.W, in, r)
-	d.label = fmt.Sprintf("dense %d→%d", in, out)
-	return d
+// NewDense returns a fully connected layer.
+func NewDense(in, out int) *Dense {
+	return &Dense{In: in, Out: out, label: fmt.Sprintf("dense %d→%d", in, out)}
 }
 
 // Name identifies the layer.
@@ -60,23 +50,6 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 		return nil, fmt.Errorf("nn: dense expects %d inputs, got shape %v", d.In, in)
 	}
 	return []int{d.Out}, nil
-}
-
-// Forward computes Wx + b over the flattened input.
-func (d *Dense) Forward(x *Tensor) (*Tensor, error) {
-	if x.Elems() != d.In {
-		return nil, fmt.Errorf("nn: dense input %d, want %d", x.Elems(), d.In)
-	}
-	out := NewTensor(d.Out)
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, v := range x.Data {
-			sum += row[i] * v
-		}
-		out.Data[o] = sum
-	}
-	return out, nil
 }
 
 // Profile counts In×Out MACs.
@@ -99,20 +72,15 @@ type Conv2D struct {
 	KH, KW, CIn, COut int
 	Stride            int
 	SamePad           bool
-	W                 []float32 // [COut][KH][KW][CIn]
-	B                 []float32
 	label             string
 }
 
-// NewConv2D returns a He-initialized convolution.
-func NewConv2D(kh, kw, cin, cout, stride int, samePad bool, r *rng) *Conv2D {
-	c := &Conv2D{
+// NewConv2D returns a convolution.
+func NewConv2D(kh, kw, cin, cout, stride int, samePad bool) *Conv2D {
+	return &Conv2D{
 		KH: kh, KW: kw, CIn: cin, COut: cout, Stride: stride, SamePad: samePad,
-		W: make([]float32, cout*kh*kw*cin), B: make([]float32, cout),
+		label: fmt.Sprintf("conv %dx%dx%d→%d s%d", kh, kw, cin, cout, stride),
 	}
-	heInit(c.W, kh*kw*cin, r)
-	c.label = fmt.Sprintf("conv %dx%dx%d→%d s%d", kh, kw, cin, cout, stride)
-	return c
 }
 
 // Name identifies the layer.
@@ -140,44 +108,6 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{oh, ow, c.COut}, nil
 }
 
-// Forward computes the convolution directly.
-func (c *Conv2D) Forward(x *Tensor) (*Tensor, error) {
-	os, err := c.OutShape(x.Shape)
-	if err != nil {
-		return nil, err
-	}
-	h, w := x.Shape[0], x.Shape[1]
-	ph, pw := c.pads()
-	out := NewTensor(os...)
-	for oy := 0; oy < os[0]; oy++ {
-		for ox := 0; ox < os[1]; ox++ {
-			for oc := 0; oc < c.COut; oc++ {
-				sum := c.B[oc]
-				wBase := oc * c.KH * c.KW * c.CIn
-				for ky := 0; ky < c.KH; ky++ {
-					sy := oy*c.Stride + ky - ph
-					if sy < 0 || sy >= h {
-						continue
-					}
-					for kx := 0; kx < c.KW; kx++ {
-						sx := ox*c.Stride + kx - pw
-						if sx < 0 || sx >= w {
-							continue
-						}
-						xBase := (sy*w + sx) * c.CIn
-						wOff := wBase + (ky*c.KW+kx)*c.CIn
-						for ci := 0; ci < c.CIn; ci++ {
-							sum += c.W[wOff+ci] * x.Data[xBase+ci]
-						}
-					}
-				}
-				out.Set3(oy, ox, oc, sum)
-			}
-		}
-	}
-	return out, nil
-}
-
 // Profile counts OH·OW·COut·KH·KW·CIn MACs.
 func (c *Conv2D) Profile(in []int) (Profile, error) {
 	os, err := c.OutShape(in)
@@ -187,7 +117,7 @@ func (c *Conv2D) Profile(in []int) (Profile, error) {
 	macs := int64(os[0]) * int64(os[1]) * int64(c.COut) * int64(c.KH) * int64(c.KW) * int64(c.CIn)
 	return Profile{
 		MACs:     macs,
-		Params:   int64(len(c.W)) + int64(len(c.B)),
+		Params:   int64(c.COut)*int64(c.KH)*int64(c.KW)*int64(c.CIn) + int64(c.COut),
 		OutElems: int64(os[0]) * int64(os[1]) * int64(os[2]),
 	}, nil
 }
@@ -200,20 +130,15 @@ type DepthwiseConv2D struct {
 	KH, KW, C int
 	Stride    int
 	SamePad   bool
-	W         []float32 // [C][KH][KW]
-	B         []float32
 	label     string
 }
 
-// NewDepthwiseConv2D returns a He-initialized depthwise convolution.
-func NewDepthwiseConv2D(kh, kw, ch, stride int, samePad bool, r *rng) *DepthwiseConv2D {
-	d := &DepthwiseConv2D{
+// NewDepthwiseConv2D returns a depthwise convolution.
+func NewDepthwiseConv2D(kh, kw, ch, stride int, samePad bool) *DepthwiseConv2D {
+	return &DepthwiseConv2D{
 		KH: kh, KW: kw, C: ch, Stride: stride, SamePad: samePad,
-		W: make([]float32, ch*kh*kw), B: make([]float32, ch),
+		label: fmt.Sprintf("dwconv %dx%d c%d s%d", kh, kw, ch, stride),
 	}
-	heInit(d.W, kh*kw, r)
-	d.label = fmt.Sprintf("dwconv %dx%d c%d s%d", kh, kw, ch, stride)
-	return d
 }
 
 // Name identifies the layer.
@@ -240,39 +165,6 @@ func (d *DepthwiseConv2D) OutShape(in []int) ([]int, error) {
 	return []int{oh, ow, d.C}, nil
 }
 
-// Forward computes the depthwise convolution.
-func (d *DepthwiseConv2D) Forward(x *Tensor) (*Tensor, error) {
-	os, err := d.OutShape(x.Shape)
-	if err != nil {
-		return nil, err
-	}
-	h, w := x.Shape[0], x.Shape[1]
-	ph, pw := d.pads()
-	out := NewTensor(os...)
-	for oy := 0; oy < os[0]; oy++ {
-		for ox := 0; ox < os[1]; ox++ {
-			for ch := 0; ch < d.C; ch++ {
-				sum := d.B[ch]
-				for ky := 0; ky < d.KH; ky++ {
-					sy := oy*d.Stride + ky - ph
-					if sy < 0 || sy >= h {
-						continue
-					}
-					for kx := 0; kx < d.KW; kx++ {
-						sx := ox*d.Stride + kx - pw
-						if sx < 0 || sx >= w {
-							continue
-						}
-						sum += d.W[(ch*d.KH+ky)*d.KW+kx] * x.At3(sy, sx, ch)
-					}
-				}
-				out.Set3(oy, ox, ch, sum)
-			}
-		}
-	}
-	return out, nil
-}
-
 // Profile counts OH·OW·C·KH·KW MACs.
 func (d *DepthwiseConv2D) Profile(in []int) (Profile, error) {
 	os, err := d.OutShape(in)
@@ -282,7 +174,7 @@ func (d *DepthwiseConv2D) Profile(in []int) (Profile, error) {
 	macs := int64(os[0]) * int64(os[1]) * int64(d.C) * int64(d.KH) * int64(d.KW)
 	return Profile{
 		MACs:     macs,
-		Params:   int64(len(d.W)) + int64(len(d.B)),
+		Params:   int64(d.C)*int64(d.KH)*int64(d.KW) + int64(d.C),
 		OutElems: int64(os[0]) * int64(os[1]) * int64(os[2]),
 	}, nil
 }
@@ -294,20 +186,15 @@ type Conv1D struct {
 	K, CIn, COut int
 	Stride       int
 	SamePad      bool
-	W            []float32 // [COut][K][CIn]
-	B            []float32
 	label        string
 }
 
-// NewConv1D returns a He-initialized 1-D convolution.
-func NewConv1D(k, cin, cout, stride int, samePad bool, r *rng) *Conv1D {
-	c := &Conv1D{
+// NewConv1D returns a 1-D convolution.
+func NewConv1D(k, cin, cout, stride int, samePad bool) *Conv1D {
+	return &Conv1D{
 		K: k, CIn: cin, COut: cout, Stride: stride, SamePad: samePad,
-		W: make([]float32, cout*k*cin), B: make([]float32, cout),
+		label: fmt.Sprintf("conv1d %dx%d→%d s%d", k, cin, cout, stride),
 	}
-	heInit(c.W, k*cin, r)
-	c.label = fmt.Sprintf("conv1d %dx%d→%d s%d", k, cin, cout, stride)
-	return c
 }
 
 // Name identifies the layer.
@@ -333,33 +220,6 @@ func (c *Conv1D) OutShape(in []int) ([]int, error) {
 	return []int{ot, c.COut}, nil
 }
 
-// Forward computes the 1-D convolution.
-func (c *Conv1D) Forward(x *Tensor) (*Tensor, error) {
-	os, err := c.OutShape(x.Shape)
-	if err != nil {
-		return nil, err
-	}
-	tLen := x.Shape[0]
-	p := c.pad()
-	out := NewTensor(os...)
-	for ot := 0; ot < os[0]; ot++ {
-		for oc := 0; oc < c.COut; oc++ {
-			sum := c.B[oc]
-			for k := 0; k < c.K; k++ {
-				st := ot*c.Stride + k - p
-				if st < 0 || st >= tLen {
-					continue
-				}
-				for ci := 0; ci < c.CIn; ci++ {
-					sum += c.W[(oc*c.K+k)*c.CIn+ci] * x.Data[st*c.CIn+ci]
-				}
-			}
-			out.Data[ot*c.COut+oc] = sum
-		}
-	}
-	return out, nil
-}
-
 // Profile counts OT·COut·K·CIn MACs.
 func (c *Conv1D) Profile(in []int) (Profile, error) {
 	os, err := c.OutShape(in)
@@ -369,64 +229,12 @@ func (c *Conv1D) Profile(in []int) (Profile, error) {
 	macs := int64(os[0]) * int64(c.COut) * int64(c.K) * int64(c.CIn)
 	return Profile{
 		MACs:     macs,
-		Params:   int64(len(c.W)) + int64(len(c.B)),
+		Params:   int64(c.COut)*int64(c.K)*int64(c.CIn) + int64(c.COut),
 		OutElems: int64(os[0]) * int64(os[1]),
 	}, nil
 }
 
 // --- Pooling and pointwise ------------------------------------------------------
-
-// MaxPool2D pools [H,W,C] by non-overlapping windows.
-type MaxPool2D struct{ Size int }
-
-// Name identifies the layer.
-func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool %d", p.Size) }
-
-// OutShape divides spatial dims by the pool size.
-func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("nn: maxpool expects [H,W,C], got %v", in)
-	}
-	if p.Size <= 0 || in[0] < p.Size || in[1] < p.Size {
-		return nil, fmt.Errorf("nn: maxpool %d too large for %v", p.Size, in)
-	}
-	return []int{in[0] / p.Size, in[1] / p.Size, in[2]}, nil
-}
-
-// Forward computes the max over each window.
-func (p *MaxPool2D) Forward(x *Tensor) (*Tensor, error) {
-	os, err := p.OutShape(x.Shape)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTensor(os...)
-	for oy := 0; oy < os[0]; oy++ {
-		for ox := 0; ox < os[1]; ox++ {
-			for c := 0; c < os[2]; c++ {
-				m := float32(math.Inf(-1))
-				for ky := 0; ky < p.Size; ky++ {
-					for kx := 0; kx < p.Size; kx++ {
-						v := x.At3(oy*p.Size+ky, ox*p.Size+kx, c)
-						if v > m {
-							m = v
-						}
-					}
-				}
-				out.Set3(oy, ox, c, m)
-			}
-		}
-	}
-	return out, nil
-}
-
-// Profile: pooling has comparisons, not MACs.
-func (p *MaxPool2D) Profile(in []int) (Profile, error) {
-	os, err := p.OutShape(in)
-	if err != nil {
-		return Profile{}, err
-	}
-	return Profile{OutElems: int64(os[0]) * int64(os[1]) * int64(os[2])}, nil
-}
 
 // GlobalAvgPool averages each channel over all spatial positions.
 type GlobalAvgPool struct{}
@@ -440,24 +248,6 @@ func (GlobalAvgPool) OutShape(in []int) ([]int, error) {
 		return nil, fmt.Errorf("nn: gap expects [H,W,C], got %v", in)
 	}
 	return []int{in[2]}, nil
-}
-
-// Forward averages spatially.
-func (g GlobalAvgPool) Forward(x *Tensor) (*Tensor, error) {
-	os, err := g.OutShape(x.Shape)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTensor(os...)
-	hw := x.Shape[0] * x.Shape[1]
-	for c := 0; c < os[0]; c++ {
-		var sum float32
-		for i := 0; i < hw; i++ {
-			sum += x.Data[i*os[0]+c]
-		}
-		out.Data[c] = sum / float32(hw)
-	}
-	return out, nil
 }
 
 // Profile: adds only.
@@ -478,17 +268,6 @@ func (ReLU) Name() string { return "relu" }
 // OutShape is identity.
 func (ReLU) OutShape(in []int) ([]int, error) { return append([]int(nil), in...), nil }
 
-// Forward clamps negatives to zero.
-func (ReLU) Forward(x *Tensor) (*Tensor, error) {
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out, nil
-}
-
 // Profile: no MACs.
 func (ReLU) Profile(in []int) (Profile, error) {
 	n := int64(1)
@@ -507,13 +286,6 @@ func (Softmax) Name() string { return "softmax" }
 // OutShape is identity.
 func (Softmax) OutShape(in []int) ([]int, error) { return append([]int(nil), in...), nil }
 
-// Forward computes a numerically stable softmax.
-func (Softmax) Forward(x *Tensor) (*Tensor, error) {
-	out := x.Clone()
-	softmaxInPlace(out.Data)
-	return out, nil
-}
-
 // Profile: exp/normalize only.
 func (Softmax) Profile(in []int) (Profile, error) {
 	n := int64(1)
@@ -521,31 +293,6 @@ func (Softmax) Profile(in []int) (Profile, error) {
 		n *= int64(d)
 	}
 	return Profile{OutElems: n}, nil
-}
-
-// softmaxInPlace applies a stable softmax to v.
-func softmaxInPlace(v []float32) {
-	if len(v) == 0 {
-		return
-	}
-	max := v[0]
-	for _, x := range v {
-		if x > max {
-			max = x
-		}
-	}
-	var sum float32
-	for i, x := range v {
-		e := float32(math.Exp(float64(x - max)))
-		v[i] = e
-		sum += e
-	}
-	if sum == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= sum
-	}
 }
 
 // Flatten reshapes any input to a vector.
@@ -562,9 +309,6 @@ func (Flatten) OutShape(in []int) ([]int, error) {
 	}
 	return []int{n}, nil
 }
-
-// Forward reshapes without copying.
-func (Flatten) Forward(x *Tensor) (*Tensor, error) { return x.Reshape(x.Elems()) }
 
 // Profile: free.
 func (Flatten) Profile(in []int) (Profile, error) {

@@ -6,11 +6,10 @@ import (
 )
 
 // MLP is a small trainable multi-layer perceptron (Dense + ReLU hidden
-// layers, softmax cross-entropy output). It exists so the in-sensor
-// classifiers in the examples and tests are *learned* models with real
-// accuracy numbers, not random weights; ToSequential exports the trained
-// network into the inference/profiling representation the partitioner
-// consumes.
+// layers, softmax cross-entropy output), so the forward pass and the int8
+// quantizer are tested on a learned model, not random weights;
+// ToSequential exports the trained network into the Sequential
+// representation.
 type MLP struct {
 	Sizes []int // [in, hidden..., out]
 	W     [][]float32
@@ -189,8 +188,8 @@ func (m *MLP) ToSequential(name string) (*Sequential, error) {
 	var layers []Layer
 	last := len(m.W) - 1
 	for l := range m.W {
-		d := &Dense{In: m.Sizes[l], Out: m.Sizes[l+1], W: m.W[l], B: m.B[l],
-			label: fmt.Sprintf("dense %d→%d", m.Sizes[l], m.Sizes[l+1])}
+		d := NewDense(m.Sizes[l], m.Sizes[l+1])
+		layerWeights[d] = &weights{W: m.W[l], B: m.B[l]}
 		layers = append(layers, d)
 		if l < last {
 			layers = append(layers, ReLU{})

@@ -1,3 +1,13 @@
+// Package nn is the static cost model of the neural networks the paper's
+// workloads run: the keyword-spotting, biopotential-classification and
+// small-vision networks that a wearable AI system runs either on the leaf
+// node (in-sensor analytics), on the on-body hub (the "wearable brain"),
+// or split between them.
+//
+// A model is a chain of layer shapes with per-layer cost profiles
+// (multiply-accumulates, parameters, activation sizes) — the quantities
+// the split-computing partitioner optimizes. The package computes no
+// activations and holds no weights.
 package nn
 
 import (
@@ -6,7 +16,7 @@ import (
 )
 
 // Sequential is a feed-forward chain of layers with a fixed input shape,
-// validated at construction so profiling and inference cannot diverge.
+// validated at construction.
 type Sequential struct {
 	Name     string
 	InShape  []int
@@ -36,14 +46,8 @@ func NewSequential(name string, inShape []int, layers ...Layer) (*Sequential, er
 	return m, nil
 }
 
-// Layers returns the layer list.
-func (m *Sequential) Layers() []Layer { return m.layers }
-
 // NumLayers returns the layer count.
 func (m *Sequential) NumLayers() int { return len(m.layers) }
-
-// OutShape returns the model output shape.
-func (m *Sequential) OutShape() []int { return m.shapes[len(m.shapes)-1] }
 
 // ShapeAt returns the activation shape entering layer i (i = NumLayers
 // yields the output shape).
@@ -77,30 +81,6 @@ func (m *Sequential) InElems() int64 {
 		n *= int64(d)
 	}
 	return n
-}
-
-// Forward runs the whole model.
-func (m *Sequential) Forward(x *Tensor) (*Tensor, error) {
-	return m.ForwardRange(x, 0, len(m.layers))
-}
-
-// ForwardRange runs layers [from, to) — the primitive a split deployment
-// uses: the leaf runs [0, cut), transmits, and the hub runs [cut, end).
-func (m *Sequential) ForwardRange(x *Tensor, from, to int) (*Tensor, error) {
-	if from < 0 || to > len(m.layers) || from > to {
-		return nil, fmt.Errorf("nn: invalid layer range [%d,%d)", from, to)
-	}
-	if !SameShape(x.Shape, m.shapes[from]) {
-		return nil, fmt.Errorf("nn: input shape %v, want %v at layer %d", x.Shape, m.shapes[from], from)
-	}
-	var err error
-	for i := from; i < to; i++ {
-		x, err = m.layers[i].Forward(x)
-		if err != nil {
-			return nil, fmt.Errorf("nn: %s layer %d (%s): %w", m.Name, i, m.layers[i].Name(), err)
-		}
-	}
-	return x, nil
 }
 
 // Summary renders a per-layer table (name, output shape, MACs, params,

@@ -47,7 +47,8 @@ func TestArgMaxAndMaxAbs(t *testing.T) {
 }
 
 func TestDenseForwardKnown(t *testing.T) {
-	d := &Dense{In: 2, Out: 2, W: []float32{1, 2, 3, 4}, B: []float32{0.5, -0.5}, label: "d"}
+	d := NewDense(2, 2)
+	layerWeights[d] = &weights{W: []float32{1, 2, 3, 4}, B: []float32{0.5, -0.5}}
 	x, _ := FromSlice([]float32{1, 1}, 2)
 	y, err := d.Forward(x)
 	if err != nil {
@@ -64,8 +65,8 @@ func TestDenseForwardKnown(t *testing.T) {
 
 func TestConv2DIdentityKernel(t *testing.T) {
 	// A 1×1 identity kernel must pass the input through.
-	c := &Conv2D{KH: 1, KW: 1, CIn: 1, COut: 1, Stride: 1, SamePad: true,
-		W: []float32{1}, B: []float32{0}, label: "id"}
+	c := NewConv2D(1, 1, 1, 1, 1, true)
+	layerWeights[c] = &weights{W: []float32{1}, B: []float32{0}}
 	x := NewTensor(4, 4, 1)
 	for i := range x.Data {
 		x.Data[i] = float32(i)
@@ -84,11 +85,12 @@ func TestConv2DIdentityKernel(t *testing.T) {
 func TestConv2DSumKernel(t *testing.T) {
 	// A 3×3 all-ones valid conv over an all-ones input sums to 9.
 	r := newRNG(1)
-	c := NewConv2D(3, 3, 1, 1, 1, false, r)
-	for i := range c.W {
-		c.W[i] = 1
+	c := heLayer(NewConv2D(3, 3, 1, 1, 1, false), r)
+	w := weightsOf(c)
+	for i := range w.W {
+		w.W[i] = 1
 	}
-	c.B[0] = 0
+	w.B[0] = 0
 	x := NewTensor(5, 5, 1)
 	for i := range x.Data {
 		x.Data[i] = 1
@@ -108,8 +110,7 @@ func TestConv2DSumKernel(t *testing.T) {
 }
 
 func TestConv2DStrideAndPadShapes(t *testing.T) {
-	r := newRNG(2)
-	c := NewConv2D(3, 3, 2, 8, 2, true, r)
+	c := NewConv2D(3, 3, 2, 8, 2, true)
 	os, err := c.OutShape([]int{49, 10, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +127,12 @@ func TestDepthwiseIndependence(t *testing.T) {
 	// Depthwise conv must not mix channels: zero one channel's kernel and
 	// its output is exactly its bias.
 	r := newRNG(3)
-	d := NewDepthwiseConv2D(3, 3, 2, 1, true, r)
+	d := heLayer(NewDepthwiseConv2D(3, 3, 2, 1, true), r)
+	w := weightsOf(d)
 	for k := 0; k < 9; k++ {
-		d.W[0*9+k] = 0 // channel 0 kernel zeroed
+		w.W[0*9+k] = 0 // channel 0 kernel zeroed
 	}
-	d.B[0] = 0.25
+	w.B[0] = 0.25
 	x := NewTensor(6, 6, 2)
 	for i := range x.Data {
 		x.Data[i] = float32(i%7) - 3
@@ -148,8 +150,8 @@ func TestDepthwiseIndependence(t *testing.T) {
 
 func TestConv1DKnown(t *testing.T) {
 	// Moving-sum kernel of width 2, stride 1, valid: y[t] = x[t]+x[t+1].
-	c := &Conv1D{K: 2, CIn: 1, COut: 1, Stride: 1, SamePad: false,
-		W: []float32{1, 1}, B: []float32{0}, label: "sum2"}
+	c := NewConv1D(2, 1, 1, 1, false)
+	layerWeights[c] = &weights{W: []float32{1, 1}, B: []float32{0}}
 	x, _ := FromSlice([]float32{1, 2, 3, 4}, 4, 1)
 	y, err := c.Forward(x)
 	if err != nil {
@@ -226,10 +228,10 @@ func TestSoftmaxStability(t *testing.T) {
 
 func TestSequentialShapeValidation(t *testing.T) {
 	r := newRNG(5)
-	if _, err := NewSequential("bad", []int{10}, NewDense(11, 4, r)); err == nil {
+	if _, err := NewSequential("bad", []int{10}, NewDense(11, 4)); err == nil {
 		t.Error("shape mismatch at build should fail")
 	}
-	m, err := NewSequential("ok", []int{8}, NewDense(8, 4, r), ReLU{}, NewDense(4, 2, r), Softmax{})
+	m, err := NewSequential("ok", []int{8}, heLayer(NewDense(8, 4), r), ReLU{}, heLayer(NewDense(4, 2), r), Softmax{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +254,11 @@ func TestSequentialShapeValidation(t *testing.T) {
 func TestForwardRangeEquivalence(t *testing.T) {
 	// Splitting the forward pass at any point must give the same output as
 	// running it whole — the invariant split computing relies on.
-	m, err := KWSNet(7)
+	m, err := KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}
+	withWeights(m, 7)
 	x := NewTensor(49, 10, 1)
 	r := newRNG(99)
 	for i := range x.Data {
@@ -286,9 +289,12 @@ func TestForwardRangeEquivalence(t *testing.T) {
 }
 
 func TestZooProfiles(t *testing.T) {
-	models, err := Zoo(1)
+	models, err := Zoo()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, m := range models {
+		withWeights(m, int64(1+i))
 	}
 	if len(models) != 3 {
 		t.Fatalf("zoo size %d", len(models))
@@ -328,26 +334,21 @@ func TestZooProfiles(t *testing.T) {
 }
 
 func TestZooDeterministic(t *testing.T) {
-	a, _ := KWSNet(42)
-	b, _ := KWSNet(42)
-	la := a.Layers()[0].(*Conv2D)
-	lb := b.Layers()[0].(*Conv2D)
-	for i := range la.W {
-		if la.W[i] != lb.W[i] {
-			t.Fatal("same seed produced different weights")
-		}
+	// Every build of the zoo is the same cost model: equal layer shapes
+	// and profiles, so the figures and the partitioner cannot drift
+	// between calls.
+	a, err := Zoo()
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, _ := KWSNet(43)
-	lc := c.Layers()[0].(*Conv2D)
-	same := true
-	for i := range la.W {
-		if la.W[i] != lc.W[i] {
-			same = false
-			break
-		}
+	b, err := Zoo()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if same {
-		t.Error("different seeds produced identical weights")
+	for i := range a {
+		if a[i].Summary() != b[i].Summary() {
+			t.Errorf("%s: two builds differ:\n%s\n%s", a[i].Name, a[i].Summary(), b[i].Summary())
+		}
 	}
 }
 
@@ -489,7 +490,7 @@ func TestQuantMLPAccuracyParity(t *testing.T) {
 
 func TestQuantDenseMatchesFloatClosely(t *testing.T) {
 	r := newRNG(21)
-	d := NewDense(32, 8, r)
+	d := heLayer(NewDense(32, 8), r)
 	qd := QuantizeDense(d)
 	x := NewTensor(32)
 	for i := range x.Data {

@@ -5,11 +5,10 @@ import (
 	"math"
 )
 
-// Post-training int8 quantization. The split deployments quantize the
-// activation tensor crossing the link to 8 bits (that is the "×8 bits"
-// the partitioner charges per transmitted element), and quantizing the
-// leaf-side weights shrinks both the model download and the MCU's memory
-// footprint. Symmetric per-tensor scales keep the arithmetic integer-only.
+// Post-training int8 quantization, which only these tests run: the
+// partitioner charges 8 bits per transmitted activation element, and these
+// tests check that int8 arithmetic with symmetric per-tensor scales stays
+// close to the float forward pass.
 
 // QuantTensor is an int8 tensor with a symmetric per-tensor scale:
 // real ≈ scale × q.
@@ -60,8 +59,9 @@ type QuantDense struct {
 
 // QuantizeDense converts a float Dense layer.
 func QuantizeDense(d *Dense) *QuantDense {
+	w := weightsOf(d)
 	var maxAbs float32
-	for _, v := range d.W {
+	for _, v := range w.W {
 		a := float32(math.Abs(float64(v)))
 		if a > maxAbs {
 			maxAbs = a
@@ -71,9 +71,9 @@ func QuantizeDense(d *Dense) *QuantDense {
 	if scale == 0 {
 		scale = 1
 	}
-	q := &QuantDense{In: d.In, Out: d.Out, W8: make([]int8, len(d.W)), WScale: scale,
-		B: append([]float32(nil), d.B...)}
-	for i, v := range d.W {
+	q := &QuantDense{In: d.In, Out: d.Out, W8: make([]int8, len(w.W)), WScale: scale,
+		B: append([]float32(nil), w.B...)}
+	for i, v := range w.W {
 		r := math.Round(float64(v / scale))
 		if r > 127 {
 			r = 127
@@ -114,7 +114,8 @@ type QuantMLP struct {
 func QuantizeMLP(m *MLP) *QuantMLP {
 	q := &QuantMLP{}
 	for l := range m.W {
-		d := &Dense{In: m.Sizes[l], Out: m.Sizes[l+1], W: m.W[l], B: m.B[l]}
+		d := NewDense(m.Sizes[l], m.Sizes[l+1])
+		layerWeights[d] = &weights{W: m.W[l], B: m.B[l]}
 		q.layers = append(q.layers, QuantizeDense(d))
 	}
 	return q

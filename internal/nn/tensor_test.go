@@ -1,14 +1,3 @@
-// Package nn is a from-scratch neural-network inference library sized for
-// the paper's workloads: the keyword-spotting, biopotential-classification
-// and small-vision networks that a wearable AI system runs either on the
-// leaf node (in-sensor analytics), on the on-body hub (the "wearable
-// brain"), or split between them.
-//
-// The library provides float32 inference with per-layer cost profiles
-// (multiply-accumulates, parameters, activation sizes) — the quantities the
-// split-computing partitioner optimizes — plus int8 post-training
-// quantization and a small SGD trainer so tests exercise real, learned
-// behaviour rather than random weights.
 package nn
 
 import (
@@ -16,7 +5,8 @@ import (
 	"math"
 )
 
-// Tensor is a dense row-major float32 tensor.
+// Tensor is a dense row-major float32 tensor, the activations of the
+// tests' forward pass.
 type Tensor struct {
 	Shape []int
 	Data  []float32
@@ -119,8 +109,8 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// rng is a small deterministic PRNG (xorshift64*) used for weight init so
-// the model zoo is reproducible without importing math/rand everywhere.
+// rng is a small deterministic PRNG (xorshift64*) used for weight init, so
+// the tests' weights are reproducible.
 type rng struct{ s uint64 }
 
 func newRNG(seed int64) *rng {

@@ -6,13 +6,13 @@
 //
 // The model is deliberately small: a metric is registered once with a
 // constant label set and then updated through atomic operations —
-// Counter (monotone float), Gauge (settable float), Histogram
-// (fixed-bucket cumulative distribution), and the func-backed
-// CounterFunc/GaugeFunc that sample an external source (an atomic
-// counter the fleet engine updates, a runtime.MemStats field) at scrape
-// time. Several series may share one metric name with different label
-// sets; the registry renders them under a single HELP/TYPE header, in
-// registration order, with metric families sorted by name.
+// Counter (monotone float), Histogram (fixed-bucket cumulative
+// distribution), and the func-backed CounterFunc/GaugeFunc that sample
+// an external source (an atomic counter the fleet engine updates, a
+// runtime.MemStats field) at scrape time. Several series may share one
+// metric name with different label sets; the registry renders them under
+// a single HELP/TYPE header, in registration order, with metric families
+// sorted by name.
 //
 // All update paths are lock-free and allocation-free, safe for
 // concurrent use from the engine's hot path; registration and exposition
@@ -39,7 +39,7 @@ import (
 type Labels map[string]string
 
 // Counter is a monotonically increasing metric. Updates are atomic;
-// negative increments panic (use a Gauge for values that go down).
+// negative increments panic (use a GaugeFunc for values that go down).
 type Counter struct {
 	bits atomic.Uint64 // float64 bits
 }
@@ -63,28 +63,6 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Value reports the current total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add moves the gauge by v (negative deltas allowed).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative distribution: Observe counts
 // each sample into the first bucket whose upper bound admits it and
@@ -117,15 +95,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count reports total observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n + h.inf.Load()
 }
 
 // Sum reports the exact sum of all observations.
@@ -180,13 +149,6 @@ func (r *Registry) NewCounter(name, help string, labels Labels) *Counter {
 // safe for concurrent calls.
 func (r *Registry) NewCounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(name, help, typeCounter, labels, series{read: fn})
-}
-
-// NewGauge registers and returns a gauge series.
-func (r *Registry) NewGauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, typeGauge, labels, series{read: g.Value})
-	return g
 }
 
 // NewGaugeFunc registers a gauge sampled from fn at scrape time.

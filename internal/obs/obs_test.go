@@ -21,9 +21,7 @@ func TestExpositionGolden(t *testing.T) {
 	c.Add(12345)
 	r.NewCounter("test_sweeps_total", "Sweeps by terminal state.", Labels{"state": "completed"}).Add(3)
 	r.NewCounter("test_sweeps_total", "Sweeps by terminal state.", Labels{"state": "failed"})
-	g := r.NewGauge("test_window_depth", "Reorder-window occupancy.", nil)
-	g.Set(7)
-	g.Add(-2)
+	r.NewGaugeFunc("test_window_depth", "Reorder-window occupancy.", nil, func() float64 { return 5 })
 	r.NewGaugeFunc("test_alloc_bytes", "Heap bytes with \"quotes\" and\nnewline.", Labels{"kind": `va"l\ue`}, func() float64 { return 1.5e6 })
 	h := r.NewHistogram("test_phase1_seconds", "Phase-1 latency.", nil, []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -89,10 +87,13 @@ test_seconds_count{phase="gather"} 1
 // or malformed registrations die at wiring time.
 func TestRegistrationConflictsPanic(t *testing.T) {
 	for name, reg := range map[string]func(r *Registry){
-		"bad metric name":       func(r *Registry) { r.NewCounter("7up", "h", nil) },
-		"bad label name":        func(r *Registry) { r.NewCounter("ok_total", "h", Labels{"0bad": "v"}) },
-		"reserved le label":     func(r *Registry) { r.NewHistogram("ok_h", "h", Labels{"le": "x"}, []float64{1}) },
-		"type conflict":         func(r *Registry) { r.NewCounter("ok_total", "h", nil); r.NewGauge("ok_total", "h", nil) },
+		"bad metric name":   func(r *Registry) { r.NewCounter("7up", "h", nil) },
+		"bad label name":    func(r *Registry) { r.NewCounter("ok_total", "h", Labels{"0bad": "v"}) },
+		"reserved le label": func(r *Registry) { r.NewHistogram("ok_h", "h", Labels{"le": "x"}, []float64{1}) },
+		"type conflict": func(r *Registry) {
+			r.NewCounter("ok_total", "h", nil)
+			r.NewGaugeFunc("ok_total", "h", nil, func() float64 { return 0 })
+		},
 		"help conflict":         func(r *Registry) { r.NewCounter("ok_total", "a", nil); r.NewCounter("ok_total", "b", Labels{"x": "y"}) },
 		"duplicate series":      func(r *Registry) { r.NewCounter("ok_total", "h", nil); r.NewCounter("ok_total", "h", nil) },
 		"empty buckets":         func(r *Registry) { r.NewHistogram("ok_h", "h", nil, nil) },
@@ -110,13 +111,12 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers every metric type from racing goroutines
+// TestConcurrentUpdates hammers the counter and histogram from racing goroutines
 // while a scraper renders, then checks exact totals — the lock-free
 // update paths must not lose increments (run under -race in CI).
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "h", nil)
-	g := r.NewGauge("g", "h", nil)
 	h := r.NewHistogram("h", "h", nil, []float64{10, 100})
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
@@ -126,8 +126,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
 				c.Inc()
-				g.Add(2)
-				g.Add(-1)
 				h.Observe(float64(j % 200))
 				if j%100 == 0 {
 					if err := r.WritePrometheus(io.Discard); err != nil {
@@ -140,9 +138,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != goroutines*per {
 		t.Errorf("counter %v, want %d", got, goroutines*per)
-	}
-	if got := g.Value(); got != goroutines*per {
-		t.Errorf("gauge %v, want %d", got, goroutines*per)
 	}
 	if got := h.Count(); got != goroutines*per {
 		t.Errorf("histogram count %d, want %d", got, goroutines*per)

@@ -244,17 +244,6 @@ func Pareto(cuts []Cut) []Cut {
 	return front
 }
 
-// LeafPowerAt returns the leaf's average power running the cut at a given
-// inference rate, including the platform idle floor when any local compute
-// is deployed.
-func (c Cut) LeafPowerAt(perSecond float64, leaf *Platform) units.Power {
-	p := units.Power(float64(c.LeafEnergy) * perSecond)
-	if c.LeafMACs > 0 {
-		p += leaf.IdlePower
-	}
-	return p
-}
-
 // Describe renders a one-line summary of the cut.
 func (c Cut) Describe() string {
 	return fmt.Sprintf("cut@%d: leaf %d MACs + %d bits → %v/inf, %v latency",

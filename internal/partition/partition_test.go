@@ -13,7 +13,7 @@ import (
 
 func kws(t *testing.T) *nn.Sequential {
 	t.Helper()
-	m, err := nn.KWSNet(1)
+	m, err := nn.KWSNet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestPaperClaimWiRFlipsTheArchitecture(t *testing.T) {
 	// BLE-class link the optimal leaf keeps the whole network local (it
 	// needs a CPU); with Wi-R the optimal leaf transmits raw input (it
 	// needs no CPU at all).
-	for _, mk := range []func(int64) (*nn.Sequential, error){nn.KWSNet, nn.ECGNet, nn.VisionNet} {
-		m, err := mk(3)
+	for _, mk := range []func() (*nn.Sequential, error){nn.KWSNet, nn.ECGNet, nn.VisionNet} {
+		m, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@
 package phy
 
 import (
-	"fmt"
 	"math"
 
 	"wiban/internal/units"
@@ -38,22 +37,6 @@ const (
 	// FSK with a 1 dB filtering penalty.
 	GFSK
 )
-
-// String names the modulation.
-func (m Modulation) String() string {
-	switch m {
-	case OOK:
-		return "OOK"
-	case BPSK:
-		return "BPSK"
-	case FSK2:
-		return "2-FSK"
-	case GFSK:
-		return "GFSK"
-	default:
-		return fmt.Sprintf("Modulation(%d)", int(m))
-	}
-}
 
 // qfunc is the Gaussian tail probability Q(x).
 func qfunc(x float64) float64 {

@@ -125,12 +125,6 @@ func (t *Transceiver) TimeOnAir(payloadBits int) units.Duration {
 	return t.LinkRate.TimeFor(float64(totalBits))
 }
 
-// EnergyPerPacket returns the TX energy for one payload of payloadBits,
-// including framing and one wake transition.
-func (t *Transceiver) EnergyPerPacket(payloadBits int) units.Energy {
-	return t.ActiveTX.Times(t.TimeOnAir(payloadBits)) + t.WakeEnergy
-}
-
 // --- Cited transceiver profiles ----------------------------------------
 
 // WiR returns the commercial Wi-R transceiver profile from the paper and

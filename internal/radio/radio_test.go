@@ -68,7 +68,7 @@ func TestAveragePowerDutyCycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	marginal := wir.EnergyPerGoodBit().PowerAt(1 * units.Kbps)
+	marginal := units.Power(float64(wir.EnergyPerGoodBit()) * float64(1*units.Kbps))
 	floor := wir.Sleep
 	if avg < floor || float64(avg) > 3*(float64(marginal)+float64(floor))+float64(wir.WakeEnergy) {
 		t.Errorf("duty-cycled avg power %v implausible (marginal %v, floor %v)", avg, marginal, floor)

@@ -13,8 +13,6 @@
 package sensors
 
 import (
-	"fmt"
-
 	"wiban/internal/units"
 )
 
@@ -30,26 +28,6 @@ const (
 	Audio
 	Video
 )
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case Temperature:
-		return "temperature"
-	case Biopotential:
-		return "biopotential"
-	case IMU:
-		return "IMU"
-	case PPG:
-		return "PPG"
-	case Audio:
-		return "audio"
-	case Video:
-		return "video"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
 
 // Sensor is a concrete sensor configuration on a leaf node.
 type Sensor struct {
@@ -76,25 +54,6 @@ func (s *Sensor) DataRate() units.DataRate {
 	return units.DataRate(float64(s.SampleRate) * float64(s.BitsPerSample) * float64(s.Channels))
 }
 
-// BitsPerSecondPerChannel returns the per-channel rate.
-func (s *Sensor) BitsPerSecondPerChannel() units.DataRate {
-	return units.DataRate(float64(s.SampleRate) * float64(s.BitsPerSample))
-}
-
-// EnergyPerSample returns the AFE energy per acquired sample across all
-// channels.
-func (s *Sensor) EnergyPerSample() units.Energy {
-	if s.SampleRate <= 0 {
-		return 0
-	}
-	return units.Energy(float64(s.AFEPower) / float64(s.SampleRate))
-}
-
-// String summarizes the sensor.
-func (s *Sensor) String() string {
-	return fmt.Sprintf("%s (%s, %v, %v)", s.Name, s.Class, s.DataRate(), s.AFEPower)
-}
-
 // --- Catalog --------------------------------------------------------------
 
 // TempSensor returns a skin-temperature sensor: 1 Hz × 16 bit.
@@ -116,15 +75,6 @@ func ECGPatch() *Sensor {
 	}
 }
 
-// EMGBand returns a limb EMG band: 1 kHz × 12 bit.
-func EMGBand() *Sensor {
-	return &Sensor{
-		Name: "EMG band", Class: Biopotential,
-		SampleRate: 1 * units.Kilohertz, BitsPerSample: 12, Channels: 1,
-		AFEPower: 25 * units.Microwatt,
-	}
-}
-
 // EEGHeadband returns an 8-channel EEG headband: 250 Hz × 16 bit × 8.
 func EEGHeadband() *Sensor {
 	return &Sensor{
@@ -140,15 +90,6 @@ func IMU6Axis() *Sensor {
 		Name: "6-axis IMU", Class: IMU,
 		SampleRate: 100 * units.Hertz, BitsPerSample: 16, Channels: 6,
 		AFEPower: 30 * units.Microwatt,
-	}
-}
-
-// PPGRing returns a ring photoplethysmograph: LED drive dominates.
-func PPGRing() *Sensor {
-	return &Sensor{
-		Name: "PPG ring", Class: PPG,
-		SampleRate: 100 * units.Hertz, BitsPerSample: 16, Channels: 2,
-		AFEPower: 250 * units.Microwatt,
 	}
 }
 
@@ -170,23 +111,5 @@ func CameraQVGA() *Sensor {
 		Name: "QVGA camera", Class: Video,
 		SampleRate: 15 * units.Hertz, BitsPerSample: 8, Channels: 320 * 240,
 		AFEPower: 35 * units.Milliwatt,
-	}
-}
-
-// Camera720p returns a 1280×720 × 8-bit camera at 30 fps (AR-glasses
-// class).
-func Camera720p() *Sensor {
-	return &Sensor{
-		Name: "720p camera", Class: Video,
-		SampleRate: 30 * units.Hertz, BitsPerSample: 8, Channels: 1280 * 720,
-		AFEPower: 140 * units.Milliwatt,
-	}
-}
-
-// Catalog returns every modeled sensor, ordered by raw data rate.
-func Catalog() []*Sensor {
-	return []*Sensor{
-		TempSensor(), ECGPatch(), PPGRing(), IMU6Axis(), EMGBand(),
-		EEGHeadband(), MicMono(), CameraQVGA(), Camera720p(),
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // Synthetic signal generators. The compression codecs and in-sensor
 // analytics need realistically structured inputs (quasi-periodic ECG,
-// bursty EMG, voiced/unvoiced audio, temporally coherent video) — white
-// noise would make every compression-ratio and detector benchmark
-// meaningless. Each generator is deterministic for a given seed.
+// voiced/unvoiced audio, temporally coherent video) — white noise would
+// make every compression-ratio and detector benchmark meaningless. Each
+// generator is deterministic for a given seed.
 
 // ECGSynth generates a single-lead ECG as a sum of Gaussian bumps per beat
 // (a light-weight ECGSYN-style PQRST model) with baseline wander and
@@ -87,92 +87,6 @@ func (g *ECGSynth) Samples(n int) []float64 {
 	return out
 }
 
-// EMGSynth generates surface EMG: bandlimited noise gated by an activation
-// envelope that switches between rest and contraction bursts.
-type EMGSynth struct {
-	SampleRate units.Frequency
-	rng        *rand.Rand
-	active     bool
-	remain     int     // samples left in current state
-	lp         float64 // one-pole high-frequency shaping state
-	env        float64 // smoothed activation envelope
-}
-
-// NewEMGSynth returns a generator at fs.
-func NewEMGSynth(fs units.Frequency, seed int64) *EMGSynth {
-	return &EMGSynth{SampleRate: fs, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next sample in millivolts.
-func (g *EMGSynth) Next() float64 {
-	if g.remain <= 0 {
-		g.active = !g.active
-		mean := 0.6 // seconds of contraction
-		if !g.active {
-			mean = 1.5 // seconds of rest
-		}
-		d := mean * (0.5 + g.rng.Float64())
-		g.remain = int(d * float64(g.SampleRate))
-		if g.remain < 1 {
-			g.remain = 1
-		}
-	}
-	g.remain--
-	target := 0.02 // resting tone, mV RMS
-	if g.active {
-		target = 0.8
-	}
-	// Smooth the envelope (~30 ms attack/release).
-	alpha := 1 / (0.03 * float64(g.SampleRate))
-	g.env += alpha * (target - g.env)
-	// Shape white noise toward the 50–150 Hz EMG band with a simple
-	// differenced one-pole filter.
-	w := g.rng.NormFloat64()
-	g.lp += 0.25 * (w - g.lp)
-	return g.env * (w - g.lp)
-}
-
-// Samples returns the next n samples.
-func (g *EMGSynth) Samples(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// Active reports whether the generator is currently in a contraction burst
-// (ground truth for detector tests).
-func (g *EMGSynth) Active() bool { return g.active }
-
-// IMUWalkSynth generates a 3-axis accelerometer trace of walking: a gait
-// fundamental with harmonics on the vertical axis, sway on the lateral
-// axes, plus noise. Units are m/s² around gravity-removed zero.
-type IMUWalkSynth struct {
-	SampleRate units.Frequency
-	StepHz     float64
-	rng        *rand.Rand
-	t          float64
-}
-
-// NewIMUWalkSynth returns a generator at fs with ~1.8 Hz steps.
-func NewIMUWalkSynth(fs units.Frequency, seed int64) *IMUWalkSynth {
-	return &IMUWalkSynth{SampleRate: fs, StepHz: 1.8, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next (x, y, z) sample.
-func (g *IMUWalkSynth) Next() (x, y, z float64) {
-	w := 2 * math.Pi * g.StepHz * g.t
-	z = 3.0*math.Sin(w) + 1.2*math.Sin(2*w+0.7) + 0.4*math.Sin(3*w+1.9)
-	x = 0.8 * math.Sin(w/2+0.3) // lateral sway at half step rate
-	y = 0.5 * math.Sin(w+1.1)
-	x += 0.15 * g.rng.NormFloat64()
-	y += 0.15 * g.rng.NormFloat64()
-	z += 0.25 * g.rng.NormFloat64()
-	g.t += 1 / float64(g.SampleRate)
-	return
-}
-
 // AudioSynth generates speech-like audio: voiced segments (harmonic pulse
 // train shaped by slowly moving formant-ish filters) alternating with
 // pauses — enough structure for VAD and ADPCM benchmarks. Output in [-1,1].
@@ -226,15 +140,6 @@ func (g *AudioSynth) Next() float64 {
 	g.lp2 += 0.35 * (g.lp1 - g.lp2)
 	v := g.env * g.lp2 * 2
 	return units.Clamp(v, -1, 1)
-}
-
-// Samples returns the next n samples.
-func (g *AudioSynth) Samples(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
 }
 
 // Voiced reports whether the generator is currently in a speech burst.
@@ -297,9 +202,6 @@ func (g *VideoSynth) NextFrame() []byte {
 	return f
 }
 
-// Frame returns the current frame index.
-func (g *VideoSynth) Frame() int { return g.frame }
-
 // Quantize converts float samples to signed 16-bit codes given a full-scale
 // range, saturating out-of-range values — the ADC every leaf node applies
 // before any digital processing.
@@ -319,15 +221,6 @@ func QuantizeBits(samples []float64, fullScale float64, bits int) []int16 {
 	for i, s := range samples {
 		v := s / fullScale * max
 		out[i] = int16(units.Clamp(v, -max-1, max))
-	}
-	return out
-}
-
-// Dequantize reverses Quantize.
-func Dequantize(codes []int16, fullScale float64) []float64 {
-	out := make([]float64, len(codes))
-	for i, c := range codes {
-		out[i] = float64(c) / 32767 * fullScale
 	}
 	return out
 }

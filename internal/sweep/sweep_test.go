@@ -172,9 +172,14 @@ func TestOpenRun(t *testing.T) {
 			if f.Start != wantNext || s.Agg.Wearers() != wantNext {
 				t.Fatalf("resumed at wearer %d with %d replayed, want %d", f.Start, s.Agg.Wearers(), wantNext)
 			}
-			if got := s.Store.Meta().Version; tc.version != 0 && got != tc.version {
+			r, err := telemetry.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Meta().Version; tc.version != 0 && got != tc.version {
 				t.Fatalf("resumed v%d store reports version %d", tc.version, got)
 			}
+			r.Close()
 			if _, err := s.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}

@@ -11,14 +11,14 @@ import (
 // RAM, not the file size. When a valid checkpoint sidecar exists the
 // reader trusts it and stops at its offset (bytes past it are an
 // uncommitted tail); otherwise it verifies frame by frame and stops at
-// the first damaged one, reporting the cut via Truncated.
+// the first damaged one, a truncation.
 //
 // Every read goes through one pair step (nextBlock) and one walk over
 // the committed pairs (advance), and each consumer is a mask over them:
-// Next and Each build records with samples, EachRecord records alone,
-// QueryStore no rows. Every mask checks every column exactly as
-// strictly, so a walk's verdict, totals and index entries never depend
-// on it.
+// EachRecord builds records alone, QueryStore no rows, and the tests'
+// full decode (Next and Each) records with samples. Every mask checks
+// every column exactly as strictly, so a walk's verdict, totals and index
+// entries never depend on it.
 type Reader struct {
 	f    *os.File
 	meta Meta
@@ -67,10 +67,8 @@ type mask struct {
 	rows                   bool
 }
 
-var (
-	everyColumn   = mask{records: allColumns, nodes: allColumns, points: allColumns, rows: true}
-	recordColumns = mask{records: allColumns, nodes: allColumns, rows: true} // EachRecord and the merge
-)
+// recordColumns is the mask of EachRecord and the merge.
+var recordColumns = mask{records: allColumns, nodes: allColumns, rows: true}
 
 // Open opens the store at path for reading. It may be called on a store a
 // live Writer is still appending to: the checkpoint pins the readable
@@ -136,13 +134,6 @@ func OpenStrict(path string) (*Reader, error) {
 
 // Meta returns the store's header metadata.
 func (r *Reader) Meta() Meta { return r.meta }
-
-// Next returns the next record, samples attached, or io.EOF after the
-// last committed one. Without a checkpoint, a damaged frame ends
-// iteration early (Truncated reports that): it is indistinguishable from
-// a killed run's uncommitted tail. Inside a checkpointed prefix damage
-// is an error — the checkpoint promised those bytes.
-func (r *Reader) Next() (Record, error) { return r.next(everyColumn) }
 
 // next returns the next record of the block in hand, walking to the
 // next pair under m once the block is drained.
@@ -281,16 +272,13 @@ func (r *Reader) checkIndex(at int64, body []byte) error {
 	return io.EOF
 }
 
-// Each drains the reader: it hands every remaining committed record,
-// samples attached, to fn in wearer order and stops at the first error,
+// EachRecord drains the reader: it hands every remaining committed record,
+// with Series nil, to fn in wearer order and stops at the first error,
 // from the walk or from fn, returning it. A record borrows the reader's
-// decode buffers until fn returns.
-func (r *Reader) Each(fn func(Record) error) error { return r.each(everyColumn, fn) }
-
-// EachRecord drains the reader like Each, but hands fn every record with
-// Series nil: series frames are checked as strictly and their samples
-// only counted, so every total below reads as after Each. With a fn that
-// keeps nothing it is the walk of a reader that wants only the totals.
+// decode buffers until fn returns. Series frames are checked as strictly
+// as records and their samples only counted, so every total below reads
+// as after a full decode. With a fn that keeps nothing it is the walk of
+// a reader that wants only the totals.
 func (r *Reader) EachRecord(fn func(Record) error) error { return r.each(recordColumns, fn) }
 
 // each drains the reader under m into fn.
@@ -325,12 +313,6 @@ func (r *Reader) RawBytes() int64 { return r.rawBytes }
 
 // StoredBytes is the total file size including header and framing.
 func (r *Reader) StoredBytes() int64 { return r.size }
-
-// Truncated reports whether iteration ended at a damaged frame instead of
-// clean end-of-data (only possible without a checkpoint sidecar). The
-// damaged frame's offset is then the reader's limit: everything before
-// it verified.
-func (r *Reader) Truncated() bool { return r.truncated }
 
 // Checkpointed reports whether a valid checkpoint sidecar bounded the
 // read.

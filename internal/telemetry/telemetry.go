@@ -381,14 +381,11 @@ type SeriesPoint struct {
 	CollisionRate float64
 }
 
-// RawSize is the flat fixed-width encoding size of the record in bytes
-// (8 bytes per integer/float column value, 1 bit per flag, rounded up per
-// record); the compression ratio iobtrace reports is relative to this.
-// Attached series points count at 8 bytes per column value.
-func (r *Record) RawSize() int { return rawSize(1, len(r.Nodes), len(r.Series)) }
-
-// rawSize is the RawSize of records records holding nodes nodes and
-// points series points between them.
+// rawSize is the flat fixed-width encoding size in bytes of records
+// records holding nodes nodes and points series points between them (8
+// bytes per integer/float column value, 1 bit per flag, rounded up per
+// record; 8 bytes per series column value); the compression ratio
+// iobtrace reports is relative to it.
 func rawSize(records, nodes, points int) int {
 	return records*3*8 + nodes*(8*8+1) + points*6*8
 }

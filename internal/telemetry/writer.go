@@ -160,9 +160,6 @@ func resume(f *os.File, path string, want Meta, sink func(Record) error) (*Write
 	return w, w.writeCheckpoint()
 }
 
-// Meta returns the store's header metadata.
-func (w *Writer) Meta() Meta { return w.meta }
-
 // NextWearer is the next record index the writer expects — equivalently,
 // the number of committed-or-buffered records, and after Resume the index
 // the interrupted sweep continues from.

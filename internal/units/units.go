@@ -157,11 +157,6 @@ func (e Energy) At(d Duration) Power {
 	return Power(float64(e) / float64(d))
 }
 
-// PowerAt returns the power drawn when transporting rate r at efficiency eb.
-func (eb EnergyPerBit) PowerAt(r DataRate) Power {
-	return Power(float64(eb) * float64(r))
-}
-
 // EnergyFor returns the energy to move n bits at efficiency eb.
 func (eb EnergyPerBit) EnergyFor(bits float64) Energy {
 	return Energy(float64(eb) * bits)
@@ -169,22 +164,6 @@ func (eb EnergyPerBit) EnergyFor(bits float64) Energy {
 
 // Energy returns the stored energy of charge q at voltage v.
 func (q Charge) Energy(v Voltage) Energy { return Energy(float64(q) * float64(v)) }
-
-// Period returns the period of frequency f.
-func (f Frequency) Period() Duration {
-	if f <= 0 {
-		return Duration(math.Inf(1))
-	}
-	return Duration(1 / float64(f))
-}
-
-// BitTime returns the duration of a single bit at rate r.
-func (r DataRate) BitTime() Duration {
-	if r <= 0 {
-		return Duration(math.Inf(1))
-	}
-	return Duration(1 / float64(r))
-}
 
 // TimeFor returns the time to move n bits at rate r.
 func (r DataRate) TimeFor(bits float64) Duration {
@@ -204,9 +183,6 @@ func FromDB(db float64) float64 { return math.Pow(10, db/10) }
 
 // DBV converts a voltage (amplitude) ratio to decibels.
 func DBV(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
-// FromDBV converts decibels to a voltage (amplitude) ratio.
-func FromDBV(db float64) float64 { return math.Pow(10, db/20) }
 
 // DBm converts a power to dBm (decibels relative to one milliwatt).
 func DBm(p Power) float64 { return 10 * math.Log10(float64(p)/1e-3) }
@@ -254,14 +230,8 @@ func (r DataRate) String() string { return siFormat(float64(r), "bps") }
 // String renders the frequency with an SI prefix (e.g. "21 MHz").
 func (f Frequency) String() string { return siFormat(float64(f), "Hz") }
 
-// String renders the capacitance with an SI prefix (e.g. "150 pF").
-func (c Capacitance) String() string { return siFormat(float64(c), "F") }
-
 // String renders the resistance with an SI prefix (e.g. "10 MΩ").
 func (r Resistance) String() string { return siFormat(float64(r), "Ω") }
-
-// String renders the voltage with an SI prefix (e.g. "1.2 V").
-func (v Voltage) String() string { return siFormat(float64(v), "V") }
 
 // String renders the distance with an SI prefix (e.g. "15 cm" as "150 mm").
 func (d Distance) String() string { return siFormat(float64(d), "m") }
@@ -292,12 +262,6 @@ func (d Duration) String() string {
 		return siFormat(v, "s")
 	}
 }
-
-// Days reports the duration in days (the y-axis unit of the paper's Fig. 3).
-func (d Duration) Days() float64 { return float64(d) / float64(Day) }
-
-// Years reports the duration in Julian years.
-func (d Duration) Years() float64 { return float64(d) / float64(Year) }
 
 // Clamp returns v limited to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
