@@ -113,10 +113,14 @@ func TestDefaultFlagsProduceRunnableFleet(t *testing.T) {
 		t.Fatalf("default generator invalid: %v", err)
 	}
 	f := &fleet.Fleet{Wearers: 20, Seed: 42, Scenario: gen.Scenario(), Span: 5 * units.Second, Workers: 2}
-	rep, _, err := f.Run()
+	s, err := sweep.Open(f, telemetry.Meta{}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Agg.Report()
 	if rep.Wearers != 20 || rep.Nodes < 20 || rep.PacketsDelivered == 0 {
 		t.Fatalf("implausible report: %+v", rep)
 	}

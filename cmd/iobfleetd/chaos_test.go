@@ -67,16 +67,8 @@ func TestChaosKillResume(t *testing.T) {
 		done := d2.awaitStatus(id, statusDone, 180*time.Second)
 		var spec sweepSpec
 		mustUnmarshalSpec(t, specs[i], &spec)
-		f, _, err := spec.Build(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, _, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done.Fingerprint != rep.Fingerprint() {
-			t.Errorf("sweep %s: resumed fingerprint %q != uninterrupted %q", id, done.Fingerprint, rep.Fingerprint())
+		if fp := groundTruth(t, spec, ""); done.Fingerprint != fp {
+			t.Errorf("sweep %s: resumed fingerprint %q != uninterrupted %q", id, done.Fingerprint, fp)
 		}
 		if done.Records != spec.Wearers {
 			t.Errorf("sweep %s: %d records, want %d", id, done.Records, spec.Wearers)

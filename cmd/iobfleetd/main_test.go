@@ -442,22 +442,9 @@ func TestDaemonDrainAndResume(t *testing.T) {
 		t.Errorf("resumed sweep records %d, want 6000", done.Records)
 	}
 	var js sweepSpec
-	if err := json.Unmarshal([]byte(spec), &js); err != nil {
-		t.Fatal(err)
-	}
-	if err := js.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := js.Build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Fingerprint != rep.Fingerprint() {
-		t.Errorf("resumed fingerprint %q != uninterrupted %q", done.Fingerprint, rep.Fingerprint())
+	mustUnmarshalSpec(t, spec, &js)
+	if fp := groundTruth(t, js, ""); done.Fingerprint != fp {
+		t.Errorf("resumed fingerprint %q != uninterrupted %q", done.Fingerprint, fp)
 	}
 	if got := metricValue(t, d2.metrics(), "iobfleetd_sweeps_resumed_total"); got != 1 {
 		t.Errorf("resumed_total %v, want 1", got)

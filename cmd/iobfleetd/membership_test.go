@@ -102,7 +102,9 @@ func TestMembershipTable(t *testing.T) {
 // supervisor's host list is sticky — expiry gates new placement, not
 // replication from a host that still answers — so the sweep must finish
 // on the "expired" backend, byte-identical, while the live gauge reads
-// zero dynamic members.
+// zero dynamic members. The backend is held stopped (SIGSTOP) from
+// dispatch until the entry expires, so the shards are in flight across
+// the TTL however fast the sweep runs.
 func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon lifecycle in -short mode")
@@ -121,10 +123,26 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	raw := `{"wearers":25000,"seed":31,"dur_seconds":100,"workers":2,"cells":4,"block_size":64,"shards":2}`
 	id := co.submit(raw).ID
 
+	// Freeze the backend once both shards are placed on it. The
+	// supervisor's polls then wait on a process that cannot answer (well
+	// inside the client timeout), which holds both shards in flight.
+	deadline := time.Now().Add(60 * time.Second)
+	for metricValue(t, co.metrics(), "iobfleetd_shards_dispatched_total") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("shards not dispatched within 60s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	resume := func() { backend.cmd.Process.Signal(syscall.SIGCONT) }
+	t.Cleanup(resume)
+	if err := backend.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+
 	// The entry must expire while the sweep is still in flight: poll the
 	// table until it reads not live, then demand the sweep is not yet
 	// terminal — a sweep that beat the TTL tests no race.
-	deadline := time.Now().Add(60 * time.Second)
+	deadline = time.Now().Add(60 * time.Second)
 	for {
 		var table []memberState
 		co.getJSON("/api/backends", &table)
@@ -139,8 +157,9 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	var cur sweepState
 	co.getJSON("/api/sweeps/"+id, &cur)
 	if cur.terminal() {
-		t.Fatalf("sweep finished before the backend's 2s TTL expired: %+v (grow the spec)", cur)
+		t.Fatalf("sweep finished before the backend's 2s TTL expired: %+v", cur)
 	}
+	resume()
 	done := co.awaitStatus(id, statusDone, 120*time.Second)
 
 	var spec sweepSpec

@@ -38,17 +38,16 @@ func storeBytes(t *testing.T, dir, id string) []byte {
 	return raw
 }
 
-// groundTruthStore runs spec uninterrupted in this process, streaming
-// its records into a single-writer telemetry store, and returns the
-// store's bytes plus the run's fingerprint — the exact artifacts a
-// sharded (or chaos-ridden) daemon run must reproduce bit for bit.
-func groundTruthStore(t *testing.T, spec sweepSpec) ([]byte, string) {
+// groundTruth runs spec uninterrupted in this process through sweep.Run,
+// the run path both front ends share, writing a single-writer store to
+// path ("" for none), and returns the run's fingerprint — the one a
+// sharded (or chaos-ridden) daemon run must reproduce.
+func groundTruth(t *testing.T, spec sweepSpec, path string) string {
 	t.Helper()
 	f, meta, err := spec.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "truth.wtl")
 	s, err := sweep.Open(f, meta, path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +55,21 @@ func groundTruthStore(t *testing.T, spec sweepSpec) ([]byte, string) {
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	return s.Agg.Report().Fingerprint()
+}
+
+// groundTruthStore is groundTruth with a store: it returns the store's
+// bytes, which a daemon run must reproduce bit for bit, plus the
+// fingerprint.
+func groundTruthStore(t *testing.T, spec sweepSpec) ([]byte, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "truth.wtl")
+	fp := groundTruth(t, spec, path)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, s.Agg.Report().Fingerprint()
+	return raw, fp
 }
 
 // sameQueryStats compares two stores' QueryStore aggregates — the same
@@ -125,16 +134,8 @@ func TestShardedFingerprint(t *testing.T) {
 			// Ground truth 1: an uninterrupted in-process run.
 			var spec sweepSpec
 			mustUnmarshalSpec(t, tc.sharded, &spec)
-			f, _, err := spec.Build(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, _, err := f.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done.Fingerprint != rep.Fingerprint() {
-				t.Errorf("sharded fingerprint %q != in-process %q", done.Fingerprint, rep.Fingerprint())
+			if fp := groundTruth(t, spec, ""); done.Fingerprint != fp {
+				t.Errorf("sharded fingerprint %q != in-process %q", done.Fingerprint, fp)
 			}
 			if done.Records != spec.Wearers {
 				t.Errorf("sharded records %d, want %d", done.Records, spec.Wearers)
@@ -258,16 +259,8 @@ func TestShardedLoopback(t *testing.T) {
 
 	var spec sweepSpec
 	mustUnmarshalSpec(t, raw, &spec)
-	f, _, err := spec.Build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Fingerprint != rep.Fingerprint() {
-		t.Errorf("loopback sharded fingerprint %q != in-process %q", done.Fingerprint, rep.Fingerprint())
+	if fp := groundTruth(t, spec, ""); done.Fingerprint != fp {
+		t.Errorf("loopback sharded fingerprint %q != in-process %q", done.Fingerprint, fp)
 	}
 	if done.Records != spec.Wearers {
 		t.Errorf("records %d, want %d", done.Records, spec.Wearers)

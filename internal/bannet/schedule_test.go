@@ -65,7 +65,7 @@ func runScheduled(s *Sim, span units.Duration, rep *Report) error {
 var scheduleSensors = []*sensors.Sensor{
 	sensors.ECGPatch(), // 3 kbps
 	sensors.IMU6Axis(), // 9.6 kbps
-	{Name: "PPG ring", Class: sensors.PPG, SampleRate: 100 * units.Hertz,
+	{Name: "PPG ring", SampleRate: 100 * units.Hertz,
 		BitsPerSample: 16, Channels: 2, AFEPower: 250 * units.Microwatt}, // 3.2 kbps
 	{Name: "EMG band", Class: sensors.Biopotential, SampleRate: 1 * units.Kilohertz,
 		BitsPerSample: 12, Channels: 1, AFEPower: 25 * units.Microwatt}, // 12 kbps

@@ -37,7 +37,6 @@ const (
 	Second      Time = 1000 * Millisecond
 	Minute      Time = 60 * Second
 	Hour        Time = 60 * Minute
-	Day         Time = 24 * Hour
 )
 
 // Seconds reports t as floating-point seconds.

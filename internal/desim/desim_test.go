@@ -181,7 +181,7 @@ func TestTimeConversions(t *testing.T) {
 	if got := FromSeconds(0.25e-6); got != 250*Nanosecond {
 		t.Errorf("FromSeconds(0.25µs) = %v", got)
 	}
-	if Day != 24*Hour || Hour != 60*Minute {
+	if Hour != 60*Minute {
 		t.Error("time constants inconsistent")
 	}
 }

@@ -135,7 +135,7 @@ func TestStateDrawAndDeplete(t *testing.T) {
 	if !s.Depleted() {
 		t.Error("battery should be depleted")
 	}
-	if s.Draw(units.Joule) {
+	if s.Draw(units.Energy(1)) {
 		t.Error("draw after depletion should fail")
 	}
 	if s.Drained() < total {
@@ -154,11 +154,11 @@ func TestStateRecharge(t *testing.T) {
 	if s.Remaining() != full {
 		t.Errorf("recharge should clamp at full: %v vs %v", s.Remaining(), full)
 	}
-	s.Recharge(-units.Joule) // negative ignored
+	s.Recharge(-units.Energy(1)) // negative ignored
 	if s.Remaining() != full {
 		t.Error("negative recharge should be ignored")
 	}
-	s.Draw(-units.Joule) // negative draw is a no-op that succeeds
+	s.Draw(-units.Energy(1)) // negative draw is a no-op that succeeds
 	if s.Remaining() != full {
 		t.Error("negative draw should be a no-op")
 	}
@@ -211,70 +211,5 @@ func TestWorstCaseSustains(t *testing.T) {
 	}
 	if h.WorstCaseSustains(11 * units.Microwatt) {
 		t.Error("11 µW should not survive worst-case indoor PV")
-	}
-}
-
-func TestStorageEnergyAccounting(t *testing.T) {
-	// 1 mF between 1.8 V and 3.6 V: capacity = ½C(Vmax²−Vmin²) = 4.86 mJ.
-	s := NewStorage(units.Capacitance(1e-3), 1.8*units.Volt, 3.6*units.Volt, 3.6*units.Volt)
-	if got := float64(s.Capacity()); math.Abs(got-4.86e-3) > 1e-6 {
-		t.Errorf("capacity = %v J, want 4.86 mJ", got)
-	}
-	if !s.Full() {
-		t.Error("initialized at VMax should be full")
-	}
-	if !s.Draw(s.Capacity()) {
-		t.Error("drawing full capacity should succeed")
-	}
-	if s.Energy() > 1e-12 {
-		t.Errorf("energy after full draw = %v, want 0", s.Energy())
-	}
-	if s.Draw(units.Microjoule) {
-		t.Error("draw from empty buffer should fail")
-	}
-}
-
-func TestStorageStoreClamping(t *testing.T) {
-	s := NewStorage(units.Capacitance(100e-6), 1.8*units.Volt, 3.6*units.Volt, 1.8*units.Volt)
-	absorbed := s.Store(units.Energy(1)) // way more than capacity
-	if math.Abs(float64(absorbed)-float64(s.Capacity())) > 1e-12 {
-		t.Errorf("absorbed %v, want capacity %v", absorbed, s.Capacity())
-	}
-	if !s.Full() {
-		t.Error("buffer should be full after saturating store")
-	}
-	if s.Store(units.Microjoule) != 0 {
-		t.Error("full buffer should absorb nothing")
-	}
-	if s.Store(-units.Microjoule) != 0 {
-		t.Error("negative store should absorb nothing")
-	}
-}
-
-func TestStorageRoundTripProperty(t *testing.T) {
-	f := func(milliJ uint16) bool {
-		s := NewStorage(units.Capacitance(10e-3), 1.8*units.Volt, 3.6*units.Volt, 1.8*units.Volt)
-		e := units.Energy(float64(milliJ%4000) * 1e-6)
-		stored := s.Store(e)
-		if stored != e { // within capacity for this range
-			return false
-		}
-		if !s.Draw(stored) {
-			return false
-		}
-		return float64(s.Energy()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStorageInitClamped(t *testing.T) {
-	s := NewStorage(units.Capacitance(1e-3), 1.8*units.Volt, 3.6*units.Volt, 9*units.Volt)
-	if s.Voltage() != 3.6*units.Volt {
-		t.Errorf("init voltage clamped to %v, want 3.6 V", s.Voltage())
-	}
-	if s.Draw(0) != true {
-		t.Error("zero draw should always succeed")
 	}
 }

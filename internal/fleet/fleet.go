@@ -47,7 +47,7 @@
 //
 // # Streaming aggregation and memory
 //
-// The default path (Run, Stream) never holds more than the reorder
+// The default path (Stream) never holds more than the reorder
 // window (a small multiple of the worker count) of per-wearer reports:
 // each report is flattened to a telemetry.Record, folded into the
 // StreamAggregator and/or appended to a telemetry store, then dropped —
@@ -203,27 +203,13 @@ func (p Perf) String() string {
 	return s
 }
 
-// Run executes the sweep through the default bounded-memory path: each
-// completed report streams into a StreamAggregator and is dropped, so
-// memory is O(workers) regardless of population. It returns the
-// deterministic aggregate report plus wall-clock performance counters.
-// If any wearer's scenario or simulation fails, Run reports the failure
-// at the lowest wearer index (independent of worker scheduling) and no
-// report.
-func (f *Fleet) Run() (*Report, Perf, error) {
-	agg := NewStreamAggregator(f.Span)
-	perf, err := f.Stream(agg)
-	if err != nil {
-		return nil, Perf{}, err
-	}
-	return agg.Report(), perf, nil
-}
-
 // Stream executes wearers [Start, End) and feeds each one's
 // telemetry record to sink in strict wearer-index order. Tee the
 // telemetry store's Writer with a StreamAggregator to persist and
 // aggregate in one pass. A sink error aborts the sweep (records already
-// consumed form a valid committed prefix).
+// consumed form a valid committed prefix). If any wearer's scenario or
+// simulation fails, Stream reports the failure at the lowest wearer index
+// (independent of worker scheduling).
 //
 // Records are borrowed: the engine reuses one record buffer (including
 // its Nodes slice) and each pooled report's Series array across Consume

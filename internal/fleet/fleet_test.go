@@ -17,6 +17,18 @@ import (
 	"wiban/internal/units"
 )
 
+// Run streams the whole sweep into a StreamAggregator and returns its
+// report: the in-package tests' shorthand for a sweep without a store
+// (binaries run sweeps through sweep.Open and Run).
+func (f *Fleet) Run() (*Report, Perf, error) {
+	agg := NewStreamAggregator(f.Span)
+	perf, err := f.Stream(agg)
+	if err != nil {
+		return nil, Perf{}, err
+	}
+	return agg.Report(), perf, nil
+}
+
 // testGenerator is the stock perturbed population the fleet tests and
 // benchmarks sweep.
 func testGenerator() *Generator {

@@ -15,8 +15,9 @@ func BenchmarkBiquadBlock(b *testing.B) {
 	}
 	b.SetBytes(int64(len(in) * 8))
 	for i := 0; i < b.N; i++ {
-		f.Reset()
-		f.ProcessAll(in)
+		for _, x := range in {
+			f.Process(x)
+		}
 	}
 }
 

@@ -30,17 +30,11 @@ func (f *Biquad) Process(x float64) float64 {
 	return y
 }
 
-// rbj computes the common intermediate terms of the RBJ cookbook designs.
-func rbj(fs, f0 units.Frequency, q float64) (w0, alpha, cw float64) {
-	w0 = 2 * math.Pi * float64(f0) / float64(fs)
-	alpha = math.Sin(w0) / (2 * q)
-	cw = math.Cos(w0)
-	return
-}
-
 // NewBandPass designs an RBJ constant-peak band-pass biquad centered at f0.
 func NewBandPass(fs, f0 units.Frequency, q float64) *Biquad {
-	_, alpha, cw := rbj(fs, f0, q)
+	w0 := 2 * math.Pi * float64(f0) / float64(fs)
+	alpha := math.Sin(w0) / (2 * q)
+	cw := math.Cos(w0)
 	a0 := 1 + alpha
 	return &Biquad{
 		b0: alpha / a0, b1: 0, b2: -alpha / a0,

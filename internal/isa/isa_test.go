@@ -2,10 +2,7 @@ package isa
 
 import (
 	"math"
-	"math/cmplx"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"wiban/internal/sensors"
 	"wiban/internal/units"
@@ -28,30 +25,6 @@ func gainAt(mk func() *Biquad, fs, f units.Frequency) float64 {
 	return maxOut
 }
 
-func TestLowPassResponse(t *testing.T) {
-	fs := 1 * units.Kilohertz
-	mk := func() *Biquad { return NewLowPass(fs, 50*units.Hertz, 0.707) }
-	pass := gainAt(mk, fs, 10*units.Hertz)
-	stop := gainAt(mk, fs, 400*units.Hertz)
-	if pass < 0.9 || pass > 1.1 {
-		t.Errorf("passband gain %.3f, want ≈ 1", pass)
-	}
-	if stop > 0.05 {
-		t.Errorf("stopband gain %.3f, want < 0.05", stop)
-	}
-}
-
-func TestHighPassResponse(t *testing.T) {
-	fs := 1 * units.Kilohertz
-	mk := func() *Biquad { return NewHighPass(fs, 100*units.Hertz, 0.707) }
-	if g := gainAt(mk, fs, 400*units.Hertz); g < 0.9 || g > 1.1 {
-		t.Errorf("HP passband gain %.3f, want ≈ 1", g)
-	}
-	if g := gainAt(mk, fs, 5*units.Hertz); g > 0.05 {
-		t.Errorf("HP stopband gain %.3f, want < 0.05", g)
-	}
-}
-
 func TestBandPassResponse(t *testing.T) {
 	fs := 250 * units.Hertz
 	mk := func() *Biquad { return NewBandPass(fs, 10*units.Hertz, 0.7) }
@@ -66,19 +39,6 @@ func TestBandPassResponse(t *testing.T) {
 	}
 }
 
-func TestBiquadResetAndProcessAll(t *testing.T) {
-	f := NewLowPass(1*units.Kilohertz, 100*units.Hertz, 0.707)
-	in := []float64{1, 0, 0, 0, 0}
-	a := f.ProcessAll(in)
-	f.Reset()
-	b := f.ProcessAll(in)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Reset did not restore initial state")
-		}
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	m := NewMovingAverage(4)
 	seq := []float64{4, 8, 12, 16, 20}
@@ -90,162 +50,6 @@ func TestMovingAverage(t *testing.T) {
 	}
 	if NewMovingAverage(0) == nil {
 		t.Error("zero window should clamp, not fail")
-	}
-}
-
-// --- FFT ---------------------------------------------------------------------
-
-func TestFFTImpulse(t *testing.T) {
-	x := make([]complex128, 16)
-	x[0] = 1
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range x {
-		if cmplx.Abs(v-1) > 1e-12 {
-			t.Fatalf("impulse FFT bin %d = %v, want 1", i, v)
-		}
-	}
-}
-
-func TestFFTSinusoidBin(t *testing.T) {
-	n := 64
-	k := 5
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Sin(2*math.Pi*float64(k)*float64(i)/float64(n)), 0)
-	}
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	// Energy should concentrate at bins k and n-k.
-	for i := range x {
-		mag := cmplx.Abs(x[i])
-		if i == k || i == n-k {
-			if mag < float64(n)/2*0.99 {
-				t.Errorf("bin %d magnitude %.2f, want %.1f", i, mag, float64(n)/2)
-			}
-		} else if mag > 1e-9 {
-			t.Errorf("leakage at bin %d: %g", i, mag)
-		}
-	}
-}
-
-func TestFFTInverseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 128
-		x := make([]complex128, n)
-		orig := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			orig[i] = x[i]
-		}
-		if FFT(x) != nil || IFFT(x) != nil {
-			return false
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFFTParseval(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 256
-	x := make([]complex128, n)
-	var timeE float64
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-		timeE += real(x[i]) * real(x[i])
-	}
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	var freqE float64
-	for _, v := range x {
-		freqE += real(v)*real(v) + imag(v)*imag(v)
-	}
-	freqE /= float64(n)
-	if math.Abs(timeE-freqE)/timeE > 1e-9 {
-		t.Errorf("Parseval violated: time %.6f vs freq %.6f", timeE, freqE)
-	}
-}
-
-func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if err := FFT(make([]complex128, 12)); err == nil {
-		t.Error("length 12 should fail")
-	}
-	if err := FFT(nil); err == nil {
-		t.Error("empty should fail")
-	}
-}
-
-func TestPowerSpectrumAndBands(t *testing.T) {
-	fs := 16 * units.Kilohertz
-	n := 512
-	frame := make([]float64, n)
-	w := Hann(n)
-	for i := range frame {
-		frame[i] = w[i] * math.Sin(2*math.Pi*1000*float64(i)/float64(fs))
-	}
-	spec, err := PowerSpectrum(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peak bin should be near 1 kHz: bin = 1000/(16000/512) = 32.
-	peak := 0
-	for i := range spec {
-		if spec[i] > spec[peak] {
-			peak = i
-		}
-	}
-	if peak < 30 || peak > 34 {
-		t.Errorf("spectral peak at bin %d, want ≈ 32", peak)
-	}
-
-	bands := BandEnergies(spec, fs, 100*units.Hertz, 8*units.Kilohertz, 12)
-	if len(bands) != 12 {
-		t.Fatalf("band count %d", len(bands))
-	}
-	// The band containing 1 kHz should dominate.
-	maxB := 0
-	for i := range bands {
-		if bands[i] > bands[maxB] {
-			maxB = i
-		}
-	}
-	// 1 kHz in log space from 100..8000: log(10)/log(80) ≈ 0.526 → band 6 of 12.
-	if maxB < 5 || maxB > 7 {
-		t.Errorf("dominant band %d, want ≈ 6", maxB)
-	}
-}
-
-func TestBandEnergiesDegenerate(t *testing.T) {
-	if got := BandEnergies(nil, units.Kilohertz, 1, 10, 4); len(got) != 4 {
-		t.Error("degenerate bands length wrong")
-	}
-	if got := BandEnergies([]float64{1, 2, 3}, units.Kilohertz, 10, 5, 2); got[0] != 0 {
-		t.Error("inverted band range should be zeros")
-	}
-}
-
-func TestHannWindow(t *testing.T) {
-	w := Hann(64)
-	if math.Abs(w[0]) > 1e-12 || math.Abs(w[63]) > 1e-12 {
-		t.Error("Hann endpoints should be 0")
-	}
-	if math.Abs(w[32]-1) > 0.01 {
-		t.Errorf("Hann midpoint %.3f, want ≈ 1", w[32])
-	}
-	if one := Hann(1); one[0] != 1 {
-		t.Error("Hann(1) should be [1]")
 	}
 }
 

@@ -35,7 +35,7 @@ func KWSNet() (*Sequential, error) {
 
 // ECGNet returns a 1-D CNN beat classifier over 256-sample single-lead
 // windows: three conv1d/pool stages and a 5-class softmax (normal + 4
-// arrhythmia classes, the AAMI grouping; ≈ 0.9 M MACs).
+// arrhythmia classes, the AAMI grouping; ≈ 0.42 M MACs).
 func ECGNet() (*Sequential, error) {
 	layers := []Layer{
 		NewConv1D(7, 1, 16, 2, true), ReLU{},

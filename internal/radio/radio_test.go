@@ -15,9 +15,9 @@ func TestEnergyPerGoodBitMatchesCitedSilicon(t *testing.T) {
 		wantEPB  units.EnergyPerBit
 		tolerant float64 // relative tolerance
 	}{
-		{WiR(), 100 * units.PicojoulePerBit, 0.05},
-		{BodyWire(), 6.3 * units.PicojoulePerBit, 0.05},
-		{SubUWrComm(), 41.5 * units.PicojoulePerBit, 0.05},
+		{WiR(), units.EnergyPerBit(100e-12), 0.05},
+		{BodyWire(), units.EnergyPerBit(6.3e-12), 0.05},
+		{SubUWrComm(), units.EnergyPerBit(41.5e-12), 0.05},
 	}
 	for _, tt := range tests {
 		got := tt.tr.EnergyPerGoodBit()

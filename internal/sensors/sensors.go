@@ -24,7 +24,6 @@ const (
 	Temperature Class = iota
 	Biopotential
 	IMU
-	PPG
 	Audio
 	Video
 )

@@ -34,8 +34,6 @@ const (
 	Picojoule  Energy = 1e-12
 	Nanojoule  Energy = 1e-9
 	Microjoule Energy = 1e-6
-	Millijoule Energy = 1e-3
-	Joule      Energy = 1
 )
 
 // DataRate is an information rate in bits per second.
@@ -46,7 +44,6 @@ const (
 	BitPerSecond DataRate = 1
 	Kbps         DataRate = 1e3
 	Mbps         DataRate = 1e6
-	Gbps         DataRate = 1e9
 )
 
 // Frequency is a frequency in hertz.
@@ -65,9 +62,7 @@ type Capacitance float64
 
 // Common capacitance scales.
 const (
-	Picofarad  Capacitance = 1e-12
-	Nanofarad  Capacitance = 1e-9
-	Microfarad Capacitance = 1e-6
+	Picofarad Capacitance = 1e-12
 )
 
 // Resistance is an electrical resistance in ohms.
@@ -85,9 +80,7 @@ type Voltage float64
 
 // Common voltage scales.
 const (
-	Microvolt Voltage = 1e-6
-	Millivolt Voltage = 1e-3
-	Volt      Voltage = 1
+	Volt Voltage = 1
 )
 
 // Distance is a length in meters.
@@ -108,7 +101,6 @@ type Duration float64
 
 // Common duration scales.
 const (
-	Nanosecond  Duration = 1e-9
 	Microsecond Duration = 1e-6
 	Millisecond Duration = 1e-3
 	Second      Duration = 1
@@ -122,12 +114,6 @@ const (
 
 // EnergyPerBit is a communication or computation efficiency in joules/bit.
 type EnergyPerBit float64
-
-// Common energy-efficiency scales.
-const (
-	PicojoulePerBit EnergyPerBit = 1e-12
-	NanojoulePerBit EnergyPerBit = 1e-9
-)
 
 // Charge is an electrical charge in coulombs.
 type Charge float64

@@ -24,7 +24,7 @@ func TestPowerTimesDuration(t *testing.T) {
 		want Energy
 	}{
 		{"100pJ/bit at 1bit/s for 1s style", 100 * Microwatt, Second, 100 * Microjoule},
-		{"1W for 1h", Watt, Hour, 3600 * Joule},
+		{"1W for 1h", Watt, Hour, Energy(3600)},
 		{"415nW for 1 day", 415 * Nanowatt, Day, Energy(415e-9 * 86400)},
 		{"zero power", 0, Year, 0},
 	}
@@ -55,16 +55,16 @@ func TestEnergyOverPower(t *testing.T) {
 
 func TestEnergyPerBit(t *testing.T) {
 	// Wi-R headline: 100 pJ/bit at 4 Mbps is 400 µW of comm power.
-	p := (100 * PicojoulePerBit).PowerAt(4 * Mbps)
+	p := EnergyPerBit(100e-12).PowerAt(4 * Mbps)
 	if !almostEqual(float64(p), 400e-6, 1e-12) {
 		t.Errorf("100 pJ/b @ 4 Mbps = %v, want 400 µW", p)
 	}
 	// BLE-class: 10 nJ/bit at 1 Mbps is 10 mW.
-	p = (10 * NanojoulePerBit).PowerAt(1 * Mbps)
+	p = EnergyPerBit(10e-9).PowerAt(1 * Mbps)
 	if !almostEqual(float64(p), 10e-3, 1e-12) {
 		t.Errorf("10 nJ/b @ 1 Mbps = %v, want 10 mW", p)
 	}
-	e := (100 * PicojoulePerBit).EnergyFor(8e6)
+	e := EnergyPerBit(100e-12).EnergyFor(8e6)
 	if !almostEqual(float64(e), 800e-6, 1e-12) {
 		t.Errorf("100 pJ/b for 1 MB = %v, want 800 µJ", e)
 	}
@@ -123,7 +123,7 @@ func TestSIFormatStrings(t *testing.T) {
 		{(4 * Mbps).String(), "4 Mbps"},
 		{(30 * Megahertz).String(), "30 MHz"},
 		{(150 * Picofarad).String(), "150 pF"},
-		{(100 * PicojoulePerBit).String(), "100 pJ/b"},
+		{EnergyPerBit(100e-12).String(), "100 pJ/b"},
 		{Power(0).String(), "0 W"},
 	}
 	for _, tt := range tests {
@@ -152,10 +152,10 @@ func TestRateHelpers(t *testing.T) {
 }
 
 func TestEnergyAt(t *testing.T) {
-	if p := (10800 * Joule).At(Year); !almostEqual(float64(p), 10800/31557600.0, 1e-12) {
+	if p := Energy(10800).At(Year); !almostEqual(float64(p), 10800/31557600.0, 1e-12) {
 		t.Errorf("10.8 kJ over a year = %v", p)
 	}
-	if !math.IsInf(float64((1 * Joule).At(0)), 1) {
+	if !math.IsInf(float64(Energy(1).At(0)), 1) {
 		t.Errorf("energy over zero time should be +Inf power")
 	}
 }
