@@ -1,13 +1,12 @@
 package wiban
 
-// Benchmark harness: one benchmark per figure/table of the paper, plus
-// microbenchmarks of the substrates those figures exercise. Run:
+// Benchmark harness: one sub-benchmark per figure/table of the paper,
+// plus microbenchmarks of the substrates those figures exercise. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The figure benchmarks both regenerate the artifact (so -bench doubles as
-// a reproduction run) and report its headline numbers as benchmark
-// metrics.
+// The figure benchmarks regenerate the artifact, so -bench doubles as a
+// reproduction run.
 
 import (
 	"testing"
@@ -24,67 +23,23 @@ import (
 	"wiban/internal/units"
 )
 
-// benchTable runs a figure/table generator inside the benchmark loop.
-func benchTable(b *testing.B, gen func() (*figures.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := gen()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkFigures regenerates every figure and table, one sub-benchmark
+// per figures.All() name.
+func BenchmarkFigures(b *testing.B) {
+	for _, g := range figures.All() {
+		b.Run(g.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := g.Gen()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(t.Rows) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig1NodePowerBreakdown regenerates Fig. 1 (FIG1).
-func BenchmarkFig1NodePowerBreakdown(b *testing.B) { benchTable(b, figures.Fig1) }
-
-// BenchmarkFig2WearableBatteryLife regenerates Fig. 2 (FIG2).
-func BenchmarkFig2WearableBatteryLife(b *testing.B) { benchTable(b, figures.Fig2) }
-
-// BenchmarkFig3BatteryLifeVsRate regenerates Fig. 3 (FIG3) and reports the
-// perpetual-region boundary as a metric.
-func BenchmarkFig3BatteryLifeVsRate(b *testing.B) {
-	var boundary units.DataRate
-	for i := 0; i < b.N; i++ {
-		res, _, err := figures.Fig3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		boundary = res.PerpetualBoundary
-	}
-	b.ReportMetric(float64(boundary), "perpetual-bps")
-}
-
-// BenchmarkTableWiRvsBLE regenerates the headline claims table (TAB-A).
-func BenchmarkTableWiRvsBLE(b *testing.B) { benchTable(b, figures.TableWiRvsBLE) }
-
-// BenchmarkTableTransceiverSurvey regenerates the §IV-B survey (TAB-B).
-func BenchmarkTableTransceiverSurvey(b *testing.B) { benchTable(b, figures.TableTransceivers) }
-
-// BenchmarkTableSecurityBubble regenerates the security table (TAB-C).
-func BenchmarkTableSecurityBubble(b *testing.B) { benchTable(b, figures.TableSecurity) }
-
-// BenchmarkTableOffloadSplit regenerates the split-computing table (TAB-D).
-func BenchmarkTableOffloadSplit(b *testing.B) { benchTable(b, figures.TableOffload) }
-
-// BenchmarkTablePerpetualHarvest regenerates the harvesting table (TAB-E).
-func BenchmarkTablePerpetualHarvest(b *testing.B) { benchTable(b, figures.TableHarvest) }
-
-// BenchmarkTableLatency regenerates the end-to-end AI latency table
-// (TAB-F), including the discrete-event cross-check.
-func BenchmarkTableLatency(b *testing.B) { benchTable(b, figures.TableLatency) }
-
-// BenchmarkAblationTermination regenerates ABL-1.
-func BenchmarkAblationTermination(b *testing.B) { benchTable(b, figures.AblationTermination) }
-
-// BenchmarkAblationCompression regenerates ABL-2 (runs the real codecs).
-func BenchmarkAblationCompression(b *testing.B) { benchTable(b, figures.AblationCompression) }
-
-// BenchmarkAblationMAC regenerates ABL-3 (arbitration baselines).
-func BenchmarkAblationMAC(b *testing.B) { benchTable(b, figures.AblationMAC) }
 
 // --- Substrate microbenchmarks ----------------------------------------------
 

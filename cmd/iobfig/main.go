@@ -5,6 +5,7 @@
 //	iobfig -all            # every figure/table
 //	iobfig -fig 3          # one figure (1, 2 or 3)
 //	iobfig -table offload  # one named table (see -list)
+//	iobfig -table claims   # the paper's claims; exits 1 naming any that fails
 //	iobfig -all -csv       # CSV instead of aligned text
 package main
 

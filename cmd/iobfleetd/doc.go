@@ -192,9 +192,12 @@
 // iobfleetd_shard_retries_total rises) until a member is listed or
 // registers. A daemon may shard onto itself by naming its own URL in
 // -backends; that needs spare -sweeps slots, because the coordinator
-// sweep holds one while its shards run. TestMembershipTable,
-// TestShardsWaitForAMember, TestCoordinatorRestartDynamicFleet and
-// TestMembershipExpiryKeepsInFlightDispatch pin the semantics.
+// sweep holds one while its shards run. Every -backends and -register
+// entry must be an absolute http(s) base URL: the daemon exits 2 before
+// listening and names the first entry that is not. TestMembershipTable,
+// TestShardsWaitForAMember, TestCoordinatorRestartDynamicFleet,
+// TestMembershipExpiryKeepsInFlightDispatch and TestBadURLFlagsExit pin
+// the semantics.
 //
 // # Work-stealing
 //

@@ -24,33 +24,36 @@ func main() {
 		backends = flag.String("backends", "", "comma-separated base URLs sharded sweeps always dispatch to (static membership; dynamic backends register over POST /api/backends)")
 		register = flag.String("register", "", "comma-separated coordinator base URLs this daemon registers with and heartbeats as a backend")
 		hbEvery  = flag.Duration("heartbeat", 2*time.Second, "interval between registration heartbeats to each -register coordinator")
-		expire   = flag.Duration("expire", 10*time.Second, "silence after which a dynamically registered backend stops being selected for shard dispatch")
+		expire   = flag.Duration("expire", defaultExpiry, "silence after which a dynamically registered backend stops being selected for shard dispatch")
 		steal    = flag.Duration("steal-after", 15*time.Second, "committed-progress stall after which a shard is speculatively re-dispatched to another live backend (0 disables work-stealing)")
 		retain   = flag.Int("retain", 0, "terminal (done/cancelled) sweeps to keep in -data; older stores and sidecars are garbage-collected (0 keeps everything)")
 	)
 	flag.Parse()
-	fail := func(format string, args ...any) {
+	fail := func(code int, format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "iobfleetd: "+format+"\n", args...)
-		os.Exit(1)
+		os.Exit(code)
 	}
-	var backendList []string
-	for _, b := range strings.Split(*backends, ",") {
-		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
-			backendList = append(backendList, b)
+	// baseURLs splits a comma-separated flag into normalized base URLs. A
+	// bad entry is a usage error: exit 2 before listening.
+	baseURLs := func(name, list string) (urls []string) {
+		for _, raw := range strings.Split(list, ",") {
+			if strings.TrimSpace(raw) == "" {
+				continue
+			}
+			u, err := normalizeBackendURL(raw)
+			if err != nil {
+				fail(2, "-%s: %v", name, err)
+			}
+			urls = append(urls, u)
 		}
+		return urls
 	}
-
-	var coordinators []string
-	for _, c := range strings.Split(*register, ",") {
-		if c = strings.TrimRight(strings.TrimSpace(c), "/"); c != "" {
-			coordinators = append(coordinators, c)
-		}
-	}
+	backendList, coordinators := baseURLs("backends", *backends), baseURLs("register", *register)
 
 	reg := obs.NewRegistry()
 	m, err := newManager(*data, *sweeps, reg, backendList)
 	if err != nil {
-		fail("%v", err)
+		fail(1, "%v", err)
 	}
 	m.members.ttl = *expire
 	m.stealAfter = *steal
@@ -61,7 +64,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fail("%v", err)
+		fail(1, "%v", err)
 	}
 	// The actual address, not the flag: with -listen :0 this line is how
 	// scripts (and the exec-level tests) learn the port. Runners start only
@@ -91,7 +94,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
-		fail("%v", err)
+		fail(1, "%v", err)
 	case s := <-sig:
 		fmt.Printf("iobfleetd: %v: draining (running sweeps checkpoint and park)\n", s)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,6 +103,32 @@ func startDaemon(t *testing.T, dir string, args ...string) *daemon {
 	cmd.Wait()
 	t.Fatalf("daemon exited before listening:\n%s", out.String())
 	return nil
+}
+
+// TestBadURLFlagsExit pins that a -backends or -register entry that is
+// not an absolute http(s) URL stops the daemon before it listens: a bare
+// name would otherwise become a member no dispatch can reach, and a
+// sharded sweep would retry it forever.
+func TestBadURLFlagsExit(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range []string{"-backends", "-register"} {
+		// A daemon that accepted the entry would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, "-listen", "127.0.0.1:0", "-data", t.TempDir(), flag, "http://127.0.0.1:1, foo")
+		cmd.Env = append(os.Environ(), "IOBFLEETD_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState == nil {
+			t.Fatal(err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(out), flag+`: backend url "foo"`) ||
+			strings.Contains(string(out), "listening") {
+			t.Errorf("%s foo: exit %d, output %q; want exit 2 naming the entry, before listening", flag, code, out)
+		}
+	}
 }
 
 // wait blocks for process exit and returns the exit code (-1 on signal

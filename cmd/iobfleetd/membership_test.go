@@ -120,7 +120,8 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 		t.Fatalf("registration: code %d err %v state %+v", resp, err, reg)
 	}
 
-	raw := `{"wearers":25000,"seed":31,"dur_seconds":100,"workers":2,"cells":4,"block_size":64,"shards":2}`
+	// Each shard computes past the coordinator's 50 ms first poll.
+	raw := `{"wearers":2500,"seed":31,"dur_seconds":60,"workers":2,"cells":4,"block_size":64,"shards":2}`
 	id := co.submit(raw).ID
 
 	// Freeze the backend once both shards are placed on it. The

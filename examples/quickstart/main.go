@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"wiban/internal/energy"
 	"wiban/internal/iob"
 	"wiban/internal/isa"
 	"wiban/internal/nn"
@@ -66,7 +67,7 @@ func main() {
 		}
 		life := proj.Battery.Lifetime(b.Total())
 		class := "recharge"
-		if life >= units.Year {
+		if life >= energy.PerpetualLife {
 			class = "PERPETUAL (>1 yr)"
 		} else if life >= units.Week {
 			class = "all-week+"

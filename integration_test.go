@@ -10,7 +10,7 @@ import (
 
 	"wiban/internal/bannet"
 	"wiban/internal/energy"
-	"wiban/internal/iob"
+	"wiban/internal/figures"
 	"wiban/internal/isa"
 	"wiban/internal/nn"
 	"wiban/internal/phy"
@@ -121,26 +121,10 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
-// TestPaperHeadlineNumbers pins the four numbers the abstract leads with,
-// as computed by this repository.
+// TestPaperHeadlineNumbers runs the claims-table entries for the numbers
+// the abstract leads with, which hold their bounds.
 func TestPaperHeadlineNumbers(t *testing.T) {
-	wir, ble := radio.WiR(), radio.BLE42()
-	if r := float64(wir.Goodput) / float64(ble.Goodput); r < 10 {
-		t.Errorf(">10× faster claim: measured %.1f×", r)
-	}
-	if r := float64(ble.EnergyPerGoodBit()) / float64(wir.EnergyPerGoodBit()); r < 100 {
-		t.Errorf("<100× power claim: measured %.0f×", r)
-	}
-	proj := iob.NewFig3Projector()
-	if b := proj.PerpetualBoundary(); b < 3*units.Kbps {
-		t.Errorf("perpetual region too small: boundary %v", b)
-	}
-	marker := iob.Fig3Markers()[0] // biopotential patch
-	pr, err := proj.Mark(marker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Perpetual {
-		t.Error("biopotential patch must sit in the perpetual region")
+	if _, err := figures.TableClaims("goodput-10x", "energy-100x", "fig3-boundary", "fig3-patch"); err != nil {
+		t.Error(err)
 	}
 }

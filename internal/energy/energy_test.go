@@ -72,12 +72,6 @@ func TestPerpetualLoadConsistency(t *testing.T) {
 			t.Errorf("%s: load just over PerpetualLoad should not be perpetual", b.Name)
 		}
 	}
-	// The paper's envelope: the Fig. 3 battery supports roughly 250–342 µW
-	// perpetually (342 µW is the no-derating bound).
-	p := Fig3Battery().PerpetualLoad()
-	if p < 200*units.Microwatt || p > 342*units.Microwatt {
-		t.Errorf("Fig3 perpetual load = %v, want ≈ 250–342 µW", p)
-	}
 }
 
 func TestShelfLifeCap(t *testing.T) {
@@ -161,22 +155,6 @@ func TestStateRecharge(t *testing.T) {
 	s.Draw(-units.Energy(1)) // negative draw is a no-op that succeeds
 	if s.Remaining() != full {
 		t.Error("negative draw should be a no-op")
-	}
-}
-
-func TestHarvesterEnvelopeMatchesPaper(t *testing.T) {
-	// §V: 10–200 µW indoors. The indoor PV model must span exactly that.
-	pv := IndoorPV()
-	if pv.Min != 10*units.Microwatt || pv.Max != 200*units.Microwatt {
-		t.Errorf("indoor PV envelope %v–%v, want 10–200 µW", pv.Min, pv.Max)
-	}
-	// A 100 pJ/b × 10 kbps biopotential node (≈ 1 µW comm + tens of µW
-	// sensing) is harvestable; a BLE node is not.
-	if !pv.Sustains(30 * units.Microwatt) {
-		t.Error("indoor PV should sustain a 30 µW node")
-	}
-	if pv.Sustains(16 * units.Milliwatt) {
-		t.Error("indoor PV must not sustain a BLE-class node")
 	}
 }
 

@@ -103,30 +103,18 @@ func Fig2() (*Table, error) {
 	return t, nil
 }
 
-// Fig3Result carries the projection sweep plus annotations.
-type Fig3Result struct {
-	Sweep             []iob.Projection
-	Markers           []iob.Projection
-	MarkerNames       []string
-	PerpetualBoundary units.DataRate
-	// BLELife holds the same-rate BLE comparison for each sweep point
-	// (negative when BLE cannot carry the rate).
-	BLELife []units.Duration
-}
-
 // Fig3 regenerates the battery-life-vs-data-rate projection with the
 // paper's device markers and the perpetual region boundary, plus a BLE
 // comparison column.
-func Fig3() (*Fig3Result, *Table, error) {
+func Fig3() (*Table, error) {
 	p := iob.NewFig3Projector()
 	sweep, err := p.Sweep(1, 3.9*units.Mbps, 3)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ble := iob.NewFig3Projector()
 	ble.Radio = radioBLE()
 
-	res := &Fig3Result{Sweep: sweep, PerpetualBoundary: p.PerpetualBoundary()}
 	t := &Table{
 		ID:    "FIG3",
 		Title: "Projected battery life vs data rate (1000 mAh, Wi-R @ 100 pJ/bit, survey sensing power)",
@@ -134,14 +122,9 @@ func Fig3() (*Fig3Result, *Table, error) {
 			"life (Wi-R)", "life (BLE)", "perpetual"},
 	}
 	for _, pr := range sweep {
-		bleLife := units.Duration(-1)
-		if bp, err := ble.At(pr.Rate); err == nil {
-			bleLife = bp.Life
-		}
-		res.BLELife = append(res.BLELife, bleLife)
 		bleStr := "n/a (rate > BLE goodput)"
-		if bleLife >= 0 {
-			bleStr = bleLife.String()
+		if bp, err := ble.At(pr.Rate); err == nil {
+			bleStr = bp.Life.String()
 		}
 		t.Rows = append(t.Rows, []string{
 			pr.Rate.String(), pr.Sense.String(), pr.Comm.String(), pr.Total.String(),
@@ -151,14 +134,12 @@ func Fig3() (*Fig3Result, *Table, error) {
 	for _, m := range iob.Fig3Markers() {
 		pr, err := p.Mark(m)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res.Markers = append(res.Markers, pr)
-		res.MarkerNames = append(res.MarkerNames, m.Name)
 		t.Notes = append(t.Notes, fmt.Sprintf("marker %-22s @ %v: life %v (perpetual=%v)",
 			m.Name, m.Rate, pr.Life, pr.Perpetual))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("perpetual region (>1 yr) extends to %v", res.PerpetualBoundary))
-	return res, t, nil
+		fmt.Sprintf("perpetual region (>1 yr) extends to %v", p.PerpetualBoundary()))
+	return t, nil
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"wiban/internal/units"
+	"wiban/internal/iob"
 )
 
 func TestAllGeneratorsProduceTables(t *testing.T) {
@@ -65,47 +65,25 @@ func TestFig2AllConsistent(t *testing.T) {
 }
 
 func TestFig3ResultShape(t *testing.T) {
-	res, tab, err := Fig3()
+	tab, err := Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sweep) != len(tab.Rows) || len(res.BLELife) != len(res.Sweep) {
-		t.Fatal("sweep/table/BLE lengths disagree")
+	// One note per device marker, then the perpetual boundary.
+	if len(tab.Notes) != len(iob.Fig3Markers())+1 {
+		t.Fatalf("notes = %d, want one per marker plus the boundary", len(tab.Notes))
 	}
-	if len(res.Markers) != 5 {
-		t.Fatalf("markers = %d, want 5", len(res.Markers))
-	}
-	// Paper regions: first three markers perpetual, audio ≥ week,
-	// video ≥ day.
-	for i, name := range res.MarkerNames {
-		pr := res.Markers[i]
-		switch name {
-		case "biopotential patch", "smart ring", "fitness tracker":
-			if !pr.Perpetual {
-				t.Errorf("%s not perpetual", name)
+}
+
+// TestPaperClaims asserts every entry of the claims table, whose bounds
+// are the one place each of the paper's numbers is held.
+func TestPaperClaims(t *testing.T) {
+	for _, c := range Claims() {
+		t.Run(c.ID, func(t *testing.T) {
+			if _, err := TableClaims(c.ID); err != nil {
+				t.Errorf("%s (%s): %v", c.Statement, c.Section, err)
 			}
-		case "audio AI wearable":
-			if pr.Life < units.Week {
-				t.Errorf("audio life %v < week", pr.Life)
-			}
-		case "video AI node (MJPEG)":
-			if pr.Life < units.Day {
-				t.Errorf("video life %v < day", pr.Life)
-			}
-		}
-	}
-	if res.PerpetualBoundary <= 0 {
-		t.Error("no perpetual boundary found")
-	}
-	// Wi-R life ≥ BLE life at every feasible point.
-	for i, pr := range res.Sweep {
-		if res.BLELife[i] >= 0 && res.BLELife[i] > pr.Life {
-			t.Errorf("BLE outlived Wi-R at %v", pr.Rate)
-		}
-	}
-	// BLE must become infeasible before the sweep ends (>319 kbps).
-	if res.BLELife[len(res.BLELife)-1] >= 0 {
-		t.Error("BLE should be infeasible at 3.9 Mbps")
+		})
 	}
 }
 

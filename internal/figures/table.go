@@ -1,7 +1,7 @@
 // Package figures regenerates every figure and quantitative table of the
 // paper as structured rows with text/CSV rendering. Each generator is
-// deterministic and is wrapped one-to-one by a benchmark in the repository
-// root and a subcommand of cmd/iobfig.
+// deterministic and is wrapped one-to-one by a BenchmarkFigures
+// sub-benchmark in the repository root and a subcommand of cmd/iobfig.
 package figures
 
 import (

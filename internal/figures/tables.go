@@ -20,7 +20,8 @@ func radioBLE() *radio.Transceiver { return radio.BLE42() }
 
 // TableWiRvsBLE regenerates the paper's headline comparison (TAB-A):
 // ">10× faster than BLE, <100× the power", plus the channel-geometry
-// argument (1–2 m body channel vs 5–10 m+ radiation).
+// argument (1–2 m body channel vs 5–10 m+ radiation). The claims table
+// holds the two ratios to their bounds.
 func TableWiRvsBLE() (*Table, error) {
 	wir, ble := radio.WiR(), radioBLE()
 	eqs := channel.DefaultEQSBody()
@@ -33,13 +34,11 @@ func TableWiRvsBLE() (*Table, error) {
 		Title:  "Wi-R vs BLE (paper §I, §III-B claims)",
 		Header: []string{"metric", "Wi-R (EQS-HBC)", "BLE 4.2", "paper claim"},
 	}
-	rateRatio := float64(wir.Goodput) / float64(ble.Goodput)
-	energyRatio := float64(ble.EnergyPerGoodBit()) / float64(wir.EnergyPerGoodBit())
 	t.Rows = append(t.Rows,
 		row("application goodput", wir.Goodput.String(), ble.Goodput.String(),
-			fmt.Sprintf(">10x faster (measured %.1fx)", rateRatio)),
+			fmt.Sprintf(">10x faster (measured %.1fx)", goodputRatio())),
 		row("energy per delivered bit", wir.EnergyPerGoodBit().String(), ble.EnergyPerGoodBit().String(),
-			fmt.Sprintf("<100x lower power (measured %.0fx)", energyRatio)),
+			fmt.Sprintf("<100x lower power (measured %.0fx)", energyRatio(ble))),
 		row("active radio power", wir.ActiveTX.String(), ble.ActiveTX.String(),
 			"RF burns 1-10 mW+; EQS stays in uW class"),
 		row("on-body channel gain @1.5 m",
@@ -50,10 +49,6 @@ func TableWiRvsBLE() (*Table, error) {
 			assess.EQSRange.String(), assess.RFRange.String(),
 			"personal bubble vs room-scale radiation"),
 	)
-	if rateRatio < 10 || energyRatio < 100 {
-		return nil, fmt.Errorf("figures: headline claim violated (rate %.1fx, energy %.0fx)",
-			rateRatio, energyRatio)
-	}
 	return t, nil
 }
 
@@ -333,7 +328,7 @@ func All() []struct {
 	}{
 		{"fig1", Fig1},
 		{"fig2", Fig2},
-		{"fig3", func() (*Table, error) { _, t, err := Fig3(); return t, err }},
+		{"fig3", Fig3},
 		{"wir-vs-ble", TableWiRvsBLE},
 		{"transceivers", TableTransceivers},
 		{"security", TableSecurity},
@@ -343,5 +338,6 @@ func All() []struct {
 		{"ablation-termination", AblationTermination},
 		{"ablation-compression", AblationCompression},
 		{"ablation-mac", AblationMAC},
+		{"claims", func() (*Table, error) { return TableClaims() }},
 	}
 }

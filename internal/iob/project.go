@@ -56,7 +56,7 @@ func (p *Projector) at(rate units.DataRate, sense units.Power) (Projection, erro
 	}
 	pr := Projection{Rate: rate, Sense: sense, Comm: comm, Total: sense + comm}
 	pr.Life = p.Battery.Lifetime(pr.Total)
-	pr.Perpetual = pr.Life >= energy.PerpetualLife
+	pr.Perpetual = p.Battery.Perpetual(pr.Total)
 	return pr, nil
 }
 

@@ -181,14 +181,3 @@ func (l *Link) MaxRateForBER(targetBER float64) units.DataRate {
 	}
 	return units.DataRate(r)
 }
-
-// Sensitivity returns the minimum received power to meet targetBER at the
-// link's rate, in dBm — the spec-sheet number used in bubble-radius
-// calculations.
-func (l *Link) Sensitivity(targetBER float64) float64 {
-	need := l.Mod.RequiredEbN0(targetBER)
-	n := NoiseFloor(l.Bandwidth, l.NoiseFigDB)
-	// P_rx,min = need · N · R / B.
-	pmin := need * float64(n) * float64(l.Rate) / float64(l.Bandwidth)
-	return units.DBm(units.Power(pmin))
-}

@@ -28,22 +28,6 @@ func TestEnergyPerGoodBitMatchesCitedSilicon(t *testing.T) {
 	}
 }
 
-func TestPaperClaimRateAndPowerRatios(t *testing.T) {
-	wir, ble := WiR(), BLE42()
-	// ">10× faster than BLE": goodput ratio.
-	if ratio := float64(wir.Goodput) / float64(ble.Goodput); ratio < 10 {
-		t.Errorf("Wi-R/BLE goodput ratio = %.1f, paper claims > 10", ratio)
-	}
-	// "<100× lower power": energy per delivered bit ratio.
-	if ratio := float64(ble.EnergyPerGoodBit()) / float64(wir.EnergyPerGoodBit()); ratio < 100 {
-		t.Errorf("BLE/Wi-R energy-per-bit ratio = %.0f, paper claims ≥ 100", ratio)
-	}
-	// Even the most favorable BLE (5 + DLE) stays ≥ 100× worse per bit.
-	if ratio := float64(BLE5DLE().EnergyPerGoodBit()) / float64(wir.EnergyPerGoodBit()); ratio < 100 {
-		t.Errorf("BLE5-DLE/Wi-R energy ratio = %.0f, want ≥ 100", ratio)
-	}
-}
-
 func TestBLEActivePowerInPaperRange(t *testing.T) {
 	// §III-B: RF-based communication burns 1–10 mW (and real BLE silicon
 	// peaks higher). Our active model must sit in the mW class.
